@@ -1,0 +1,92 @@
+"""Golden digests: sha256 of the exact outputs of small seeded runs.
+
+Two reruns agreeing with each other cannot show that a refactor kept the
+RNG-to-event mapping; these pinned digests can. A digest changes only with a
+deliberate change of the stream or of an output format, which bumps a
+documented stream/schema version (ROADMAP.md).
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from lobsim.book import StateCaps
+from lobsim.engine import RecordingConfig, simulate
+from lobsim.scenario import (
+    build_rate_model,
+    preset,
+    run_scenario,
+    validate_against_oracle,
+    write_bundle,
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+BUNDLES = {
+    "scenario1-events": (
+        dict(name="scenario1", runs=3, events_per_run=400, base_seed=2024, record="events"),
+        {
+            "summary.csv": "bec4c56aa22b8c1f3dfc595c92ccbf33c70a5778add751558c68ef2e98ffe97d",
+            "events.csv": "6df1e55956f163ded01d4324985311789b2cc405c6d7b42d1feb1b51c3d67bf5",
+        },
+    ),
+    "scenario2-events": (
+        dict(name="scenario2", runs=3, events_per_run=400, base_seed=2024, record="events"),
+        {
+            "summary.csv": "db97719bc24a7eed5bebc6bfaa9e9636444a7a56200871ccb0c9939928536683",
+            "events.csv": "ca32f3d1a8364b1613e829474f842ee168940da3e7b191368afe55051968856a",
+        },
+    ),
+    "scenario2-opposite-best-heatmap": (
+        dict(
+            name="scenario2",
+            runs=2,
+            events_per_run=400,
+            base_seed=2024,
+            anchoring="opposite_best",
+            record="heatmap",
+            heatmap_window=50,
+        ),
+        {
+            "summary.csv": "9bed3316b632bd9553cf32449f69d9901fc954433e11e67cf6cbe5979847d2e5",
+            "heatmap.csv": "742d3d0357f23729caf036d9e597fcc5e6782633ae634cf0dfe0ebe619aa790d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("bundle_name", sorted(BUNDLES))
+def test_bundle_digests(bundle_name, tmp_path):
+    overrides, expected = BUNDLES[bundle_name]
+    overrides = dict(overrides)
+    config = replace(preset(overrides.pop("name")), **overrides)
+    write_bundle(run_scenario(config), tmp_path)
+    got = {name: sha256((tmp_path / name).read_bytes()) for name in expected}
+    assert got == expected
+
+
+def test_oracle_report_digest():
+    report = validate_against_oracle("tiny-overlap", runs=500)
+    text = "\n".join(report.lines()).encode("utf-8")
+    assert sha256(text) == "2f7893064a1d60a20d4fb002e575c96c53bdc20ffe2813ac315874d7c11702fe"
+
+
+def test_capped_horizon_run_fingerprint():
+    # A capped run stopped by a horizon, with checkpoints before, at and
+    # past it: times, events, trades, final book and checkpointed books.
+    result = simulate(
+        build_rate_model(preset("scenario1")),
+        time_horizon=40.0,
+        seed=2024,
+        caps=StateCaps(max_orders=3, max_quantity=1),
+        recording=RecordingConfig(checkpoint_times=(0.0, 5.0, 12.5, 39.0, 50.0)),
+    )
+    parts = [repr((r.time, r.event, r.transactions)) for r in result.records]
+    parts.append(repr((result.final_time, result.event_count, result.final_state)))
+    parts.extend(repr(item) for item in sorted(result.checkpoints.items()))
+    fingerprint = sha256("\n".join(parts).encode("utf-8"))
+    assert fingerprint == "8e4c486cdb116d8296249621696fb936890735b7778fec5d3a35dc7ffb3a76f4"

@@ -2,34 +2,32 @@
 
 Each step draws an exponential waiting time at the state's normalized total
 event rate and then selects one event with probability proportional to its
-rate, applying it through the book core (including any matching cascade).
-Trajectories are fully determined by the seed: every step consumes exactly
+rate. Trajectories are fully determined by the seed: every step consumes exactly
 two uniform draws, time first, then event selection against the cumulative
 rate table in its fixed order (ask arrivals by level, bid arrivals by level,
 cancellations by submission seq).
+
+Every order the engine creates has size ``unit_quantity``, so a match fills
+its resident completely: the book is the depth-vector chain of Cont, Stoikov
+& Talreja (Oper. Res. 58(3), 2010). :func:`simulate` runs on per-level counts
+and builds a :class:`BookState` only where it returns one; :func:`step` is
+the single-event reference on a :class:`BookState`, through the book core.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .book import BookState, StateCaps, Transaction, empty_book, validate_book
-from .observables import DepthProfile, QuoteSnapshot, XlmValues, depth, quotes, xlm
-from .rates import (
-    AbsorbingStateError,
-    AnchoringMode,
-    EventDescriptor,
-    EventKind,
-    RateModel,
-    apply_event,
-    arrival_rates,
-    event_table,
-)
+from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, validate_book
+from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, XlmValues, depth
+from .observables import quote_snapshot, quotes, xlm  # noqa: F401  (bench/spans.py wraps quotes)
+from .rates import AnchoringMode, EventDescriptor, EventKind, RateModel, apply_event, event_table
 
 
 class EngineError(Exception):
@@ -41,15 +39,18 @@ class RecordingConfig:
     """What a simulation keeps as it runs.
 
     ``events`` retains one record per step; ``quotes``/``liquidity`` attach
-    per-step snapshots to those records. ``depth_window`` keeps depth
-    profiles for the final N steps (heatmap-style output). Book states are
-    snapshotted at each time in ``checkpoint_times``; a checkpoint past the
-    simulated horizon is simply absent from the result.
+    per-step snapshots to those records. ``summary`` streams the columns
+    :func:`~lobsim.observables.summarize_run` reduces, without records.
+    ``depth_window`` keeps depth profiles for the final N steps
+    (heatmap-style output). Book states are snapshotted at each time in
+    ``checkpoint_times``; a checkpoint past the simulated horizon is simply
+    absent from the result.
     """
 
     events: bool = True
     quotes: bool = False
     liquidity: bool = False
+    summary: bool = False
     depth_window: int = 0
     checkpoint_times: tuple[float, ...] = ()
     collect_inter_event_times: bool = False
@@ -88,6 +89,7 @@ class SimulationResult:
     inter_event_times: Optional[np.ndarray]
     initial_state: BookState
     seed: Optional[int]
+    summary_columns: Optional[SummaryColumns] = None
 
 
 @dataclass(frozen=True)
@@ -98,109 +100,12 @@ class StepResult:
     transactions: tuple[Transaction, ...]
 
 
-class _PreparedTable:
-    """Sampling-ready view of a state's event table.
-
-    ``blueprints`` holds an :class:`EventDescriptor` for arrivals and an
-    integer slot for cancellations, where slot i targets the state's i-th
-    resident order in submission order; ``cum`` is the cumulative raw-rate
-    array in the table's fixed order.
-    """
-
-    __slots__ = ("blueprints", "cum")
-
-    def __init__(self, blueprints: list, cum: np.ndarray) -> None:
-        self.blueprints = blueprints
-        self.cum = cum
-
-    @property
-    def raw_total(self) -> float:
-        return float(self.cum[-1]) if len(self.cum) else 0.0
-
-
-class _TableBuilder:
-    """Builds per-state sampling tables, caching state-independent parts.
-
-    Uncapped static-support models have state-independent arrival rates, so
-    the full cumulative table only depends on the resident-order count and
-    is cached per count. Capped runs are cached per canonical book structure
-    (the cap filter and relative rates only depend on it). Opposite-best
-    uncapped tables are rebuilt per state.
-    """
-
-    def __init__(self, model: RateModel, caps: Optional[StateCaps]) -> None:
-        self.model = model
-        self.caps = caps
-        self._by_count: dict[int, _PreparedTable] = {}
-        self._by_key: dict = {}
-        self._static = (
-            caps is None and model.anchoring_mode is AnchoringMode.STATIC_SUPPORT
-        )
-        if self._static:
-            arrivals = arrival_rates(model, empty_book(model.grid_size))
-            self._arrival_blueprints = [d for d, _ in arrivals.entries]
-            self._arrival_rates = np.asarray([r for _, r in arrivals.entries])
-
-    def prepare(self, state: BookState) -> _PreparedTable:
-        if self._static:
-            count = state.order_count()
-            prepared = self._by_count.get(count)
-            if prepared is None:
-                omega = self.model.per_order_cancel_rate
-                cancel_part = (
-                    np.full(count, omega) if omega > 0.0 else np.empty(0)
-                )
-                raw = np.concatenate([self._arrival_rates, cancel_part])
-                blueprints = self._arrival_blueprints + list(range(len(cancel_part)))
-                prepared = _PreparedTable(blueprints, np.cumsum(raw))
-                self._by_count[count] = prepared
-            return prepared
-        if self.caps is not None:
-            key = state.canonical_key()
-            prepared = self._by_key.get(key)
-            if prepared is None:
-                prepared = self._build_from_table(state)
-                self._by_key[key] = prepared
-            return prepared
-        return self._build_from_table(state)
-
-    def _build_from_table(self, state: BookState) -> _PreparedTable:
-        table = event_table(self.model, state, caps=self.caps)
-        blueprints: list = []
-        cancel_slot = 0
-        for descriptor, _ in table.entries:
-            if descriptor.kind is EventKind.CANCELLATION:
-                blueprints.append(cancel_slot)
-                cancel_slot += 1
-            else:
-                blueprints.append(descriptor)
-        raw = np.asarray([r for _, r in table.entries])
-        return _PreparedTable(blueprints, np.cumsum(raw))
-
-
-def _sample_event(
-    prepared: _PreparedTable, state: BookState, u: float
-) -> EventDescriptor:
-    cum = prepared.cum
-    index = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    if index >= len(cum):
-        index = len(cum) - 1
-    blueprint = prepared.blueprints[index]
-    if isinstance(blueprint, EventDescriptor):
-        return blueprint
-    order = state.orders_by_seq()[blueprint]
-    return EventDescriptor(
-        EventKind.CANCELLATION, order.price_level, order.quantity, target_order_id=order.id
-    )
-
-
 def step(
     state: BookState,
     model: RateModel,
     rng: np.random.Generator,
     now: float,
     caps: Optional[StateCaps] = None,
-    _builder: Optional[_TableBuilder] = None,
 ) -> StepResult:
     """Advance the book by one event.
 
@@ -209,14 +114,11 @@ def step(
     probability proportional to its rate and applies it. Raises
     :class:`AbsorbingStateError` when the state admits no transition.
     """
-    builder = _builder if _builder is not None else _TableBuilder(model, caps)
-    prepared = builder.prepare(state)
-    if prepared.raw_total <= 0.0:
-        raise AbsorbingStateError("state has no outgoing transitions")
+    entries = event_table(model, state, caps=caps).entries
     u_time = rng.random()
     delta_t = -math.log1p(-u_time) / model.event_intensity
-    u_event = rng.random()
-    event = _sample_event(prepared, state, u_event)
+    cum = np.cumsum([rate for _, rate in entries]).tolist()
+    event = entries[min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)][0]
     new_state, transactions = apply_event(state, event, now + delta_t)
     return StepResult(delta_t, event, new_state, tuple(transactions))
 
@@ -231,7 +133,7 @@ def simulate(
     recording: RecordingConfig = RecordingConfig(),
     caps: Optional[StateCaps] = None,
     debug_invariants: bool = False,
-    _builder: Optional[_TableBuilder] = None,
+    _tables: Optional[dict] = None,
 ) -> SimulationResult:
     """Run one trajectory until the stop criterion.
 
@@ -239,6 +141,10 @@ def simulate(
     caps) produce the same trajectory bit for bit. Stops after
     ``event_count`` events or when the next event would pass
     ``time_horizon``, whichever comes first; at least one must be given.
+    ``initial`` must be a uniform book on the model's grid, as the engine
+    builds them (every order of size ``unit_quantity``, id equal to seq),
+    else :class:`EngineError`. ``_tables`` caches tables across runs of one
+    model and caps.
     """
     if event_count is None and time_horizon is None:
         raise EngineError("need event_count and/or time_horizon")
@@ -246,67 +152,161 @@ def simulate(
         raise EngineError("event_count must be nonnegative")
     if time_horizon is not None and time_horizon < 0:
         raise EngineError("time_horizon must be nonnegative")
+    initial_state = initial if initial is not None else empty_book(model.grid_size)
+    k, q = model.grid_size, model.unit_quantity
+    residents = initial_state.orders_by_seq()
+    if initial_state.grid_size != k or any(o.quantity != q or o.id != o.seq for o in residents):
+        raise EngineError(f"initial book must be on grid {k} with orders of size {q}, ids = seqs")
 
-    state = initial if initial is not None else empty_book(model.grid_size)
+    # The book: levels are signed, +level for asks and -level for bids, so
+    # "better" is "smaller" on both sides; side index 0 is bids, 1 asks.
+    # at_level[s] counts orders at signed level s (bids by negative indexing);
+    # best[x] is side x's best signed level, or 0 / k + 1 when it is empty.
+    # Resident i of seqs/levels, in submission order, is cancellation slot i.
+    seqs = [o.seq for o in residents]
+    levels = [o.price_level if o.side is Side.ASK else -o.price_level for o in residents]
+    at_level = [0] * (2 * k + 2)
+    for s in levels:
+        at_level[s] += 1
+    bid_levels = [s for s in levels if s < 0]
+    ask_levels = [s for s in levels if s > 0]
+    best = [min(bid_levels, default=0), min(ask_levels, default=k + 1)]
+    orders = [len(bid_levels), len(ask_levels)]
+    level_sums = [-sum(bid_levels), sum(ask_levels)]
+    next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
+
+    def book_state() -> BookState:
+        asks = [Order(Side.ASK, s, q, seq, seq) for seq, s in zip(seqs, levels) if s > 0]
+        bids = [Order(Side.BID, -s, q, seq, seq) for seq, s in zip(seqs, levels) if s < 0]
+        # Stable sorts keep submission order within a level.
+        asks.sort(key=lambda o: o.price_level)
+        bids.sort(key=lambda o: -o.price_level)
+        return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
+
+    # A cached table is (cumulative raw rates, blueprints, arrival count); a
+    # blueprint is the arrival's descriptor or slot i, cancelling the i-th
+    # resident. On a uniform book the arrival entries depend on the best
+    # quotes under opposite-best anchoring or caps (a capped arrival rests,
+    # count + 1, or fills one best opposite order, count - 1), and on the
+    # order count under caps. Cancellations follow, one per resident, so the
+    # cumulative list for n orders is a prefix of the one for more orders.
+    by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+    tables = _tables if _tables is not None else {}
     rng = np.random.default_rng(seed)
-    builder = _builder if _builder is not None else _TableBuilder(model, caps)
 
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
     pending_checkpoints = sorted(recording.checkpoint_times)
     cp_index = 0
-    window: deque[DepthFrame] = deque(maxlen=recording.depth_window or None)
+    window: deque = deque(maxlen=recording.depth_window or None)
+    # Without a horizon the run's length is known: take frames for the window only.
+    first_frame = event_count - recording.depth_window if time_horizon is None else 0
     dts: list[float] = []
+    quoted_rows: list[tuple[int, ...]] = []
+    prices: list[int] = []
 
+    draws: list[float] = []  # uniforms, drawn in growing blocks of pairs
+    i_draw, block = 0, 16
     now = 0.0
     events = 0
     while event_count is None or events < event_count:
-        result = step(state, model, rng, now, caps=caps, _builder=builder)
-        t_next = now + result.delta_t
+        count = orders[0] + orders[1]
+        key = (best[0], best[1], count if caps is not None else 0) if by_quotes else ()
+        table = tables.get(key)
+        if table is None or table[2] + count > len(table[0]):
+            entries = event_table(model, book_state(), caps=caps).entries
+            arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+            cum = np.cumsum([rate for _, rate in entries]).tolist()
+            table = tables[key] = cum, arrivals + list(range(count)), len(arrivals)
+        if i_draw == len(draws):
+            # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
+            pairs = block if event_count is None else min(block, event_count - events)
+            draws, i_draw, block = rng.random(2 * pairs).tolist(), 0, min(2 * block, 4096)
+        u_time, u_event = draws[i_draw], draws[i_draw + 1]
+        i_draw += 2
+        delta_t = -math.log1p(-u_time) / model.event_intensity
+        t_next = now + delta_t
         if time_horizon is not None and t_next > time_horizon:
             now = time_horizon
             break
         while cp_index < len(pending_checkpoints) and pending_checkpoints[cp_index] < t_next:
-            checkpoints[pending_checkpoints[cp_index]] = state
+            checkpoints[pending_checkpoints[cp_index]] = book_state()
             cp_index += 1
-        state = result.state
         now = t_next
         events += 1
-        if debug_invariants:
-            validate_book(state)
-        if recording.collect_inter_event_times:
-            dts.append(result.delta_t)
-        if recording.events:
-            records.append(
-                TrajectoryRecord(
-                    time=now,
-                    event=result.event,
-                    transactions=result.transactions,
-                    quote=quotes(state) if recording.quotes else None,
-                    liquidity=(
-                        xlm(state)
-                        if recording.liquidity and state.bids and state.asks
-                        else None
-                    ),
-                )
-            )
-        if recording.depth_window:
-            window.append(DepthFrame(events, depth(state), bool(result.transactions)))
 
-    while cp_index < len(pending_checkpoints) and pending_checkpoints[cp_index] <= now:
-        checkpoints[pending_checkpoints[cp_index]] = state
-        cp_index += 1
+        cum, blueprints, n_arrivals = table
+        hi = n_arrivals + count
+        blueprint = blueprints[min(bisect_right(cum, u_event * cum[hi - 1], 0, hi), hi - 1)]
+        trade = None
+        # One order enters (delta +1) or leaves (-1) signed level s.
+        if blueprint.__class__ is int:
+            s, seq, delta = levels.pop(blueprint), seqs.pop(blueprint), -1
+            event = EventDescriptor(EventKind.CANCELLATION, abs(s), q, target_order_id=seq)
+        else:
+            event = blueprint
+            s = event.price_level if event.kind is EventKind.ARRIVAL_ASK else -event.price_level
+            opposite = best[s < 0]
+            if opposite + s <= 0:
+                # Crosses: fills the oldest order at the best opposite level.
+                i = levels.index(opposite)
+                del levels[i], seqs[i]
+                side = Side.ASK if s > 0 else Side.BID
+                trade = last_trade = Transaction(abs(opposite), q, now, side)
+                s, delta = opposite, -1
+            else:
+                seqs.append(next_seq)
+                levels.append(s)
+                delta = 1
+            next_seq += 1
+        at_level[s] += delta
+        x = s > 0
+        orders[x] += delta
+        level_sums[x] += delta * abs(s)
+        if delta > 0 and s < best[x]:
+            best[x] = s
+        elif delta < 0 and s == best[x] and not at_level[s]:
+            end = k + 1 if x else 0
+            while s != end and not at_level[s]:
+                s += 1
+            best[x] = s
+
+        bid, ask = -best[0], best[1]  # 0 / k + 1 when the side is empty
+        quoted = bid != 0 and ask <= k
+        if debug_invariants:
+            validate_book(book_state())
+        if recording.collect_inter_event_times:
+            dts.append(delta_t)
+        if recording.summary:
+            if trade is not None:
+                prices.append(trade.price_level)
+            if quoted:
+                quoted_rows.append((bid, ask, level_sums[1], orders[1], level_sums[0], orders[0]))
+        if recording.events:
+            quote = None
+            if recording.quotes:
+                quote = quote_snapshot(bid or None, ask if ask <= k else None)
+            liquidity = xlm(book_state()) if recording.liquidity and quoted else None
+            trades = (trade,) if trade else ()
+            records.append(TrajectoryRecord(now, event, trades, quote, liquidity))
+        if recording.depth_window and events > first_frame:
+            window.append(DepthFrame(events, depth(book_state()), trade is not None))
+
+    final_state = book_state()
+    checkpoints.update((t, final_state) for t in pending_checkpoints[cp_index:] if t <= now)
+    quoted_array = np.array(quoted_rows, dtype=np.int64).reshape(-1, 6)
 
     return SimulationResult(
         records=records,
-        final_state=state,
+        final_state=final_state,
         final_time=now,
         event_count=events,
         checkpoints=checkpoints,
         depth_frames=list(window),
         inter_event_times=np.asarray(dts) if recording.collect_inter_event_times else None,
-        initial_state=initial if initial is not None else empty_book(model.grid_size),
+        initial_state=initial_state,
         seed=seed,
+        summary_columns=SummaryColumns(quoted_array, prices) if recording.summary else None,
     )
 
 
@@ -337,7 +337,7 @@ def run_ensemble(
     if runs < 1:
         raise EngineError("runs must be >= 1")
     seeds = derive_run_seeds(base_seed, runs)
-    builder = _TableBuilder(model, caps)
+    tables: dict = {}
     out: list = []
     for run_seed in seeds:
         result = simulate(
@@ -348,7 +348,7 @@ def run_ensemble(
             seed=run_seed,
             recording=recording,
             caps=caps,
-            _builder=builder,
+            _tables=tables,
         )
         out.append(reduce(result) if reduce is not None else result)
     return out

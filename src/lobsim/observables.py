@@ -85,8 +85,11 @@ class QuoteSnapshot:
 
 
 def quotes(state: BookState) -> QuoteSnapshot:
-    best_bid = state.best_bid()
-    best_ask = state.best_ask()
+    return quote_snapshot(state.best_bid(), state.best_ask())
+
+
+def quote_snapshot(best_bid: Optional[int], best_ask: Optional[int]) -> QuoteSnapshot:
+    """Quotes with spread and mid, which stay None unless both sides quote."""
     if best_bid is None or best_ask is None:
         return QuoteSnapshot(best_bid, best_ask, None, None)
     return QuoteSnapshot(best_bid, best_ask, best_ask - best_bid, (best_ask + best_bid) / 2.0)
@@ -111,16 +114,30 @@ def xlm(state: BookState) -> XlmValues:
     """
     if not state.bids or not state.asks:
         raise UndefinedLiquidityError("liquidity undefined on a one-sided book")
-    mid = (state.bids[0].price_level + state.asks[0].price_level) / 2.0
-    ask_quantity = sum(o.quantity for o in state.asks)
-    ask_volume = sum(o.price_level * o.quantity for o in state.asks)
-    bid_quantity = sum(o.quantity for o in state.bids)
-    bid_volume = sum(o.price_level * o.quantity for o in state.bids)
+    return XlmValues(
+        *xlm_legs(
+            state.bids[0].price_level,
+            state.asks[0].price_level,
+            sum(o.price_level * o.quantity for o in state.asks),
+            sum(o.quantity for o in state.asks),
+            sum(o.price_level * o.quantity for o in state.bids),
+            sum(o.quantity for o in state.bids),
+        )
+    )
+
+
+def xlm_legs(best_bid, best_ask, ask_volume, ask_quantity, bid_volume, bid_quantity):
+    """(ask, bid, total) XLM in basis points from the quotes and side totals.
+
+    The arithmetic of :func:`xlm`; it applies elementwise to integer arrays
+    with the same floating-point results.
+    """
+    mid = (best_bid + best_ask) / 2.0
     vwap_ask = ask_volume / ask_quantity
     vwap_bid = bid_volume / bid_quantity
     ask_bps = 10_000.0 * (vwap_ask - mid) / vwap_ask
     bid_bps = 10_000.0 * (mid - vwap_bid) / vwap_bid
-    return XlmValues(ask_bps, bid_bps, ask_bps + bid_bps)
+    return ask_bps, bid_bps, ask_bps + bid_bps
 
 
 @dataclass(frozen=True)
@@ -256,10 +273,24 @@ class RunSummary:
     quote_coverage: float
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return float("nan"), float("nan")
+@dataclass(frozen=True)
+class SummaryColumns:
+    """Per-event samples a :class:`RunSummary` reduces, streamed by the engine.
+
+    ``quoted`` has one int row per event after which both sides were quoted:
+    best bid, best ask, then the ask side's level sum and order count and
+    the bid side's. On a book of equal-size orders, level sum over count is
+    the side's VWAP. ``prices`` lists trade prices in execution order.
+    """
+
+    quoted: np.ndarray
+    prices: list[int]
+
+
+def _mean_std(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return float("nan"), float("nan")
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), std
 
@@ -267,9 +298,26 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def summarize_run(result) -> RunSummary:
     """Reduce one simulation result to a :class:`RunSummary`.
 
-    Expects the run to have been recorded with per-event records including
-    quote snapshots (and liquidity values, when XLM statistics are wanted).
+    Reduces the streamed ``summary_columns`` when the run was recorded with
+    ``summary=True``; otherwise the per-event records, which then need quote
+    snapshots (and liquidity values, when XLM statistics are wanted).
     """
+    columns = result.summary_columns
+    if columns is not None:
+        quoted = columns.quoted
+        best_bids, best_asks = quoted[:, 0], quoted[:, 1]
+        xlm_ask, xlm_bid, xlm_total = xlm_legs(best_bids, best_asks, *quoted[:, 2:].T)
+        return _summary(
+            result,
+            spreads=best_asks - best_bids,
+            mids=(best_asks + best_bids) / 2.0,
+            best_bids=best_bids,
+            best_asks=best_asks,
+            xlm_ask=xlm_ask,
+            xlm_bid=xlm_bid,
+            xlm_total=xlm_total,
+            prices=columns.prices,
+        )
     spreads: list[float] = []
     mids: list[float] = []
     best_bids: list[float] = []
@@ -280,19 +328,34 @@ def summarize_run(result) -> RunSummary:
     for record in result.records:
         quote = record.quote
         if quote is not None and quote.spread is not None:
-            spreads.append(float(quote.spread))
+            spreads.append(quote.spread)
             mids.append(quote.mid)
-            best_bids.append(float(quote.best_bid))
-            best_asks.append(float(quote.best_ask))
+            best_bids.append(quote.best_bid)
+            best_asks.append(quote.best_ask)
         liquidity = record.liquidity
         if liquidity is not None:
             xlm_ask.append(liquidity.ask)
             xlm_bid.append(liquidity.bid)
             xlm_total.append(liquidity.total)
-    series = transaction_observables(result.records)
-    log_returns = (
-        np.diff(np.log(series.prices)) if len(series) >= 2 else np.empty(0)
+    return _summary(
+        result,
+        spreads=spreads,
+        mids=mids,
+        best_bids=best_bids,
+        best_asks=best_asks,
+        xlm_ask=xlm_ask,
+        xlm_bid=xlm_bid,
+        xlm_total=xlm_total,
+        prices=transaction_observables(result.records).prices,
     )
+
+
+def _summary(
+    result, *, spreads, mids, best_bids, best_asks, xlm_ask, xlm_bid, xlm_total, prices
+) -> RunSummary:
+    """The statistics of a run summary, from its per-event samples."""
+    prices = np.asarray(prices, dtype=float)
+    log_returns = np.diff(np.log(prices)) if len(prices) >= 2 else np.empty(0)
     mean_return = float(log_returns.mean()) if log_returns.size else float("nan")
     volatility = float(log_returns.std(ddof=1)) if log_returns.size > 1 else (
         0.0 if log_returns.size == 1 else float("nan")
@@ -301,12 +364,12 @@ def summarize_run(result) -> RunSummary:
     mean_mid, std_mid = _mean_std(mids)
     mean_bb, _ = _mean_std(best_bids)
     mean_ba, _ = _mean_std(best_asks)
-    mean_price, std_price = _mean_std(list(series.prices))
-    rate = len(series) / result.final_time if result.final_time > 0 else float("nan")
+    mean_price, std_price = _mean_std(prices)
+    rate = len(prices) / result.final_time if result.final_time > 0 else float("nan")
     return RunSummary(
         events=result.event_count,
         elapsed_time=result.final_time,
-        transaction_count=len(series),
+        transaction_count=len(prices),
         transaction_rate=rate,
         mean_spread=mean_spread,
         std_spread=std_spread,

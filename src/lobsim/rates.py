@@ -45,8 +45,10 @@ class DgxParams:
     support_size: int
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise RateModelError(f"sigma must be positive, got {self.sigma}")
+        if not np.isfinite(self.mu):
+            raise RateModelError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < np.inf:
+            raise RateModelError(f"sigma must be positive and finite, got {self.sigma}")
         if self.support_size < 1:
             raise RateModelError(f"support_size must be >= 1, got {self.support_size}")
 
@@ -102,10 +104,10 @@ class RateModel:
     unit_quantity: int = 1
 
     def __post_init__(self) -> None:
-        if self.event_intensity <= 0:
-            raise RateModelError(f"event intensity must be positive, got {self.event_intensity}")
-        if self.per_order_cancel_rate < 0:
-            raise RateModelError("cancellation rate must be nonnegative")
+        if not 0 < self.event_intensity < np.inf:
+            raise RateModelError(f"event intensity must be finite and > 0: {self.event_intensity}")
+        if not 0 <= self.per_order_cancel_rate < np.inf:
+            raise RateModelError("cancellation rate must be finite and nonnegative")
         if self.unit_quantity < 1:
             raise RateModelError("unit quantity must be >= 1")
         if not self.groups:

@@ -24,6 +24,7 @@ from .book import Side
 from .engine import RecordingConfig, SimulationResult, run_ensemble
 from .observables import RunSummary, summarize_run
 from .rates import (
+    AbsorbingStateError,
     AnchoringMode,
     DgxParams,
     RateModel,
@@ -190,7 +191,7 @@ def config_from_dict(raw: dict, name: str = "custom") -> ScenarioConfig:
         problems.append(f"anchoring must be 'static' or 'opposite_best', got {anchoring!r}")
     runs = get_number("runs", 200, minimum=1, integer=True)
     events_per_run = get_number("events_per_run", 5000, minimum=0, integer=True)
-    base_seed = get_number("base_seed", 12345, integer=True)
+    base_seed = get_number("base_seed", 12345, minimum=0, integer=True)
     record = raw.get("record", "summary")
     if record not in ("summary", "events", "heatmap"):
         problems.append(f"record must be one of summary|events|heatmap, got {record!r}")
@@ -254,6 +255,14 @@ def config_from_dict(raw: dict, name: str = "custom") -> ScenarioConfig:
     )
 
 
+def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
+    """``config`` with some fields replaced, validated like a config file."""
+    raw = asdict(config)
+    raw["groups"] = list(raw["groups"])
+    raw.update(overrides)
+    return config_from_dict(raw, name=config.name)
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a JSON scenario file."""
     path = Path(path)
@@ -271,22 +280,22 @@ def preset(name: str) -> ScenarioConfig:
 
 
 def build_rate_model(config: ScenarioConfig) -> RateModel:
-    groups = tuple(
-        TraderGroup(
-            share=g.share,
-            ask_params=DgxParams(g.mu, g.sigma, g.support),
-            bid_params=DgxParams(g.mu, g.sigma, g.support),
-            ask_anchor=g.ask_anchor,
-            bid_anchor=g.bid_anchor,
-        )
-        for g in config.groups
-    )
     mode = (
         AnchoringMode.STATIC_SUPPORT
         if config.anchoring == "static"
         else AnchoringMode.OPPOSITE_BEST
     )
     try:
+        groups = tuple(
+            TraderGroup(
+                share=g.share,
+                ask_params=DgxParams(g.mu, g.sigma, g.support),
+                bid_params=DgxParams(g.mu, g.sigma, g.support),
+                ask_anchor=g.ask_anchor,
+                bid_anchor=g.bid_anchor,
+            )
+            for g in config.groups
+        )
         return RateModel(
             grid_size=config.grid_size,
             groups=groups,
@@ -326,10 +335,11 @@ class OutputBundle:
 
 
 def _recording_for(config: ScenarioConfig) -> RecordingConfig:
+    # Summaries come from streamed columns; only events.csv needs records.
     return RecordingConfig(
-        events=True,
-        quotes=True,
-        liquidity=True,
+        events=config.record == "events",
+        quotes=config.record == "events",
+        summary=True,
         depth_window=config.heatmap_window if config.record == "heatmap" else 0,
     )
 
@@ -395,7 +405,7 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
     event_rows: list[list[str]] = []
 
     seeds = engine.derive_run_seeds(config.base_seed, config.runs)
-    builder = engine._TableBuilder(model, None)
+    tables: dict = {}
     for run_index, run_seed in enumerate(seeds):
         try:
             result = engine.simulate(
@@ -403,9 +413,9 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
                 event_count=config.events_per_run,
                 seed=run_seed,
                 recording=recording,
-                _builder=builder,
+                _tables=tables,
             )
-        except engine.AbsorbingStateError:
+        except AbsorbingStateError:
             aborted.append(run_index)
             summaries.append(_nan_summary())
             continue
@@ -701,10 +711,15 @@ def validate_against_oracle(
     state at each time, and reports total variation distances plus first and
     second moment checks of the resident-order count.
     """
+    problems = []
     if model_name not in ORACLE_MODELS:
-        raise ConfigError(
-            [f"unknown oracle model {model_name!r}; choose from {sorted(ORACLE_MODELS)}"]
-        )
+        problems.append(f"unknown oracle model {model_name!r}; choose from {sorted(ORACLE_MODELS)}")
+    if runs < 1:
+        problems.append(f"runs must be >= 1, got {runs}")
+    if base_seed < 0:
+        problems.append(f"seed must be >= 0, got {base_seed}")
+    if problems:
+        raise ConfigError(problems)
     model, caps = ORACLE_MODELS[model_name]()
     index = oracle.enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
     generator = oracle.build_generator(model, index)

@@ -76,6 +76,13 @@ class TestDgx:
         with pytest.raises(RateModelError):
             DgxParams(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "mu, sigma", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_params(self, mu, sigma):
+        with pytest.raises(RateModelError):
+            DgxParams(mu, sigma, 12)
+
 
 class TestModelValidation:
     def test_shares_must_sum_to_one(self):
@@ -89,6 +96,16 @@ class TestModelValidation:
         group = TraderGroup(1.0, params, params, ask_anchor=15, bid_anchor=12)
         with pytest.raises(RateModelError):
             RateModel(20, (group,), 0.1, 6.0)
+
+    @pytest.mark.parametrize(
+        "cancel_rate, intensity",
+        [(0.1, math.nan), (0.1, math.inf), (math.nan, 6.0), (math.inf, 6.0)],
+    )
+    def test_non_finite_rates(self, cancel_rate, intensity):
+        point = DgxParams(0.0, 1.0, 1)
+        group = TraderGroup(1.0, point, point, 2, 1)
+        with pytest.raises(RateModelError):
+            RateModel(2, (group,), cancel_rate, intensity)
 
 
 class TestArrivalRates:

@@ -24,6 +24,7 @@ from lobsim.scenario import (
     preset,
     read_summaries,
     run_scenario,
+    with_overrides,
     write_bundle,
 )
 
@@ -112,6 +113,19 @@ class TestConfigValidation:
         assert config.runs == 5
         assert config.name == "custom"
         build_rate_model(config)
+
+    def test_negative_seed_rejected(self):
+        raw = {"groups": [{"share": 1.0, "mu": 1, "sigma": 3, "support": 12,
+                           "bid_anchor": 12, "ask_anchor": 9}], "base_seed": -1}
+        with pytest.raises(ConfigError, match="base_seed"):
+            config_from_dict(raw)
+
+    def test_overrides_are_validated(self):
+        config = with_overrides(preset("scenario1"), runs=5, base_seed=3)
+        assert (config.runs, config.base_seed, config.groups) == (5, 3, preset("scenario1").groups)
+        assert config.name == "scenario1"
+        with pytest.raises(ConfigError, match="runs"):
+            with_overrides(preset("scenario1"), runs=0)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -287,6 +301,33 @@ class TestCli:
         path.write_text(json.dumps({"groups": []}))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--runs", "0"], ["--events", "-5"]]
+    )
+    def test_bad_overrides_are_config_errors(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "scenario1", *flags, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("event_intensity", float("nan")), ("cancel_rate", float("inf")), ("mu", float("nan"))],
+    )
+    def test_non_finite_config_is_config_error(self, tmp_path, field, value):
+        group = {"share": 1.0, "mu": 1.0, "sigma": 3.0, "support": 12,
+                 "bid_anchor": 12, "ask_anchor": 9}
+        raw = {"groups": [group], "runs": 1, "events_per_run": 10}
+        (group if field in group else raw)[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--seed", "-1"]])
+    def test_bad_validate_arguments_are_config_errors(self, flags):
+        assert main(["validate", "--model", "tiny", *flags]) == EXIT_CONFIG
 
     def test_bad_usage_is_config_error(self):
         assert main(["run"]) == EXIT_CONFIG

@@ -328,10 +328,10 @@ def summarize_run(result) -> RunSummary:
     for record in result.records:
         quote = record.quote
         if quote is not None and quote.spread is not None:
-            spreads.append(quote.spread)
+            spreads.append(float(quote.spread))
             mids.append(quote.mid)
-            best_bids.append(quote.best_bid)
-            best_asks.append(quote.best_ask)
+            best_bids.append(float(quote.best_bid))
+            best_asks.append(float(quote.best_ask))
         liquidity = record.liquidity
         if liquidity is not None:
             xlm_ask.append(liquidity.ask)

@@ -63,7 +63,7 @@ def assert_matches_reference(model, seed, initial=None, caps=None, debug_invaria
     assert result.final_state == final_state
     assert result.checkpoints[-1.0] == initial
     assert final_time + 1.0 not in result.checkpoints
-    return result, final_state
+    return final_state
 
 
 def scenario_model(name, **overrides):
@@ -97,7 +97,7 @@ def test_horizon_stop_with_checkpoints():
 
 def test_uniform_initial_book_continues_exactly():
     model = scenario_model("scenario1")
-    _, book = assert_matches_reference(model, seed=15, event_count=400)
+    book = assert_matches_reference(model, seed=15, event_count=400)
     assert book.order_count() > 0 and book.last_transaction is not None
     assert_matches_reference(model, seed=16, initial=book, event_count=400)
 

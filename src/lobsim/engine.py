@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, validate_book
-from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, XlmValues, depth
-from .observables import quote_snapshot, quotes, xlm  # noqa: F401  (bench/spans.py wraps quotes)
+from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, XlmValues, depth, xlm_legs
+from .observables import quote_snapshot, quotes, xlm  # noqa: F401  (bench/spans.py wraps both)
 from .rates import AnchoringMode, EventDescriptor, EventKind, RateModel, apply_event, event_table
 
 
@@ -188,8 +188,10 @@ def simulate(
     # resident. On a uniform book the arrival entries depend on the best
     # quotes under opposite-best anchoring or caps (a capped arrival rests,
     # count + 1, or fills one best opposite order, count - 1), and on the
-    # order count under caps. Cancellations follow, one per resident, so the
-    # cumulative list for n orders is a prefix of the one for more orders.
+    # order count under caps. Cancellations follow, one per resident unless
+    # the cancellation rate is 0 (then none), so the cumulative list for n
+    # orders is a prefix of the one for more orders.
+    cancels = model.per_order_cancel_rate > 0.0
     by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     tables = _tables if _tables is not None else {}
     rng = np.random.default_rng(seed)
@@ -211,13 +213,14 @@ def simulate(
     events = 0
     while event_count is None or events < event_count:
         count = orders[0] + orders[1]
+        slots = count if cancels else 0
         key = (best[0], best[1], count if caps is not None else 0) if by_quotes else ()
         table = tables.get(key)
-        if table is None or table[2] + count > len(table[0]):
+        if table is None or table[2] + slots > len(table[0]):
             entries = event_table(model, book_state(), caps=caps).entries
             arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
             cum = np.cumsum([rate for _, rate in entries]).tolist()
-            table = tables[key] = cum, arrivals + list(range(count)), len(arrivals)
+            table = tables[key] = cum, arrivals + list(range(slots)), len(arrivals)
         if i_draw == len(draws):
             # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
             pairs = block if event_count is None else min(block, event_count - events)
@@ -236,7 +239,7 @@ def simulate(
         events += 1
 
         cum, blueprints, n_arrivals = table
-        hi = n_arrivals + count
+        hi = n_arrivals + slots
         blueprint = blueprints[min(bisect_right(cum, u_event * cum[hi - 1], 0, hi), hi - 1)]
         trade = None
         # One order enters (delta +1) or leaves (-1) signed level s.
@@ -283,10 +286,12 @@ def simulate(
             if quoted:
                 quoted_rows.append((bid, ask, level_sums[1], orders[1], level_sums[0], orders[0]))
         if recording.events:
-            quote = None
+            quote = liquidity = None
             if recording.quotes:
                 quote = quote_snapshot(bid or None, ask if ask <= k else None)
-            liquidity = xlm(book_state()) if recording.liquidity and quoted else None
+            if recording.liquidity and quoted:
+                sums = (level_sums[1], orders[1], level_sums[0], orders[0])
+                liquidity = XlmValues(*xlm_legs(bid, ask, *sums))
             trades = (trade,) if trade else ()
             records.append(TrajectoryRecord(now, event, trades, quote, liquidity))
         if recording.depth_window and events > first_frame:

@@ -78,6 +78,14 @@ def test_uncapped_event_count_runs(name, overrides):
     assert_matches_reference(scenario_model(name, **overrides), seed=11, event_count=1500)
 
 
+@pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
+def test_zero_cancellation_rate(anchoring):
+    # The rate model lists no cancellations at all: a table holds arrivals only.
+    model = scenario_model("scenario2", anchoring=anchoring, cancel_rate=0.0)
+    book = assert_matches_reference(model, seed=18, event_count=1500)
+    assert book.order_count() > 0
+
+
 def test_capped_tiny_overlap():
     model, caps = tiny_overlapping_model()
     assert_matches_reference(model, seed=12, caps=caps, event_count=1500)

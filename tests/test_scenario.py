@@ -154,6 +154,12 @@ class TestRunScenario:
         assert bundle.summaries[0].events == 0
         assert math.isnan(bundle.summaries[0].mean_spread)
 
+    def test_zero_cancellation_rate(self):
+        config = replace(small_config(runs=2, events=300), cancel_rate=0.0)
+        bundle = run_scenario(config)
+        assert bundle.aborted_runs == []
+        assert [s.events for s in bundle.summaries] == [300, 300]
+
     def test_write_and_read_back(self, tmp_path):
         bundle = run_scenario(small_config(runs=3, events=150))
         written = write_bundle(bundle, tmp_path / "out")

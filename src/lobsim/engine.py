@@ -168,11 +168,9 @@ def simulate(
     at_level = [0] * (2 * k + 2)
     for s in levels:
         at_level[s] += 1
-    bid_levels = [s for s in levels if s < 0]
-    ask_levels = [s for s in levels if s > 0]
-    best = [min(bid_levels, default=0), min(ask_levels, default=k + 1)]
-    orders = [len(bid_levels), len(ask_levels)]
-    level_sums = [-sum(bid_levels), sum(ask_levels)]
+    sides = [s for s in levels if s < 0], [s for s in levels if s > 0]
+    best = [min(sides[0], default=0), min(sides[1], default=k + 1)]
+    orders, level_sums = [len(x) for x in sides], [abs(sum(x)) for x in sides]
     next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
 
     def book_state() -> BookState:
@@ -184,13 +182,10 @@ def simulate(
         return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
     # A cached table is (cumulative raw rates, blueprints, arrival count); a
-    # blueprint is the arrival's descriptor or slot i, cancelling the i-th
-    # resident. On a uniform book the arrival entries depend on the best
-    # quotes under opposite-best anchoring or caps (a capped arrival rests,
-    # count + 1, or fills one best opposite order, count - 1), and on the
-    # order count under caps. Cancellations follow, one per resident unless
-    # the cancellation rate is 0 (then none), so the cumulative list for n
-    # orders is a prefix of the one for more orders.
+    # blueprint is an arrival's descriptor or slot i, cancelling resident i.
+    # Arrivals depend on the best quotes under opposite-best anchoring or caps
+    # and also on the order count under caps; cancellations follow, one per
+    # resident (none at rate 0), so the table for n orders prefixes larger ones.
     cancels = model.per_order_cancel_rate > 0.0
     by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     tables = _tables if _tables is not None else {}
@@ -198,8 +193,7 @@ def simulate(
 
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
-    pending_checkpoints = sorted(recording.checkpoint_times)
-    cp_index = 0
+    pending_checkpoints, cp_index = sorted(recording.checkpoint_times), 0
     window: deque = deque(maxlen=recording.depth_window or None)
     # Without a horizon the run's length is known: take frames for the window only.
     first_frame = event_count - recording.depth_window if time_horizon is None else 0
@@ -209,8 +203,7 @@ def simulate(
 
     draws: list[float] = []  # uniforms, drawn in growing blocks of pairs
     i_draw, block = 0, 16
-    now = 0.0
-    events = 0
+    now, events = 0.0, 0
     while event_count is None or events < event_count:
         count = orders[0] + orders[1]
         slots = count if cancels else 0

@@ -7,6 +7,7 @@ documented stream/schema version (ROADMAP.md).
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from lobsim.book import StateCaps
 from lobsim.engine import RecordingConfig, simulate
 from lobsim.scenario import (
     build_rate_model,
+    load_config,
     preset,
     run_scenario,
     validate_against_oracle,
@@ -67,6 +69,35 @@ def test_bundle_digests(bundle_name, tmp_path):
     write_bundle(run_scenario(config), tmp_path)
     got = {name: sha256((tmp_path / name).read_bytes()) for name in expected}
     assert got == expected
+
+
+# A JSON config written with integer-valued numbers: they are stored, and so
+# echoed in metadata.json, as floats.
+INTEGER_VALUED_CONFIG = {
+    "cancel_rate": 0,
+    "event_intensity": 6,
+    "groups": [{"share": 1, "mu": 1, "sigma": 3, "support": 12, "bid_anchor": 12, "ask_anchor": 9}],
+    "runs": 2,
+    "events_per_run": 50,
+}
+
+METADATA = {
+    "integer-valued": "3e08b4b96f23d2a9b0274611037465ac61545196f88d682a96bf7fe64594f6fe",
+    "scenario1": "271b7c141ef3e40db105cfe20868acca9bfcdd35a41dfa312001216e615d3e75",
+    "scenario2": "7564e09d30a347b1a320d9234dd62c034ad4ae7f7f20931e92ecea469f8dbf2f",
+}
+
+
+@pytest.mark.parametrize("source", sorted(METADATA))
+def test_metadata_digests(source, tmp_path):
+    if source in ("scenario1", "scenario2"):
+        config = replace(preset(source), runs=2, events_per_run=50)
+    else:
+        path = tmp_path / "integer_valued.json"
+        path.write_text(json.dumps(INTEGER_VALUED_CONFIG), encoding="utf-8")
+        config = load_config(path)
+    write_bundle(run_scenario(config), tmp_path / "out")
+    assert sha256((tmp_path / "out" / "metadata.json").read_bytes()) == METADATA[source]
 
 
 def test_oracle_report_digest():

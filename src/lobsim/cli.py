@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import scenario
@@ -80,7 +81,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.record is not None:
         overrides["record"] = args.record
     if overrides:
-        config = scenario.with_overrides(config, **overrides)
+        config = replace(config, **overrides)
     bundle = scenario.run_scenario(config)
     written = scenario.write_bundle(bundle, args.out)
     for path in written:

@@ -87,8 +87,6 @@ class SimulationResult:
     checkpoints: dict[float, BookState]
     depth_frames: list[DepthFrame]
     inter_event_times: Optional[np.ndarray]
-    initial_state: BookState
-    seed: Optional[int]
     summary_columns: Optional[SummaryColumns] = None
 
 
@@ -302,8 +300,6 @@ def simulate(
         checkpoints=checkpoints,
         depth_frames=list(window),
         inter_event_times=np.asarray(dts) if recording.collect_inter_event_times else None,
-        initial_state=initial_state,
-        seed=seed,
         summary_columns=SummaryColumns(quoted_array, prices) if recording.summary else None,
     )
 

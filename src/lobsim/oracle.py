@@ -53,6 +53,13 @@ class StateIndex:
     def index(self, key: CanonicalKey) -> int:
         return self.index_of[key]
 
+    def position(self, state: BookState) -> int:
+        """Index of an observed state; :class:`OracleError` if it lies outside."""
+        key = state.canonical_key()
+        if key not in self.index_of:
+            raise OracleError(f"observed state outside the index: {key}")
+        return self.index_of[key]
+
     def state(self, i: int) -> BookState:
         return self.states[i]
 
@@ -295,11 +302,7 @@ def empirical_distribution(
     counts = np.zeros(len(index), dtype=float)
     total = 0
     for state in states:
-        key = state.canonical_key()
-        i = index.index_of.get(key)
-        if i is None:
-            raise OracleError(f"observed state outside the index: {key}")
-        counts[i] += 1.0
+        counts[index.position(state)] += 1.0
         total += 1
     if total == 0:
         raise OracleError("no observed states")

@@ -107,15 +107,17 @@ class RateModel:
         if not 0 < self.event_intensity < np.inf:
             raise RateModelError(f"event intensity must be finite and > 0: {self.event_intensity}")
         if not 0 <= self.per_order_cancel_rate < np.inf:
-            raise RateModelError("cancellation rate must be finite and nonnegative")
+            raise RateModelError(
+                f"cancellation rate must be finite and nonnegative, got {self.per_order_cancel_rate}"
+            )
         if self.unit_quantity < 1:
-            raise RateModelError("unit quantity must be >= 1")
+            raise RateModelError(f"unit quantity must be >= 1, got {self.unit_quantity}")
         if not self.groups:
             raise RateModelError("at least one trader group is required")
         total_share = sum(g.share for g in self.groups)
         if abs(total_share - 1.0) > 1e-9:
             raise RateModelError(f"group shares must sum to 1, got {total_share}")
-        for g in self.groups:
+        for i, g in enumerate(self.groups):
             for side, params, anchor in (
                 (Side.ASK, g.ask_params, g.ask_anchor),
                 (Side.BID, g.bid_params, g.bid_anchor),
@@ -123,7 +125,8 @@ class RateModel:
                 low, high = _support_bounds(side, anchor, params.support_size)
                 if low < 1 or high > self.grid_size:
                     raise RateModelError(
-                        f"{side.value} support {low}..{high} leaves grid 1..{self.grid_size}"
+                        f"groups[{i}] {side.value} support leaves the grid: "
+                        f"{low}..{high} is not within 1..{self.grid_size}"
                     )
 
 
@@ -241,14 +244,6 @@ def cancellation_rates(
     if omega == 0.0:
         return ()
     return tuple((order, omega) for order in state.orders_by_seq())
-
-
-def level_cancellation_rate(model: RateModel, state: BookState, side: Side, price_level: int) -> float:
-    """Aggregate cancellation rate at one level: omega times the order count there."""
-    count = sum(
-        1 for o in state.side_orders(side) if o.price_level == price_level
-    )
-    return model.per_order_cancel_rate * count
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -113,8 +113,39 @@ class GroupConfig:
     ask_anchor: int
 
 
+# Field annotation -> (accepts a value, what the message says it must be).
+_TYPE_RULES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+        "a finite number",
+    ),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+# The scenario-only ranges; every model rule is checked by building the model.
+_MINIMUMS = {"grid_size": 1, "runs": 1, "events_per_run": 0, "base_seed": 0, "heatmap_window": 1}
+_CHOICES = {"anchoring": ("static", "opposite_best"), "record": ("summary", "events", "heatmap")}
+
+
+def _typed(obj, where: str = "") -> tuple[dict, list[str]]:
+    """``obj``'s field values, numbers stored as float, and its type problems."""
+    values, problems = {}, []
+    for f in fields(obj):
+        value = values[f.name] = getattr(obj, f.name)
+        if f.type in _TYPE_RULES:
+            accepts, kind = _TYPE_RULES[f.type]
+            if not accepts(value):
+                problems.append(f"{where}{f.name} must be {kind}, got {value!r}")
+            elif f.type == "float":
+                values[f.name] = float(value)
+    return values, problems
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario; every way of building one (presets, JSON, CLI overrides,
+    ``dataclasses.replace``) validates it here, else :class:`ConfigError`."""
+
     name: str
     groups: tuple[GroupConfig, ...]
     grid_size: int = 20
@@ -127,6 +158,68 @@ class ScenarioConfig:
     base_seed: int = 12345
     record: str = "summary"
     heatmap_window: int = 100
+
+    def __post_init__(self) -> None:
+        values, problems = _typed(self)
+        groups = values["groups"]
+        if isinstance(groups, tuple) and all(isinstance(g, GroupConfig) for g in groups):
+            typed = []
+            for i, group in enumerate(groups):
+                group_values, group_problems = _typed(group, f"groups[{i}].")
+                typed.append(GroupConfig(**group_values))
+                problems += group_problems
+            values["groups"] = tuple(typed)
+        else:
+            problems.append(f"groups must be a tuple of GroupConfig, got {groups!r}")
+        if not problems:
+            for name, value in values.items():
+                object.__setattr__(self, name, value)
+            problems = [
+                f"{key} must be >= {low}, got {values[key]}"
+                for key, low in _MINIMUMS.items()
+                if values[key] < low
+            ]
+            problems += [
+                f"{key} must be one of {'|'.join(choices)}, got {values[key]!r}"
+                for key, choices in _CHOICES.items()
+                if values[key] not in choices
+            ]
+            try:
+                build_rate_model(self)
+            except ConfigError as exc:
+                problems += exc.problems
+        if problems:
+            raise ConfigError(problems)
+
+
+def build_rate_model(config: ScenarioConfig) -> RateModel:
+    """The config's rate model; ``ConfigError`` names each bad group, then
+    the model's problem."""
+    mode = (
+        AnchoringMode.STATIC_SUPPORT
+        if config.anchoring == "static"
+        else AnchoringMode.OPPOSITE_BEST
+    )
+    groups, problems = [], []
+    for i, g in enumerate(config.groups):
+        try:
+            params = DgxParams(g.mu, g.sigma, g.support)
+            groups.append(TraderGroup(g.share, params, params, g.ask_anchor, g.bid_anchor))
+        except RateModelError as exc:
+            problems.append(f"groups[{i}]: {exc}")
+    if not problems:
+        try:
+            return RateModel(
+                grid_size=config.grid_size,
+                groups=tuple(groups),
+                per_order_cancel_rate=config.cancel_rate,
+                event_intensity=config.event_intensity,
+                anchoring_mode=mode,
+                unit_quantity=config.unit_quantity,
+            )
+        except RateModelError as exc:
+            problems.append(str(exc))
+    raise ConfigError(problems)
 
 
 PRESETS: dict[str, ScenarioConfig] = {
@@ -144,123 +237,33 @@ PRESETS: dict[str, ScenarioConfig] = {
 }
 
 
+def _key_problems(raw: dict, cls, where: str = "") -> list[str]:
+    """Keys of ``raw`` that are no field of ``cls``, and required fields it lacks."""
+    required = {f.name: f.default is MISSING for f in fields(cls)}
+    problems = [f"unknown key {key!r}{where}" for key in raw if key not in required]
+    problems += [f"missing key {k!r}{where}" for k, r in required.items() if r and k not in raw]
+    return problems
+
+
 def config_from_dict(raw: dict, name: str = "custom") -> ScenarioConfig:
-    """Build and validate a config, collecting every problem found."""
-    problems: list[str] = []
+    """Build a config from parsed JSON: the keys are checked here, the values
+    by :class:`ScenarioConfig`; absent keys take the dataclass defaults."""
     if not isinstance(raw, dict):
         raise ConfigError(["top-level config must be an object"])
-    known = {
-        "name",
-        "groups",
-        "grid_size",
-        "unit_quantity",
-        "cancel_rate",
-        "event_intensity",
-        "anchoring",
-        "runs",
-        "events_per_run",
-        "base_seed",
-        "record",
-        "heatmap_window",
-    }
-    for key in raw:
-        if key not in known:
-            problems.append(f"unknown key {key!r}")
-
-    def get_number(key, default, minimum=None, integer=False):
-        value = raw.get(key, default)
-        if integer and not isinstance(value, int):
-            problems.append(f"{key} must be an integer, got {value!r}")
-            return default
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{key} must be a number, got {value!r}")
-            return default
-        if minimum is not None and value < minimum:
-            problems.append(f"{key} must be >= {minimum}, got {value}")
-            return default
-        return value
-
-    grid_size = get_number("grid_size", 20, minimum=1, integer=True)
-    unit_quantity = get_number("unit_quantity", 1, minimum=1, integer=True)
-    cancel_rate = float(get_number("cancel_rate", 0.1, minimum=0.0))
-    event_intensity = float(get_number("event_intensity", 6.0))
-    if event_intensity <= 0:
-        problems.append(f"event_intensity must be positive, got {event_intensity}")
-    anchoring = raw.get("anchoring", "static")
-    if anchoring not in ("static", "opposite_best"):
-        problems.append(f"anchoring must be 'static' or 'opposite_best', got {anchoring!r}")
-    runs = get_number("runs", 200, minimum=1, integer=True)
-    events_per_run = get_number("events_per_run", 5000, minimum=0, integer=True)
-    base_seed = get_number("base_seed", 12345, minimum=0, integer=True)
-    record = raw.get("record", "summary")
-    if record not in ("summary", "events", "heatmap"):
-        problems.append(f"record must be one of summary|events|heatmap, got {record!r}")
-    heatmap_window = get_number("heatmap_window", 100, minimum=1, integer=True)
-
-    groups_raw = raw.get("groups")
-    groups: list[GroupConfig] = []
-    if not isinstance(groups_raw, list) or not groups_raw:
-        problems.append("groups must be a non-empty list")
-    else:
-        for i, g in enumerate(groups_raw):
-            if not isinstance(g, dict):
-                problems.append(f"groups[{i}] must be an object")
-                continue
-            try:
-                group = GroupConfig(
-                    share=float(g["share"]),
-                    mu=float(g["mu"]),
-                    sigma=float(g["sigma"]),
-                    support=int(g["support"]),
-                    bid_anchor=int(g["bid_anchor"]),
-                    ask_anchor=int(g["ask_anchor"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"groups[{i}] invalid: {exc!r}")
-                continue
-            if not 0.0 <= group.share <= 1.0:
-                problems.append(f"groups[{i}].share must lie in [0, 1]")
-            if group.sigma <= 0:
-                problems.append(f"groups[{i}].sigma must be positive")
-            if group.support < 1:
-                problems.append(f"groups[{i}].support must be >= 1")
-            if not 1 <= group.ask_anchor <= grid_size:
-                problems.append(f"groups[{i}].ask_anchor outside grid")
-            elif group.ask_anchor + group.support - 1 > grid_size:
-                problems.append(f"groups[{i}] ask support leaves the grid")
-            if not 1 <= group.bid_anchor <= grid_size:
-                problems.append(f"groups[{i}].bid_anchor outside grid")
-            elif group.bid_anchor - group.support + 1 < 1:
-                problems.append(f"groups[{i}] bid support leaves the grid")
-            groups.append(group)
-        share_total = sum(g.share for g in groups)
-        if groups and abs(share_total - 1.0) > 1e-9:
-            problems.append(f"group shares must sum to 1, got {share_total}")
-
+    raw = {"name": name, **raw}
+    problems = _key_problems(raw, ScenarioConfig)
+    groups = raw.get("groups", [])
+    if not isinstance(groups, list):
+        problems.append("groups must be a list of objects")
+        groups = []
+    for i, group in enumerate(groups):
+        if isinstance(group, dict):
+            problems += _key_problems(group, GroupConfig, f" in groups[{i}]")
+        else:
+            problems.append(f"groups[{i}] must be an object")
     if problems:
         raise ConfigError(problems)
-    return ScenarioConfig(
-        name=raw.get("name", name),
-        groups=tuple(groups),
-        grid_size=grid_size,
-        unit_quantity=unit_quantity,
-        cancel_rate=cancel_rate,
-        event_intensity=event_intensity,
-        anchoring=anchoring,
-        runs=runs,
-        events_per_run=events_per_run,
-        base_seed=base_seed,
-        record=record,
-        heatmap_window=heatmap_window,
-    )
-
-
-def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """``config`` with some fields replaced, validated like a config file."""
-    raw = asdict(config)
-    raw["groups"] = list(raw["groups"])
-    raw.update(overrides)
-    return config_from_dict(raw, name=config.name)
+    return ScenarioConfig(**{**raw, "groups": tuple(GroupConfig(**g) for g in groups)})
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -277,35 +280,6 @@ def preset(name: str) -> ScenarioConfig:
     if name not in PRESETS:
         raise ConfigError([f"unknown preset {name!r}; choose from {sorted(PRESETS)}"])
     return PRESETS[name]
-
-
-def build_rate_model(config: ScenarioConfig) -> RateModel:
-    mode = (
-        AnchoringMode.STATIC_SUPPORT
-        if config.anchoring == "static"
-        else AnchoringMode.OPPOSITE_BEST
-    )
-    try:
-        groups = tuple(
-            TraderGroup(
-                share=g.share,
-                ask_params=DgxParams(g.mu, g.sigma, g.support),
-                bid_params=DgxParams(g.mu, g.sigma, g.support),
-                ask_anchor=g.ask_anchor,
-                bid_anchor=g.bid_anchor,
-            )
-            for g in config.groups
-        )
-        return RateModel(
-            grid_size=config.grid_size,
-            groups=groups,
-            per_order_cancel_rate=config.cancel_rate,
-            event_intensity=config.event_intensity,
-            anchoring_mode=mode,
-            unit_quantity=config.unit_quantity,
-        )
-    except RateModelError as exc:
-        raise ConfigError([str(exc)]) from exc
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -643,6 +617,9 @@ ORACLE_MODELS = {
     "tiny": oracle.tiny_nonoverlapping_model,
     "tiny-overlap": oracle.tiny_overlapping_model,
 }
+# The times validate_against_oracle compares at, ascending, and its TV bound.
+ORACLE_TIMES = (0.5, 1.0, 2.0)
+TV_TOLERANCE = 0.02
 
 
 @dataclass
@@ -701,15 +678,14 @@ def generator_diagnostics(generator) -> tuple[float, float]:
 def validate_against_oracle(
     model_name: str = "tiny",
     runs: int = 100_000,
-    times: Sequence[float] = (0.5, 1.0, 2.0),
     base_seed: int = 2024,
-    tv_tolerance: float = 0.02,
 ) -> OracleReport:
     """Compare the capped engine's state distribution with the exact solution.
 
-    Runs the ensemble once to the largest requested time, snapshotting the
-    state at each time, and reports total variation distances plus first and
-    second moment checks of the resident-order count.
+    Runs the ensemble once to the last of :data:`ORACLE_TIMES`, reducing each
+    run to the index positions of its states at those times, and reports
+    total variation distances plus first and second moment checks of the
+    resident-order count.
     """
     problems = []
     if model_name not in ORACLE_MODELS:
@@ -725,32 +701,28 @@ def validate_against_oracle(
     generator = oracle.build_generator(model, index)
     max_column_sum, min_off = generator_diagnostics(generator)
 
-    times = tuple(sorted(times))
-    horizon = times[-1]
-    recording = RecordingConfig(events=False, checkpoint_times=times)
-    results = run_ensemble(
+    recording = RecordingConfig(events=False, checkpoint_times=ORACLE_TIMES)
+    positions = run_ensemble(
         model,
         runs=runs,
-        time_horizon=horizon,
+        time_horizon=ORACLE_TIMES[-1],
         base_seed=base_seed,
         recording=recording,
         caps=caps,
-        reduce=lambda r: r.checkpoints,
+        reduce=lambda r: tuple(index.position(r.checkpoints[t]) for t in ORACLE_TIMES),
     )
 
     p0 = oracle.vacuum_vector(index)
     counts = oracle.order_count_observable(index)
     tv_distances: dict[float, float] = {}
     moment_checks: list[tuple[float, int, float, float, float]] = []
-    for t in times:
+    for t, at_t in zip(ORACLE_TIMES, np.array(positions).T):
         exact = oracle.evolve(p0, generator, t)
-        states_at_t = [checkpoints[t] for checkpoints in results]
-        empirical = oracle.empirical_distribution(index, states_at_t)
+        empirical = np.bincount(at_t, minlength=len(index)) / runs
         tv_distances[t] = oracle.compare_distributions(empirical, exact)
-        sampled_counts = [s.order_count() for s in states_at_t]
         for order in (1, 2):
             exact_moment = oracle.exact_moment(generator, p0, t, counts, order)
-            estimate = observables.ensemble_moment(sampled_counts, order)
+            estimate = observables.ensemble_moment(counts[at_t], order)
             moment_checks.append(
                 (t, order, exact_moment, estimate.value, estimate.standard_error)
             )
@@ -761,7 +733,7 @@ def validate_against_oracle(
         max_column_sum=max_column_sum,
         min_off_diagonal=min_off,
         tv_distances=tv_distances,
-        tv_tolerance=tv_tolerance,
+        tv_tolerance=TV_TOLERANCE,
         moment_checks=moment_checks,
         runs=runs,
     )

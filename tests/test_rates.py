@@ -20,7 +20,6 @@ from lobsim.rates import (
     cancellation_rates,
     dgx_pmf,
     event_table,
-    level_cancellation_rate,
 )
 from lobsim.scenario import build_rate_model, preset
 
@@ -194,8 +193,16 @@ class TestCancellationRates:
         state = empty_book(20)
         for _ in range(5):
             state, _ = submit_order(state, Side.ASK, 15, 1)
-        assert level_cancellation_rate(model, state, Side.ASK, 15) == pytest.approx(0.5)
-        assert level_cancellation_rate(model, state, Side.ASK, 14) == 0.0
+
+        def level_rate(level):
+            return sum(
+                rate
+                for order, rate in cancellation_rates(model, state)
+                if order.side is Side.ASK and order.price_level == level
+            )
+
+        assert level_rate(15) == pytest.approx(0.5)
+        assert level_rate(14) == 0.0
 
 
 class TestEventTable:

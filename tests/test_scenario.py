@@ -24,9 +24,11 @@ from lobsim.scenario import (
     preset,
     read_summaries,
     run_scenario,
-    with_overrides,
     write_bundle,
 )
+
+
+GROUP = {"share": 1.0, "mu": 1.0, "sigma": 3.0, "support": 12, "bid_anchor": 12, "ask_anchor": 9}
 
 
 def small_config(name="scenario1", runs=3, events=150, seed=99):
@@ -121,11 +123,27 @@ class TestConfigValidation:
             config_from_dict(raw)
 
     def test_overrides_are_validated(self):
-        config = with_overrides(preset("scenario1"), runs=5, base_seed=3)
+        config = replace(preset("scenario1"), runs=5, base_seed=3)
         assert (config.runs, config.base_seed, config.groups) == (5, 3, preset("scenario1").groups)
         assert config.name == "scenario1"
         with pytest.raises(ConfigError, match="runs"):
-            with_overrides(preset("scenario1"), runs=0)
+            replace(preset("scenario1"), runs=0)
+
+    @pytest.mark.parametrize("field, value", [("support", 12.7), ("share", True), ("bid_anchor", "12")])
+    def test_group_fields_are_typed(self, field, value):
+        raw = {"groups": [{**GROUP, field: value}]}
+        with pytest.raises(ConfigError, match=rf"groups\[0\]\.{field} must be"):
+            config_from_dict(raw)
+
+    def test_unknown_group_key_rejected(self):
+        raw = {"groups": [{**GROUP, "weight": 1.0}]}
+        with pytest.raises(ConfigError, match="unknown key 'weight' in groups\\[0\\]"):
+            config_from_dict(raw)
+
+    def test_nan_event_intensity_rejected(self):
+        raw = {"groups": [GROUP], "event_intensity": float("nan")}
+        with pytest.raises(ConfigError, match="event_intensity"):
+            config_from_dict(raw)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -327,6 +345,14 @@ class TestCli:
         (group if field in group else raw)[field] = value
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("support", 12.7), ("share", True), ("bid_anchor", "12")])
+    def test_mistyped_group_field_is_config_error(self, tmp_path, field, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"groups": [{**GROUP, field: value}], "runs": 1}))
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()

@@ -20,6 +20,7 @@ from lobsim.book import (
     cancel_order,
     validate_book,
 )
+from lobsim.rates import AnchoringMode, DgxParams, RateModel, TraderGroup
 
 
 @dataclass
@@ -116,3 +117,19 @@ def random_crossed_book(rng: np.random.Generator, grid_size: int = 12) -> BookSt
         quantity = int(rng.integers(1, 4))
         state, _ = submit_order(state, side, level, quantity, matching=False)
     return state
+
+
+def grid4_model(anchoring: AnchoringMode) -> RateModel:
+    """Grid-4 model with orders of size 2, for oracle indexes of
+    ``enumerate_states(4, 2, 4)``: arrivals of 2 against residents of 1 fill
+    partially, and the supports overlap so arrivals cross."""
+    params = DgxParams(mu=1.0, sigma=3.0, support_size=3)
+    group = TraderGroup(1.0, params, params, ask_anchor=2, bid_anchor=3)
+    return RateModel(
+        grid_size=4,
+        groups=(group,),
+        per_order_cancel_rate=0.1,
+        event_intensity=6.0,
+        anchoring_mode=anchoring,
+        unit_quantity=2,
+    )

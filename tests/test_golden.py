@@ -10,11 +10,16 @@ import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from conftest import grid4_model
 
 from lobsim.book import StateCaps
 from lobsim.engine import RecordingConfig, simulate
+from lobsim.oracle import build_generator, enumerate_states
+from lobsim.rates import AnchoringMode
 from lobsim.scenario import (
+    ORACLE_MODELS,
     build_rate_model,
     load_config,
     preset,
@@ -121,3 +126,35 @@ def test_capped_horizon_run_fingerprint():
     parts.extend(repr(item) for item in sorted(result.checkpoints.items()))
     fingerprint = sha256("\n".join(parts).encode("utf-8"))
     assert fingerprint == "8e4c486cdb116d8296249621696fb936890735b7778fec5d3a35dc7ffb3a76f4"
+
+
+def generator_digest(generator) -> str:
+    """sha256 of the canonical CSC form: duplicates summed, then indptr,
+    indices and data."""
+    canonical = generator.tocsc(copy=True)
+    canonical.sum_duplicates()
+    digest = hashlib.sha256()
+    digest.update(canonical.indptr.astype(np.int64).tobytes())
+    digest.update(canonical.indices.astype(np.int64).tobytes())
+    digest.update(canonical.data.astype(np.float64).tobytes())
+    return digest.hexdigest()
+
+
+GENERATORS = {
+    "tiny": "1390a335dd5dc57a75596479e41d57967a70bbb5d1422ae37b67610aa1e9bdf1",
+    "tiny-overlap": "9d7818bcbd1a58d3c7ae239badcd07460ae6aad45d6b7e791cc7ad48a380be49",
+    "grid4-static": "4980f10e8209bd96f64533e6b9f7b601dc75ebc9bb682e0ec80cf25998d5b057",
+    "grid4-opposite-best": "d2e83f063ea589285263278540b751909f77290fd87da9811837776bdaa02636",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_digests(name):
+    if name in ORACLE_MODELS:
+        model, caps = ORACLE_MODELS[name]()
+        index = enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    else:
+        static = name == "grid4-static"
+        model = grid4_model(AnchoringMode.STATIC_SUPPORT if static else AnchoringMode.OPPOSITE_BEST)
+        index = enumerate_states(4, 2, 4)
+    assert generator_digest(build_generator(model, index)) == GENERATORS[name]

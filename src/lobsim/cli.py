@@ -7,7 +7,8 @@ Verbs:
   print-rates emit a scenario's arrival-rate table as CSV
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 I/O error.
+3 I/O error or malformed bundle, 4 unexpected internal error (traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -15,16 +16,18 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from . import scenario
-from .scenario import ConfigError
+from .scenario import BundleError, ConfigError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,6 +142,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BundleError as exc:
+        print(f"bundle error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Exact forward-equation solver on a truncated book state space.
 
-Enumerates every price-time-normal-form book within the cutoffs, assembles
-the sparse transition-rate generator from the same event tables the engine
+Enumerates every price-time-normal-form book within the cutoffs as a
+canonical key, assembles the sparse transition-rate generator on those keys
+from the same arrival rates and cap rule as the event tables the engine
 samples from, and evolves probability vectors with uniformization. Used as
-the ground truth the stochastic engine is validated against.
+the ground truth the stochastic engine is validated against, on the models
+``tiny``, ``tiny-overlap`` and ``tiny-opposite`` (opposite-best anchoring).
+``tests/test_oracle.py`` checks the generator against one assembled through
+the book core (``event_table`` and ``apply_event`` on ``BookState``s).
 """
 
 from __future__ import annotations
@@ -17,15 +21,8 @@ import numpy as np
 from scipy import sparse
 
 from .book import BookState, CanonicalKey, Order, Side, StateCaps
-from .rates import (
-    AbsorbingStateError,
-    AnchoringMode,
-    DgxParams,
-    RateModel,
-    TraderGroup,
-    apply_event,
-    event_table,
-)
+from .rates import AnchoringMode, DgxParams, EventKind, RateModel, TraderGroup, arrival_rates
+from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
 
 
 class OracleError(Exception):
@@ -45,7 +42,6 @@ class StateIndex:
     max_orders: int
     keys: tuple[CanonicalKey, ...]
     index_of: dict
-    states: tuple[BookState, ...]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -61,7 +57,20 @@ class StateIndex:
         return self.index_of[key]
 
     def state(self, i: int) -> BookState:
-        return self.states[i]
+        """The book with key i; its orders' seqs (= ids) run through bids, then asks."""
+        bids, asks = self.keys[i]
+        n = len(bids)
+        return BookState(
+            grid_size=self.grid_size,
+            bids=tuple(Order(Side.BID, lv, q, s, s) for s, (lv, q) in enumerate(bids, 1)),
+            asks=tuple(Order(Side.ASK, lv, q, s, s) for s, (lv, q) in enumerate(asks, n + 1)),
+            last_transaction=None,
+            next_seq=n + len(asks) + 1,
+        )
+
+    @property
+    def states(self) -> tuple[BookState, ...]:
+        return tuple(self.state(i) for i in range(len(self.keys)))
 
     def caps(self) -> StateCaps:
         return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
@@ -72,56 +81,37 @@ def _quantity_tuples(max_len: int, max_quantity: int) -> Iterable[tuple[int, ...
         yield from product(range(1, max_quantity + 1), repeat=length)
 
 
-def _side_configs(
+def _side_halves(
     grid_size: int, max_quantity: int, max_orders: int
-) -> list[tuple[tuple[tuple[int, tuple[int, ...]], ...], int]]:
-    """All per-side placements: ((level, quantity tuple), ...) with totals.
+) -> list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
+    """Every per-side placement, as the (bid, ask) halves of a canonical key.
 
-    The quantity tuple at a level is in time-priority order; distinct
-    orderings are distinct states because matching consumes the front of the
-    queue first.
+    A placement is a queue of quantities per level, in time-priority order;
+    distinct orderings are distinct states because matching consumes the
+    front of the queue first. The bid half lists levels descending, the ask
+    half ascending.
     """
-    configs: list[tuple[tuple[tuple[int, tuple[int, ...]], ...], int]] = []
-    acc: list[tuple[int, tuple[int, ...]]] = []
+    halves = []
+    queues: list[tuple[tuple[int, int], ...]] = []  # one per occupied level, ascending
 
     def recurse(level: int, used: int) -> None:
         if level > grid_size:
-            configs.append((tuple(acc), used))
+            halves.append(
+                (
+                    tuple(o for queue in reversed(queues) for o in queue),
+                    tuple(o for queue in queues for o in queue),
+                )
+            )
             return
         for qtuple in _quantity_tuples(max_orders - used, max_quantity):
             if qtuple:
-                acc.append((level, qtuple))
+                queues.append(tuple((level, q) for q in qtuple))
             recurse(level + 1, used + len(qtuple))
             if qtuple:
-                acc.pop()
+                queues.pop()
 
     recurse(1, 0)
-    return configs
-
-
-def _build_state(
-    grid_size: int,
-    bid_config: tuple[tuple[int, tuple[int, ...]], ...],
-    ask_config: tuple[tuple[int, tuple[int, ...]], ...],
-) -> BookState:
-    seq = 1
-    bids: list[Order] = []
-    for level, quantities in sorted(bid_config, key=lambda lc: -lc[0]):
-        for q in quantities:
-            bids.append(Order(Side.BID, level, q, seq, seq))
-            seq += 1
-    asks: list[Order] = []
-    for level, quantities in ask_config:
-        for q in quantities:
-            asks.append(Order(Side.ASK, level, q, seq, seq))
-            seq += 1
-    return BookState(
-        grid_size=grid_size,
-        bids=tuple(bids),
-        asks=tuple(asks),
-        last_transaction=None,
-        next_seq=seq,
-    )
+    return halves
 
 
 def enumerate_states(
@@ -135,26 +125,28 @@ def enumerate_states(
     Crossed configurations are excluded: continuous trading resolves them
     inside a single transition, so they are never observable states of the
     process. Raises :class:`StateSpaceBudgetError` past ``budget`` states.
+    Keys come bid placement by bid placement, each paired with the ask
+    placements in placement order.
     """
-    sides = _side_configs(grid_size, max_quantity, max_orders)
+    halves = _side_halves(grid_size, max_quantity, max_orders)
+    # asks_within[n]: the ask halves of at most n orders with their best level
+    # (grid_size + 1 when empty), in placement order.
+    asks_within = [
+        [(asks, asks[0][0] if asks else grid_size + 1) for _, asks in halves if len(asks) <= n]
+        for n in range(max_orders + 1)
+    ]
     keys: list[CanonicalKey] = []
-    states: list[BookState] = []
-    for bid_config, bid_total in sides:
-        best_bid = max((level for level, _ in bid_config), default=None)
-        for ask_config, ask_total in sides:
-            if bid_total + ask_total > max_orders:
-                continue
-            if best_bid is not None and ask_config:
-                best_ask = min(level for level, _ in ask_config)
-                if best_bid >= best_ask:
-                    continue
-            state = _build_state(grid_size, bid_config, ask_config)
-            states.append(state)
-            keys.append(state.canonical_key())
-            if len(states) > budget:
-                raise StateSpaceBudgetError(
-                    f"state space exceeds budget of {budget} (at least {len(states)})"
-                )
+    for bids, _ in halves:
+        best_bid = bids[0][0] if bids else 0
+        keys.extend(
+            (bids, asks)
+            for asks, best_ask in asks_within[max_orders - len(bids)]
+            if best_bid < best_ask
+        )
+        if len(keys) > budget:
+            raise StateSpaceBudgetError(
+                f"state space exceeds budget of {budget} (at least {len(keys)})"
+            )
     index_of = {key: i for i, key in enumerate(keys)}
     if len(index_of) != len(keys):
         raise OracleError("duplicate canonical keys in enumeration")
@@ -164,8 +156,37 @@ def enumerate_states(
         max_orders=max_orders,
         keys=tuple(keys),
         index_of=index_of,
-        states=tuple(states),
     )
+
+
+def _arrival_key(key: CanonicalKey, ask: bool, price: int, remaining: int) -> CanonicalKey:
+    """The key after an arrival, matched as :func:`~lobsim.book.submit_order` does.
+
+    While the arrival crosses the front of the opposite half it fills that
+    resident, partially when the resident is larger; a remainder rests
+    behind every resident of its level.
+    """
+    bids, asks = key
+    own, opposite = (asks, bids) if ask else (bids, asks)
+    filled = 0
+    front: tuple[tuple[int, int], ...] = ()
+    for level, q in opposite:
+        if not remaining or (level < price if ask else level > price):
+            break
+        filled += 1
+        if q > remaining:
+            front, remaining = ((level, q - remaining),), 0
+        else:
+            remaining -= q
+    opposite = front + opposite[filled:]
+    if remaining:
+        i = 0
+        for level, _ in own:
+            if level > price if ask else level < price:
+                break
+            i += 1
+        own = own[:i] + ((price, remaining),) + own[i:]
+    return (opposite, own) if ask else (own, opposite)
 
 
 def build_generator(
@@ -173,29 +194,65 @@ def build_generator(
 ) -> sparse.csc_matrix:
     """Assemble the transition-rate generator over the indexed states.
 
-    Entry (j, i) is the normalized rate of the transition i -> j, obtained by
-    applying each event in state i's table through the book core; the
-    diagonal balances each column to zero. Transitions that would leave the
-    truncation are excluded by the caps (defaulting to the index cutoffs),
-    so the matrix describes the same finite process the capped engine runs.
+    Entry (j, i) is the normalized rate of the transition i -> j. Transitions
+    are worked out on canonical keys with the rates and the cap rule of
+    :func:`~lobsim.rates.event_table`: arrivals from ``arrival_rates``, one
+    cancellation per resident, and arrivals whose result would exceed the
+    caps (defaulting to the index cutoffs) removed before normalization, so
+    the matrix describes the same finite process the capped engine runs. The
+    diagonal balances each column to zero; a state with no transition keeps
+    an empty column. A transition leaving the index raises ``KeyError``.
     """
     if caps is None:
         caps = index.caps()
-    n = len(index)
+    max_orders = math.inf if caps.max_orders is None else caps.max_orders
+    max_quantity = math.inf if caps.max_quantity is None else caps.max_quantity
+    omega = model.per_order_cancel_rate
+    by_quotes = model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+    # Arrivals as (ask?, level, quantity, raw rate), keyed like the engine's
+    # table cache: by the best quotes under opposite-best anchoring.
+    arrivals_at: dict = {}
+    index_of = index.index_of
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    for i in range(n):
-        state = index.state(i)
-        try:
-            table = event_table(model, state, caps=caps)
-        except AbsorbingStateError:
+    for i, key in enumerate(index.keys):
+        bids, asks = key
+        quotes = (bids[0][0] if bids else None, asks[0][0] if asks else None) if by_quotes else ()
+        arrivals = arrivals_at.get(quotes)
+        if arrivals is None:
+            arrivals = arrivals_at[quotes] = [
+                (d.kind is EventKind.ARRIVAL_ASK, d.price_level, d.quantity, rate)
+                for d, rate in arrival_rates(model, index.state(i)).entries
+                if d.quantity <= max_quantity
+            ]
+        # Arrivals above the quantity cap are gone, so only a resident above
+        # it can put a result above it.
+        oversized = any(q > max_quantity for _, q in bids + asks)
+        targets: list[int] = []
+        raws: list[float] = []
+        for ask, price, quantity, raw in arrivals:
+            target = _arrival_key(key, ask, price, quantity)
+            if len(target[0]) + len(target[1]) > max_orders or (
+                oversized and any(q > max_quantity for _, q in target[0] + target[1])
+            ):
+                continue
+            targets.append(index_of[target])
+            raws.append(raw)
+        if omega != 0.0:
+            # Slot j cancels element j of bids + asks: submission order in
+            # an enumerated book.
+            for j in range(len(bids)):
+                targets.append(index_of[(bids[:j] + bids[j + 1:], asks)])
+            for j in range(len(asks)):
+                targets.append(index_of[(bids, asks[:j] + asks[j + 1:])])
+            raws.extend([omega] * (len(bids) + len(asks)))
+        raw_total = sum(raws)
+        if raw_total <= 0.0:
             continue
-        factor = table.normalization
+        factor = model.event_intensity / raw_total
         outflow = 0.0
-        for descriptor, raw in table.entries:
-            target, _ = apply_event(state, descriptor)
-            j = index.index_of[target.canonical_key()]
+        for j, raw in zip(targets, raws):
             rate = raw * factor
             rows.append(j)
             cols.append(i)
@@ -204,7 +261,7 @@ def build_generator(
         rows.append(i)
         cols.append(i)
         data.append(-outflow)
-    return sparse.csc_matrix((data, (rows, cols)), shape=(n, n))
+    return sparse.csc_matrix((data, (rows, cols)), shape=(len(index), len(index)))
 
 
 def _check_probability_vector(p: np.ndarray, where: str) -> np.ndarray:
@@ -318,7 +375,7 @@ def vacuum_vector(index: StateIndex) -> np.ndarray:
 
 def order_count_observable(index: StateIndex) -> np.ndarray:
     """Total resident order count per indexed state."""
-    return np.asarray([s.order_count() for s in index.states], dtype=float)
+    return np.asarray([len(bids) + len(asks) for bids, asks in index.keys], dtype=float)
 
 
 def tiny_nonoverlapping_model() -> tuple[RateModel, StateCaps]:
@@ -361,5 +418,24 @@ def tiny_overlapping_model() -> tuple[RateModel, StateCaps]:
         per_order_cancel_rate=0.1,
         event_intensity=6.0,
         anchoring_mode=AnchoringMode.STATIC_SUPPORT,
+    )
+    return model, StateCaps(max_orders=4, max_quantity=1)
+
+
+def tiny_opposite_model() -> tuple[RateModel, StateCaps]:
+    """Three-level model under opposite-best anchoring.
+
+    Each side's rank 1 sits on the opposite best quote (level 2 while that
+    side is empty), so the arrival rates move with the book: the most
+    state-dependent path of the engine, on 95 states.
+    """
+    params = DgxParams(mu=1.0, sigma=3.0, support_size=2)
+    group = TraderGroup(share=1.0, ask_params=params, bid_params=params, ask_anchor=2, bid_anchor=2)
+    model = RateModel(
+        grid_size=3,
+        groups=(group,),
+        per_order_cancel_rate=0.1,
+        event_intensity=6.0,
+        anchoring_mode=AnchoringMode.OPPOSITE_BEST,
     )
     return model, StateCaps(max_orders=4, max_quantity=1)

@@ -104,19 +104,21 @@ class RateModel:
     unit_quantity: int = 1
 
     def __post_init__(self) -> None:
+        problems = []
         if not 0 < self.event_intensity < np.inf:
-            raise RateModelError(f"event intensity must be finite and > 0: {self.event_intensity}")
+            problems.append(f"event intensity must be finite and > 0: {self.event_intensity}")
         if not 0 <= self.per_order_cancel_rate < np.inf:
-            raise RateModelError(
+            problems.append(
                 f"cancellation rate must be finite and nonnegative, got {self.per_order_cancel_rate}"
             )
         if self.unit_quantity < 1:
-            raise RateModelError(f"unit quantity must be >= 1, got {self.unit_quantity}")
+            problems.append(f"unit quantity must be >= 1, got {self.unit_quantity}")
         if not self.groups:
-            raise RateModelError("at least one trader group is required")
-        total_share = sum(g.share for g in self.groups)
-        if abs(total_share - 1.0) > 1e-9:
-            raise RateModelError(f"group shares must sum to 1, got {total_share}")
+            problems.append("at least one trader group is required")
+        else:
+            total_share = sum(g.share for g in self.groups)
+            if abs(total_share - 1.0) > 1e-9:
+                problems.append(f"group shares must sum to 1, got {total_share}")
         for i, g in enumerate(self.groups):
             for side, params, anchor in (
                 (Side.ASK, g.ask_params, g.ask_anchor),
@@ -124,10 +126,12 @@ class RateModel:
             ):
                 low, high = _support_bounds(side, anchor, params.support_size)
                 if low < 1 or high > self.grid_size:
-                    raise RateModelError(
+                    problems.append(
                         f"groups[{i}] {side.value} support leaves the grid: "
                         f"{low}..{high} is not within 1..{self.grid_size}"
                     )
+        if problems:
+            raise RateModelError("; ".join(problems))
 
 
 def _support_bounds(side: Side, anchor: int, support_size: int) -> tuple[int, int]:

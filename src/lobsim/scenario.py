@@ -97,6 +97,10 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
+class BundleError(Exception):
+    """An output bundle's files could not be parsed back."""
+
+
 class ValidationFailure(Exception):
     """An oracle validation check exceeded its tolerance."""
 
@@ -513,13 +517,20 @@ def write_bundle(bundle: OutputBundle, out_dir: str | Path) -> list[Path]:
 
 
 def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
-    """Load metadata and per-run summary rows back from a bundle directory."""
+    """Load metadata and per-run summary rows back from a bundle directory.
+
+    Raises :class:`BundleError` when metadata.json is not JSON or a
+    summary.csv cell is not a number.
+    """
     out = Path(out_dir)
-    metadata = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
-    rows: list[dict[str, float]] = []
-    with (out / "summary.csv").open(encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            rows.append({key: float(value) for key, value in row.items()})
+    try:
+        metadata = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+        rows: list[dict[str, float]] = []
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as handle:
+            for row in csv.DictReader(handle):
+                rows.append({key: float(value) for key, value in row.items()})
+    except (ValueError, TypeError) as exc:
+        raise BundleError(f"malformed bundle {out}: {exc}") from exc
     return metadata, rows
 
 
@@ -602,10 +613,14 @@ def compare_summaries(
 
 
 def compare_bundles(dir_a: str | Path, dir_b: str | Path) -> ComparisonReport:
-    meta_a, rows_a = read_summaries(dir_a)
-    meta_b, rows_b = read_summaries(dir_b)
-    grid_a = meta_a["config"]["grid_size"]
-    grid_b = meta_b["config"]["grid_size"]
+    bundles = []
+    for directory in (dir_a, dir_b):
+        metadata, rows = read_summaries(directory)
+        try:
+            bundles.append((metadata["config"]["grid_size"], rows))
+        except (KeyError, TypeError) as exc:
+            raise BundleError(f"malformed bundle {directory}: no config.grid_size") from exc
+    (grid_a, rows_a), (grid_b, rows_b) = bundles
     if grid_a != grid_b:
         raise ConfigError([f"grid mismatch: {grid_a} vs {grid_b}"])
     return compare_summaries(
@@ -616,6 +631,7 @@ def compare_bundles(dir_a: str | Path, dir_b: str | Path) -> ComparisonReport:
 ORACLE_MODELS = {
     "tiny": oracle.tiny_nonoverlapping_model,
     "tiny-overlap": oracle.tiny_overlapping_model,
+    "tiny-opposite": oracle.tiny_opposite_model,
 }
 # The times validate_against_oracle compares at, ascending, and its TV bound.
 ORACLE_TIMES = (0.5, 1.0, 2.0)

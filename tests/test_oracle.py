@@ -2,11 +2,14 @@
 uniformized evolution, moments, and engine agreement at reduced scale."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import grid4_model
+from scipy import sparse
 
-from lobsim.book import Side, empty_book, submit_order
+from lobsim.book import Side, StateCaps, empty_book, submit_order
 from lobsim.engine import RecordingConfig, run_ensemble, simulate
 from lobsim.observables import ensemble_covariance, ensemble_moment
 from lobsim.oracle import (
@@ -20,10 +23,12 @@ from lobsim.oracle import (
     exact_moment,
     order_count_observable,
     tiny_nonoverlapping_model,
+    tiny_opposite_model,
     tiny_overlapping_model,
     vacuum_vector,
 )
-from lobsim.scenario import generator_diagnostics, validate_against_oracle
+from lobsim.rates import AbsorbingStateError, AnchoringMode, apply_event, event_table
+from lobsim.scenario import ORACLE_MODELS, generator_diagnostics, validate_against_oracle
 
 
 def key_for(*orders, grid_size=2):
@@ -78,6 +83,96 @@ class TestEnumeration:
             for record in result.records:
                 state, _ = apply_event(state, record.event, record.time)
                 assert state.canonical_key() in index.index_of
+
+
+def reference_generator(model, index, caps=None):
+    """The generator assembled through the book core: one event table per
+    ``BookState``, each event applied with ``apply_event``."""
+    caps = index.caps() if caps is None else caps
+    rows, cols, data = [], [], []
+    for i, state in enumerate(index.states):
+        try:
+            table = event_table(model, state, caps=caps)
+        except AbsorbingStateError:
+            continue
+        outflow = 0.0
+        for descriptor, raw in table.entries:
+            rate = raw * table.normalization
+            rows.append(index.index_of[apply_event(state, descriptor)[0].canonical_key()])
+            cols.append(i)
+            data.append(rate)
+            outflow += rate
+        rows.append(i)
+        cols.append(i)
+        data.append(-outflow)
+    return sparse.csc_matrix((data, (rows, cols)), shape=(len(index), len(index)))
+
+
+def assert_identical(a, b):
+    """Same shape, sparsity pattern and float bytes after summing duplicates."""
+    a, b = a.tocsc(copy=True), b.tocsc(copy=True)
+    a.sum_duplicates()
+    b.sum_duplicates()
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert np.array_equal(x, y)
+
+
+def oracle_case(name):
+    """(model, index) of a named oracle model, or of a grid-4 quantity-2 index."""
+    if name in ORACLE_MODELS:
+        model, caps = ORACLE_MODELS[name]()
+        return model, enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    anchoring = AnchoringMode.STATIC_SUPPORT if name == "grid4-static" else AnchoringMode.OPPOSITE_BEST
+    return grid4_model(anchoring), enumerate_states(4, 2, 4)
+
+
+class TestGeneratorMatchesBookCore:
+    @pytest.mark.parametrize(
+        "name", ["tiny", "tiny-overlap", "tiny-opposite", "grid4-static", "grid4-opposite-best"]
+    )
+    def test_index_caps(self, name):
+        model, index = oracle_case(name)
+        assert_identical(build_generator(model, index), reference_generator(model, index))
+
+    @pytest.mark.parametrize(
+        "name, unit_quantity, caps",
+        [
+            # fewer orders than the index holds
+            ("grid4-static", 2, StateCaps(max_orders=3, max_quantity=2)),
+            # residents of 2 above the cap of 1: an arrival of 1 that fills
+            # one partially brings the book back within the caps
+            ("grid4-static", 1, StateCaps(max_orders=4, max_quantity=1)),
+            ("grid4-opposite-best", 1, StateCaps(max_orders=3, max_quantity=1)),
+            # arrivals of 2 above the cap of 1: only cancellations remain
+            ("grid4-opposite-best", 2, StateCaps(max_orders=4, max_quantity=1)),
+        ],
+    )
+    def test_tighter_caps(self, name, unit_quantity, caps):
+        model, index = oracle_case(name)
+        model = replace(model, unit_quantity=unit_quantity)
+        assert_identical(
+            build_generator(model, index, caps), reference_generator(model, index, caps)
+        )
+
+    def test_zero_cancellation_rate_leaves_absorbing_columns_empty(self):
+        model, index = oracle_case("tiny")
+        model = replace(model, per_order_cancel_rate=0.0)
+        generator = build_generator(model, index)
+        assert_identical(generator, reference_generator(model, index))
+        # Absorbing: four orders, none an arrival can match (bids at 1, asks
+        # at 2), so the book can neither grow nor shrink.
+        absorbing = np.flatnonzero(np.diff(generator.tocsc().indptr) == 0)
+        assert [index.keys[i] for i in absorbing] == [
+            key for key in index.keys
+            if len(key[0]) + len(key[1]) == 4
+            and {level for level, _ in key[0]} <= {1} and {level for level, _ in key[1]} <= {2}
+        ]
+
+    def test_caps_looser_than_index_raise_key_error(self):
+        model, index = oracle_case("tiny")
+        with pytest.raises(KeyError):
+            build_generator(model, index, StateCaps(max_orders=5, max_quantity=1))
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +354,24 @@ class TestDistributionComparison:
         # at 4k runs sampling noise dominates; just require rough agreement
         assert max(report.tv_distances.values()) < 0.06
         assert report.max_column_sum <= 1e-12
+
+
+def test_opposite_best_engine_matches_oracle():
+    # Each TV distance against the sampling bound of the benchmark: mean TV of
+    # R independent states is at most 0.5 * sum sqrt(p(1-p)/R), and TV exceeds
+    # that by eps with probability below exp(-2 R eps^2) (McDiarmid).
+    runs, alarm = 20_000, 1e-6
+    report = validate_against_oracle("tiny-opposite", runs=runs, base_seed=2024)
+    model, caps = tiny_opposite_model()
+    index = enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    generator = build_generator(model, index)
+    assert report.state_count == len(index) == 95
+    eps = math.sqrt(math.log(1.0 / alarm) / (2.0 * runs))
+    for t, tv in report.tv_distances.items():
+        p = evolve(vacuum_vector(index), generator, t)
+        assert tv <= 0.5 * float(np.sqrt(p * (1.0 - p) / runs).sum()) + eps
+    for _, _, exact, estimate, se in report.moment_checks:
+        assert abs(estimate - exact) <= 4.0 * se
 
 
 class TestConditionalCovariance:

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lobsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from lobsim import scenario
+from lobsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from lobsim.scenario import (
     EVENTS_COLUMNS,
     HEATMAP_COLUMNS,
@@ -85,6 +86,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(raw)
         assert len(excinfo.value.problems) >= 3
+
+    def test_every_model_problem_is_named(self):
+        raw = {"groups": [GROUP], "cancel_rate": -1, "unit_quantity": 0}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(raw)
+        message = str(excinfo.value)
+        assert "cancellation rate" in message and "unit quantity" in message
 
     def test_support_must_fit_grid(self):
         raw = {
@@ -319,6 +327,27 @@ class TestCli:
             ["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("metadata", ['{"config": ', "[1]", "{}"])
+    def test_malformed_bundle_is_io_error(self, tmp_path, capsys, metadata):
+        for name in ("a", "b"):
+            main(["run", "--preset", "scenario1", "--runs", "2", "--events", "50",
+                  "--out", str(tmp_path / name)])
+        (tmp_path / "b" / "metadata.json").write_text(metadata)
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("bundle error: malformed bundle") and err.count("\n") == 1
+
+    def test_unexpected_error_exits_4_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(scenario, "run_scenario", broken)
+        code = main(["run", "--preset", "scenario1", "--out", str(tmp_path / "o")])
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: simulated defect" in err
 
     def test_bad_config_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"

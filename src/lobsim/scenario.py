@@ -519,15 +519,18 @@ def write_bundle(bundle: OutputBundle, out_dir: str | Path) -> list[Path]:
 def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
     """Load metadata and per-run summary rows back from a bundle directory.
 
-    Raises :class:`BundleError` when metadata.json is not JSON or a
-    summary.csv cell is not a number.
+    Raises :class:`BundleError` when metadata.json is not JSON, summary.csv's
+    header is not :data:`SUMMARY_COLUMNS` or one of its cells is not a number.
     """
     out = Path(out_dir)
     try:
         metadata = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
         rows: list[dict[str, float]] = []
         with (out / "summary.csv").open(encoding="utf-8", newline="") as handle:
-            for row in csv.DictReader(handle):
+            reader = csv.DictReader(handle)
+            if reader.fieldnames != SUMMARY_COLUMNS:
+                raise BundleError(f"malformed bundle {out}: unexpected summary.csv header")
+            for row in reader:
                 rows.append({key: float(value) for key, value in row.items()})
     except (ValueError, TypeError) as exc:
         raise BundleError(f"malformed bundle {out}: {exc}") from exc

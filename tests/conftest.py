@@ -20,7 +20,9 @@ from lobsim.book import (
     cancel_order,
     validate_book,
 )
+from lobsim.oracle import enumerate_states
 from lobsim.rates import AnchoringMode, DgxParams, RateModel, TraderGroup
+from lobsim.scenario import ORACLE_MODELS
 
 
 @dataclass
@@ -119,13 +121,22 @@ def random_crossed_book(rng: np.random.Generator, grid_size: int = 12) -> BookSt
     return state
 
 
-def grid4_model(anchoring: AnchoringMode) -> RateModel:
-    """Grid-4 model with orders of size 2, for oracle indexes of
-    ``enumerate_states(4, 2, 4)``: arrivals of 2 against residents of 1 fill
+
+def oracle_case(name: str):
+    """(model, index) for a named oracle model, or for the grid-4 model with
+    orders of size 2 on ``enumerate_states(4, 2, 4)`` (``grid4-static``,
+    ``grid4-opposite-best``): there arrivals of 2 against residents of 1 fill
     partially, and the supports overlap so arrivals cross."""
+    if name in ORACLE_MODELS:
+        model, caps = ORACLE_MODELS[name]()
+        return model, enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    anchoring = {
+        "grid4-static": AnchoringMode.STATIC_SUPPORT,
+        "grid4-opposite-best": AnchoringMode.OPPOSITE_BEST,
+    }[name]
     params = DgxParams(mu=1.0, sigma=3.0, support_size=3)
     group = TraderGroup(1.0, params, params, ask_anchor=2, bid_anchor=3)
-    return RateModel(
+    model = RateModel(
         grid_size=4,
         groups=(group,),
         per_order_cancel_rate=0.1,
@@ -133,3 +144,4 @@ def grid4_model(anchoring: AnchoringMode) -> RateModel:
         anchoring_mode=anchoring,
         unit_quantity=2,
     )
+    return model, enumerate_states(4, 2, 4)

@@ -12,14 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import grid4_model
+from conftest import oracle_case
 
 from lobsim.book import StateCaps
 from lobsim.engine import RecordingConfig, simulate
-from lobsim.oracle import build_generator, enumerate_states
-from lobsim.rates import AnchoringMode
+from lobsim.oracle import build_generator
 from lobsim.scenario import (
-    ORACLE_MODELS,
     build_rate_model,
     load_config,
     preset,
@@ -150,11 +148,4 @@ GENERATORS = {
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_generator_digests(name):
-    if name in ORACLE_MODELS:
-        model, caps = ORACLE_MODELS[name]()
-        index = enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
-    else:
-        static = name == "grid4-static"
-        model = grid4_model(AnchoringMode.STATIC_SUPPORT if static else AnchoringMode.OPPOSITE_BEST)
-        index = enumerate_states(4, 2, 4)
-    assert generator_digest(build_generator(model, index)) == GENERATORS[name]
+    assert generator_digest(build_generator(*oracle_case(name))) == GENERATORS[name]

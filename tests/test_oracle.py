@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import grid4_model
+from conftest import oracle_case
 from scipy import sparse
 
 from lobsim.book import Side, StateCaps, empty_book, submit_order
@@ -27,8 +27,8 @@ from lobsim.oracle import (
     tiny_overlapping_model,
     vacuum_vector,
 )
-from lobsim.rates import AbsorbingStateError, AnchoringMode, apply_event, event_table
-from lobsim.scenario import ORACLE_MODELS, generator_diagnostics, validate_against_oracle
+from lobsim.rates import AbsorbingStateError, apply_event, event_table
+from lobsim.scenario import generator_diagnostics, validate_against_oracle
 
 
 def key_for(*orders, grid_size=2):
@@ -116,15 +116,6 @@ def assert_identical(a, b):
     assert a.shape == b.shape
     for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
         assert np.array_equal(x, y)
-
-
-def oracle_case(name):
-    """(model, index) of a named oracle model, or of a grid-4 quantity-2 index."""
-    if name in ORACLE_MODELS:
-        model, caps = ORACLE_MODELS[name]()
-        return model, enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
-    anchoring = AnchoringMode.STATIC_SUPPORT if name == "grid4-static" else AnchoringMode.OPPOSITE_BEST
-    return grid4_model(anchoring), enumerate_states(4, 2, 4)
 
 
 class TestGeneratorMatchesBookCore:

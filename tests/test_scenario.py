@@ -328,12 +328,21 @@ class TestCli:
         )
         assert code == EXIT_IO
 
-    @pytest.mark.parametrize("metadata", ['{"config": ', "[1]", "{}"])
-    def test_malformed_bundle_is_io_error(self, tmp_path, capsys, metadata):
+    @pytest.mark.parametrize(
+        "file, text",
+        [
+            ("metadata.json", '{"config": '),
+            ("metadata.json", "[1]"),
+            ("metadata.json", "{}"),
+            ("summary.csv", "run,events\n0,50\n"),
+            ("summary.csv", ""),
+        ],
+    )
+    def test_malformed_bundle_is_io_error(self, tmp_path, capsys, file, text):
         for name in ("a", "b"):
             main(["run", "--preset", "scenario1", "--runs", "2", "--events", "50",
                   "--out", str(tmp_path / name)])
-        (tmp_path / "b" / "metadata.json").write_text(metadata)
+        (tmp_path / "b" / file).write_text(text)
         capsys.readouterr()
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_IO
         err = capsys.readouterr().err

@@ -121,7 +121,6 @@ def random_crossed_book(rng: np.random.Generator, grid_size: int = 12) -> BookSt
     return state
 
 
-
 def oracle_case(name: str):
     """(model, index) for a named oracle model, or for the grid-4 model with
     orders of size 2 on ``enumerate_states(4, 2, 4)`` (``grid4-static``,

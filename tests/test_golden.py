@@ -109,6 +109,24 @@ def test_oracle_report_digest():
     assert sha256(text) == "2f7893064a1d60a20d4fb002e575c96c53bdc20ffe2813ac315874d7c11702fe"
 
 
+# (model, runs, base seed) -> report digest; 4,500 runs is not a multiple of
+# any power-of-two chunk size up to 4,096.
+ORACLE_REPORTS = {
+    ("tiny", 3000, 2024): "cf610224d971a0813e3d2269a6eea74da13c4f7ed2de3e724f08bb51039cf04e",
+    ("tiny-opposite", 3000, 2024): "aa6ab90d9a20d64ecc5b01df9bc009822775964e1c92c9684e9cc8c87cbe5f46",
+    ("tiny", 4500, 31): "d6ba664c06d986b5ae6646bb2b207a70766185e09d29d45a48f7f6d1473961f2",
+    ("tiny-opposite", 4500, 31): "2d4f7e6603a87b16360b075498e30f06767f8864ddb3786f6117dadd13d99072",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_REPORTS), ids=lambda c: "-".join(map(str, c)))
+def test_oracle_report_digests(case):
+    model_name, runs, base_seed = case
+    report = validate_against_oracle(model_name, runs=runs, base_seed=base_seed)
+    text = "\n".join(report.lines()).encode("utf-8")
+    assert sha256(text) == ORACLE_REPORTS[case]
+
+
 def test_capped_horizon_run_fingerprint():
     # A capped run stopped by a horizon, with checkpoints before, at and
     # past it: times, events, trades, final book and checkpointed books.

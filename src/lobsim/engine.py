@@ -12,6 +12,13 @@ its resident completely: the book is the depth-vector chain of Cont, Stoikov
 & Talreja (Oper. Res. 58(3), 2010). :func:`simulate` runs on per-level counts
 and builds a :class:`BookState` only where it returns one; :func:`step` is
 the single-event reference on a :class:`BookState`, through the book core.
+
+Given a sequence of seeds, :func:`simulate` steps capped, horizon-stopped
+runs in lockstep on numpy arrays, :data:`LOCKSTEP_CHUNK` at a time, and
+returns their order counts as an :class:`EnsembleResult`. Each run keeps
+its scalar stream: its own generator, ``math.log1p`` waiting times, and
+selection from the same cached cumulative-rate floats, so every depth equals
+the one-seed call's.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,6 +97,24 @@ class SimulationResult:
     summary_columns: Optional[SummaryColumns] = None
 
 
+@dataclass
+class EnsembleResult:
+    """Runs stepped in lockstep by :func:`simulate`, in seed order.
+
+    A depth array has shape (runs, 2, K): order counts per run, side (0 bids,
+    1 asks) and level (level l at l - 1). ``checkpoints`` maps each
+    checkpoint time within the horizon to one; ``depth_frames`` is always
+    empty, as no frames are kept.
+    """
+
+    event_count: int
+    event_counts: np.ndarray
+    final_times: np.ndarray
+    final_depths: np.ndarray
+    checkpoints: dict[float, np.ndarray]
+    depth_frames: tuple = ()
+
+
 @dataclass(frozen=True)
 class StepResult:
     delta_t: float
@@ -121,19 +146,45 @@ def step(
     return StepResult(delta_t, event, new_state, tuple(transactions))
 
 
+def _book_state(
+    k: int, q: int, seqs: list, levels: list, last_trade: Optional[Transaction], next_seq: int
+) -> BookState:
+    """The book of residents given by seq and signed level, in submission order."""
+    asks = [Order(Side.ASK, s, q, seq, seq) for seq, s in zip(seqs, levels) if s > 0]
+    bids = [Order(Side.BID, -s, q, seq, seq) for seq, s in zip(seqs, levels) if s < 0]
+    # Stable sorts keep submission order within a level.
+    asks.sort(key=lambda o: o.price_level)
+    bids.sort(key=lambda o: -o.price_level)
+    return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
+
+
+def _build_table(
+    model: RateModel, state: BookState, caps: Optional[StateCaps], slots: int
+) -> tuple[list[float], list, int]:
+    """A table cache entry: (cumulative raw rates, blueprints, arrival count).
+
+    A blueprint is an arrival's descriptor or cancellation slot i, which
+    cancels resident i in submission order; the slots follow the arrivals.
+    """
+    entries = event_table(model, state, caps=caps).entries
+    arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+    cum = np.cumsum([rate for _, rate in entries]).tolist()
+    return cum, arrivals + list(range(slots)), len(arrivals)
+
+
 def simulate(
     model: RateModel,
     initial: Optional[BookState] = None,
     *,
     event_count: Optional[int] = None,
     time_horizon: Optional[float] = None,
-    seed: int,
+    seed: Union[int, Sequence[int]],
     recording: RecordingConfig = RecordingConfig(),
     caps: Optional[StateCaps] = None,
     debug_invariants: bool = False,
     _tables: Optional[dict] = None,
-) -> SimulationResult:
-    """Run one trajectory until the stop criterion.
+) -> Union[SimulationResult, EnsembleResult]:
+    """Run one trajectory until the stop criterion, or one per seed in lockstep.
 
     Exactly reproducible: the same (model, initial, stop, seed, recording,
     caps) produce the same trajectory bit for bit. Stops after
@@ -143,7 +194,19 @@ def simulate(
     builds them (every order of size ``unit_quantity``, id equal to seq),
     else :class:`EngineError`. ``_tables`` caches tables across runs of one
     model and caps.
+
+    Given a sequence of seeds, steps every run at once on numpy arrays and
+    returns an :class:`EnsembleResult` whose depths equal those of one call
+    per seed. That form supports only what oracle validation needs: an empty
+    initial book, a ``time_horizon`` stop without ``event_count``, ``caps``
+    with ``max_orders``, and ``RecordingConfig(events=False,
+    checkpoint_times=...)``; any other argument raises :class:`EngineError`.
     """
+    if isinstance(seed, (Sequence, np.ndarray)):
+        return _simulate_lockstep(
+            model, initial, event_count, time_horizon, seed, recording, caps,
+            debug_invariants, _tables if _tables is not None else {},
+        )
     if event_count is None and time_horizon is None:
         raise EngineError("need event_count and/or time_horizon")
     if event_count is not None and event_count < 0:
@@ -172,16 +235,9 @@ def simulate(
     next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
 
     def book_state() -> BookState:
-        asks = [Order(Side.ASK, s, q, seq, seq) for seq, s in zip(seqs, levels) if s > 0]
-        bids = [Order(Side.BID, -s, q, seq, seq) for seq, s in zip(seqs, levels) if s < 0]
-        # Stable sorts keep submission order within a level.
-        asks.sort(key=lambda o: o.price_level)
-        bids.sort(key=lambda o: -o.price_level)
-        return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
+        return _book_state(k, q, seqs, levels, last_trade, next_seq)
 
-    # A cached table is (cumulative raw rates, blueprints, arrival count); a
-    # blueprint is an arrival's descriptor or slot i, cancelling resident i.
-    # Arrivals depend on the best quotes under opposite-best anchoring or caps
+    # Cached tables come from _build_table. Arrivals depend on the best quotes under opposite-best anchoring or caps
     # and also on the order count under caps; cancellations follow, one per
     # resident (none at rate 0), so the table for n orders prefixes larger ones.
     cancels = model.per_order_cancel_rate > 0.0
@@ -208,10 +264,7 @@ def simulate(
         key = (best[0], best[1], count if caps is not None else 0) if by_quotes else ()
         table = tables.get(key)
         if table is None or table[2] + slots > len(table[0]):
-            entries = event_table(model, book_state(), caps=caps).entries
-            arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
-            cum = np.cumsum([rate for _, rate in entries]).tolist()
-            table = tables[key] = cum, arrivals + list(range(slots)), len(arrivals)
+            table = tables[key] = _build_table(model, book_state(), caps, slots)
         if i_draw == len(draws):
             # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
             pairs = block if event_count is None else min(block, event_count - events)
@@ -302,6 +355,183 @@ def simulate(
         inter_event_times=np.asarray(dts) if recording.collect_inter_event_times else None,
         summary_columns=SummaryColumns(quoted_array, prices) if recording.summary else None,
     )
+
+
+# Runs stepped together: bounds the draw matrix and the generators held at once.
+LOCKSTEP_CHUNK = 1024
+# Uniform pairs each run draws per block; a block ends for every live run at once.
+_LOCKSTEP_BLOCK = 16
+
+
+class _PaddedTables:
+    """Capped tables as padded arrays, looked up by a code of their cache key.
+
+    Row i holds one cached table: ``cum`` its cumulative raw rates padded
+    with +inf, ``total`` its last entry, ``size`` its length, ``arrivals``
+    its arrival count and ``level`` the arrivals' signed levels (0 for a
+    cancellation slot). Entries come from ``_build_table`` under the scalar
+    loop's cache keys, so both paths select from the same floats.
+    """
+
+    def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
+        self.model, self.caps, self.tables = model, caps, tables
+        self.width = (model.grid_size + 1, caps.max_orders + 1)
+        self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
+        self.rows: list[tuple[list[float], list[int], int]] = []
+
+    def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Row per run for best bid/ask levels (0 / K + 1 when empty) and order count."""
+        code = ((bid * self.width[0] + ask - 1) * self.width[1]) + n
+        ids = self.id_of_code[code]
+        missing = np.flatnonzero(ids < 0)
+        if missing.size:
+            for r in missing[np.unique(code[missing], return_index=True)[1]].tolist():
+                self._add(code[r], int(bid[r]), int(ask[r]), int(n[r]), levels[r, : n[r]].tolist())
+            self.cum = np.full((len(self.rows), max(len(c) for c, _, _ in self.rows)), np.inf)
+            self.level = np.zeros(self.cum.shape, dtype=np.int64)
+            for i, (cum, level, _) in enumerate(self.rows):
+                self.cum[i, : len(cum)], self.level[i, : len(level)] = cum, level
+            self.total = np.array([c[-1] for c, _, _ in self.rows])
+            self.size = np.array([len(c) for c, _, _ in self.rows])
+            self.arrivals = np.array([a for _, _, a in self.rows])
+            ids = self.id_of_code[code]
+        return ids
+
+    def _add(self, code: int, bid: int, ask: int, n: int, levels: list[int]) -> None:
+        model, k = self.model, self.model.grid_size
+        slots = n if model.per_order_cancel_rate > 0.0 else 0
+        key = (-bid, ask, n)
+        table = self.tables.get(key)
+        if table is None or table[2] + slots > len(table[0]):
+            state = _book_state(k, model.unit_quantity, list(range(1, n + 1)), levels, None, n + 1)
+            table = self.tables[key] = _build_table(model, state, self.caps, slots)
+        cum, blueprints, n_arrivals = table
+        level = [d.price_level if d.kind is EventKind.ARRIVAL_ASK else -d.price_level
+                 for d in blueprints[:n_arrivals]]
+        self.id_of_code[code] = len(self.rows)
+        self.rows.append((cum[: n_arrivals + slots], level, n_arrivals))
+
+
+def _simulate_lockstep(
+    model: RateModel,
+    initial: Optional[BookState],
+    event_count: Optional[int],
+    time_horizon: Optional[float],
+    seeds: Sequence[int],
+    recording: RecordingConfig,
+    caps: Optional[StateCaps],
+    debug_invariants: bool,
+    tables: dict,
+) -> EnsembleResult:
+    """The batched form of :func:`simulate`, in chunks of :data:`LOCKSTEP_CHUNK` runs."""
+    k = model.grid_size
+    if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
+        raise EngineError(f"batched runs start from an empty book on grid {k}")
+    if event_count is not None or time_horizon is None or time_horizon < 0:
+        raise EngineError("batched runs need a nonnegative time_horizon and no event_count")
+    if recording != RecordingConfig(events=False, checkpoint_times=recording.checkpoint_times):
+        raise EngineError("batched runs record only checkpoints: RecordingConfig(events=False, ...)")
+    if caps is None or caps.max_orders is None:
+        raise EngineError("batched runs need caps with max_orders")
+    if debug_invariants:
+        raise EngineError("batched runs do not check invariants")
+    if len(seeds) == 0:
+        raise EngineError("need at least one seed")
+    # A checkpoint past the horizon is absent from every run, as in one-seed runs.
+    times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
+    padded = _PaddedTables(model, caps, tables)
+    chunks = [
+        _lockstep_chunk(model, time_horizon, seeds[i : i + LOCKSTEP_CHUNK], times, padded)
+        for i in range(0, len(seeds), LOCKSTEP_CHUNK)
+    ]
+    event_counts = np.concatenate([c for c, _ in chunks])
+    depths = np.concatenate([d for _, d in chunks], axis=1)
+    return EnsembleResult(
+        event_count=int(event_counts.sum()),
+        event_counts=event_counts,
+        final_times=np.full(len(event_counts), float(time_horizon)),
+        final_depths=depths[-1],
+        checkpoints=dict(zip(times, depths)),
+    )
+
+
+def _lockstep_chunk(
+    model: RateModel,
+    horizon: float,
+    seeds: Sequence[int],
+    times: list[float],
+    padded: _PaddedTables,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step one chunk of runs to the horizon: (event counts, depths).
+
+    ``depths`` stacks the depth at each checkpoint time, then the final one.
+    Every live run has kept ``step`` events, so all runs read the same column
+    of their draw blocks. Per live run, in the scalar loop's order: the table
+    of the current book (an absorbing book raises here), the waiting time,
+    the horizon test, pending checkpoints before the next event, then the
+    event, counted as ``bisect_right`` counts.
+    """
+    k, m, block = model.grid_size, padded.caps.max_orders, _LOCKSTEP_BLOCK
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    depths = np.zeros((len(times) + 1, len(seeds), 2, k), dtype=np.int64)
+    event_counts = np.zeros(len(seeds), dtype=np.int64)
+    live = np.arange(len(seeds))
+    # Residents' signed levels (+ asks, - bids) in submission order; column m stays 0.
+    levels = np.zeros((len(seeds), m + 1), dtype=np.int64)
+    depth = np.zeros((len(seeds), 2, k), dtype=np.int64)
+    n = np.zeros(len(seeds), dtype=np.int64)
+    bid, ask = np.zeros(len(seeds), dtype=np.int64), np.full(len(seeds), k + 1)
+    pending = np.ones((len(seeds), len(times)), dtype=bool)
+    now = np.zeros(len(seeds))
+    columns = np.arange(m)
+    step = 0
+    while live.size:
+        ids = padded.ids(bid, ask, n, levels)
+        if step % block == 0:
+            draws = np.empty((live.size, 2 * block))
+            for row, r in zip(draws, live.tolist()):
+                rngs[r].random(out=row)
+        u_time, u_event = draws[:, 2 * (step % block)], draws[:, 2 * (step % block) + 1]
+        # math.log1p, as in the scalar loop: np.log1p differs from it in the last ulp.
+        logs = np.array([math.log1p(u) for u in (-u_time).tolist()])
+        t_next = now + -logs / model.event_intensity
+        for c, t in enumerate(times):
+            hit = pending[:, c] & (t < t_next)
+            depths[c, live[hit]] = depth[hit]
+            pending[hit, c] = False
+        stop = t_next > horizon
+        if stop.any():
+            depths[-1, live[stop]] = depth[stop]
+            event_counts[live[stop]] = step
+            go = ~stop
+            live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event = (
+                a[go] for a in (live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event)
+            )
+        now = t_next
+        step += 1
+
+        rows = np.arange(live.size)
+        cum = padded.cum[ids]
+        choice = (cum <= (u_event * padded.total[ids])[:, None]).sum(axis=1)
+        choice = np.minimum(choice, padded.size[ids] - 1)
+        s = padded.level[ids, choice]
+        cancel = s == 0
+        opposite = np.where(s > 0, -bid, ask)
+        cross = ~cancel & (opposite + s <= 0)
+        rest = ~(cancel | cross)
+        # The resident that leaves: slot j, or the oldest at the opposite best.
+        j = np.where(cancel, choice - padded.arrivals[ids], m)
+        j = np.where(cross, (levels == opposite[:, None]).argmax(axis=1), j)
+        changed = np.where(rest, s, levels[rows, j])
+        levels[rows[rest], n[rest]] = s[rest]
+        levels[:, :m] = np.take_along_axis(levels, columns + (columns >= j[:, None]), axis=1)
+        delta = np.where(rest, 1, -1)
+        depth[rows, (changed > 0).astype(np.int64), np.abs(changed) - 1] += delta
+        n += delta
+        has_ask, has_bid = depth[:, 1] > 0, depth[:, 0, ::-1] > 0
+        ask = np.where(has_ask.any(axis=1), has_ask.argmax(axis=1) + 1, k + 1)
+        bid = np.where(has_bid.any(axis=1), k - has_bid.argmax(axis=1), 0)
+    return event_counts, depths
 
 
 def derive_run_seeds(base_seed: int, runs: int) -> list[int]:

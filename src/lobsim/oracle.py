@@ -56,6 +56,29 @@ class StateIndex:
             raise OracleError(f"observed state outside the index: {key}")
         return self.index_of[key]
 
+    def positions(self, depths: np.ndarray, quantity: int = 1) -> np.ndarray:
+        """Indices of books given as order counts, shape (..., 2, K) -> (...).
+
+        ``depths[..., 0, l - 1]`` and ``depths[..., 1, l - 1]`` count the bids
+        and the asks at level l, every order of size ``quantity``, as batched
+        :func:`~lobsim.engine.simulate` returns them. :class:`OracleError` if
+        a book lies outside the index.
+        """
+        k = self.grid_size
+        books, inverse = np.unique(depths.reshape(-1, 2 * k), axis=0, return_inverse=True)
+        found = []
+        for bid_counts, ask_counts in books.reshape(-1, 2, k).tolist():
+            if min(bid_counts + ask_counts) < 0:
+                raise OracleError(f"observed state outside the index: counts {bid_counts, ask_counts}")
+            key = (
+                tuple((lv, quantity) for lv in range(k, 0, -1) for _ in range(bid_counts[lv - 1])),
+                tuple((lv, quantity) for lv in range(1, k + 1) for _ in range(ask_counts[lv - 1])),
+            )
+            if key not in self.index_of:
+                raise OracleError(f"observed state outside the index: {key}")
+            found.append(self.index_of[key])
+        return np.array(found, dtype=np.int64)[inverse.reshape(-1)].reshape(depths.shape[:-2])
+
     def state(self, i: int) -> BookState:
         """The book with key i; its orders' seqs (= ids) run through bids, then asks."""
         bids, asks = self.keys[i]

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import engine, observables, oracle
 from .book import Side
-from .engine import RecordingConfig, SimulationResult, run_ensemble
+from .engine import RecordingConfig, SimulationResult
+from .engine import run_ensemble  # noqa: F401  (bench/spans.py wraps it)
 from .observables import RunSummary, summarize_run
 from .rates import (
     AbsorbingStateError,
@@ -701,8 +702,10 @@ def validate_against_oracle(
 ) -> OracleReport:
     """Compare the capped engine's state distribution with the exact solution.
 
-    Runs the ensemble once to the last of :data:`ORACLE_TIMES`, reducing each
-    run to the index positions of its states at those times, and reports
+    Steps the runs to the last of :data:`ORACLE_TIMES` with the batched
+    ``engine.simulate``, one chunk of ``engine.LOCKSTEP_CHUNK`` seeds per
+    call, reducing each chunk to the index positions of its runs' books at
+    those times, and reports
     total variation distances plus first and second moment checks of the
     resident-order count.
     """
@@ -721,21 +724,27 @@ def validate_against_oracle(
     max_column_sum, min_off = generator_diagnostics(generator)
 
     recording = RecordingConfig(events=False, checkpoint_times=ORACLE_TIMES)
-    positions = run_ensemble(
-        model,
-        runs=runs,
-        time_horizon=ORACLE_TIMES[-1],
-        base_seed=base_seed,
-        recording=recording,
-        caps=caps,
-        reduce=lambda r: tuple(index.position(r.checkpoints[t]) for t in ORACLE_TIMES),
-    )
+    seeds = engine.derive_run_seeds(base_seed, runs)
+    tables: dict = {}
+    chunks = []
+    for start in range(0, runs, engine.LOCKSTEP_CHUNK):
+        result = engine.simulate(
+            model,
+            time_horizon=ORACLE_TIMES[-1],
+            seed=seeds[start : start + engine.LOCKSTEP_CHUNK],
+            recording=recording,
+            caps=caps,
+            _tables=tables,
+        )
+        depths = np.stack([result.checkpoints[t] for t in ORACLE_TIMES], axis=1)
+        chunks.append(index.positions(depths, model.unit_quantity))
+    positions = np.concatenate(chunks)
 
     p0 = oracle.vacuum_vector(index)
     counts = oracle.order_count_observable(index)
     tv_distances: dict[float, float] = {}
     moment_checks: list[tuple[float, int, float, float, float]] = []
-    for t, at_t in zip(ORACLE_TIMES, np.array(positions).T):
+    for t, at_t in zip(ORACLE_TIMES, positions.T):
         exact = oracle.evolve(p0, generator, t)
         empirical = np.bincount(at_t, minlength=len(index)) / runs
         tv_distances[t] = oracle.compare_distributions(empirical, exact)

@@ -38,10 +38,10 @@ def report(name: str, passed: bool, detail: str = "") -> None:
     assert passed, f"{name}{suffix}"
 
 
-@pytest.mark.parametrize("model_name", ["tiny", "tiny-overlap"])
+@pytest.mark.parametrize("model_name", ["tiny", "tiny-overlap", "tiny-opposite"])
 def test_oracle_equivalence(model_name):
     """Engine empirical state law vs exact solution: TV <= 0.02 at t in
-    {0.5, 1, 2} with 1e5 capped runs, on both tiny models."""
+    {0.5, 1, 2} with 1e5 capped runs, on every tiny model."""
     result = validate_against_oracle(model_name, runs=100_000, base_seed=2024)
     worst = max(result.tv_distances.values())
     detail = ", ".join(
@@ -54,7 +54,7 @@ def test_oracle_equivalence(model_name):
     )
 
 
-@pytest.mark.parametrize("model_name", ["tiny", "tiny-overlap"])
+@pytest.mark.parametrize("model_name", ["tiny", "tiny-overlap", "tiny-opposite"])
 def test_generator_validity(model_name):
     """Every generator column sums to zero within 1e-12; off-diagonals >= 0."""
     result = validate_against_oracle(model_name, runs=2, base_seed=1)

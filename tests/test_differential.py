@@ -3,7 +3,9 @@
 The reference below is the engine's loop written directly over immutable
 book states: one step() per event, through the matching core. Driven from
 the same seed, both must produce the same times, events, trades, quotes,
-XLM values and book states, ids and sequence numbers included.
+XLM values and book states, ids and sequence numbers included. The batched
+form of simulate, which steps many seeds at once, is compared with one
+simulate call per seed on event counts, final times and depths.
 """
 
 import math
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book
-from lobsim.engine import EngineError, RecordingConfig, simulate, step
+from lobsim.engine import LOCKSTEP_CHUNK, EngineError, RecordingConfig, derive_run_seeds, simulate, step
 from lobsim.observables import quotes, summarize_run, xlm
 from lobsim.oracle import tiny_overlapping_model
-from lobsim.scenario import build_rate_model, preset
+from lobsim.rates import AbsorbingStateError
+from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
 def reference_run(model, initial, seed, event_count=None, time_horizon=None, caps=None):
@@ -138,3 +141,114 @@ def test_non_uniform_initial_book_rejected(order):
 def test_initial_book_on_another_grid_rejected():
     with pytest.raises(EngineError):
         simulate(scenario_model("scenario1"), empty_book(30), event_count=10, seed=1)
+
+
+def order_counts(state):
+    """Per-level order counts of a book, shape (2, K): bids, then asks."""
+    counts = np.zeros((2, state.grid_size), dtype=np.int64)
+    for side, orders in enumerate((state.bids, state.asks)):
+        for order in orders:
+            counts[side, order.price_level - 1] += 1
+    return counts
+
+
+def assert_batch_matches_scalar(model_name, runs, time_horizon=2.0, base_seed=5, model=None):
+    """The batched call against one scalar call per seed; returns the batch."""
+    oracle_model, caps = ORACLE_MODELS[model_name]()
+    model = model or oracle_model
+    seeds = derive_run_seeds(base_seed, runs)
+    # Before the first event, at and between the oracle times, past the horizon.
+    times = (-1.0, 0.0, *ORACLE_TIMES, 0.75, time_horizon, time_horizon + 1.0)
+    recording = RecordingConfig(events=False, checkpoint_times=times)
+    batch = simulate(model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps)
+    assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
+    assert batch.depth_frames == ()
+    total = 0
+    for i, seed in enumerate(seeds):
+        run = simulate(model, time_horizon=time_horizon, seed=seed, recording=recording, caps=caps)
+        assert batch.event_counts[i] == run.event_count
+        assert batch.final_times[i] == run.final_time
+        assert np.array_equal(batch.final_depths[i], order_counts(run.final_state))
+        assert set(run.checkpoints) == set(batch.checkpoints)
+        for t, state in run.checkpoints.items():
+            assert np.array_equal(batch.checkpoints[t][i], order_counts(state)), (i, t)
+        total += run.event_count
+    assert type(batch.event_count) is int and batch.event_count == total
+    return batch
+
+
+@pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
+def test_batched_runs_match_scalar_runs(model_name):
+    assert_batch_matches_scalar(model_name, runs=300)
+
+
+def test_batched_single_run():
+    assert_batch_matches_scalar("tiny-overlap", runs=1)
+
+
+def test_batched_runs_across_a_chunk_boundary():
+    batch = assert_batch_matches_scalar("tiny-opposite", runs=LOCKSTEP_CHUNK + 5, time_horizon=0.5)
+    assert len(batch.event_counts) == LOCKSTEP_CHUNK + 5
+
+
+def test_batched_long_horizon_refills_draws():
+    # About 120 events per run: every run refills its block of draws.
+    batch = assert_batch_matches_scalar("tiny-overlap", runs=40, time_horizon=20.0)
+    assert batch.event_counts.min() > 64
+
+
+def test_absorbing_state_raises_in_both_forms():
+    # Without cancellations the capped non-overlapping book fills up and stops.
+    model, caps = ORACLE_MODELS["tiny"]()
+    model = replace(model, per_order_cancel_rate=0.0)
+    seeds = derive_run_seeds(3, 20)
+    recording = RecordingConfig(events=False)
+    with pytest.raises(AbsorbingStateError):
+        simulate(model, time_horizon=50.0, seed=seeds[0], recording=recording, caps=caps)
+    with pytest.raises(AbsorbingStateError):
+        simulate(model, time_horizon=50.0, seed=seeds, recording=recording, caps=caps)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        "non-empty initial",
+        "events=True",
+        "summary=True",
+        "no caps",
+        "caps without max_orders",
+        "no horizon",
+        "event_count",
+        "debug_invariants",
+        "no seeds",
+    ],
+)
+def test_batched_form_rejects_unsupported_arguments(change):
+    model, _ = tiny_overlapping_model()
+    kwargs = dict(
+        time_horizon=2.0,
+        seed=[1, 2, 3],
+        recording=RecordingConfig(events=False, checkpoint_times=ORACLE_TIMES),
+        caps=StateCaps(max_orders=4, max_quantity=1),
+    )
+    initial = None
+    if change == "non-empty initial":
+        initial = BookState(2, (Order(Side.BID, 1, 1, 1, 1),), (), None, 2)
+    elif change == "events=True":
+        kwargs["recording"] = RecordingConfig(checkpoint_times=ORACLE_TIMES)
+    elif change == "summary=True":
+        kwargs["recording"] = RecordingConfig(events=False, summary=True)
+    elif change == "no caps":
+        del kwargs["caps"]
+    elif change == "caps without max_orders":
+        kwargs["caps"] = StateCaps(max_quantity=1)
+    elif change == "no horizon":
+        kwargs["time_horizon"] = None
+    elif change == "event_count":
+        kwargs["event_count"] = 10
+    elif change == "debug_invariants":
+        kwargs["debug_invariants"] = True
+    elif change == "no seeds":
+        kwargs["seed"] = []
+    with pytest.raises(EngineError):
+        simulate(model, initial, **kwargs)

@@ -85,6 +85,32 @@ class TestEnumeration:
                 assert state.canonical_key() in index.index_of
 
 
+class TestPositions:
+    @pytest.mark.parametrize("quantity", [1, 2])
+    def test_order_counts_find_every_uniform_key(self, quantity):
+        index = enumerate_states(3, 2, 4)
+        uniform = [i for i, (bids, asks) in enumerate(index.keys)
+                   if all(q == quantity for _, q in bids + asks)]
+        depths = np.zeros((len(uniform), 2, 3), dtype=np.int64)
+        for row, i in enumerate(uniform):
+            for side, half in enumerate(index.keys[i]):
+                for level, _ in half:
+                    depths[row, side, level - 1] += 1
+        assert np.array_equal(index.positions(depths, quantity), uniform)
+        # Any leading shape: (runs, times, 2, K) -> (runs, times).
+        stacked = np.stack([depths, depths[::-1]], axis=1)
+        assert np.array_equal(index.positions(stacked, quantity), np.stack([uniform, uniform[::-1]], 1))
+
+    @pytest.mark.parametrize(
+        "bids, asks", [((0, 1), (1, 0)), ((1, 0), (1, 0)), ((3, 0), (0, 2)), ((-1, 0), (0, 0))]
+    )
+    def test_books_outside_the_index_raise(self, bids, asks):
+        index = enumerate_states(2, 1, 4)
+        depths = np.array([[[0, 0], [0, 0]], [bids, asks]])
+        with pytest.raises(OracleError, match="outside the index"):
+            index.positions(depths)
+
+
 def reference_generator(model, index, caps=None):
     """The generator assembled through the book core: one event table per
     ``BookState``, each event applied with ``apply_event``."""

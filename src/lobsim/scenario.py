@@ -704,10 +704,9 @@ def validate_against_oracle(
 
     Steps the runs to the last of :data:`ORACLE_TIMES` with the batched
     ``engine.simulate``, one chunk of ``engine.LOCKSTEP_CHUNK`` seeds per
-    call, reducing each chunk to the index positions of its runs' books at
-    those times, and reports
-    total variation distances plus first and second moment checks of the
-    resident-order count.
+    call, reduces each chunk to the index positions of its runs' books at
+    those times, and reports total variation distances plus first and
+    second moment checks of the resident-order count.
     """
     problems = []
     if model_name not in ORACLE_MODELS:

@@ -152,13 +152,13 @@ def order_counts(state):
     return counts
 
 
-def assert_batch_matches_scalar(model_name, runs, time_horizon=2.0, base_seed=5, model=None):
+def assert_batch_matches_scalar(model_name, runs, time_horizon=2.0, base_seed=5, times=None):
     """The batched call against one scalar call per seed; returns the batch."""
-    oracle_model, caps = ORACLE_MODELS[model_name]()
-    model = model or oracle_model
+    model, caps = ORACLE_MODELS[model_name]()
     seeds = derive_run_seeds(base_seed, runs)
-    # Before the first event, at and between the oracle times, past the horizon.
-    times = (-1.0, 0.0, *ORACLE_TIMES, 0.75, time_horizon, time_horizon + 1.0)
+    if times is None:
+        # Before the first event, at and between the oracle times, past the horizon.
+        times = (-1.0, 0.0, *ORACLE_TIMES, 0.75, time_horizon, time_horizon + 1.0)
     recording = RecordingConfig(events=False, checkpoint_times=times)
     batch = simulate(model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps)
     assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
@@ -189,6 +189,20 @@ def test_batched_single_run():
 def test_batched_runs_across_a_chunk_boundary():
     batch = assert_batch_matches_scalar("tiny-opposite", runs=LOCKSTEP_CHUNK + 5, time_horizon=0.5)
     assert len(batch.event_counts) == LOCKSTEP_CHUNK + 5
+
+
+def test_batched_checkpoints_at_scalar_event_times():
+    # A checkpoint at a scalar event time holds the book after that event,
+    # one a ulp earlier the book before it: a waiting time one ulp off, or a
+    # checkpoint taken at t <= t_next, moves one of them.
+    model, caps = ORACLE_MODELS["tiny-opposite"]()
+    event_times = [
+        record.time
+        for seed in derive_run_seeds(5, 25)
+        for record in simulate(model, time_horizon=2.0, seed=seed, caps=caps).records
+    ]
+    times = (*event_times, *np.nextafter(event_times, -np.inf).tolist())
+    assert_batch_matches_scalar("tiny-opposite", runs=25, times=times)
 
 
 def test_batched_long_horizon_refills_draws():

@@ -203,9 +203,10 @@ def simulate(
     checkpoint_times=...)``; any other argument raises :class:`EngineError`.
     """
     if isinstance(seed, (Sequence, np.ndarray)):
+        tables = _tables if _tables is not None else {}
         return _simulate_lockstep(
-            model, initial, event_count, time_horizon, seed, recording, caps,
-            debug_invariants, _tables if _tables is not None else {},
+            model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants,
+            tables,
         )
     if event_count is None and time_horizon is None:
         raise EngineError("need event_count and/or time_horizon")
@@ -237,9 +238,10 @@ def simulate(
     def book_state() -> BookState:
         return _book_state(k, q, seqs, levels, last_trade, next_seq)
 
-    # Cached tables come from _build_table. Arrivals depend on the best quotes under opposite-best anchoring or caps
-    # and also on the order count under caps; cancellations follow, one per
-    # resident (none at rate 0), so the table for n orders prefixes larger ones.
+    # Cached tables come from _build_table. Arrivals depend on the best quotes
+    # under opposite-best anchoring or caps and also on the order count under
+    # caps; cancellations follow, one per resident (none at rate 0), so the
+    # table for n orders prefixes larger ones.
     cancels = model.per_order_cancel_rate > 0.0
     by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     tables = _tables if _tables is not None else {}
@@ -379,7 +381,9 @@ class _PaddedTables:
         self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
         self.rows: list[tuple[list[float], list[int], int]] = []
 
-    def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    def ids(
+        self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray, levels: np.ndarray
+    ) -> np.ndarray:
         """Row per run for best bid/ask levels (0 / K + 1 when empty) and order count."""
         code = ((bid * self.width[0] + ask - 1) * self.width[1]) + n
         ids = self.id_of_code[code]
@@ -406,8 +410,10 @@ class _PaddedTables:
             state = _book_state(k, model.unit_quantity, list(range(1, n + 1)), levels, None, n + 1)
             table = self.tables[key] = _build_table(model, state, self.caps, slots)
         cum, blueprints, n_arrivals = table
-        level = [d.price_level if d.kind is EventKind.ARRIVAL_ASK else -d.price_level
-                 for d in blueprints[:n_arrivals]]
+        level = [
+            d.price_level if d.kind is EventKind.ARRIVAL_ASK else -d.price_level
+            for d in blueprints[:n_arrivals]
+        ]
         self.id_of_code[code] = len(self.rows)
         self.rows.append((cum[: n_arrivals + slots], level, n_arrivals))
 
@@ -430,7 +436,7 @@ def _simulate_lockstep(
     if event_count is not None or time_horizon is None or time_horizon < 0:
         raise EngineError("batched runs need a nonnegative time_horizon and no event_count")
     if recording != RecordingConfig(events=False, checkpoint_times=recording.checkpoint_times):
-        raise EngineError("batched runs record only checkpoints: RecordingConfig(events=False, ...)")
+        raise EngineError("batched runs record checkpoints only: events=False, nothing else")
     if caps is None or caps.max_orders is None:
         raise EngineError("batched runs need caps with max_orders")
     if debug_invariants:
@@ -504,8 +510,9 @@ def _lockstep_chunk(
             depths[-1, live[stop]] = depth[stop]
             event_counts[live[stop]] = step
             go = ~stop
+            per_run = live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event
             live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event = (
-                a[go] for a in (live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event)
+                a[go] for a in per_run
             )
         now = t_next
         step += 1

@@ -65,11 +65,14 @@ class StateIndex:
         a book lies outside the index.
         """
         k = self.grid_size
+        if depths.shape[-2:] != (2, k):
+            raise OracleError(f"order counts of shape {depths.shape} are not (..., 2, {k})")
         books, inverse = np.unique(depths.reshape(-1, 2 * k), axis=0, return_inverse=True)
         found = []
         for bid_counts, ask_counts in books.reshape(-1, 2, k).tolist():
             if min(bid_counts + ask_counts) < 0:
-                raise OracleError(f"observed state outside the index: counts {bid_counts, ask_counts}")
+                counts = (bid_counts, ask_counts)
+                raise OracleError(f"observed state outside the index: counts {counts}")
             key = (
                 tuple((lv, quantity) for lv in range(k, 0, -1) for _ in range(bid_counts[lv - 1])),
                 tuple((lv, quantity) for lv in range(1, k + 1) for _ in range(ask_counts[lv - 1])),

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book
-from lobsim.engine import LOCKSTEP_CHUNK, EngineError, RecordingConfig, derive_run_seeds, simulate, step
+from lobsim.engine import (
+    LOCKSTEP_CHUNK,
+    EngineError,
+    RecordingConfig,
+    derive_run_seeds,
+    simulate,
+    step,
+)
 from lobsim.observables import quotes, summarize_run, xlm
 from lobsim.oracle import tiny_overlapping_model
 from lobsim.rates import AbsorbingStateError

@@ -89,8 +89,11 @@ class TestPositions:
     @pytest.mark.parametrize("quantity", [1, 2])
     def test_order_counts_find_every_uniform_key(self, quantity):
         index = enumerate_states(3, 2, 4)
-        uniform = [i for i, (bids, asks) in enumerate(index.keys)
-                   if all(q == quantity for _, q in bids + asks)]
+        uniform = [
+            i
+            for i, (bids, asks) in enumerate(index.keys)
+            if all(q == quantity for _, q in bids + asks)
+        ]
         depths = np.zeros((len(uniform), 2, 3), dtype=np.int64)
         for row, i in enumerate(uniform):
             for side, half in enumerate(index.keys[i]):
@@ -99,7 +102,8 @@ class TestPositions:
         assert np.array_equal(index.positions(depths, quantity), uniform)
         # Any leading shape: (runs, times, 2, K) -> (runs, times).
         stacked = np.stack([depths, depths[::-1]], axis=1)
-        assert np.array_equal(index.positions(stacked, quantity), np.stack([uniform, uniform[::-1]], 1))
+        expected = np.stack([uniform, uniform[::-1]], axis=1)
+        assert np.array_equal(index.positions(stacked, quantity), expected)
 
     @pytest.mark.parametrize(
         "bids, asks", [((0, 1), (1, 0)), ((1, 0), (1, 0)), ((3, 0), (0, 2)), ((-1, 0), (0, 0))]
@@ -109,6 +113,11 @@ class TestPositions:
         depths = np.array([[[0, 0], [0, 0]], [bids, asks]])
         with pytest.raises(OracleError, match="outside the index"):
             index.positions(depths)
+
+    def test_counts_for_another_grid_raise(self):
+        index = enumerate_states(2, 1, 4)
+        with pytest.raises(OracleError, match="not"):
+            index.positions(np.zeros((2, 2, 3), dtype=np.int64))
 
 
 def reference_generator(model, index, caps=None):

@@ -13,12 +13,13 @@ its resident completely: the book is the depth-vector chain of Cont, Stoikov
 and builds a :class:`BookState` only where it returns one; :func:`step` is
 the single-event reference on a :class:`BookState`, through the book core.
 
-Given a sequence of seeds, :func:`simulate` steps capped, horizon-stopped
-runs in lockstep on numpy arrays, :data:`LOCKSTEP_CHUNK` at a time, and
-returns their order counts as an :class:`EnsembleResult`. Each run keeps
-its scalar stream: its own generator, ``math.log1p`` waiting times, and
-selection from the same cached cumulative-rate floats, so every depth equals
-the one-seed call's.
+Given a sequence of seeds, :func:`simulate` steps exactly those capped,
+horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
+their order counts as an :class:`EnsembleResult`; the caller bounds the
+batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
+keeps its scalar stream: its own generator, ``math.log1p`` waiting times,
+and selection from the same cached cumulative-rate floats, so every depth
+equals the one-seed call's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, validate_book
-from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, XlmValues, depth, xlm_legs
+from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, depth
 from .observables import quote_snapshot, quotes, xlm  # noqa: F401  (bench/spans.py wraps both)
 from .rates import AnchoringMode, EventDescriptor, EventKind, RateModel, apply_event, event_table
 
@@ -45,18 +46,17 @@ class EngineError(Exception):
 class RecordingConfig:
     """What a simulation keeps as it runs.
 
-    ``events`` retains one record per step; ``quotes``/``liquidity`` attach
-    per-step snapshots to those records. ``summary`` streams the columns
-    :func:`~lobsim.observables.summarize_run` reduces, without records.
-    ``depth_window`` keeps depth profiles for the final N steps
-    (heatmap-style output). Book states are snapshotted at each time in
-    ``checkpoint_times``; a checkpoint past the simulated horizon is simply
-    absent from the result.
+    ``events`` retains one record per step, each with the best quotes after
+    it. ``summary`` streams the columns
+    :func:`~lobsim.observables.summarize_run` reduces, the only source of
+    run summaries. ``depth_window`` keeps depth profiles for the final N
+    steps (heatmap-style output). Book states are snapshotted at each time
+    in ``checkpoint_times``; a checkpoint past the simulated horizon is
+    simply absent from the result. ``collect_inter_event_times`` keeps the
+    waiting times.
     """
 
     events: bool = True
-    quotes: bool = False
-    liquidity: bool = False
     summary: bool = False
     depth_window: int = 0
     checkpoint_times: tuple[float, ...] = ()
@@ -65,13 +65,12 @@ class RecordingConfig:
 
 @dataclass
 class TrajectoryRecord:
-    """One applied event with its time, trades, and optional snapshots."""
+    """One applied event with its time, trades, and the quotes after it."""
 
     time: float
     event: EventDescriptor
     transactions: tuple[Transaction, ...]
-    quote: Optional[QuoteSnapshot] = None
-    liquidity: Optional[XlmValues] = None
+    quote: QuoteSnapshot
 
 
 @dataclass
@@ -195,11 +194,12 @@ def simulate(
     else :class:`EngineError`. ``_tables`` caches tables across runs of one
     model and caps.
 
-    Given a sequence of seeds, steps every run at once on numpy arrays and
-    returns an :class:`EnsembleResult` whose depths equal those of one call
-    per seed. That form supports only what oracle validation needs: an empty
-    initial book, a ``time_horizon`` stop without ``event_count``, ``caps``
-    with ``max_orders``, and ``RecordingConfig(events=False,
+    Given a sequence of seeds, steps every one of them at once, in one pass
+    on numpy arrays (the caller bounds the batch, as memory grows with it),
+    and returns an :class:`EnsembleResult` whose depths equal those of one
+    call per seed. That form supports only what oracle validation needs: an
+    empty initial book, a ``time_horizon`` stop without ``event_count``,
+    ``caps`` with ``max_orders``, and ``RecordingConfig(events=False,
     checkpoint_times=...)``; any other argument raises :class:`EngineError`.
     """
     if isinstance(seed, (Sequence, np.ndarray)):
@@ -321,7 +321,6 @@ def simulate(
             best[x] = s
 
         bid, ask = -best[0], best[1]  # 0 / k + 1 when the side is empty
-        quoted = bid != 0 and ask <= k
         if debug_invariants:
             validate_book(book_state())
         if recording.collect_inter_event_times:
@@ -329,17 +328,11 @@ def simulate(
         if recording.summary:
             if trade is not None:
                 prices.append(trade.price_level)
-            if quoted:
+            if bid != 0 and ask <= k:
                 quoted_rows.append((bid, ask, level_sums[1], orders[1], level_sums[0], orders[0]))
         if recording.events:
-            quote = liquidity = None
-            if recording.quotes:
-                quote = quote_snapshot(bid or None, ask if ask <= k else None)
-            if recording.liquidity and quoted:
-                sums = (level_sums[1], orders[1], level_sums[0], orders[0])
-                liquidity = XlmValues(*xlm_legs(bid, ask, *sums))
-            trades = (trade,) if trade else ()
-            records.append(TrajectoryRecord(now, event, trades, quote, liquidity))
+            quote = quote_snapshot(bid or None, ask if ask <= k else None)
+            records.append(TrajectoryRecord(now, event, (trade,) if trade else (), quote))
         if recording.depth_window and events > first_frame:
             window.append(DepthFrame(events, depth(book_state()), trade is not None))
 
@@ -359,7 +352,8 @@ def simulate(
     )
 
 
-# Runs stepped together: bounds the draw matrix and the generators held at once.
+# Seeds per batched simulate call in validation: bounds the draw matrix and
+# the generators held at once.
 LOCKSTEP_CHUNK = 1024
 # Uniform pairs each run draws per block; a block ends for every live run at once.
 _LOCKSTEP_BLOCK = 16
@@ -429,7 +423,14 @@ def _simulate_lockstep(
     debug_invariants: bool,
     tables: dict,
 ) -> EnsembleResult:
-    """The batched form of :func:`simulate`, in chunks of :data:`LOCKSTEP_CHUNK` runs."""
+    """The batched form of :func:`simulate`: every run stepped to the horizon.
+
+    Every live run has kept ``step`` events, so all runs read the same column
+    of their draw blocks. Per live run, in the scalar loop's order: the table
+    of the current book (an absorbing book raises here), the waiting time,
+    the horizon test, pending checkpoints before the next event, then the
+    event, counted as ``bisect_right`` counts.
+    """
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
         raise EngineError(f"batched runs start from an empty book on grid {k}")
@@ -446,39 +447,9 @@ def _simulate_lockstep(
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
     padded = _PaddedTables(model, caps, tables)
-    chunks = [
-        _lockstep_chunk(model, time_horizon, seeds[i : i + LOCKSTEP_CHUNK], times, padded)
-        for i in range(0, len(seeds), LOCKSTEP_CHUNK)
-    ]
-    event_counts = np.concatenate([c for c, _ in chunks])
-    depths = np.concatenate([d for _, d in chunks], axis=1)
-    return EnsembleResult(
-        event_count=int(event_counts.sum()),
-        event_counts=event_counts,
-        final_times=np.full(len(event_counts), float(time_horizon)),
-        final_depths=depths[-1],
-        checkpoints=dict(zip(times, depths)),
-    )
-
-
-def _lockstep_chunk(
-    model: RateModel,
-    horizon: float,
-    seeds: Sequence[int],
-    times: list[float],
-    padded: _PaddedTables,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step one chunk of runs to the horizon: (event counts, depths).
-
-    ``depths`` stacks the depth at each checkpoint time, then the final one.
-    Every live run has kept ``step`` events, so all runs read the same column
-    of their draw blocks. Per live run, in the scalar loop's order: the table
-    of the current book (an absorbing book raises here), the waiting time,
-    the horizon test, pending checkpoints before the next event, then the
-    event, counted as ``bisect_right`` counts.
-    """
-    k, m, block = model.grid_size, padded.caps.max_orders, _LOCKSTEP_BLOCK
+    m, block = caps.max_orders, _LOCKSTEP_BLOCK
     rngs = [np.random.default_rng(seed) for seed in seeds]
+    # The depth at each checkpoint time, then the final one.
     depths = np.zeros((len(times) + 1, len(seeds), 2, k), dtype=np.int64)
     event_counts = np.zeros(len(seeds), dtype=np.int64)
     live = np.arange(len(seeds))
@@ -505,7 +476,7 @@ def _lockstep_chunk(
             hit = pending[:, c] & (t < t_next)
             depths[c, live[hit]] = depth[hit]
             pending[hit, c] = False
-        stop = t_next > horizon
+        stop = t_next > time_horizon
         if stop.any():
             depths[-1, live[stop]] = depth[stop]
             event_counts[live[stop]] = step
@@ -538,7 +509,13 @@ def _lockstep_chunk(
         has_ask, has_bid = depth[:, 1] > 0, depth[:, 0, ::-1] > 0
         ask = np.where(has_ask.any(axis=1), has_ask.argmax(axis=1) + 1, k + 1)
         bid = np.where(has_bid.any(axis=1), k - has_bid.argmax(axis=1), 0)
-    return event_counts, depths
+    return EnsembleResult(
+        event_count=int(event_counts.sum()),
+        event_counts=event_counts,
+        final_times=np.full(len(seeds), float(time_horizon)),
+        final_depths=depths[-1],
+        checkpoints=dict(zip(times, depths)),
+    )
 
 
 def derive_run_seeds(base_seed: int, runs: int) -> list[int]:

@@ -187,20 +187,13 @@ def returns(records: Iterable, mode: str = "transaction") -> np.ndarray:
 
     ``transaction`` (default): log differences of successive transaction
     prices. ``mid``: log differences of the mid price sampled after each
-    event, skipping one-sided snapshots (requires quotes to be recorded).
-    Fewer than two observations yield an empty series.
+    event, skipping one-sided books; every engine record carries the quotes
+    after its event. Fewer than two observations yield an empty series.
     """
     if mode == "transaction":
         series = transaction_observables(records).prices
     elif mode == "mid":
-        series = np.asarray(
-            [
-                record.quote.mid
-                for record in records
-                if getattr(record, "quote", None) is not None and record.quote.mid is not None
-            ],
-            dtype=float,
-        )
+        series = np.asarray([r.quote.mid for r in records if r.quote.mid is not None], dtype=float)
     else:
         raise ValueError(f"unknown returns mode {mode!r}")
     if len(series) < 2:
@@ -298,72 +291,26 @@ def _mean_std(values) -> tuple[float, float]:
 def summarize_run(result) -> RunSummary:
     """Reduce one simulation result to a :class:`RunSummary`.
 
-    Reduces the streamed ``summary_columns`` when the run was recorded with
-    ``summary=True``; otherwise the per-event records, which then need quote
-    snapshots (and liquidity values, when XLM statistics are wanted).
+    Reduces the ``summary_columns`` the engine streams under
+    ``RecordingConfig(summary=True)``; a run recorded without them raises
+    :class:`ObservableError`. XLM per quoted event is
+    ``xlm_legs(*result.summary_columns.quoted.T)``.
     """
     columns = result.summary_columns
-    if columns is not None:
-        quoted = columns.quoted
-        best_bids, best_asks = quoted[:, 0], quoted[:, 1]
-        xlm_ask, xlm_bid, xlm_total = xlm_legs(best_bids, best_asks, *quoted[:, 2:].T)
-        return _summary(
-            result,
-            spreads=best_asks - best_bids,
-            mids=(best_asks + best_bids) / 2.0,
-            best_bids=best_bids,
-            best_asks=best_asks,
-            xlm_ask=xlm_ask,
-            xlm_bid=xlm_bid,
-            xlm_total=xlm_total,
-            prices=columns.prices,
-        )
-    spreads: list[float] = []
-    mids: list[float] = []
-    best_bids: list[float] = []
-    best_asks: list[float] = []
-    xlm_ask: list[float] = []
-    xlm_bid: list[float] = []
-    xlm_total: list[float] = []
-    for record in result.records:
-        quote = record.quote
-        if quote is not None and quote.spread is not None:
-            spreads.append(float(quote.spread))
-            mids.append(quote.mid)
-            best_bids.append(float(quote.best_bid))
-            best_asks.append(float(quote.best_ask))
-        liquidity = record.liquidity
-        if liquidity is not None:
-            xlm_ask.append(liquidity.ask)
-            xlm_bid.append(liquidity.bid)
-            xlm_total.append(liquidity.total)
-    return _summary(
-        result,
-        spreads=spreads,
-        mids=mids,
-        best_bids=best_bids,
-        best_asks=best_asks,
-        xlm_ask=xlm_ask,
-        xlm_bid=xlm_bid,
-        xlm_total=xlm_total,
-        prices=transaction_observables(result.records).prices,
-    )
-
-
-def _summary(
-    result, *, spreads, mids, best_bids, best_asks, xlm_ask, xlm_bid, xlm_total, prices
-) -> RunSummary:
-    """The statistics of a run summary, from its per-event samples."""
-    prices = np.asarray(prices, dtype=float)
+    if columns is None:
+        raise ObservableError("summarize_run needs a run recorded with summary=True")
+    quoted = columns.quoted
+    best_bids, best_asks = quoted[:, 0], quoted[:, 1]
+    spreads = best_asks - best_bids
+    xlm_ask, xlm_bid, xlm_total = xlm_legs(best_bids, best_asks, *quoted[:, 2:].T)
+    prices = np.asarray(columns.prices, dtype=float)
     log_returns = np.diff(np.log(prices)) if len(prices) >= 2 else np.empty(0)
     mean_return = float(log_returns.mean()) if log_returns.size else float("nan")
     volatility = float(log_returns.std(ddof=1)) if log_returns.size > 1 else (
         0.0 if log_returns.size == 1 else float("nan")
     )
     mean_spread, std_spread = _mean_std(spreads)
-    mean_mid, std_mid = _mean_std(mids)
-    mean_bb, _ = _mean_std(best_bids)
-    mean_ba, _ = _mean_std(best_asks)
+    mean_mid, std_mid = _mean_std((best_asks + best_bids) / 2.0)
     mean_price, std_price = _mean_std(prices)
     rate = len(prices) / result.final_time if result.final_time > 0 else float("nan")
     return RunSummary(
@@ -375,8 +322,8 @@ def _summary(
         std_spread=std_spread,
         mean_mid=mean_mid,
         std_mid=std_mid,
-        mean_best_bid=mean_bb,
-        mean_best_ask=mean_ba,
+        mean_best_bid=_mean_std(best_bids)[0],
+        mean_best_ask=_mean_std(best_asks)[0],
         mean_transaction_price=mean_price,
         std_transaction_price=std_price,
         mean_return=mean_return,

@@ -49,13 +49,6 @@ class StateIndex:
     def index(self, key: CanonicalKey) -> int:
         return self.index_of[key]
 
-    def position(self, state: BookState) -> int:
-        """Index of an observed state; :class:`OracleError` if it lies outside."""
-        key = state.canonical_key()
-        if key not in self.index_of:
-            raise OracleError(f"observed state outside the index: {key}")
-        return self.index_of[key]
-
     def positions(self, depths: np.ndarray, quantity: int = 1) -> np.ndarray:
         """Indices of books given as order counts, shape (..., 2, K) -> (...).
 
@@ -376,20 +369,6 @@ def compare_distributions(
     if a.size != b.size:
         raise OracleError(f"index mismatch: {a.size} vs {b.size}")
     return 0.5 * float(np.abs(a - b).sum())
-
-
-def empirical_distribution(
-    index: StateIndex, states: Iterable[BookState]
-) -> np.ndarray:
-    """Frequency vector of observed states over the index."""
-    counts = np.zeros(len(index), dtype=float)
-    total = 0
-    for state in states:
-        counts[index.position(state)] += 1.0
-        total += 1
-    if total == 0:
-        raise OracleError("no observed states")
-    return counts / total
 
 
 def vacuum_vector(index: StateIndex) -> np.ndarray:

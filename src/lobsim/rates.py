@@ -51,6 +51,13 @@ class DgxParams:
             raise RateModelError(f"sigma must be positive and finite, got {self.sigma}")
         if self.support_size < 1:
             raise RateModelError(f"support_size must be >= 1, got {self.support_size}")
+        with np.errstate(all="ignore"):
+            pmf = dgx_pmf(self)
+        if not (np.isfinite(pmf).all() and (pmf > 0).any()):
+            raise RateModelError(
+                f"DGX weights over ranks 1..{self.support_size} underflow or are not "
+                f"finite at mu={self.mu}, sigma={self.sigma}"
+            )
 
 
 def dgx_pmf(params: DgxParams) -> np.ndarray:

@@ -36,28 +36,7 @@ from .rates import (
 
 SCHEMA_VERSION = 1
 
-SUMMARY_COLUMNS = [
-    "run",
-    "completed",
-    "events",
-    "elapsed_time",
-    "transaction_count",
-    "transaction_rate",
-    "mean_spread",
-    "std_spread",
-    "mean_mid",
-    "std_mid",
-    "mean_best_bid",
-    "mean_best_ask",
-    "mean_transaction_price",
-    "std_transaction_price",
-    "mean_return",
-    "return_volatility",
-    "mean_xlm_ask",
-    "mean_xlm_bid",
-    "mean_xlm",
-    "quote_coverage",
-]
+SUMMARY_COLUMNS = ["run", "completed", *(f.name for f in fields(RunSummary))]
 
 HEATMAP_COLUMNS = ["step_offset", "side", "price_level", "mean_quantity", "transaction_frequency"]
 
@@ -189,6 +168,12 @@ class ScenarioConfig:
                 for key, choices in _CHOICES.items()
                 if values[key] not in choices
             ]
+            window, events = values["heatmap_window"], values["events_per_run"]
+            if values["record"] == "heatmap" and window > events:
+                problems.append(
+                    f"heatmap_window ({window}) must not exceed events_per_run ({events})"
+                    " when record is heatmap"
+                )
             try:
                 build_rate_model(self)
             except ConfigError as exc:
@@ -317,7 +302,6 @@ def _recording_for(config: ScenarioConfig) -> RecordingConfig:
     # Summaries come from streamed columns; only events.csv needs records.
     return RecordingConfig(
         events=config.record == "events",
-        quotes=config.record == "events",
         summary=True,
         depth_window=config.heatmap_window if config.record == "heatmap" else 0,
     )
@@ -332,18 +316,15 @@ def _aggregate_heatmap(
         side: np.zeros((window, k)) for side in (Side.BID, Side.ASK)
     }
     transacted = np.zeros(window)
-    counted = np.zeros(window)
+    # A completed run has one frame per row, as the window fits in the run.
     for frames in frames_per_run:
-        offset0 = window - len(frames)
-        for slot, frame in enumerate(frames):
-            row = offset0 + slot
+        for row, frame in enumerate(frames):
             quantity[Side.BID][row] += frame.profile.bid_quantities
             quantity[Side.ASK][row] += frame.profile.ask_quantities
             transacted[row] += 1.0 if frame.transacted else 0.0
-            counted[row] += 1.0
+    n = len(frames_per_run)
     cells: list[HeatmapCell] = []
     for row in range(window):
-        n = counted[row]
         for side in (Side.BID, Side.ASK):
             for level in range(1, k + 1):
                 mean_q = quantity[side][row, level - 1] / n if n else float("nan")
@@ -426,27 +407,8 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
 
 
 def _nan_summary() -> RunSummary:
-    nan = float("nan")
-    return RunSummary(
-        events=0,
-        elapsed_time=nan,
-        transaction_count=0,
-        transaction_rate=nan,
-        mean_spread=nan,
-        std_spread=nan,
-        mean_mid=nan,
-        std_mid=nan,
-        mean_best_bid=nan,
-        mean_best_ask=nan,
-        mean_transaction_price=nan,
-        std_transaction_price=nan,
-        mean_return=nan,
-        return_volatility=nan,
-        mean_xlm_ask=nan,
-        mean_xlm_bid=nan,
-        mean_xlm=nan,
-        quote_coverage=nan,
-    )
+    """An aborted run's summary: counts 0, every statistic NaN."""
+    return RunSummary(**{f.name: 0 if f.type == "int" else math.nan for f in fields(RunSummary)})
 
 
 def _format(value) -> str:

@@ -3,13 +3,13 @@
 The reference below is the engine's loop written directly over immutable
 book states: one step() per event, through the matching core. Driven from
 the same seed, both must produce the same times, events, trades, quotes,
-XLM values and book states, ids and sequence numbers included. The batched
-form of simulate, which steps many seeds at once, is compared with one
-simulate call per seed on event counts, final times and depths.
+streamed summary columns, XLM values, heatmap depth frames and book states,
+ids and sequence numbers included. The batched form of simulate, which
+steps many seeds at once, is compared with one simulate call per seed on
+event counts, final times and depths.
 """
 
-import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from lobsim.engine import (
     simulate,
     step,
 )
-from lobsim.observables import quotes, summarize_run, xlm
+from lobsim.observables import depth, quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
 from lobsim.rates import AbsorbingStateError
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
@@ -57,15 +57,23 @@ def assert_matches_reference(model, seed, initial=None, caps=None, debug_invaria
         seed=seed,
         caps=caps,
         debug_invariants=debug_invariants,
-        recording=RecordingConfig(quotes=True, liquidity=True, checkpoint_times=checkpoint_times),
+        recording=RecordingConfig(summary=True, checkpoint_times=checkpoint_times),
         **stop,
     )
     assert result.event_count == len(trajectory) > 0
     assert result.final_time == final_time
+    # One streamed row per event after which both sides quote, with its XLM legs.
+    quoted = [state for *_, state in trajectory if state.bids and state.asks]
+    rows = result.summary_columns.quoted
+    legs = zip(*xlm_legs(*rows.T))
+    for row, leg, state in zip(rows.tolist(), legs, quoted, strict=True):
+        assert row[:2] == [state.best_bid(), state.best_ask()]
+        assert leg == tuple(xlm(state))
+    prices = [t.price_level for _, _, trades, _ in trajectory for t in trades]
+    assert result.summary_columns.prices == prices
     for record, (time, event, trades, state) in zip(result.records, trajectory):
         assert (record.time, record.event, record.transactions) == (time, event, trades)
         assert record.quote == quotes(state)
-        assert record.liquidity == (xlm(state) if state.bids and state.asks else None)
         engine_state = result.checkpoints[time]
         assert engine_state.canonical_key() == state.canonical_key()
         assert engine_state == state  # ids, seqs, next_seq and last_transaction too
@@ -120,16 +128,22 @@ def test_uniform_initial_book_continues_exactly():
     assert_matches_reference(model, seed=16, initial=book, event_count=400)
 
 
-def test_streamed_summary_equals_record_summary():
-    model = scenario_model("scenario2")
-    kwargs = dict(event_count=3000, seed=17)
-    recorded = simulate(model, recording=RecordingConfig(quotes=True, liquidity=True), **kwargs)
-    streamed = simulate(model, recording=RecordingConfig(events=False, summary=True), **kwargs)
-    assert streamed.records == []
-    a, b = astuple(summarize_run(recorded)), astuple(summarize_run(streamed))
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x == y or (math.isnan(x) and math.isnan(y))
+@pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
+@pytest.mark.parametrize("stop", [dict(event_count=600), dict(time_horizon=100.0)])
+def test_depth_window_frames(anchoring, stop):
+    model = scenario_model("scenario2", anchoring=anchoring)
+    trajectory, _ = reference_run(model, empty_book(model.grid_size), 19, **stop)
+    recording = RecordingConfig(events=False, depth_window=250)
+    frames = simulate(model, seed=19, recording=recording, **stop).depth_frames
+    assert len(trajectory) > 250
+    last = len(trajectory)
+    assert [f.event_index for f in frames] == list(range(last - 249, last + 1))
+    for frame in frames:
+        _, _, trades, state = trajectory[frame.event_index - 1]
+        expected = depth(state)
+        for name in ("bid_counts", "bid_quantities", "ask_counts", "ask_quantities"):
+            assert np.array_equal(getattr(frame.profile, name), getattr(expected, name)), name
+        assert frame.transacted == bool(trades)
 
 
 @pytest.mark.parametrize(

@@ -137,7 +137,7 @@ class TestXlm:
 
     def test_vwap_brackets_quotes(self):
         model = build_rate_model(preset("scenario1"))
-        result = simulate(model, event_count=2000, seed=31, recording=RecordingConfig(quotes=True))
+        result = simulate(model, event_count=2000, seed=31, recording=RecordingConfig(events=False))
         state = result.final_state
         if state.bids and state.asks:
             snapshot = quotes(state)
@@ -193,6 +193,14 @@ class TestReturns:
     def test_insufficient_transactions(self):
         assert returns([FakeRecord(())]).size == 0
 
+    def test_mid_returns_from_engine_records(self):
+        model = build_rate_model(preset("scenario1"))
+        result = simulate(model, event_count=500, seed=5, recording=RecordingConfig(summary=True))
+        quoted = result.summary_columns.quoted
+        mids = (quoted[:, 0] + quoted[:, 1]) / 2.0
+        assert len(mids) > 100
+        assert np.array_equal(returns(result.records, mode="mid"), np.diff(np.log(mids)))
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             returns([], mode="typo")
@@ -233,7 +241,7 @@ class TestRunSummary:
             model,
             event_count=3000,
             seed=41,
-            recording=RecordingConfig(quotes=True, liquidity=True),
+            recording=RecordingConfig(events=False, summary=True),
         )
         summary = summarize_run(result)
         assert summary.events == 3000
@@ -248,3 +256,9 @@ class TestRunSummary:
             summary.mean_xlm_ask + summary.mean_xlm_bid, rel=1e-9
         )
         assert summary.return_volatility >= 0.0
+
+    def test_summary_needs_streamed_columns(self):
+        model = build_rate_model(preset("scenario1"))
+        result = simulate(model, event_count=100, seed=41)
+        with pytest.raises(ObservableError, match="summary=True"):
+            summarize_run(result)

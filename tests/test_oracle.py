@@ -17,7 +17,6 @@ from lobsim.oracle import (
     StateSpaceBudgetError,
     build_generator,
     compare_distributions,
-    empirical_distribution,
     enumerate_states,
     evolve,
     exact_moment,
@@ -364,16 +363,6 @@ class TestDistributionComparison:
     def test_index_mismatch(self):
         with pytest.raises(OracleError):
             compare_distributions([1.0], [0.5, 0.5])
-
-    def test_empirical_distribution_counts(self):
-        model, caps = tiny_nonoverlapping_model()
-        index = enumerate_states(2, 1, 4)
-        states = [empty_book(2), empty_book(2)]
-        state_b, _ = submit_order(empty_book(2), Side.BID, 1, 1)
-        states.append(state_b)
-        p = empirical_distribution(index, states)
-        assert p[index.index(((), ()))] == pytest.approx(2 / 3)
-        assert p.sum() == pytest.approx(1.0)
 
     def test_engine_agreement_reduced_scale(self):
         report = validate_against_oracle("tiny", runs=4000, base_seed=314)

@@ -82,6 +82,11 @@ class TestDgx:
         with pytest.raises(RateModelError):
             DgxParams(mu, sigma, 12)
 
+    def test_underflowing_weights_rejected_without_warning(self):
+        # Every weight underflows to 0, so normalizing would give 0 / 0.
+        with np.errstate(all="raise"), pytest.raises(RateModelError, match="underflow"):
+            DgxParams(50.0, 0.01, 12)
+
 
 class TestModelValidation:
     def test_shares_must_sum_to_one(self):

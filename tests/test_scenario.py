@@ -395,6 +395,26 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "print-rates"])
+    def test_underflowing_dgx_weights_are_config_error(self, tmp_path, capsys, verb):
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps({"groups": [{**GROUP, "mu": 50, "sigma": 0.01}], "runs": 1}))
+        out = tmp_path / "o"
+        args = ["--out", str(out)] if verb == "run" else []
+        assert main([verb, "--config", str(path), *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: groups[0]: DGX weights" in captured.err
+        assert "RuntimeWarning" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_heatmap_window_longer_than_run_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", "--preset", "scenario1", "--runs", "2", "--events", "50"]
+        assert main([*args, "--record", "heatmap", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "heatmap_window (100)" in err and "events_per_run (50)" in err
+        assert not (out / "heatmap.csv").exists()
+
     @pytest.mark.parametrize("flags", [["--runs", "0"], ["--seed", "-1"]])
     def test_bad_validate_arguments_are_config_errors(self, flags):
         assert main(["validate", "--model", "tiny", *flags]) == EXIT_CONFIG

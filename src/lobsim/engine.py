@@ -13,6 +13,13 @@ its resident completely: the book is the depth-vector chain of Cont, Stoikov
 and builds a :class:`BookState` only where it returns one; :func:`step` is
 the single-event reference on a :class:`BookState`, through the book core.
 
+Tables are cached by the key their arrivals depend on. Without caps that is
+``()`` under static anchoring and the best quotes under opposite-best
+anchoring; under caps, the best quotes and the order count. Each table is
+built once per key by :func:`_table`; one flat-rate cancellation slot per
+resident follows the arrivals, appended in place as the book grows, so the
+table for n residents is a prefix of the table for n + 1.
+
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
 their order counts as an :class:`EnsembleResult`; the caller bounds the
@@ -28,6 +35,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -157,18 +165,20 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
-def _build_table(
-    model: RateModel, state: BookState, caps: Optional[StateCaps], slots: int
-) -> tuple[list[float], list, int]:
-    """A table cache entry: (cumulative raw rates, blueprints, arrival count).
-
-    A blueprint is an arrival's descriptor or cancellation slot i, which
-    cancels resident i in submission order; the slots follow the arrivals.
-    """
-    entries = event_table(model, state, caps=caps).entries
-    arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
-    cum = np.cumsum([rate for _, rate in entries]).tolist()
-    return cum, arrivals + list(range(slots)), len(arrivals)
+def _table(
+    tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], book, slots: int
+) -> tuple[list[float], list[EventDescriptor]]:
+    """``key``'s entry (cumulative raw rates, arrivals), built once by ``event_table``
+    on ``book()``; cancellation slots are appended in place until ``slots`` fit."""
+    entry = tables.get(key)
+    if entry is None:
+        entries = event_table(model, book(), caps=caps).entries
+        arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+        entry = tables[key] = np.cumsum([rate for _, rate in entries]).tolist(), arrivals
+    cum, arrivals = entry
+    while len(cum) < len(arrivals) + slots:
+        cum.append(cum[-1] + model.per_order_cancel_rate)
+    return entry
 
 
 def simulate(
@@ -191,8 +201,8 @@ def simulate(
     ``time_horizon``, whichever comes first; at least one must be given.
     ``initial`` must be a uniform book on the model's grid, as the engine
     builds them (every order of size ``unit_quantity``, id equal to seq),
-    else :class:`EngineError`. ``_tables`` caches tables across runs of one
-    model and caps.
+    else :class:`EngineError`. ``_tables`` is the table cache (see the module
+    docstring); it may be shared across runs of one model and one ``caps``.
 
     Given a sequence of seeds, steps every one of them at once, in one pass
     on numpy arrays (the caller bounds the batch, as memory grows with it),
@@ -202,8 +212,8 @@ def simulate(
     ``caps`` with ``max_orders``, and ``RecordingConfig(events=False,
     checkpoint_times=...)``; any other argument raises :class:`EngineError`.
     """
+    tables = _tables if _tables is not None else {}
     if isinstance(seed, (Sequence, np.ndarray)):
-        tables = _tables if _tables is not None else {}
         return _simulate_lockstep(
             model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants,
             tables,
@@ -238,13 +248,10 @@ def simulate(
     def book_state() -> BookState:
         return _book_state(k, q, seqs, levels, last_trade, next_seq)
 
-    # Cached tables come from _build_table. Arrivals depend on the best quotes
-    # under opposite-best anchoring or caps and also on the order count under
-    # caps; cancellations follow, one per resident (none at rate 0), so the
-    # table for n orders prefixes larger ones.
+    # Table cache keys, as the module docstring describes; there are no
+    # cancellation slots at rate 0.
     cancels = model.per_order_cancel_rate > 0.0
     by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
-    tables = _tables if _tables is not None else {}
     rng = np.random.default_rng(seed)
 
     records: list[TrajectoryRecord] = []
@@ -265,8 +272,8 @@ def simulate(
         slots = count if cancels else 0
         key = (best[0], best[1], count if caps is not None else 0) if by_quotes else ()
         table = tables.get(key)
-        if table is None or table[2] + slots > len(table[0]):
-            table = tables[key] = _build_table(model, book_state(), caps, slots)
+        if table is None or len(table[0]) < len(table[1]) + slots:
+            table = _table(tables, key, model, caps, book_state, slots)
         if i_draw == len(draws):
             # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
             pairs = block if event_count is None else min(block, event_count - events)
@@ -284,16 +291,17 @@ def simulate(
         now = t_next
         events += 1
 
-        cum, blueprints, n_arrivals = table
-        hi = n_arrivals + slots
-        blueprint = blueprints[min(bisect_right(cum, u_event * cum[hi - 1], 0, hi), hi - 1)]
+        cum, arrivals = table
+        hi = len(arrivals) + slots
+        # i >= 0 is cancellation slot i; i < 0 is arrivals[i], counted from the end.
+        i = min(bisect_right(cum, u_event * cum[hi - 1], 0, hi), hi - 1) - len(arrivals)
         trade = None
         # One order enters (delta +1) or leaves (-1) signed level s.
-        if blueprint.__class__ is int:
-            s, seq, delta = levels.pop(blueprint), seqs.pop(blueprint), -1
+        if i >= 0:
+            s, seq, delta = levels.pop(i), seqs.pop(i), -1
             event = EventDescriptor(EventKind.CANCELLATION, abs(s), q, target_order_id=seq)
         else:
-            event = blueprint
+            event = arrivals[i]
             s = event.price_level if event.kind is EventKind.ARRIVAL_ASK else -event.price_level
             opposite = best[s < 0]
             if opposite + s <= 0:
@@ -365,8 +373,8 @@ class _PaddedTables:
     Row i holds one cached table: ``cum`` its cumulative raw rates padded
     with +inf, ``total`` its last entry, ``size`` its length, ``arrivals``
     its arrival count and ``level`` the arrivals' signed levels (0 for a
-    cancellation slot). Entries come from ``_build_table`` under the scalar
-    loop's cache keys, so both paths select from the same floats.
+    cancellation slot). Entries come from ``_table`` under the scalar loop's
+    cache keys, so both paths select from the same floats.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
@@ -396,20 +404,13 @@ class _PaddedTables:
         return ids
 
     def _add(self, code: int, bid: int, ask: int, n: int, levels: list[int]) -> None:
-        model, k = self.model, self.model.grid_size
-        slots = n if model.per_order_cancel_rate > 0.0 else 0
-        key = (-bid, ask, n)
-        table = self.tables.get(key)
-        if table is None or table[2] + slots > len(table[0]):
-            state = _book_state(k, model.unit_quantity, list(range(1, n + 1)), levels, None, n + 1)
-            table = self.tables[key] = _build_table(model, state, self.caps, slots)
-        cum, blueprints, n_arrivals = table
-        level = [
-            d.price_level if d.kind is EventKind.ARRIVAL_ASK else -d.price_level
-            for d in blueprints[:n_arrivals]
-        ]
+        model, k, q = self.model, self.model.grid_size, self.model.unit_quantity
+        book = partial(_book_state, k, q, list(range(1, n + 1)), levels, None, n + 1)
+        # The key holds the order count, so the entry is built with all n slots.
+        cum, arrivals = _table(self.tables, (-bid, ask, n), model, self.caps, book, 0)
+        level = [d.price_level * (1 if d.kind is EventKind.ARRIVAL_ASK else -1) for d in arrivals]
         self.id_of_code[code] = len(self.rows)
-        self.rows.append((cum[: n_arrivals + slots], level, n_arrivals))
+        self.rows.append((cum, level, len(arrivals)))
 
 
 def _simulate_lockstep(

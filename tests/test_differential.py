@@ -45,7 +45,9 @@ def reference_run(model, initial, seed, event_count=None, time_horizon=None, cap
     return trajectory, now
 
 
-def assert_matches_reference(model, seed, initial=None, caps=None, debug_invariants=False, **stop):
+def assert_matches_reference(
+    model, seed, initial=None, caps=None, debug_invariants=False, _tables=None, **stop
+):
     initial = initial if initial is not None else empty_book(model.grid_size)
     trajectory, final_time = reference_run(model, initial, seed, caps=caps, **stop)
     times = [t for t, *_ in trajectory]
@@ -58,6 +60,7 @@ def assert_matches_reference(model, seed, initial=None, caps=None, debug_invaria
         caps=caps,
         debug_invariants=debug_invariants,
         recording=RecordingConfig(summary=True, checkpoint_times=checkpoint_times),
+        _tables=_tables,
         **stop,
     )
     assert result.event_count == len(trajectory) > 0
@@ -88,25 +91,53 @@ def scenario_model(name, **overrides):
     return build_rate_model(replace(preset(name), **overrides))
 
 
+OPPOSITE_BEST = {"anchoring": "opposite_best"}
+
+
+# A "shared" case runs consecutive seeds through one table cache, as
+# run_scenario and validate do; every other case starts from an empty cache.
 @pytest.mark.parametrize(
-    "name, overrides",
-    [("scenario2", {}), ("scenario2", {"anchoring": "opposite_best"}), ("scenario1", {})],
+    "name, overrides, seeds",
+    [
+        pytest.param("scenario2", {}, (11,), id="scenario2-overrides0"),
+        pytest.param("scenario2", OPPOSITE_BEST, (11,), id="scenario2-overrides1"),
+        pytest.param("scenario1", {}, (11,), id="scenario1-overrides2"),
+        pytest.param("scenario2", {}, (11, 12), id="scenario2-shared"),
+        pytest.param("scenario2", OPPOSITE_BEST, (11, 12), id="opposite_best-shared"),
+    ],
 )
-def test_uncapped_event_count_runs(name, overrides):
-    assert_matches_reference(scenario_model(name, **overrides), seed=11, event_count=1500)
+def test_uncapped_event_count_runs(name, overrides, seeds):
+    tables: dict = {}
+    for seed in seeds:
+        assert_matches_reference(
+            scenario_model(name, **overrides), seed=seed, event_count=1500, _tables=tables
+        )
 
 
-@pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
-def test_zero_cancellation_rate(anchoring):
+@pytest.mark.parametrize(
+    "anchoring, seeds",
+    [
+        pytest.param("static", (18,), id="static"),
+        pytest.param("opposite_best", (18,), id="opposite_best"),
+        pytest.param("static", (18, 19), id="static-shared"),
+        pytest.param("opposite_best", (18, 19), id="opposite_best-shared"),
+    ],
+)
+def test_zero_cancellation_rate(anchoring, seeds):
     # The rate model lists no cancellations at all: a table holds arrivals only.
     model = scenario_model("scenario2", anchoring=anchoring, cancel_rate=0.0)
-    book = assert_matches_reference(model, seed=18, event_count=1500)
-    assert book.order_count() > 0
+    tables: dict = {}
+    for seed in seeds:
+        book = assert_matches_reference(model, seed=seed, event_count=1500, _tables=tables)
+        assert book.order_count() > 0
 
 
-def test_capped_tiny_overlap():
+@pytest.mark.parametrize("seeds", [(12,), (12, 13)], ids=["fresh", "shared"])
+def test_capped_tiny_overlap(seeds):
     model, caps = tiny_overlapping_model()
-    assert_matches_reference(model, seed=12, caps=caps, event_count=1500)
+    tables: dict = {}
+    for seed in seeds:
+        assert_matches_reference(model, seed=seed, caps=caps, event_count=1500, _tables=tables)
 
 
 def test_capped_scenario1_with_invariants():

@@ -1,10 +1,13 @@
 """Engine: determinism, waiting-time law, event-frequency agreement with the
 rate table, stop criteria, ensembles, and steady-state behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import lobsim.engine
 from lobsim.book import Side, StateCaps, empty_book, submit_order, validate_book
 from lobsim.engine import (
     EngineError,
@@ -171,6 +174,32 @@ class TestSimulate:
         assert result.inter_event_times.shape == (1000,)
         assert result.records == []
         assert result.final_time == pytest.approx(result.inter_event_times.sum())
+
+    @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
+    def test_one_table_build_per_key(self, anchoring, monkeypatch):
+        # Two runs share one cache; a table is never rebuilt as the book grows.
+        model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
+        builds = 0
+
+        def counting_event_table(*args, **kwargs):
+            nonlocal builds
+            builds += 1
+            return event_table(*args, **kwargs)
+
+        monkeypatch.setattr(lobsim.engine, "event_table", counting_event_table)
+        tables: dict = {}
+        recording = RecordingConfig(events=False)
+        for seed in (11, 12):
+            result = simulate(
+                model, event_count=2000, seed=seed, recording=recording, _tables=tables
+            )
+        assert builds == len(tables)
+        if anchoring == "static":
+            # The appended cancellation tail holds the floats np.cumsum gives.
+            ((cum, arrivals),) = tables.values()
+            final = result.final_state
+            expected = np.cumsum([rate for _, rate in event_table(model, final).entries])
+            assert cum[: len(arrivals) + final.order_count()] == expected.tolist()
 
 
 class TestEnsemble:

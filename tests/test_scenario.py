@@ -220,7 +220,7 @@ class TestRunScenario:
         config = replace(small_config(runs=2, events=120), record="events")
         bundle = run_scenario(config)
         assert bundle.events is not None
-        assert len(bundle.events) == 2 * 120
+        assert sum(run.count("\n") for run in bundle.events) == 2 * 120
         write_bundle(bundle, tmp_path / "ev")
         lines = (tmp_path / "ev" / "events.csv").read_text().splitlines()
         assert lines[0] == ",".join(EVENTS_COLUMNS)

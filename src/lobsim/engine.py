@@ -24,9 +24,15 @@ Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
 their order counts as an :class:`EnsembleResult`; the caller bounds the
 batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
-keeps its scalar stream: its own generator, ``math.log1p`` waiting times,
-and selection from the same cached cumulative-rate floats, so every depth
-equals the one-seed call's.
+keeps its scalar stream: :class:`_Streams` replicates
+``np.random.default_rng(seed).random()`` for every seed at once on uint64
+arrays (numpy's ``SeedSequence`` and PCG64, checked bit for bit against
+numpy in ``tests/test_engine.py``), waiting times use ``math.log1p``, and
+events are selected from the same cached cumulative-rate floats, so every
+depth equals the one-seed call's.
+
+A seed is an integer in [0, 2**64), the range :func:`derive_run_seeds`
+yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
 """
 
 from __future__ import annotations
@@ -204,6 +210,8 @@ def simulate(
     else :class:`EngineError`. ``_tables`` is the table cache (see the module
     docstring); it may be shared across runs of one model and one ``caps``.
 
+    A seed is an integer in [0, 2**64), else :class:`EngineError`.
+
     Given a sequence of seeds, steps every one of them at once, in one pass
     on numpy arrays (the caller bounds the batch, as memory grows with it),
     and returns an :class:`EnsembleResult` whose depths equal those of one
@@ -218,6 +226,7 @@ def simulate(
             model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants,
             tables,
         )
+    _check_seeds((seed,))
     if event_count is None and time_horizon is None:
         raise EngineError("need event_count and/or time_horizon")
     if event_count is not None and event_count < 0:
@@ -360,11 +369,113 @@ def simulate(
     )
 
 
-# Seeds per batched simulate call in validation: bounds the draw matrix and
-# the generators held at once.
-LOCKSTEP_CHUNK = 1024
+def _check_seeds(seeds) -> None:
+    """:class:`EngineError` unless every seed is an integer in [0, 2**64)."""
+    for seed in seeds:
+        if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 64):
+            raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+# Seeds per batched simulate call in validation, bounded by peak RSS: per
+# run the kernel holds a few int64 rows, a block of draws and four uint64
+# stream words. At 20,000 tiny-overlap runs 2,048 peaks at 57 MiB, as 1,024
+# did with one Generator per run; 4,096 adds about 3 MiB (README.md).
+LOCKSTEP_CHUNK = 2048
 # Uniform pairs each run draws per block; a block ends for every live run at once.
 _LOCKSTEP_BLOCK = 16
+
+# PCG64's 128-bit LCG multiplier as 64-bit halves, and the low half's 32-bit limbs.
+_MUL_HI, _MUL_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_MUL_LO_LIMBS = _MUL_LO & 0xFFFFFFFF, _MUL_LO >> 32
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's 32-bit hashmix of ``value``, and the next hash constant."""
+    const, value = const * 0x931E8875 & 0xFFFFFFFF, value ^ const
+    value = value * const & 0xFFFFFFFF
+    return value ^ value >> 16, const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's 32-bit mix of two pool words."""
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+    return value ^ value >> 16
+
+
+def _lcg_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 state step, state * multiplier + inc mod 2**128, on 64-bit halves.
+
+    uint64 products wrap mod 2**64; the high half of ``lo * _MUL_LO`` is
+    summed from 32-bit limbs, whose products fit in 64 bits.
+    """
+    (lo0, lo1), (m0, m1) = (lo & 0xFFFFFFFF, lo >> 32), _MUL_LO_LIMBS
+    cross0, cross1 = lo0 * m1, lo1 * m0
+    middle = (lo0 * m0 >> 32) + (cross0 & 0xFFFFFFFF) + (cross1 & 0xFFFFFFFF)
+    lo_product_hi = lo1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+    new_lo = lo * _MUL_LO + inc_lo
+    carry = (new_lo < inc_lo).astype(np.uint64)
+    return lo_product_hi + lo * _MUL_HI + hi * _MUL_LO + inc_hi + carry, new_lo
+
+
+class _Streams:
+    """The uniforms ``np.random.default_rng(seed).random()`` yields, for many seeds at once.
+
+    numpy seeds its default generator, PCG64 (O'Neill's XSL-RR 128/64; PCG:
+    A family of simple fast space-efficient statistically good algorithms
+    for random number generation, HMC-CS-2014-0905), with
+    ``SeedSequence(seed).generate_state(4, uint64)``: the seed's 32-bit
+    words are hashed into a pool of four and mixed, and the pool is hashed
+    out into eight 32-bit words. Each step is a few integer operations, done
+    here on uint64 arrays with one element per seed, for seeds in
+    [0, 2**64). ``tests/test_engine.py`` checks the draws bit for bit against
+    numpy, so a change to either algorithm in numpy shows there.
+    """
+
+    def __init__(self, seeds: Sequence[int]):
+        words = np.array([int(s) for s in seeds], dtype=np.uint64)
+        zeros = np.zeros_like(words)
+        # A seed below 2**32 is one 32-bit word; its missing high word hashes as 0.
+        const, pool = 0x43B0D7E5, []
+        for word in (words & 0xFFFFFFFF, words >> 32, zeros, zeros):
+            value, const = _hashmix(word, const)
+            pool.append(value)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        const, out = 0x8B51F9DD, []
+        for i in range(8):
+            const, value = const * 0x58F38DED & 0xFFFFFFFF, pool[i % 4] ^ const
+            value = value * const & 0xFFFFFFFF
+            out.append(value ^ value >> 16)
+        # initstate and initseq, each as (high, low) 64-bit words.
+        init_hi, init_lo, seq_hi, seq_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+        # PCG64 srandom: inc = initseq << 1 | 1; step from 0, add initstate, step.
+        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        hi, lo = _lcg_step(zeros, zeros, self.inc_hi, self.inc_lo)
+        lo = lo + init_lo
+        hi = hi + init_hi + (lo < init_lo).astype(np.uint64)
+        self.hi, self.lo = _lcg_step(hi, lo, self.inc_hi, self.inc_lo)
+
+    def random(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The next ``n`` uniforms of the streams in ``rows``, shape (len(rows), n).
+
+        Advances only those streams, each as ``rng.random(n)`` would.
+        """
+        hi, lo, inc_hi, inc_lo = self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows]
+        out = np.empty((len(rows), n))
+        for j in range(n):
+            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: the halves xor-ed, rotated right by the state's top six bits.
+            x, rot = hi ^ lo, hi >> 58
+            x = x >> rot | x << (64 - rot & 63)
+            # random(): the top 53 bits scaled to [0, 1).
+            out[:, j] = (x >> 11).astype(np.float64) * 2.0**-53
+        self.hi[rows], self.lo[rows] = hi, lo
+        return out
 
 
 class _PaddedTables:
@@ -445,11 +556,12 @@ def _simulate_lockstep(
         raise EngineError("batched runs do not check invariants")
     if len(seeds) == 0:
         raise EngineError("need at least one seed")
+    _check_seeds(seeds)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
     padded = _PaddedTables(model, caps, tables)
     m, block = caps.max_orders, _LOCKSTEP_BLOCK
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    streams = _Streams(seeds)
     # The depth at each checkpoint time, then the final one.
     depths = np.zeros((len(times) + 1, len(seeds), 2, k), dtype=np.int64)
     event_counts = np.zeros(len(seeds), dtype=np.int64)
@@ -466,9 +578,7 @@ def _simulate_lockstep(
     while live.size:
         ids = padded.ids(bid, ask, n, levels)
         if step % block == 0:
-            draws = np.empty((live.size, 2 * block))
-            for row, r in zip(draws, live.tolist()):
-                rngs[r].random(out=row)
+            draws = streams.random(live, 2 * block)
         u_time, u_event = draws[:, 2 * (step % block)], draws[:, 2 * (step % block) + 1]
         # math.log1p, as in the scalar loop: np.log1p differs from it in the last ulp.
         logs = np.array([math.log1p(u) for u in (-u_time).tolist()])

@@ -13,7 +13,7 @@ the book core (``event_table`` and ``apply_event`` on ``BookState``s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -42,6 +42,7 @@ class StateIndex:
     max_orders: int
     keys: tuple[CanonicalKey, ...]
     index_of: dict
+    _codes_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -54,26 +55,43 @@ class StateIndex:
 
         ``depths[..., 0, l - 1]`` and ``depths[..., 1, l - 1]`` count the bids
         and the asks at level l, every order of size ``quantity``, as batched
-        :func:`~lobsim.engine.simulate` returns them. :class:`OracleError` if
-        a book lies outside the index.
+        :func:`~lobsim.engine.simulate` returns them. Each book is looked up
+        by its mixed-radix code, the counts as digits in base ``max_orders +
+        1`` (bid levels, then ask levels), among the sorted codes of the
+        index's books of that quantity. :class:`OracleError` if a book lies
+        outside the index.
         """
-        k = self.grid_size
+        k, radix = self.grid_size, self.max_orders + 1
         if depths.shape[-2:] != (2, k):
             raise OracleError(f"order counts of shape {depths.shape} are not (..., 2, {k})")
-        books, inverse = np.unique(depths.reshape(-1, 2 * k), axis=0, return_inverse=True)
-        found = []
-        for bid_counts, ask_counts in books.reshape(-1, 2, k).tolist():
-            if min(bid_counts + ask_counts) < 0:
-                counts = (bid_counts, ask_counts)
-                raise OracleError(f"observed state outside the index: counts {counts}")
-            key = (
-                tuple((lv, quantity) for lv in range(k, 0, -1) for _ in range(bid_counts[lv - 1])),
-                tuple((lv, quantity) for lv in range(1, k + 1) for _ in range(ask_counts[lv - 1])),
+        if radix ** (2 * k) > np.iinfo(np.int64).max:
+            raise OracleError(f"codes of {2 * k} counts in base {radix} overflow int64")
+        counts = depths.reshape(-1, 2 * k)
+        codes, found = self._codes(quantity)
+        code = counts @ radix ** np.arange(2 * k, dtype=np.int64)
+        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+        outside = ((counts < 0) | (counts >= radix)).any(axis=1) | (codes[at] != code)
+        if outside.any():
+            bad = counts[outside.argmax()].reshape(2, k).tolist()
+            raise OracleError(f"observed state outside the index: counts {bad}")
+        return found[at].reshape(depths.shape[:-2])
+
+    def _codes(self, quantity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted codes (see :meth:`positions`) of the books whose orders all
+        have size ``quantity``, and their indices; built once per quantity."""
+        if quantity not in self._codes_by_quantity:
+            k, radix = self.grid_size, self.max_orders + 1
+            pairs = sorted(
+                (
+                    sum(radix ** (lv - 1) for lv, _ in bids)
+                    + sum(radix ** (k + lv - 1) for lv, _ in asks),
+                    i,
+                )
+                for i, (bids, asks) in enumerate(self.keys)
+                if all(q == quantity for _, q in bids + asks)
             )
-            if key not in self.index_of:
-                raise OracleError(f"observed state outside the index: {key}")
-            found.append(self.index_of[key])
-        return np.array(found, dtype=np.int64)[inverse.reshape(-1)].reshape(depths.shape[:-2])
+            self._codes_by_quantity[quantity] = tuple(np.array(pairs, dtype=np.int64).T)
+        return self._codes_by_quantity[quantity]
 
     def state(self, i: int) -> BookState:
         """The book with key i; its orders' seqs (= ids) run through bids, then asks."""

@@ -1,7 +1,10 @@
 """Engine: determinism, waiting-time law, event-frequency agreement with the
-rate table, stop criteria, ensembles, and steady-state behavior."""
+rate table, stop criteria, ensembles, steady-state behavior, the seed range,
+the replicated numpy streams of the batched form, and tied event selection."""
 
+from bisect import bisect_right
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +15,14 @@ from lobsim.book import Side, StateCaps, empty_book, submit_order, validate_book
 from lobsim.engine import (
     EngineError,
     RecordingConfig,
+    _Streams,
     derive_run_seeds,
     run_ensemble,
     simulate,
     step,
 )
 from lobsim.rates import AbsorbingStateError, EventKind, event_table
-from lobsim.scenario import build_rate_model, preset
+from lobsim.scenario import ORACLE_MODELS, build_rate_model, preset
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +259,67 @@ class TestEnsemble:
         assert center < 60.0
         for m in means:
             assert abs(m - center) / center < 0.15
+
+
+class TestSeeds:
+    # Both forms accept exactly the 64-bit seeds derive_run_seeds yields.
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        model, caps = ORACLE_MODELS["tiny"]()
+        recording = RecordingConfig(events=False)
+        with pytest.raises(EngineError, match="seed must be an integer"):
+            simulate(model, time_horizon=1.0, seed=seed, recording=recording, caps=caps)
+        with pytest.raises(EngineError, match="seed must be an integer"):
+            simulate(model, time_horizon=1.0, seed=[1, seed], recording=recording, caps=caps)
+
+    def test_replicated_streams_match_default_rng(self):
+        # Bit for bit, so a change to numpy's SeedSequence or PCG64 shows here.
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345] + derive_run_seeds(2024, 10_000)
+        expected = np.array([np.random.default_rng(seed).random(128) for seed in seeds])
+        streams, drawn = _Streams(seeds), np.zeros(len(seeds), dtype=np.int64)
+        every = np.arange(len(seeds))
+        # Four refills; in the second and the fourth only some streams are live.
+        for rows in (every, every[::3], every, every[1::2]):
+            columns = drawn[rows, None] + np.arange(32)
+            got, want = streams.random(rows, 32), expected[rows[:, None], columns]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            drawn[rows] += 32
+
+
+def fixed_draws(head):
+    """A uniform source whose every block of n draws starts with ``head``; 0.5s fill the rest."""
+
+    def draws(n):
+        return np.array((head + [0.5] * n)[:n])
+
+    return draws
+
+
+def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
+    # With u * total == cum[i] exactly, counting the entries at or below
+    # u * total, as bisect_right does, selects entry i + 1; counting those
+    # strictly below would select entry i. A waiting time of 0 keeps the first
+    # event inside a zero horizon; the next one, near 37 / intensity, stops.
+    model, caps = ORACLE_MODELS["tiny-overlap"]()
+    k = model.grid_size
+    entries = event_table(model, empty_book(k), caps=caps).entries
+    cum = np.cumsum([rate for _, rate in entries]).tolist()
+    total = cum[-1]
+    ties = [(i, c / total) for i, c in enumerate(cum[:-1]) if c / total * total == c]
+    assert ties
+    recording = RecordingConfig(events=False)
+    for i, u in ties:
+        event = entries[bisect_right(cum, u * total)][0]
+        assert event is entries[i + 1][0]
+        draws = fixed_draws([0.0, u, 1.0 - 2.0**-53])
+        rng = SimpleNamespace(random=draws)
+        streams = SimpleNamespace(random=lambda rows, n: np.tile(draws(n), (len(rows), 1)))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+        monkeypatch.setattr(lobsim.engine, "_Streams", lambda seeds: streams)
+        run = simulate(model, time_horizon=0.0, seed=1, caps=caps)
+        assert [record.event for record in run.records] == [event]
+        batch = simulate(model, time_horizon=0.0, seed=[1, 2], recording=recording, caps=caps)
+        counts = np.zeros((2, k), dtype=np.int64)
+        counts[int(event.kind is EventKind.ARRIVAL_ASK), event.price_level - 1] = 1
+        assert np.array_equal(batch.final_depths, [counts, counts])
+        assert batch.event_counts.tolist() == [1, 1]

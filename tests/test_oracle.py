@@ -84,25 +84,36 @@ class TestEnumeration:
                 assert state.canonical_key() in index.index_of
 
 
+def uniform_books(index, quantity):
+    """Indices of the keys whose orders all have size ``quantity``, and their order counts."""
+    uniform = [
+        i for i, (bids, asks) in enumerate(index.keys) if all(q == quantity for _, q in bids + asks)
+    ]
+    depths = np.zeros((len(uniform), 2, index.grid_size), dtype=np.int64)
+    for row, i in enumerate(uniform):
+        for side, half in enumerate(index.keys[i]):
+            for level, _ in half:
+                depths[row, side, level - 1] += 1
+    return uniform, depths
+
+
 class TestPositions:
     @pytest.mark.parametrize("quantity", [1, 2])
     def test_order_counts_find_every_uniform_key(self, quantity):
         index = enumerate_states(3, 2, 4)
-        uniform = [
-            i
-            for i, (bids, asks) in enumerate(index.keys)
-            if all(q == quantity for _, q in bids + asks)
-        ]
-        depths = np.zeros((len(uniform), 2, 3), dtype=np.int64)
-        for row, i in enumerate(uniform):
-            for side, half in enumerate(index.keys[i]):
-                for level, _ in half:
-                    depths[row, side, level - 1] += 1
+        uniform, depths = uniform_books(index, quantity)
         assert np.array_equal(index.positions(depths, quantity), uniform)
         # Any leading shape: (runs, times, 2, K) -> (runs, times).
         stacked = np.stack([depths, depths[::-1]], axis=1)
         expected = np.stack([uniform, uniform[::-1]], axis=1)
         assert np.array_equal(index.positions(stacked, quantity), expected)
+
+    def test_one_index_looks_up_each_quantity(self):
+        # Books of size-1 and size-2 orders share their counts, not their indices.
+        index = enumerate_states(3, 2, 4)
+        for quantity in (1, 2, 1):
+            uniform, depths = uniform_books(index, quantity)
+            assert np.array_equal(index.positions(depths, quantity), uniform)
 
     @pytest.mark.parametrize(
         "bids, asks", [((0, 1), (1, 0)), ((1, 0), (1, 0)), ((3, 0), (0, 2)), ((-1, 0), (0, 0))]

@@ -18,7 +18,16 @@ Tables are cached by the key their arrivals depend on. Without caps that is
 anchoring; under caps, the best quotes and the order count. Each table is
 built once per key by :func:`_table`; one flat-rate cancellation slot per
 resident follows the arrivals, appended in place as the book grows, so the
-table for n residents is a prefix of the table for n + 1.
+table for n residents is a prefix of the table for n + 1. An entry also
+carries its arrivals' signed levels (+ asks, - bids), so the loop applies
+an arrival by its level alone.
+
+The loop builds per-event objects only where a recording reads them: a
+cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
+:class:`Transaction` only for a record or a book state (checkpoint, depth
+frame, ``debug_invariants``, the final state); until then the last trade
+is a plain (price, time, aggressor). Summary rows go to one flat int list,
+reshaped once per run.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
@@ -173,15 +182,19 @@ def _book_state(
 
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], book, slots: int
-) -> tuple[list[float], list[EventDescriptor]]:
-    """``key``'s entry (cumulative raw rates, arrivals), built once by ``event_table``
-    on ``book()``; cancellation slots are appended in place until ``slots`` fit."""
+) -> tuple[list[float], list[EventDescriptor], list[int]]:
+    """``key``'s entry (cumulative raw rates, arrivals, their signed levels), built
+    once by ``event_table`` on ``book()``; cancellation slots are appended in
+    place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
         entries = event_table(model, book(), caps=caps).entries
         arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
-        entry = tables[key] = np.cumsum([rate for _, rate in entries]).tolist(), arrivals
-    cum, arrivals = entry
+        ask = EventKind.ARRIVAL_ASK
+        levels = [d.price_level if d.kind is ask else -d.price_level for d in arrivals]
+        cum = np.cumsum([rate for _, rate in entries]).tolist()
+        entry = tables[key] = cum, arrivals, levels
+    cum, arrivals, _ = entry
     while len(cum) < len(arrivals) + slots:
         cum.append(cum[-1] + model.per_order_cancel_rate)
     return entry
@@ -251,74 +264,103 @@ def simulate(
         at_level[s] += 1
     sides = [s for s in levels if s < 0], [s for s in levels if s > 0]
     best = [min(sides[0], default=0), min(sides[1], default=k + 1)]
-    orders, level_sums = [len(x) for x in sides], [abs(sum(x)) for x in sides]
+    # level_sums[x] sums side x's signed levels: the bid side's is negative.
+    orders, level_sums = [len(x) for x in sides], [sum(x) for x in sides]
+    # The last trade is a Transaction, or (price, time, aggressor) until a book needs it.
     next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
+    aggressor = Side.BID, Side.ASK
+
+    def last_transaction() -> Optional[Transaction]:
+        nonlocal last_trade
+        if type(last_trade) is tuple:
+            price, time, side = last_trade
+            last_trade = Transaction(price, q, time, side)
+        return last_trade
 
     def book_state() -> BookState:
-        return _book_state(k, q, seqs, levels, last_trade, next_seq)
+        return _book_state(k, q, seqs, levels, last_transaction(), next_seq)
 
     # Table cache keys, as the module docstring describes; there are no
-    # cancellation slots at rate 0.
+    # cancellation slots at rate 0. The static key () is looked up once.
     cancels = model.per_order_cancel_rate > 0.0
-    by_quotes = caps is not None or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+    capped = caps is not None
+    by_quotes = capped or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+    key = ()
+    table = None if by_quotes else tables.get(key)
     rng = np.random.default_rng(seed)
+    intensity = model.event_intensity
+    horizon = math.inf if time_horizon is None else time_horizon
+    limit = math.inf if event_count is None else event_count
 
+    record_events, record_summary = recording.events, recording.summary
+    collect_dts, depth_window = recording.collect_inter_event_times, recording.depth_window
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
     pending_checkpoints, cp_index = sorted(recording.checkpoint_times), 0
-    window: deque = deque(maxlen=recording.depth_window or None)
+    next_checkpoint = pending_checkpoints[0] if pending_checkpoints else math.inf
+    window: deque = deque(maxlen=depth_window or None)
     # Without a horizon the run's length is known: take frames for the window only.
-    first_frame = event_count - recording.depth_window if time_horizon is None else 0
+    first_frame = event_count - depth_window if time_horizon is None else 0
     dts: list[float] = []
-    quoted_rows: list[tuple[int, ...]] = []
+    # Six ints per event after which both sides quote, one SummaryColumns row each.
+    quoted: list[int] = []
     prices: list[int] = []
 
     draws: list[float] = []  # uniforms, drawn in growing blocks of pairs
     i_draw, block = 0, 16
     now, events = 0.0, 0
-    while event_count is None or events < event_count:
+    while events < limit:
         count = orders[0] + orders[1]
         slots = count if cancels else 0
-        key = (best[0], best[1], count if caps is not None else 0) if by_quotes else ()
-        table = tables.get(key)
-        if table is None or len(table[0]) < len(table[1]) + slots:
+        if by_quotes:
+            key = (best[0], best[1], count if capped else 0)
+            table = tables.get(key)
+        if table is None:
             table = _table(tables, key, model, caps, book_state, slots)
+        cum, arrivals, arrival_levels = table
+        n_arrivals = len(arrival_levels)
+        hi = n_arrivals + slots
+        if len(cum) < hi:
+            _table(tables, key, model, caps, book_state, slots)  # grows cum in place
         if i_draw == len(draws):
             # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
             pairs = block if event_count is None else min(block, event_count - events)
             draws, i_draw, block = rng.random(2 * pairs).tolist(), 0, min(2 * block, 4096)
         u_time, u_event = draws[i_draw], draws[i_draw + 1]
         i_draw += 2
-        delta_t = -math.log1p(-u_time) / model.event_intensity
+        delta_t = -math.log1p(-u_time) / intensity
         t_next = now + delta_t
-        if time_horizon is not None and t_next > time_horizon:
+        if t_next > horizon:
             now = time_horizon
             break
-        while cp_index < len(pending_checkpoints) and pending_checkpoints[cp_index] < t_next:
-            checkpoints[pending_checkpoints[cp_index]] = book_state()
+        while next_checkpoint < t_next:
+            checkpoints[next_checkpoint] = book_state()
             cp_index += 1
+            next_checkpoint = (
+                pending_checkpoints[cp_index] if cp_index < len(pending_checkpoints) else math.inf
+            )
         now = t_next
         events += 1
 
-        cum, arrivals = table
-        hi = len(arrivals) + slots
-        # i >= 0 is cancellation slot i; i < 0 is arrivals[i], counted from the end.
-        i = min(bisect_right(cum, u_event * cum[hi - 1], 0, hi), hi - 1) - len(arrivals)
+        # i >= 0 is cancellation slot i; i < 0 is arrival i, counted from the end.
+        i = bisect_right(cum, u_event * cum[hi - 1], 0, hi)
+        i = (i if i < hi else hi - 1) - n_arrivals
         trade = None
         # One order enters (delta +1) or leaves (-1) signed level s.
         if i >= 0:
             s, seq, delta = levels.pop(i), seqs.pop(i), -1
-            event = EventDescriptor(EventKind.CANCELLATION, abs(s), q, target_order_id=seq)
+            if record_events:
+                event = EventDescriptor(EventKind.CANCELLATION, abs(s), q, target_order_id=seq)
         else:
-            event = arrivals[i]
-            s = event.price_level if event.kind is EventKind.ARRIVAL_ASK else -event.price_level
+            s = arrival_levels[i]
+            if record_events:
+                event = arrivals[i]
             opposite = best[s < 0]
             if opposite + s <= 0:
                 # Crosses: fills the oldest order at the best opposite level.
                 i = levels.index(opposite)
                 del levels[i], seqs[i]
-                side = Side.ASK if s > 0 else Side.BID
-                trade = last_trade = Transaction(abs(opposite), q, now, side)
+                trade = last_trade = (abs(opposite), now, aggressor[s > 0])
                 s, delta = opposite, -1
             else:
                 seqs.append(next_seq)
@@ -328,7 +370,7 @@ def simulate(
         at_level[s] += delta
         x = s > 0
         orders[x] += delta
-        level_sums[x] += delta * abs(s)
+        level_sums[x] += delta * s
         if delta > 0 and s < best[x]:
             best[x] = s
         elif delta < 0 and s == best[x] and not at_level[s]:
@@ -340,22 +382,24 @@ def simulate(
         bid, ask = -best[0], best[1]  # 0 / k + 1 when the side is empty
         if debug_invariants:
             validate_book(book_state())
-        if recording.collect_inter_event_times:
+        if collect_dts:
             dts.append(delta_t)
-        if recording.summary:
+        if record_summary:
             if trade is not None:
-                prices.append(trade.price_level)
+                prices.append(trade[0])
             if bid != 0 and ask <= k:
-                quoted_rows.append((bid, ask, level_sums[1], orders[1], level_sums[0], orders[0]))
-        if recording.events:
+                quoted.extend((bid, ask, level_sums[1], orders[1], -level_sums[0], orders[0]))
+        if record_events:
+            if trade is not None:
+                trade = last_transaction()
             quote = quote_snapshot(bid or None, ask if ask <= k else None)
             records.append(TrajectoryRecord(now, event, (trade,) if trade else (), quote))
-        if recording.depth_window and events > first_frame:
+        if depth_window and events > first_frame:
             window.append(DepthFrame(events, depth(book_state()), trade is not None))
 
     final_state = book_state()
     checkpoints.update((t, final_state) for t in pending_checkpoints[cp_index:] if t <= now)
-    quoted_array = np.array(quoted_rows, dtype=np.int64).reshape(-1, 6)
+    quoted_array = np.array(quoted, dtype=np.int64).reshape(-1, 6)
 
     return SimulationResult(
         records=records,
@@ -364,8 +408,8 @@ def simulate(
         event_count=events,
         checkpoints=checkpoints,
         depth_frames=list(window),
-        inter_event_times=np.asarray(dts) if recording.collect_inter_event_times else None,
-        summary_columns=SummaryColumns(quoted_array, prices) if recording.summary else None,
+        inter_event_times=np.asarray(dts) if collect_dts else None,
+        summary_columns=SummaryColumns(quoted_array, prices) if record_summary else None,
     )
 
 
@@ -518,10 +562,9 @@ class _PaddedTables:
         model, k, q = self.model, self.model.grid_size, self.model.unit_quantity
         book = partial(_book_state, k, q, list(range(1, n + 1)), levels, None, n + 1)
         # The key holds the order count, so the entry is built with all n slots.
-        cum, arrivals = _table(self.tables, (-bid, ask, n), model, self.caps, book, 0)
-        level = [d.price_level * (1 if d.kind is EventKind.ARRIVAL_ASK else -1) for d in arrivals]
+        cum, _, level = _table(self.tables, (-bid, ask, n), model, self.caps, book, 0)
         self.id_of_code[code] = len(self.rows)
-        self.rows.append((cum, level, len(arrivals)))
+        self.rows.append((cum, level, len(level)))
 
 
 def _simulate_lockstep(

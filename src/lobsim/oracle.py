@@ -15,14 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .book import BookState, CanonicalKey, Order, Side, StateCaps
 from .rates import AnchoringMode, DgxParams, EventKind, RateModel, TraderGroup, arrival_rates
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
+
+if TYPE_CHECKING:
+    # Loaded by build_generator and evolve only, so importing lobsim does not load scipy.
+    from scipy import sparse
 
 
 class OracleError(Exception):
@@ -240,6 +243,8 @@ def build_generator(
     diagonal balances each column to zero; a state with no transition keeps
     an empty column. A transition leaving the index raises ``KeyError``.
     """
+    from scipy import sparse
+
     if caps is None:
         caps = index.caps()
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
@@ -326,6 +331,8 @@ def evolve(
     ``tail_tolerance``. Long horizons are split into segments to keep each
     Poisson mean moderate. The result is validated and renormalized.
     """
+    from scipy import sparse
+
     p = np.asarray(p0, dtype=float).copy()
     if t < 0 or not math.isfinite(t):
         raise OracleError(f"invalid evolution time {t}")

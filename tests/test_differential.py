@@ -46,7 +46,7 @@ def reference_run(model, initial, seed, event_count=None, time_horizon=None, cap
 
 
 def assert_matches_reference(
-    model, seed, initial=None, caps=None, debug_invariants=False, _tables=None, **stop
+    model, seed, initial=None, caps=None, debug_invariants=False, _tables=None, events=True, **stop
 ):
     initial = initial if initial is not None else empty_book(model.grid_size)
     trajectory, final_time = reference_run(model, initial, seed, caps=caps, **stop)
@@ -59,7 +59,9 @@ def assert_matches_reference(
         seed=seed,
         caps=caps,
         debug_invariants=debug_invariants,
-        recording=RecordingConfig(summary=True, checkpoint_times=checkpoint_times),
+        recording=RecordingConfig(
+            events=events, summary=True, checkpoint_times=checkpoint_times
+        ),
         _tables=_tables,
         **stop,
     )
@@ -74,9 +76,11 @@ def assert_matches_reference(
         assert leg == tuple(xlm(state))
     prices = [t.price_level for _, _, trades, _ in trajectory for t in trades]
     assert result.summary_columns.prices == prices
+    assert len(result.records) == (len(trajectory) if events else 0)
     for record, (time, event, trades, state) in zip(result.records, trajectory):
         assert (record.time, record.event, record.transactions) == (time, event, trades)
         assert record.quote == quotes(state)
+    for time, *_, state in trajectory:
         engine_state = result.checkpoints[time]
         assert engine_state.canonical_key() == state.canonical_key()
         assert engine_state == state  # ids, seqs, next_seq and last_transaction too
@@ -138,6 +142,18 @@ def test_capped_tiny_overlap(seeds):
     tables: dict = {}
     for seed in seeds:
         assert_matches_reference(model, seed=seed, caps=caps, event_count=1500, _tables=tables)
+
+
+@pytest.mark.parametrize("case", ["scenario2-static", "scenario2-opposite_best", "tiny-overlap"])
+def test_runs_without_event_records(case):
+    # Without event records a trade's Transaction is built only when a book
+    # state is: every checkpoint after a trade must still carry it.
+    if case == "tiny-overlap":
+        model, caps = tiny_overlapping_model()
+    else:
+        model, caps = scenario_model("scenario2", anchoring=case.split("-")[1]), None
+    book = assert_matches_reference(model, seed=21, caps=caps, event_count=1500, events=False)
+    assert book.last_transaction is not None
 
 
 def test_capped_scenario1_with_invariants():
@@ -238,7 +254,8 @@ def test_batched_single_run():
     assert_batch_matches_scalar("tiny-overlap", runs=1)
 
 
-def test_batched_runs_across_a_chunk_boundary():
+def test_batched_runs_beyond_one_lockstep_chunk():
+    # LOCKSTEP_CHUNK + 5 runs in one batched call, against one scalar call each.
     batch = assert_batch_matches_scalar("tiny-opposite", runs=LOCKSTEP_CHUNK + 5, time_horizon=0.5)
     assert len(batch.event_counts) == LOCKSTEP_CHUNK + 5
 

@@ -200,7 +200,7 @@ class TestSimulate:
         assert builds == len(tables)
         if anchoring == "static":
             # The appended cancellation tail holds the floats np.cumsum gives.
-            ((cum, arrivals),) = tables.values()
+            ((cum, arrivals, _),) = tables.values()
             final = result.final_state
             expected = np.cumsum([rate for _, rate in event_table(model, final).entries])
             assert cum[: len(arrivals) + final.order_count()] == expected.tolist()

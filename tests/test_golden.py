@@ -63,6 +63,14 @@ BUNDLES = {
     ),
 }
 
+# A summary-only run streams the same summary.csv as one that records events.
+for _name in ("scenario1", "scenario2"):
+    _config, _digests = BUNDLES[f"{_name}-events"]
+    BUNDLES[f"{_name}-summary"] = (
+        dict(_config, record="summary"),
+        {"summary.csv": _digests["summary.csv"]},
+    )
+
 
 @pytest.mark.parametrize("bundle_name", sorted(BUNDLES))
 def test_bundle_digests(bundle_name, tmp_path):

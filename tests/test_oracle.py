@@ -2,13 +2,18 @@
 uniformized evolution, moments, and engine agreement at reduced scale."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import oracle_case
 from scipy import sparse
 
+import lobsim
 from lobsim.book import Side, StateCaps, empty_book, submit_order
 from lobsim.engine import RecordingConfig, run_ensemble, simulate
 from lobsim.observables import ensemble_covariance, ensemble_moment
@@ -443,3 +448,12 @@ class TestConditionalCovariance:
         b = np.asarray(asks) - np.mean(asks)
         se = float(np.std(a * b, ddof=1) / math.sqrt(len(pairs)))
         assert abs(cov_mc - cov_exact) <= 4.0 * se
+
+
+def test_importing_lobsim_does_not_load_scipy():
+    # scipy loads with the first build_generator or evolve call, so `lobsim run`
+    # and `lobsim print-rates` never pay for it.
+    code = "import sys, lobsim, lobsim.cli, lobsim.scenario; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(lobsim.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

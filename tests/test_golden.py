@@ -169,6 +169,9 @@ GENERATORS = {
     "tiny-overlap": "9d7818bcbd1a58d3c7ae239badcd07460ae6aad45d6b7e791cc7ad48a380be49",
     "grid4-static": "4980f10e8209bd96f64533e6b9f7b601dc75ebc9bb682e0ec80cf25998d5b057",
     "grid4-opposite-best": "d2e83f063ea589285263278540b751909f77290fd87da9811837776bdaa02636",
+    "tiny-opposite": "314d11dc8e756d4ed9d64f9f10dfd8559edaea461b6452017d746035c46be110",
+    "grid8-static": "7dd97b8367469c01dd7cac4963b0884b457a0ea6d74dba85abc2d264605d3123",
+    "grid5-opposite-best": "3ad0364db5838259cd329cf46f3c94e39a34dd2c51619e92399b7d06c875bf62",
 }
 
 

@@ -1,27 +1,35 @@
 """Exact forward-equation solver on a truncated book state space.
 
 Enumerates every price-time-normal-form book within the cutoffs as a
-canonical key, assembles the sparse transition-rate generator on those keys
-from the same arrival rates and cap rule as the event tables the engine
-samples from, and evolves probability vectors with uniformization. Used as
-the ground truth the stochastic engine is validated against, on the models
-``tiny``, ``tiny-overlap`` and ``tiny-opposite`` (opposite-best anchoring).
-``tests/test_oracle.py`` checks the generator against one assembled through
-the book core (``event_table`` and ``apply_event`` on ``BookState``s).
+canonical key, a pair of per-side placements, and assembles the sparse
+transition-rate generator from the same arrival rates and cap rule as the
+event tables the engine samples from. An event changes one side's placement
+and reaches the other side only through the remainder of a fill, so the
+assembly works out each transition once per placement and gathers every
+state's targets from those tables with numpy. Probability vectors evolve by
+uniformization. Used as the ground truth the stochastic engine is validated
+against, on the models ``tiny``, ``tiny-overlap`` and ``tiny-opposite``
+(opposite-best anchoring). ``tests/test_oracle.py`` checks the generator
+against one assembled through the book core (``event_table`` and
+``apply_event`` on ``BookState``s), on fixed and on drawn models.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .book import BookState, CanonicalKey, Order, Side, StateCaps
-from .rates import AnchoringMode, DgxParams, EventKind, RateModel, TraderGroup, arrival_rates
+from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, arrival_rates
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
+
+# A placement's bid half (levels descending) and ask half (levels ascending).
+PlacementHalves = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 if TYPE_CHECKING:
     # Loaded by build_generator and evolve only, so importing lobsim does not load scipy.
@@ -38,13 +46,21 @@ class StateSpaceBudgetError(OracleError):
 
 @dataclass(frozen=True)
 class StateIndex:
-    """Bijection between truncated canonical book structures and indices."""
+    """Bijection between truncated canonical book structures and indices.
+
+    Each key pairs two per-side placements (see :func:`_side_halves`): key i
+    is ``(placements[bid_placement[i]][0], placements[ask_placement[i]][1])``,
+    and the keys ascend by ``bid_placement * len(placements) + ask_placement``.
+    """
 
     grid_size: int
     max_quantity: int
     max_orders: int
     keys: tuple[CanonicalKey, ...]
     index_of: dict
+    placements: tuple[PlacementHalves, ...] = field(repr=False, compare=False)
+    bid_placement: np.ndarray = field(repr=False, compare=False)
+    ask_placement: np.ndarray = field(repr=False, compare=False)
     _codes_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -83,17 +99,19 @@ class StateIndex:
         """Sorted codes (see :meth:`positions`) of the books whose orders all
         have size ``quantity``, and their indices; built once per quantity."""
         if quantity not in self._codes_by_quantity:
-            k, radix = self.grid_size, self.max_orders + 1
-            pairs = sorted(
-                (
-                    sum(radix ** (lv - 1) for lv, _ in bids)
-                    + sum(radix ** (k + lv - 1) for lv, _ in asks),
-                    i,
-                )
-                for i, (bids, asks) in enumerate(self.keys)
-                if all(q == quantity for _, q in bids + asks)
+            radix = self.max_orders + 1
+            # Per placement: its digits as one side's counts, and whether every
+            # order has size ``quantity``.
+            digits = np.array(
+                [sum(radix ** (lv - 1) for lv, _ in asks) for _, asks in self.placements],
+                dtype=np.int64,
             )
-            self._codes_by_quantity[quantity] = tuple(np.array(pairs, dtype=np.int64).T)
+            uniform = np.array([all(q == quantity for _, q in asks) for _, asks in self.placements])
+            bids, asks = self.bid_placement, self.ask_placement
+            found = np.flatnonzero(uniform[bids] & uniform[asks])
+            codes = digits[bids[found]] + digits[asks[found]] * radix**self.grid_size
+            order = np.argsort(codes)
+            self._codes_by_quantity[quantity] = (codes[order], found[order])
         return self._codes_by_quantity[quantity]
 
     def state(self, i: int) -> BookState:
@@ -121,9 +139,7 @@ def _quantity_tuples(max_len: int, max_quantity: int) -> Iterable[tuple[int, ...
         yield from product(range(1, max_quantity + 1), repeat=length)
 
 
-def _side_halves(
-    grid_size: int, max_quantity: int, max_orders: int
-) -> list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
+def _side_halves(grid_size: int, max_quantity: int, max_orders: int) -> list[PlacementHalves]:
     """Every per-side placement, as the (bid, ask) halves of a canonical key.
 
     A placement is a queue of quantities per level, in time-priority order;
@@ -169,20 +185,21 @@ def enumerate_states(
     placements in placement order.
     """
     halves = _side_halves(grid_size, max_quantity, max_orders)
-    # asks_within[n]: the ask halves of at most n orders with their best level
-    # (grid_size + 1 when empty), in placement order.
-    asks_within = [
-        [(asks, asks[0][0] if asks else grid_size + 1) for _, asks in halves if len(asks) <= n]
-        for n in range(max_orders + 1)
-    ]
+    lengths = np.array([len(asks) for _, asks in halves])
+    best_ask = np.array([asks[0][0] if asks else grid_size + 1 for _, asks in halves])
+    # (orders left, best bid) -> the ask placements that fit beside such a
+    # bid placement, as ids and as halves, in placement order.
+    partners: dict = {}
     keys: list[CanonicalKey] = []
+    ask_ids = []
     for bids, _ in halves:
-        best_bid = bids[0][0] if bids else 0
-        keys.extend(
-            (bids, asks)
-            for asks, best_ask in asks_within[max_orders - len(bids)]
-            if best_bid < best_ask
-        )
+        fit = (max_orders - len(bids), bids[0][0] if bids else 0)
+        if fit not in partners:
+            ids = np.flatnonzero((lengths <= fit[0]) & (best_ask > fit[1]))
+            partners[fit] = (ids, [halves[a][1] for a in ids])
+        ids, asks = partners[fit]
+        keys.extend(zip(repeat(bids), asks))
+        ask_ids.append(ids)
         if len(keys) > budget:
             raise StateSpaceBudgetError(
                 f"state space exceeds budget of {budget} (at least {len(keys)})"
@@ -196,18 +213,21 @@ def enumerate_states(
         max_orders=max_orders,
         keys=tuple(keys),
         index_of=index_of,
+        placements=tuple(halves),
+        bid_placement=np.repeat(np.arange(len(halves)), [len(ids) for ids in ask_ids]),
+        ask_placement=np.concatenate(ask_ids),
     )
 
 
-def _arrival_key(key: CanonicalKey, ask: bool, price: int, remaining: int) -> CanonicalKey:
-    """The key after an arrival, matched as :func:`~lobsim.book.submit_order` does.
+def _fill(
+    opposite: tuple[tuple[int, int], ...], ask: bool, price: int, remaining: int
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The opposite half after an arrival, and the arrival's unfilled remainder.
 
-    While the arrival crosses the front of the opposite half it fills that
-    resident, partially when the resident is larger; a remainder rests
-    behind every resident of its level.
+    As in :func:`~lobsim.book.submit_order`, while the arrival crosses the
+    front of the opposite half it fills that resident, partially when the
+    resident is larger.
     """
-    bids, asks = key
-    own, opposite = (asks, bids) if ask else (bids, asks)
     filled = 0
     front: tuple[tuple[int, int], ...] = ()
     for level, q in opposite:
@@ -218,15 +238,15 @@ def _arrival_key(key: CanonicalKey, ask: bool, price: int, remaining: int) -> Ca
             front, remaining = ((level, q - remaining),), 0
         else:
             remaining -= q
-    opposite = front + opposite[filled:]
-    if remaining:
-        i = 0
-        for level, _ in own:
-            if level > price if ask else level < price:
-                break
-            i += 1
-        own = own[:i] + ((price, remaining),) + own[i:]
-    return (opposite, own) if ask else (own, opposite)
+    return front + opposite[filled:], remaining
+
+
+def _rest(
+    asks: tuple[tuple[int, int], ...], price: int, quantity: int
+) -> tuple[tuple[int, int], ...]:
+    """An ask half with an order resting at ``price`` behind every resident of its level."""
+    i = bisect_right(asks, (price, math.inf))
+    return asks[:i] + ((price, quantity),) + asks[i:]
 
 
 def build_generator(
@@ -234,76 +254,184 @@ def build_generator(
 ) -> sparse.csc_matrix:
     """Assemble the transition-rate generator over the indexed states.
 
-    Entry (j, i) is the normalized rate of the transition i -> j. Transitions
-    are worked out on canonical keys with the rates and the cap rule of
-    :func:`~lobsim.rates.event_table`: arrivals from ``arrival_rates``, one
-    cancellation per resident, and arrivals whose result would exceed the
-    caps (defaulting to the index cutoffs) removed before normalization, so
-    the matrix describes the same finite process the capped engine runs. The
-    diagonal balances each column to zero; a state with no transition keeps
-    an empty column. A transition leaving the index raises ``KeyError``.
+    Entry (j, i) is the normalized rate of the transition i -> j, with the
+    rates and the cap rule of :func:`~lobsim.rates.event_table`: arrivals
+    from ``arrival_rates``, one cancellation per resident, and arrivals whose
+    result would exceed the caps (defaulting to the index cutoffs) removed
+    before normalization, so the matrix describes the same finite process the
+    capped engine runs. The diagonal balances each column to zero; a state
+    with no transition keeps an empty column. A transition leaving the index
+    raises ``KeyError``; a model on another grid than the index raises
+    :class:`OracleError`.
+
+    Every event changes one side's placement and reaches the other side only
+    through the remainder of a fill, so transitions are worked out per
+    placement, not per state: once per distinct arrival, a table over all
+    placements of the opposite half after the fill and of the remainder, and
+    a table of the own half with a remainder rested; once, a table of each
+    placement with its j-th order cancelled. Each state's targets are then
+    gathered from those tables, slot by slot, with numpy. Totals and
+    outflows are summed slot by slot in the order of the event table, and
+    the triplets come in that order too (kept arrivals, cancellations in
+    submission order, the diagonal), so the float bytes match a generator
+    assembled one state at a time.
     """
     from scipy import sparse
 
+    if model.grid_size != index.grid_size:
+        raise OracleError(
+            f"model on a grid of {model.grid_size} levels, index on {index.grid_size}"
+        )
     if caps is None:
         caps = index.caps()
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
     max_quantity = math.inf if caps.max_quantity is None else caps.max_quantity
     omega = model.per_order_cancel_rate
-    by_quotes = model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
-    # Arrivals as (ask?, level, quantity, raw rate), keyed like the engine's
-    # table cache: by the best quotes under opposite-best anchoring.
-    arrivals_at: dict = {}
-    index_of = index.index_of
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for i, key in enumerate(index.keys):
-        bids, asks = key
-        quotes = (bids[0][0] if bids else None, asks[0][0] if asks else None) if by_quotes else ()
-        arrivals = arrivals_at.get(quotes)
-        if arrivals is None:
-            arrivals = arrivals_at[quotes] = [
-                (d.kind is EventKind.ARRIVAL_ASK, d.price_level, d.quantity, rate)
-                for d, rate in arrival_rates(model, index.state(i)).entries
-                if d.quantity <= max_quantity
+    halves = index.placements
+    n, h = len(index), len(halves)
+    # Placement ids by half; form 0 is the bid half, form 1 the ask half.
+    ids_of = tuple({half[form]: p for p, half in enumerate(halves)} for form in (0, 1))
+    length = np.array([len(asks) for _, asks in halves])
+    # Whether a placement holds an order above the quantity cap. Arrivals above
+    # it are dropped, so a result holds one only where its state did.
+    over = np.array([any(q > max_quantity for _, q in asks) for _, asks in halves])
+    # Best levels: 0 for no bids, grid_size + 1 for no asks.
+    best = (
+        np.array([bids[0][0] if bids else 0 for bids, _ in halves]),
+        np.array([asks[0][0] if asks else model.grid_size + 1 for _, asks in halves]),
+    )
+    bid, ask = index.bid_placement, index.ask_placement
+
+    # Arrival lists, keyed like the engine's table cache: one under static
+    # anchoring, one per pair of best quotes under opposite-best.
+    if model.anchoring_mode is AnchoringMode.OPPOSITE_BEST:
+        quotes = best[0][bid] * (model.grid_size + 2) + best[1][ask]
+    else:
+        quotes = np.zeros(n, dtype=np.int64)
+    _, first, group = np.unique(quotes, return_index=True, return_inverse=True)
+    arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
+    lists = []  # per group: (arrival id, raw rate) in event-table order
+    for i in first:
+        lists.append([])
+        for d, rate in arrival_rates(model, index.state(int(i))).entries:
+            if d.quantity <= max_quantity:
+                arrival = (d.side is Side.ASK, d.price_level, d.quantity)
+                lists[-1].append((arrival_ids.setdefault(arrival, len(arrival_ids)), rate))
+
+    # Per arrival and opposite placement: the placement after the fill and
+    # the remainder; per arrival, remainder and own placement: the placement
+    # with the remainder rested, -1 outside the index. A remainder joins the
+    # back of its level's queue, the same placement from either side, so
+    # rests are worked out on ask halves, once per (price, remainder), for the
+    # placements with room for one more order.
+    top = max((q for _, _, q in arrival_ids), default=0)
+    fill_to = np.tile(np.arange(h), (len(arrival_ids), 1))
+    fill_left = np.zeros((len(arrival_ids), h), dtype=np.int64)
+    rest_to = np.full((len(arrival_ids), top + 1, h), -1)
+    rest_to[:, 0] = np.arange(h)
+    is_ask = np.zeros(len(arrival_ids), dtype=bool)
+    room = np.flatnonzero(length < index.max_orders).tolist()
+    rests: dict = {}
+    for (on_ask, price, quantity), a in arrival_ids.items():
+        is_ask[a] = on_ask
+        opposite = 0 if on_ask else 1
+        crossing = best[opposite] >= price if on_ask else best[opposite] <= price
+        crossing = np.flatnonzero(crossing).tolist()
+        filled = [_fill(halves[p][opposite], on_ask, price, quantity) for p in crossing]
+        fill_to[a, crossing] = [ids_of[opposite][half] for half, _ in filled]
+        fill_left[a] = quantity
+        fill_left[a, crossing] = [left for _, left in filled]
+        for r in range(1, quantity + 1):
+            if (price, r) not in rests:
+                rests[price, r] = [ids_of[1].get(_rest(halves[p][1], price, r), -1) for p in room]
+            rest_to[a, r, room] = rests[price, r]
+
+    # Per slot (arrivals, cancellations, the diagonal) and state: target
+    # index, raw rate (0 where dropped), and whether the slot is kept.
+    cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
+    arrivals = max(map(len, lists))
+    slots = arrivals + cancels + 1
+    target = np.zeros((n, slots), dtype=np.int32)
+    raw = np.zeros((n, slots))
+    kept = np.zeros((n, slots), dtype=bool)
+    codes = bid * h + ask
+    leaving = np.zeros(n, dtype=bool)
+
+    def place(slot: int, live: np.ndarray, to_bid: np.ndarray, to_ask: np.ndarray) -> None:
+        code = to_bid * h + to_ask
+        at = np.minimum(np.searchsorted(codes, code), n - 1)
+        inside = (codes[at] == code) & (to_bid >= 0) & (to_ask >= 0)
+        leaving[live & ~inside] = True
+        target[:, slot] = at
+        kept[:, slot] = live
+
+    if arrivals:
+        arrival_at = np.full((len(lists), arrivals), -1)
+        rate_at = np.zeros((len(lists), arrivals))
+        for g, entries in enumerate(lists):
+            arrival_at[g, : len(entries)] = [a for a, _ in entries]
+            rate_at[g, : len(entries)] = [rate for _, rate in entries]
+        oversized = over[bid] | over[ask]
+        for k in range(arrivals):
+            a = arrival_at[group, k]
+            on_ask = is_ask[a]
+            opposite = np.where(on_ask, bid, ask)
+            own = np.where(on_ask, ask, bid)
+            to = fill_to[a, opposite]
+            left = fill_left[a, opposite]
+            rested = rest_to[a, left, own]
+            live = (
+                (a >= 0)
+                & (length[to] + length[own] + (left > 0) <= max_orders)
+                & ~(oversized & (over[to] | over[own]))
+            )
+            place(k, live, np.where(on_ask, to, rested), np.where(on_ask, rested, to))
+            raw[:, k] = np.where(live, rate_at[group, k], 0.0)
+    if cancels:
+        # removed[form][j, p]: placement p without element j of its half in
+        # that form, -1 past its length. Slot j cancels element j of bids +
+        # asks: submission order in an enumerated book.
+        owner = np.repeat(np.arange(h), length)
+        element = np.arange(len(owner)) - np.repeat(np.cumsum(length) - length, length)
+        removed = []
+        for form, ids in enumerate(ids_of):
+            table = np.full((cancels, h), -1)
+            table[element, owner] = [
+                ids[half[:j] + half[j + 1:]]
+                for half in (pair[form] for pair in halves)
+                for j in range(len(half))
             ]
-        # Arrivals above the quantity cap are gone, so only a resident above
-        # it can put a result above it.
-        oversized = any(q > max_quantity for _, q in bids + asks)
-        targets: list[int] = []
-        raws: list[float] = []
-        for ask, price, quantity, raw in arrivals:
-            target = _arrival_key(key, ask, price, quantity)
-            if len(target[0]) + len(target[1]) > max_orders or (
-                oversized and any(q > max_quantity for _, q in target[0] + target[1])
-            ):
-                continue
-            targets.append(index_of[target])
-            raws.append(raw)
-        if omega != 0.0:
-            # Slot j cancels element j of bids + asks: submission order in
-            # an enumerated book.
-            for j in range(len(bids)):
-                targets.append(index_of[(bids[:j] + bids[j + 1:], asks)])
-            for j in range(len(asks)):
-                targets.append(index_of[(bids, asks[:j] + asks[j + 1:])])
-            raws.extend([omega] * (len(bids) + len(asks)))
-        raw_total = sum(raws)
-        if raw_total <= 0.0:
-            continue
-        factor = model.event_intensity / raw_total
-        outflow = 0.0
-        for j, raw in zip(targets, raws):
-            rate = raw * factor
-            rows.append(j)
-            cols.append(i)
-            data.append(rate)
-            outflow += rate
-        rows.append(i)
-        cols.append(i)
-        data.append(-outflow)
-    return sparse.csc_matrix((data, (rows, cols)), shape=(len(index), len(index)))
+            removed.append(table)
+        on_bid = length[bid]
+        for j in range(cancels):
+            from_bid = j < on_bid
+            live = j < on_bid + length[ask]
+            from_ask = removed[1][np.maximum(j - on_bid, 0), ask]
+            place(
+                arrivals + j,
+                live,
+                np.where(from_bid, removed[0][j, bid], bid),
+                np.where(from_bid, ask, from_ask),
+            )
+            raw[:, arrivals + j] = np.where(live, omega, 0.0)
+    if leaving.any():
+        raise KeyError(f"a transition from {index.keys[int(leaving.argmax())]} leaves the index")
+
+    total = np.zeros(n)
+    for k in range(slots - 1):
+        total += raw[:, k]
+    alive = total > 0.0
+    factor = model.event_intensity / np.where(alive, total, 1.0)
+    rate = raw * factor[:, None]
+    outflow = np.zeros(n)
+    for k in range(slots - 1):
+        outflow += rate[:, k]
+    target[:, -1] = np.arange(n)
+    rate[:, -1] = -outflow
+    kept[:, -1] = True
+    kept &= alive[:, None]
+    columns = np.repeat(np.arange(n, dtype=np.int32), kept.sum(axis=1))
+    return sparse.csc_matrix((rate[kept], (target[kept], columns)), shape=(n, n))
 
 
 def _check_probability_vector(p: np.ndarray, where: str) -> np.ndarray:
@@ -405,7 +533,8 @@ def vacuum_vector(index: StateIndex) -> np.ndarray:
 
 def order_count_observable(index: StateIndex) -> np.ndarray:
     """Total resident order count per indexed state."""
-    return np.asarray([len(bids) + len(asks) for bids, asks in index.keys], dtype=float)
+    length = np.array([len(asks) for _, asks in index.placements], dtype=float)
+    return length[index.bid_placement] + length[index.ask_placement]
 
 
 def tiny_nonoverlapping_model() -> tuple[RateModel, StateCaps]:

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import oracle_case
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import lobsim
@@ -31,7 +33,15 @@ from lobsim.oracle import (
     tiny_overlapping_model,
     vacuum_vector,
 )
-from lobsim.rates import AbsorbingStateError, apply_event, event_table
+from lobsim.rates import (
+    AbsorbingStateError,
+    AnchoringMode,
+    DgxParams,
+    RateModel,
+    TraderGroup,
+    apply_event,
+    event_table,
+)
 from lobsim.scenario import generator_diagnostics, validate_against_oracle
 
 
@@ -214,6 +224,64 @@ class TestGeneratorMatchesBookCore:
         model, index = oracle_case("tiny")
         with pytest.raises(KeyError):
             build_generator(model, index, StateCaps(max_orders=5, max_quantity=1))
+
+    @pytest.mark.parametrize("grid_size", [1, 3])
+    def test_index_on_another_grid_raises(self, grid_size):
+        # The tiny-overlap model lives on a grid of 2.
+        model, _ = tiny_overlapping_model()
+        with pytest.raises(OracleError, match="grid"):
+            build_generator(model, enumerate_states(grid_size, 1, 3))
+
+
+@st.composite
+def drawn_models(draw):
+    """A small model with its index and caps no looser than the index: grid
+    2-4, one or two trader groups, either anchoring, a cancellation rate that
+    may be 0, and orders of size 1-2."""
+    grid = draw(st.integers(2, 4))
+    max_quantity = draw(st.integers(1, 2))
+    # At most 601 states (grid 4, orders of 2, three orders), so 100 examples
+    # take about 2 s.
+    max_orders = draw(st.integers(2, 3 if grid * max_quantity > 4 else 4))
+    groups = []
+    shares = draw(st.sampled_from([(1.0,), (0.3, 0.7)]))
+    for share in shares:
+        params = []
+        for _ in range(2):
+            support = draw(st.integers(1, grid))
+            params.append(DgxParams(draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 4.0)), support))
+        ask, bid = params
+        groups.append(
+            TraderGroup(
+                share,
+                ask,
+                bid,
+                ask_anchor=draw(st.integers(1, grid - ask.support_size + 1)),
+                bid_anchor=draw(st.integers(bid.support_size, grid)),
+            )
+        )
+    model = RateModel(
+        grid_size=grid,
+        groups=tuple(groups),
+        per_order_cancel_rate=draw(st.sampled_from([0.0, 0.1, 0.35])),
+        event_intensity=draw(st.sampled_from([1.0, 6.0])),
+        anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
+        unit_quantity=draw(st.integers(1, 2)),
+    )
+    caps = StateCaps(
+        max_orders=max_orders - draw(st.integers(0, 1)),
+        max_quantity=max_quantity - draw(st.integers(0, max_quantity - 1)),
+    )
+    return model, enumerate_states(grid, max_quantity, max_orders), caps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn_models())
+def test_generator_matches_book_core_on_drawn_models(case):
+    model, index, caps = case
+    assert_identical(
+        build_generator(model, index, caps), reference_generator(model, index, caps)
+    )
 
 
 @pytest.fixture(scope="module")

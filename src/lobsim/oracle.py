@@ -1,17 +1,21 @@
 """Exact forward-equation solver on a truncated book state space.
 
-Enumerates every price-time-normal-form book within the cutoffs as a
-canonical key, a pair of per-side placements, and assembles the sparse
-transition-rate generator from the same arrival rates and cap rule as the
-event tables the engine samples from. An event changes one side's placement
-and reaches the other side only through the remainder of a fill, so the
-assembly works out each transition once per placement and gathers every
-state's targets from those tables with numpy. Probability vectors evolve by
-uniformization. Used as the ground truth the stochastic engine is validated
-against, on the models ``tiny``, ``tiny-overlap`` and ``tiny-opposite``
-(opposite-best anchoring). ``tests/test_oracle.py`` checks the generator
-against one assembled through the book core (``event_table`` and
-``apply_event`` on ``BookState``s), on fixed and on drawn models.
+Enumerates every price-time-normal-form book within the cutoffs as a pair
+of per-side placement ids, and assembles the sparse transition-rate
+generator from the same arrival rates and cap rule as the event tables the
+engine samples from. One lookup resolves a (bid, ask) pair of placement
+ids to its state index and serves canonical keys, order counts (each side
+written as a K-digit code in base ``max_orders + 1``, tabulated once per
+order quantity, so ``(max_orders + 1)^K`` must fit int64) and generator
+targets alike. An event changes one side's placement and reaches the other
+side only through the remainder of a fill, so the assembly works out each
+transition once per placement and gathers every state's targets from those
+tables with numpy. Probability vectors evolve by uniformization. Used as
+the ground truth the stochastic engine is validated against, on the models
+``tiny``, ``tiny-overlap`` and ``tiny-opposite`` (opposite-best anchoring).
+``tests/test_oracle.py`` checks the generator against one assembled through
+the book core (``event_table`` and ``apply_event`` on ``BookState``s), on
+fixed and on drawn models.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -48,75 +52,106 @@ class StateSpaceBudgetError(OracleError):
 class StateIndex:
     """Bijection between truncated canonical book structures and indices.
 
-    Each key pairs two per-side placements (see :func:`_side_halves`): key i
-    is ``(placements[bid_placement[i]][0], placements[ask_placement[i]][1])``,
-    and the keys ascend by ``bid_placement * len(placements) + ask_placement``.
+    A state is a pair of per-side placement ids (see :func:`_side_halves`):
+    state i pairs ``bid_placement[i]`` with ``ask_placement[i]``, and states
+    ascend by the code ``bid_placement * H + ask_placement`` (H placements).
+    One ``np.searchsorted`` on those codes resolves every lookup: by key
+    (:meth:`index`), by order counts (:meth:`positions`: per-side codes of K
+    digits in base ``max_orders + 1``, so ``(max_orders + 1)^K`` must fit
+    int64) and of generator targets. Equality compares the three bounds,
+    which determine the enumeration.
     """
 
     grid_size: int
     max_quantity: int
     max_orders: int
-    keys: tuple[CanonicalKey, ...]
-    index_of: dict
     placements: tuple[PlacementHalves, ...] = field(repr=False, compare=False)
     bid_placement: np.ndarray = field(repr=False, compare=False)
     ask_placement: np.ndarray = field(repr=False, compare=False)
-    _codes_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Per form (0 the bid half, 1 the ask half): half -> placement id.
+    _ids_of: tuple[dict, dict] = field(init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _counted_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        h = len(self.placements)
+        ids_of = tuple({half[form]: p for p, half in enumerate(self.placements)} for form in (0, 1))
+        if any(len(ids) != h for ids in ids_of):
+            raise OracleError("duplicate placements in enumeration")
+        object.__setattr__(self, "_ids_of", ids_of)
+        object.__setattr__(self, "_codes", self.bid_placement * h + self.ask_placement)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self._codes)
+
+    def _find(self, bid: np.ndarray, ask: np.ndarray) -> np.ndarray:
+        """Indices of the states pairing placements ``bid`` and ``ask``
+        (elementwise), -1 where the index has no such state or an id is -1."""
+        code = bid * len(self.placements) + ask
+        at = np.minimum(np.searchsorted(self._codes, code), len(self._codes) - 1)
+        return np.where((self._codes[at] == code) & (bid >= 0) & (ask >= 0), at, -1)
+
+    def key(self, i: int) -> CanonicalKey:
+        return (
+            self.placements[self.bid_placement[i]][0],
+            self.placements[self.ask_placement[i]][1],
+        )
 
     def index(self, key: CanonicalKey) -> int:
-        return self.index_of[key]
+        """The index of a canonical key; ``KeyError`` if the index lacks it."""
+        bids, asks = key
+        i = int(self._find(self._ids_of[0].get(bids, -1), self._ids_of[1].get(asks, -1)))
+        if i < 0:
+            raise KeyError(key)
+        return i
 
     def positions(self, depths: np.ndarray, quantity: int = 1) -> np.ndarray:
         """Indices of books given as order counts, shape (..., 2, K) -> (...).
 
         ``depths[..., 0, l - 1]`` and ``depths[..., 1, l - 1]`` count the bids
         and the asks at level l, every order of size ``quantity``, as batched
-        :func:`~lobsim.engine.simulate` returns them. Each book is looked up
-        by its mixed-radix code, the counts as digits in base ``max_orders +
-        1`` (bid levels, then ask levels), among the sorted codes of the
-        index's books of that quantity. :class:`OracleError` if a book lies
-        outside the index.
+        :func:`~lobsim.engine.simulate` returns them. Each side's counts are
+        written as one mixed-radix code, digits in base ``max_orders + 1``,
+        and looked up among the sorted codes of the placements whose orders
+        all have that size (built once per quantity); the two placement ids
+        then go through the index's one state lookup. :class:`OracleError`
+        if a book lies outside the index.
         """
         k, radix = self.grid_size, self.max_orders + 1
         if depths.shape[-2:] != (2, k):
             raise OracleError(f"order counts of shape {depths.shape} are not (..., 2, {k})")
-        if radix ** (2 * k) > np.iinfo(np.int64).max:
-            raise OracleError(f"codes of {2 * k} counts in base {radix} overflow int64")
-        counts = depths.reshape(-1, 2 * k)
-        codes, found = self._codes(quantity)
-        code = counts @ radix ** np.arange(2 * k, dtype=np.int64)
+        if radix**k > np.iinfo(np.int64).max:
+            raise OracleError(f"codes of {k} counts in base {radix} overflow int64")
+        counts = depths.reshape(-1, 2, k)
+        codes, ids = self._counted(quantity)
+        code = counts @ radix ** np.arange(k, dtype=np.int64)
         at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        outside = ((counts < 0) | (counts >= radix)).any(axis=1) | (codes[at] != code)
+        placement = np.where(codes[at] == code, ids[at], -1)
+        found = self._find(placement[:, 0], placement[:, 1])
+        outside = ((counts < 0) | (counts >= radix)).any(axis=(1, 2)) | (found < 0)
         if outside.any():
-            bad = counts[outside.argmax()].reshape(2, k).tolist()
+            bad = counts[outside.argmax()].tolist()
             raise OracleError(f"observed state outside the index: counts {bad}")
-        return found[at].reshape(depths.shape[:-2])
+        return found.reshape(depths.shape[:-2])
 
-    def _codes(self, quantity: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted codes (see :meth:`positions`) of the books whose orders all
-        have size ``quantity``, and their indices; built once per quantity."""
-        if quantity not in self._codes_by_quantity:
+    def _counted(self, quantity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted codes (see :meth:`positions`) of the placements whose orders
+        all have size ``quantity``, and their ids; built once per quantity."""
+        if quantity not in self._counted_by_quantity:
             radix = self.max_orders + 1
-            # Per placement: its digits as one side's counts, and whether every
-            # order has size ``quantity``.
-            digits = np.array(
-                [sum(radix ** (lv - 1) for lv, _ in asks) for _, asks in self.placements],
-                dtype=np.int64,
-            )
-            uniform = np.array([all(q == quantity for _, q in asks) for _, asks in self.placements])
-            bids, asks = self.bid_placement, self.ask_placement
-            found = np.flatnonzero(uniform[bids] & uniform[asks])
-            codes = digits[bids[found]] + digits[asks[found]] * radix**self.grid_size
+            ids, codes = [], []
+            for p, (_, asks) in enumerate(self.placements):
+                if all(q == quantity for _, q in asks):
+                    ids.append(p)
+                    codes.append(sum(radix ** (lv - 1) for lv, _ in asks))
+            codes, ids = np.array(codes, dtype=np.int64), np.array(ids, dtype=np.int64)
             order = np.argsort(codes)
-            self._codes_by_quantity[quantity] = (codes[order], found[order])
-        return self._codes_by_quantity[quantity]
+            self._counted_by_quantity[quantity] = (codes[order], ids[order])
+        return self._counted_by_quantity[quantity]
 
     def state(self, i: int) -> BookState:
         """The book with key i; its orders' seqs (= ids) run through bids, then asks."""
-        bids, asks = self.keys[i]
+        bids, asks = self.key(i)
         n = len(bids)
         return BookState(
             grid_size=self.grid_size,
@@ -128,7 +163,7 @@ class StateIndex:
 
     @property
     def states(self) -> tuple[BookState, ...]:
-        return tuple(self.state(i) for i in range(len(self.keys)))
+        return tuple(self.state(i) for i in range(len(self)))
 
     def caps(self) -> StateCaps:
         return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
@@ -181,40 +216,30 @@ def enumerate_states(
     Crossed configurations are excluded: continuous trading resolves them
     inside a single transition, so they are never observable states of the
     process. Raises :class:`StateSpaceBudgetError` past ``budget`` states.
-    Keys come bid placement by bid placement, each paired with the ask
+    States come bid placement by bid placement, each paired with the ask
     placements in placement order.
     """
     halves = _side_halves(grid_size, max_quantity, max_orders)
     lengths = np.array([len(asks) for _, asks in halves])
     best_ask = np.array([asks[0][0] if asks else grid_size + 1 for _, asks in halves])
-    # (orders left, best bid) -> the ask placements that fit beside such a
-    # bid placement, as ids and as halves, in placement order.
+    # (orders left, best bid) -> the ids of the ask placements that fit
+    # beside such a bid placement, in placement order.
     partners: dict = {}
-    keys: list[CanonicalKey] = []
     ask_ids = []
     for bids, _ in halves:
         fit = (max_orders - len(bids), bids[0][0] if bids else 0)
         if fit not in partners:
-            ids = np.flatnonzero((lengths <= fit[0]) & (best_ask > fit[1]))
-            partners[fit] = (ids, [halves[a][1] for a in ids])
-        ids, asks = partners[fit]
-        keys.extend(zip(repeat(bids), asks))
-        ask_ids.append(ids)
-        if len(keys) > budget:
-            raise StateSpaceBudgetError(
-                f"state space exceeds budget of {budget} (at least {len(keys)})"
-            )
-    index_of = {key: i for i, key in enumerate(keys)}
-    if len(index_of) != len(keys):
-        raise OracleError("duplicate canonical keys in enumeration")
+            partners[fit] = np.flatnonzero((lengths <= fit[0]) & (best_ask > fit[1]))
+        ask_ids.append(partners[fit])
+    sizes = [len(ids) for ids in ask_ids]
+    if sum(sizes) > budget:
+        raise StateSpaceBudgetError(f"state space of {sum(sizes)} exceeds budget of {budget}")
     return StateIndex(
         grid_size=grid_size,
         max_quantity=max_quantity,
         max_orders=max_orders,
-        keys=tuple(keys),
-        index_of=index_of,
         placements=tuple(halves),
-        bid_placement=np.repeat(np.arange(len(halves)), [len(ids) for ids in ask_ids]),
+        bid_placement=np.repeat(np.arange(len(halves)), sizes),
         ask_placement=np.concatenate(ask_ids),
     )
 
@@ -289,8 +314,7 @@ def build_generator(
     omega = model.per_order_cancel_rate
     halves = index.placements
     n, h = len(index), len(halves)
-    # Placement ids by half; form 0 is the bid half, form 1 the ask half.
-    ids_of = tuple({half[form]: p for p, half in enumerate(halves)} for form in (0, 1))
+    ids_of = index._ids_of
     length = np.array([len(asks) for _, asks in halves])
     # Whether a placement holds an order above the quantity cap. Arrivals above
     # it are dropped, so a result holds one only where its state did.
@@ -354,17 +378,6 @@ def build_generator(
     target = np.zeros((n, slots), dtype=np.int32)
     raw = np.zeros((n, slots))
     kept = np.zeros((n, slots), dtype=bool)
-    codes = bid * h + ask
-    leaving = np.zeros(n, dtype=bool)
-
-    def place(slot: int, live: np.ndarray, to_bid: np.ndarray, to_ask: np.ndarray) -> None:
-        code = to_bid * h + to_ask
-        at = np.minimum(np.searchsorted(codes, code), n - 1)
-        inside = (codes[at] == code) & (to_bid >= 0) & (to_ask >= 0)
-        leaving[live & ~inside] = True
-        target[:, slot] = at
-        kept[:, slot] = live
-
     if arrivals:
         arrival_at = np.full((len(lists), arrivals), -1)
         rate_at = np.zeros((len(lists), arrivals))
@@ -385,7 +398,8 @@ def build_generator(
                 & (length[to] + length[own] + (left > 0) <= max_orders)
                 & ~(oversized & (over[to] | over[own]))
             )
-            place(k, live, np.where(on_ask, to, rested), np.where(on_ask, rested, to))
+            target[:, k] = index._find(np.where(on_ask, to, rested), np.where(on_ask, rested, to))
+            kept[:, k] = live
             raw[:, k] = np.where(live, rate_at[group, k], 0.0)
     if cancels:
         # removed[form][j, p]: placement p without element j of its half in
@@ -407,15 +421,14 @@ def build_generator(
             from_bid = j < on_bid
             live = j < on_bid + length[ask]
             from_ask = removed[1][np.maximum(j - on_bid, 0), ask]
-            place(
-                arrivals + j,
-                live,
-                np.where(from_bid, removed[0][j, bid], bid),
-                np.where(from_bid, ask, from_ask),
+            target[:, arrivals + j] = index._find(
+                np.where(from_bid, removed[0][j, bid], bid), np.where(from_bid, ask, from_ask)
             )
+            kept[:, arrivals + j] = live
             raw[:, arrivals + j] = np.where(live, omega, 0.0)
+    leaving = (kept & (target < 0)).any(axis=1)
     if leaving.any():
-        raise KeyError(f"a transition from {index.keys[int(leaving.argmax())]} leaves the index")
+        raise KeyError(f"a transition from {index.key(int(leaving.argmax()))} leaves the index")
 
     total = np.zeros(n)
     for k in range(slots - 1):
@@ -537,6 +550,22 @@ def order_count_observable(index: StateIndex) -> np.ndarray:
     return length[index.bid_placement] + length[index.ask_placement]
 
 
+def _tiny_model(
+    grid_size: int, anchoring: AnchoringMode, params: DgxParams, ask_anchor: int, bid_anchor: int
+) -> tuple[RateModel, StateCaps]:
+    """One trader group with ``params`` on both sides, cancellation rate 0.1
+    and event intensity 6, capped at four orders of size 1."""
+    group = TraderGroup(1.0, params, params, ask_anchor=ask_anchor, bid_anchor=bid_anchor)
+    model = RateModel(
+        grid_size=grid_size,
+        groups=(group,),
+        per_order_cancel_rate=0.1,
+        event_intensity=6.0,
+        anchoring_mode=anchoring,
+    )
+    return model, StateCaps(max_orders=4, max_quantity=1)
+
+
 def tiny_nonoverlapping_model() -> tuple[RateModel, StateCaps]:
     """Two-level model with disjoint supports: bids at level 1, asks at 2.
 
@@ -544,17 +573,7 @@ def tiny_nonoverlapping_model() -> tuple[RateModel, StateCaps]:
     system in the two depth counts; every transition rate is hand-checkable.
     """
     point = DgxParams(mu=0.0, sigma=1.0, support_size=1)
-    group = TraderGroup(
-        share=1.0, ask_params=point, bid_params=point, ask_anchor=2, bid_anchor=1
-    )
-    model = RateModel(
-        grid_size=2,
-        groups=(group,),
-        per_order_cancel_rate=0.1,
-        event_intensity=6.0,
-        anchoring_mode=AnchoringMode.STATIC_SUPPORT,
-    )
-    return model, StateCaps(max_orders=4, max_quantity=1)
+    return _tiny_model(2, AnchoringMode.STATIC_SUPPORT, point, ask_anchor=2, bid_anchor=1)
 
 
 def tiny_overlapping_model() -> tuple[RateModel, StateCaps]:
@@ -563,22 +582,8 @@ def tiny_overlapping_model() -> tuple[RateModel, StateCaps]:
     Bids arrive on levels {2, 1} and asks on {1, 2}, so arrivals regularly
     cross the standing best quote and execute inside a transition.
     """
-    spread_params = DgxParams(mu=1.0, sigma=3.0, support_size=2)
-    group = TraderGroup(
-        share=1.0,
-        ask_params=spread_params,
-        bid_params=spread_params,
-        ask_anchor=1,
-        bid_anchor=2,
-    )
-    model = RateModel(
-        grid_size=2,
-        groups=(group,),
-        per_order_cancel_rate=0.1,
-        event_intensity=6.0,
-        anchoring_mode=AnchoringMode.STATIC_SUPPORT,
-    )
-    return model, StateCaps(max_orders=4, max_quantity=1)
+    spread = DgxParams(mu=1.0, sigma=3.0, support_size=2)
+    return _tiny_model(2, AnchoringMode.STATIC_SUPPORT, spread, ask_anchor=1, bid_anchor=2)
 
 
 def tiny_opposite_model() -> tuple[RateModel, StateCaps]:
@@ -589,12 +594,4 @@ def tiny_opposite_model() -> tuple[RateModel, StateCaps]:
     state-dependent path of the engine, on 95 states.
     """
     params = DgxParams(mu=1.0, sigma=3.0, support_size=2)
-    group = TraderGroup(share=1.0, ask_params=params, bid_params=params, ask_anchor=2, bid_anchor=2)
-    model = RateModel(
-        grid_size=3,
-        groups=(group,),
-        per_order_cancel_rate=0.1,
-        event_intensity=6.0,
-        anchoring_mode=AnchoringMode.OPPOSITE_BEST,
-    )
-    return model, StateCaps(max_orders=4, max_quantity=1)
+    return _tiny_model(3, AnchoringMode.OPPOSITE_BEST, params, ask_anchor=2, bid_anchor=2)

@@ -14,9 +14,10 @@ import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -53,6 +54,9 @@ EVENTS_COLUMNS = [
     "best_bid",
     "best_ask",
 ]
+
+# Every file a bundle may hold.
+BUNDLE_FILES = ("summary.csv", "metadata.json", "heatmap.csv", "events.csv")
 
 RATES_COLUMNS = ["side", "price_level", "arrival_rate"]
 
@@ -433,48 +437,55 @@ def write_bundle(bundle: OutputBundle, out_dir: str | Path) -> list[Path]:
     """Write summary.csv, metadata.json, and heatmap.csv or events.csv (when recorded).
 
     Output bytes are a pure function of config and seed: floats are written
-    with shortest round-trip formatting and no timestamps are embedded.
+    with shortest round-trip formatting and no timestamps are embedded. Every
+    file is written under a temporary name first and moved into place only
+    once all of them are written; then any of :data:`BUNDLE_FILES` this
+    bundle does not hold is deleted, so the directory never mixes two runs'
+    files. Other files in the directory are left alone.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged: dict[Path, Path] = {}  # temporary -> bundle file
 
-    summary_path = out / "summary.csv"
-    with summary_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(summary_rows(bundle))
-    written.append(summary_path)
+    def stage(name: str) -> TextIO:
+        temporary = out / f".{name}.tmp"
+        staged[temporary] = out / name
+        return temporary.open("w", encoding="utf-8", newline="")
 
-    metadata_path = out / "metadata.json"
-    metadata_path.write_text(
-        json.dumps(bundle.metadata, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    written.append(metadata_path)
-
-    if bundle.heatmap is not None:
-        heatmap_path = out / "heatmap.csv"
-        with heatmap_path.open("w", encoding="utf-8", newline="") as handle:
+    try:
+        with stage("summary.csv") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(HEATMAP_COLUMNS)
-            for cell in bundle.heatmap:
-                writer.writerow(
-                    [
-                        str(cell.step_offset),
-                        cell.side.value,
-                        str(cell.price_level),
-                        _format(cell.mean_quantity),
-                        _format(cell.transaction_frequency),
-                    ]
-                )
-        written.append(heatmap_path)
-
-    if bundle.events is not None:
-        events_path = out / "events.csv"
-        with events_path.open("w", encoding="utf-8", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerow(EVENTS_COLUMNS)
-            handle.writelines(bundle.events)
-        written.append(events_path)
+            writer.writerow(SUMMARY_COLUMNS)
+            writer.writerows(summary_rows(bundle))
+        with stage("metadata.json") as handle:
+            handle.write(json.dumps(bundle.metadata, sort_keys=True, indent=2) + "\n")
+        if bundle.heatmap is not None:
+            with stage("heatmap.csv") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(HEATMAP_COLUMNS)
+                for cell in bundle.heatmap:
+                    writer.writerow(
+                        [
+                            str(cell.step_offset),
+                            cell.side.value,
+                            str(cell.price_level),
+                            _format(cell.mean_quantity),
+                            _format(cell.transaction_frequency),
+                        ]
+                    )
+        if bundle.events is not None:
+            with stage("events.csv") as handle:
+                csv.writer(handle, lineterminator="\n").writerow(EVENTS_COLUMNS)
+                handle.writelines(bundle.events)
+        for temporary, path in staged.items():
+            os.replace(temporary, path)
+    finally:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+    written = list(staged.values())
+    for name in BUNDLE_FILES:
+        if out / name not in written:
+            (out / name).unlink(missing_ok=True)
     return written
 
 

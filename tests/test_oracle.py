@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import oracle_case
+from conftest import ORACLE_CASES, oracle_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -21,6 +21,7 @@ from lobsim.engine import RecordingConfig, run_ensemble, simulate
 from lobsim.observables import ensemble_covariance, ensemble_moment
 from lobsim.oracle import (
     OracleError,
+    StateIndex,
     StateSpaceBudgetError,
     build_generator,
     compare_distributions,
@@ -42,7 +43,7 @@ from lobsim.rates import (
     apply_event,
     event_table,
 )
-from lobsim.scenario import generator_diagnostics, validate_against_oracle
+from lobsim.scenario import ORACLE_MODELS, generator_diagnostics, validate_against_oracle
 
 
 def key_for(*orders, grid_size=2):
@@ -56,7 +57,7 @@ class TestEnumeration:
     def test_vacuum_only(self):
         index = enumerate_states(2, 1, 0)
         assert len(index) == 1
-        assert index.keys[0] == ((), ())
+        assert index.key(0) == ((), ())
 
     def test_two_level_unit_books(self):
         # hand count for grid {1,2}, unit quantities, at most 2 orders:
@@ -64,10 +65,13 @@ class TestEnumeration:
         # + 1 uncrossed mixed pair (bid@1 with ask@2) = 12
         index = enumerate_states(2, 1, 2)
         assert len(index) == 12
-        assert key_for((Side.BID, 1, 1), (Side.ASK, 2, 1)) in index.index_of
+        mixed = key_for((Side.BID, 1, 1), (Side.ASK, 2, 1))
+        assert index.key(index.index(mixed)) == mixed
         # crossed structures are excluded
-        assert key_for((Side.BID, 2, 1), (Side.ASK, 1, 1)) not in index.index_of
-        assert key_for((Side.BID, 1, 1), (Side.ASK, 1, 1)) not in index.index_of
+        with pytest.raises(KeyError):
+            index.index(key_for((Side.BID, 2, 1), (Side.ASK, 1, 1)))
+        with pytest.raises(KeyError):
+            index.index(key_for((Side.BID, 1, 1), (Side.ASK, 1, 1)))
 
     def test_reference_count_with_caps_four(self):
         # 1 empty + 14 bid-only + 14 ask-only + 6 mixed (bid@1 x ask@2)
@@ -80,7 +84,17 @@ class TestEnumeration:
         k12 = key_for((Side.BID, 1, 1), (Side.BID, 1, 2), grid_size=1)
         k21 = key_for((Side.BID, 1, 2), (Side.BID, 1, 1), grid_size=1)
         assert k12 != k21
-        assert k12 in index.index_of and k21 in index.index_of
+        assert index.key(index.index(k12)) == k12 and index.key(index.index(k21)) == k21
+
+    @pytest.mark.parametrize("name", [*ORACLE_MODELS, *ORACLE_CASES])
+    def test_keys_round_trip(self, name):
+        _, index = oracle_case(name)
+        assert all(index.index(index.key(i)) == i for i in range(len(index)))
+
+    def test_duplicate_placements_raise(self):
+        empty = ((), ())
+        with pytest.raises(OracleError, match="duplicate"):
+            StateIndex(2, 1, 1, (empty, empty), np.array([0]), np.array([0]))
 
     def test_budget_exceeded(self):
         with pytest.raises(StateSpaceBudgetError):
@@ -96,17 +110,18 @@ class TestEnumeration:
             state = empty_book(2)
             for record in result.records:
                 state, _ = apply_event(state, record.event, record.time)
-                assert state.canonical_key() in index.index_of
+                index.index(state.canonical_key())  # KeyError outside the index
 
 
 def uniform_books(index, quantity):
     """Indices of the keys whose orders all have size ``quantity``, and their order counts."""
+    keys = [index.key(i) for i in range(len(index))]
     uniform = [
-        i for i, (bids, asks) in enumerate(index.keys) if all(q == quantity for _, q in bids + asks)
+        i for i, (bids, asks) in enumerate(keys) if all(q == quantity for _, q in bids + asks)
     ]
     depths = np.zeros((len(uniform), 2, index.grid_size), dtype=np.int64)
     for row, i in enumerate(uniform):
-        for side, half in enumerate(index.keys[i]):
+        for side, half in enumerate(keys[i]):
             for level, _ in half:
                 depths[row, side, level - 1] += 1
     return uniform, depths
@@ -139,6 +154,21 @@ class TestPositions:
         with pytest.raises(OracleError, match="outside the index"):
             index.positions(depths)
 
+    def test_sixteen_levels_of_three_orders(self):
+        # 3,417 states on 16 levels: a code of all 32 counts in base 4 would
+        # overflow int64; each side's 16 counts do not.
+        index = enumerate_states(16, 1, 3)
+        uniform, depths = uniform_books(index, 1)
+        assert len(uniform) == len(index) == 3417
+        assert np.array_equal(index.positions(depths), uniform)
+
+    def test_codes_past_int64_raise(self):
+        # 129 states on 64 levels: one side's counts in base 2 need 2**64.
+        index = enumerate_states(64, 1, 1)
+        assert len(index) == 129
+        with pytest.raises(OracleError, match="overflow"):
+            index.positions(np.zeros((2, 64), dtype=np.int64))
+
     def test_counts_for_another_grid_raise(self):
         index = enumerate_states(2, 1, 4)
         with pytest.raises(OracleError, match="not"):
@@ -158,7 +188,7 @@ def reference_generator(model, index, caps=None):
         outflow = 0.0
         for descriptor, raw in table.entries:
             rate = raw * table.normalization
-            rows.append(index.index_of[apply_event(state, descriptor)[0].canonical_key()])
+            rows.append(index.index(apply_event(state, descriptor)[0].canonical_key()))
             cols.append(i)
             data.append(rate)
             outflow += rate
@@ -214,8 +244,8 @@ class TestGeneratorMatchesBookCore:
         # Absorbing: four orders, none an arrival can match (bids at 1, asks
         # at 2), so the book can neither grow nor shrink.
         absorbing = np.flatnonzero(np.diff(generator.tocsc().indptr) == 0)
-        assert [index.keys[i] for i in absorbing] == [
-            key for key in index.keys
+        assert [index.key(i) for i in absorbing] == [
+            key for key in map(index.key, range(len(index)))
             if len(key[0]) + len(key[1]) == 4
             and {level for level, _ in key[0]} <= {1} and {level for level, _ in key[1]} <= {2}
         ]

@@ -226,6 +226,21 @@ class TestRunScenario:
         assert lines[0] == ",".join(EVENTS_COLUMNS)
         assert len(lines) == 1 + 2 * 120
 
+    def test_rewritten_bundle_holds_only_its_own_files(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "notes").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        write_bundle(run_scenario(replace(small_config(runs=2, events=50), record="events")), out)
+        config = small_config(runs=3, events=50)
+        written = write_bundle(run_scenario(config), out)
+        write_bundle(run_scenario(config), tmp_path / "fresh")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metadata.json", "notes", "notes.txt", "summary.csv"
+        ]
+        assert [p.name for p in written] == ["summary.csv", "metadata.json"]
+        for name in ("summary.csv", "metadata.json"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
 
 class TestCompare:
     def test_self_comparison_indistinguishable(self, tmp_path):

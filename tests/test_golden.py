@@ -61,6 +61,21 @@ BUNDLES = {
             "heatmap.csv": "742d3d0357f23729caf036d9e597fcc5e6782633ae634cf0dfe0ebe619aa790d",
         },
     ),
+    # Long enough to visit about 200 best-quote pairs, edge quotes included.
+    "scenario2-opposite-best-long": (
+        dict(
+            name="scenario2",
+            runs=3,
+            events_per_run=5000,
+            base_seed=2024,
+            anchoring="opposite_best",
+            record="heatmap",
+        ),
+        {
+            "summary.csv": "edbdd05788f2ce9473da53fee4b059a27c6e5d15ca409d453a15a59cffed2d51",
+            "heatmap.csv": "de872d098709e5d5a394056ab49b667804db7f37192fcbfc3e8b086e181d6f9a",
+        },
+    ),
 }
 
 # A summary-only run streams the same summary.csv as one that records events.

@@ -20,14 +20,23 @@ built once per key by :func:`_table`; one flat-rate cancellation slot per
 resident follows the arrivals, appended in place as the book grows, so the
 table for n residents is a prefix of the table for n + 1. An entry also
 carries its arrivals' signed levels (+ asks, - bids), so the loop applies
-an arrival by its level alone.
+an arrival by its level alone. A side's arrivals depend only on the other
+side's best level (under static anchoring, on nothing), so an uncapped
+table joins two side rows of :func:`~lobsim.rates.side_arrivals`, each built
+once per cache under the key (side, opposite best or None): at most
+2(K + 1) rows, and no book. One ``np.cumsum`` over the joined rates gives
+``event_table``'s floats; a cumsum per side, offset, would not. A capped
+table comes from ``event_table`` on a :class:`BookState`, as the cap rule
+is defined there on the book after each arrival; validation builds a few
+dozen.
 
 The loop builds per-event objects only where a recording reads them: a
 cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
-:class:`Transaction` only for a record or a book state (checkpoint, depth
-frame, ``debug_invariants``, the final state); until then the last trade
-is a plain (price, time, aggressor). Summary rows go to one flat int list,
-reshaped once per run.
+:class:`Transaction` only for a record or a book state (checkpoint,
+``debug_invariants``, the final state); until then the last trade is a
+plain (price, time, aggressor). A depth frame is read off the per-level
+counts: int64 counts, and quantities of counts times ``unit_quantity``.
+Summary rows go to one flat int list, reshaped once per run.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
@@ -56,9 +65,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, validate_book
-from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, depth
-from .observables import quote_snapshot, quotes, xlm  # noqa: F401  (bench/spans.py wraps both)
-from .rates import AnchoringMode, EventDescriptor, EventKind, RateModel, apply_event, event_table
+from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, quote_snapshot
+from .observables import depth, quotes, xlm  # noqa: F401  (unused; bench/spans.py wraps them here)
+from .rates import AbsorbingStateError, AnchoringMode, EventDescriptor, EventKind, RateModel
+from .rates import apply_event, event_table, side_arrivals  # bench/spans.py wraps event_table here
 
 
 class EngineError(Exception):
@@ -180,20 +190,45 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
+def _depth_profile(k: int, q: int, at_level: list[int]) -> DepthProfile:
+    """The depth of the loop's per-level counts: bids at -1..-k, asks at 1..k."""
+    counts = np.array(at_level, dtype=np.int64)
+    quantities = counts * q
+    bids, asks = slice(2 * k + 1, k + 1, -1), slice(1, k + 1)
+    return DepthProfile(k, counts[bids], quantities[bids], counts[asks], quantities[asks])
+
+
+def _row(entries) -> tuple[list[EventDescriptor], list[int], list[float]]:
+    """Table entries' arrivals, their signed levels (+ asks, - bids), and every raw rate."""
+    arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+    ask = EventKind.ARRIVAL_ASK
+    levels = [d.price_level if d.kind is ask else -d.price_level for d in arrivals]
+    return arrivals, levels, [rate for _, rate in entries]
+
+
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], book, slots: int
 ) -> tuple[list[float], list[EventDescriptor], list[int]]:
     """``key``'s entry (cumulative raw rates, arrivals, their signed levels), built
-    once by ``event_table`` on ``book()``; cancellation slots are appended in
-    place until ``slots`` fit."""
+    once: uncapped from the side rows of its quotes, capped by ``event_table``
+    on ``book()``; cancellation slots are appended in place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
-        entries = event_table(model, book(), caps=caps).entries
-        arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
-        ask = EventKind.ARRIVAL_ASK
-        levels = [d.price_level if d.kind is ask else -d.price_level for d in arrivals]
-        cum = np.cumsum([rate for _, rate in entries]).tolist()
-        entry = tables[key] = cum, arrivals, levels
+        if caps is None:
+            k = model.grid_size
+            bid, ask = (-key[0] or None, key[1] if key[1] <= k else None) if key else (None, None)
+            rows = (Side.ASK, bid), (Side.BID, ask)
+            for row in rows:
+                if row not in tables:
+                    tables[row] = _row(side_arrivals(model, *row)[0])
+            (asks, ask_levels, ask_rates), (bids, bid_levels, bid_rates) = (tables[r] for r in rows)
+            arrivals, levels = asks + bids, ask_levels + bid_levels
+            rates = ask_rates + bid_rates + [model.per_order_cancel_rate] * slots
+            if not rates:
+                raise AbsorbingStateError("state has no outgoing transitions")
+        else:
+            arrivals, levels, rates = _row(event_table(model, book(), caps=caps).entries)
+        entry = tables[key] = np.cumsum(rates).tolist(), arrivals, levels
     cum, arrivals, _ = entry
     while len(cum) < len(arrivals) + slots:
         cum.append(cum[-1] + model.per_order_cancel_rate)
@@ -395,7 +430,7 @@ def simulate(
             quote = quote_snapshot(bid or None, ask if ask <= k else None)
             records.append(TrajectoryRecord(now, event, (trade,) if trade else (), quote))
         if depth_window and events > first_frame:
-            window.append(DepthFrame(events, depth(book_state()), trade is not None))
+            window.append(DepthFrame(events, _depth_profile(k, q, at_level), trade is not None))
 
     final_state = book_state()
     checkpoints.update((t, final_state) for t in pending_checkpoints[cp_index:] if t <= now)

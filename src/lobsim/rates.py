@@ -193,58 +193,60 @@ class ArrivalRates:
         )
 
 
-def _group_anchor(
-    model: RateModel, group: TraderGroup, side: Side, state: BookState
-) -> int:
+def side_arrivals(
+    model: RateModel, side: Side, opposite_best: Optional[int]
+) -> tuple[tuple[tuple[EventDescriptor, float], ...], float, float]:
+    """One side's arrival entries in level order, its mass and its dropped mass.
+
+    The only place arrival rates are computed. DGX rank 1 of each group sits
+    on the group's static anchor, or under opposite-best anchoring on
+    ``opposite_best``, the other side's best level, unless that side is empty
+    (``None``). Ranks map to levels ascending from the anchor on the ask side
+    and descending on the bid side, summed over groups. Rank weight that falls
+    off the grid is dropped (not renormalized) and summed into the dropped
+    mass; the mass sums every level's rate, before levels at rate 0 are left
+    out of the entries.
+    """
     if model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
-        return group.ask_anchor if side is Side.ASK else group.bid_anchor
-    # Opposite-best: rank 1 sits on the opposite side's best quote, falling
-    # back to the static anchor when that side is empty.
-    if side is Side.ASK:
-        best = state.best_bid()
-        return best if best is not None else group.ask_anchor
-    best = state.best_ask()
-    return best if best is not None else group.bid_anchor
+        opposite_best = None
+    step = 1 if side is Side.ASK else -1
+    level_rates: dict[int, float] = {}
+    dropped = 0.0
+    for group in model.groups:
+        if group.share == 0.0:
+            continue
+        if side is Side.ASK:
+            params, anchor = group.ask_params, group.ask_anchor
+        else:
+            params, anchor = group.bid_params, group.bid_anchor
+        if opposite_best is not None:
+            anchor = opposite_best
+        for rank_index, weight in enumerate(_dgx_pmf_cached(params)):
+            level = anchor + step * rank_index
+            if 1 <= level <= model.grid_size:
+                level_rates[level] = level_rates.get(level, 0.0) + group.share * weight
+            else:
+                dropped += group.share * weight
+    kind, q = _ARRIVAL_KIND[side], model.unit_quantity
+    entries = tuple(
+        (EventDescriptor(kind, level, q), level_rates[level])
+        for level in sorted(level_rates)
+        if level_rates[level] > 0.0
+    )
+    return entries, sum(level_rates.values()), dropped
 
 
 def arrival_rates(model: RateModel, state: BookState) -> ArrivalRates:
-    """Arrival rate per (side, price level), summed over trader groups.
+    """Arrival rate per (side, price level): :func:`side_arrivals` of both sides.
 
-    Ranks map to levels ascending from the anchor on the ask side and
-    descending on the bid side. Rank weight that falls off the grid is
-    dropped (not renormalized) and reported in ``dropped_mass``. With valid
-    static supports each side's mass is exactly the sum of group shares,
-    i.e. 1.
+    With valid static supports each side's mass is exactly the sum of group
+    shares, i.e. 1.
     """
-    entries: list[tuple[EventDescriptor, float]] = []
-    side_mass: dict[Side, float] = {}
-    dropped: dict[Side, float] = {}
-    for side in (Side.ASK, Side.BID):
-        level_rates: dict[int, float] = {}
-        dropped_mass = 0.0
-        for group in model.groups:
-            if group.share == 0.0:
-                continue
-            params = group.ask_params if side is Side.ASK else group.bid_params
-            pmf = _dgx_pmf_cached(params)
-            anchor = _group_anchor(model, group, side, state)
-            step = 1 if side is Side.ASK else -1
-            for rank_index, weight in enumerate(pmf):
-                level = anchor + step * rank_index
-                if 1 <= level <= model.grid_size:
-                    level_rates[level] = level_rates.get(level, 0.0) + group.share * weight
-                else:
-                    dropped_mass += group.share * weight
-        kind = _ARRIVAL_KIND[side]
-        for level in sorted(level_rates):
-            rate = level_rates[level]
-            if rate > 0.0:
-                entries.append(
-                    (EventDescriptor(kind, level, model.unit_quantity), rate)
-                )
-        side_mass[side] = sum(level_rates.values())
-        dropped[side] = dropped_mass
-    return ArrivalRates(tuple(entries), side_mass, dropped)
+    ask = side_arrivals(model, Side.ASK, state.best_bid())
+    bid = side_arrivals(model, Side.BID, state.best_ask())
+    return ArrivalRates(
+        ask[0] + bid[0], {Side.ASK: ask[1], Side.BID: bid[1]}, {Side.ASK: ask[2], Side.BID: bid[2]}
+    )
 
 
 def cancellation_rates(

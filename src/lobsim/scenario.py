@@ -283,22 +283,13 @@ def config_hash(config: ScenarioConfig) -> str:
 
 
 @dataclass
-class HeatmapCell:
-    step_offset: int
-    side: Side
-    price_level: int
-    mean_quantity: float
-    transaction_frequency: float
-
-
-@dataclass
 class OutputBundle:
     """Everything a scenario run produces, ready to serialize."""
 
     config: ScenarioConfig
     summaries: list[RunSummary]
     aborted_runs: list[int]
-    heatmap: Optional[list[HeatmapCell]]
+    heatmap: Optional[list[str]]  # heatmap.csv rows, one per (step, side, level)
     events: Optional[list[str]]  # events.csv rows, one encoded string per run
     metadata: dict
 
@@ -314,28 +305,26 @@ def _recording_for(config: ScenarioConfig) -> RecordingConfig:
 
 def _aggregate_heatmap(
     config: ScenarioConfig, frames_per_run: list[list[engine.DepthFrame]]
-) -> list[HeatmapCell]:
-    window = config.heatmap_window
-    k = config.grid_size
-    quantity = {
-        side: np.zeros((window, k)) for side in (Side.BID, Side.ASK)
-    }
-    transacted = np.zeros(window)
+) -> list[str]:
+    """heatmap.csv's rows: per step of the window, side and level, the mean
+    quantity over completed runs and the share of them that traded."""
+    window, k, n = config.heatmap_window, config.grid_size, len(frames_per_run)
+    # Integer sums, exact in any order; each mean is one division by n.
+    quantity = np.zeros((window, 2, k), dtype=np.int64)
+    transacted = np.zeros(window, dtype=np.int64)
     # A completed run has one frame per row, as the window fits in the run.
     for frames in frames_per_run:
-        for row, frame in enumerate(frames):
-            quantity[Side.BID][row] += frame.profile.bid_quantities
-            quantity[Side.ASK][row] += frame.profile.ask_quantities
-            transacted[row] += 1.0 if frame.transacted else 0.0
-    n = len(frames_per_run)
-    cells: list[HeatmapCell] = []
-    for row in range(window):
-        for side in (Side.BID, Side.ASK):
-            for level in range(1, k + 1):
-                mean_q = quantity[side][row, level - 1] / n if n else float("nan")
-                freq = transacted[row] / n if n else float("nan")
-                cells.append(HeatmapCell(row - window, side, level, mean_q, freq))
-    return cells
+        quantity += [(f.profile.bid_quantities, f.profile.ask_quantities) for f in frames]
+        transacted += [f.transacted for f in frames]
+    with np.errstate(invalid="ignore"):  # no completed run: every mean is NaN
+        means, shares = (quantity / n).tolist(), (transacted / n).tolist()
+    # repr is _format's shortest round-trip float.
+    return [
+        f"{row - window},{side},{level + 1},{means[row][x][level]!r},{share!r}\n"
+        for row, share in enumerate(shares)
+        for x, side in enumerate((Side.BID.value, Side.ASK.value))
+        for level in range(k)
+    ]
 
 
 def _event_csv(run_index: int, result: SimulationResult) -> str:
@@ -461,18 +450,8 @@ def write_bundle(bundle: OutputBundle, out_dir: str | Path) -> list[Path]:
             handle.write(json.dumps(bundle.metadata, sort_keys=True, indent=2) + "\n")
         if bundle.heatmap is not None:
             with stage("heatmap.csv") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(HEATMAP_COLUMNS)
-                for cell in bundle.heatmap:
-                    writer.writerow(
-                        [
-                            str(cell.step_offset),
-                            cell.side.value,
-                            str(cell.price_level),
-                            _format(cell.mean_quantity),
-                            _format(cell.transaction_frequency),
-                        ]
-                    )
+                csv.writer(handle, lineterminator="\n").writerow(HEATMAP_COLUMNS)
+                handle.writelines(bundle.heatmap)
         if bundle.events is not None:
             with stage("events.csv") as handle:
                 csv.writer(handle, lineterminator="\n").writerow(EVENTS_COLUMNS)

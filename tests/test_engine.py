@@ -1,13 +1,19 @@
 """Engine: determinism, waiting-time law, event-frequency agreement with the
-rate table, stop criteria, ensembles, steady-state behavior, the seed range,
-the replicated numpy streams of the batched form, and tied event selection."""
+rate table, one table build per cache key, the loop's tables against
+event_table on drawn models and books, stop criteria, ensembles,
+steady-state behavior, the seed range, the replicated numpy streams of the
+batched form, and tied event selection."""
 
+import math
 from bisect import bisect_right
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import lobsim.engine
@@ -21,7 +27,15 @@ from lobsim.engine import (
     simulate,
     step,
 )
-from lobsim.rates import AbsorbingStateError, EventKind, event_table
+from lobsim.rates import (
+    AbsorbingStateError,
+    AnchoringMode,
+    DgxParams,
+    EventKind,
+    RateModel,
+    TraderGroup,
+    event_table,
+)
 from lobsim.scenario import ORACLE_MODELS, build_rate_model, preset
 
 
@@ -181,29 +195,154 @@ class TestSimulate:
 
     @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
     def test_one_table_build_per_key(self, anchoring, monkeypatch):
-        # Two runs share one cache; a table is never rebuilt as the book grows.
+        # Two runs share one cache. Each side row and each key's entry is built
+        # once, never again as the book grows, and every entry holds the
+        # arrivals, levels and cumulative floats of event_table on a book with
+        # the key's quotes.
         model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
-        builds = 0
+        k = model.grid_size
+        side_arrivals, table = lobsim.engine.side_arrivals, lobsim.engine._table
+        row_builds, key_builds = [], []
 
-        def counting_event_table(*args, **kwargs):
-            nonlocal builds
-            builds += 1
-            return event_table(*args, **kwargs)
+        def counting_side_arrivals(model, side, opposite_best):
+            row_builds.append((side, opposite_best))
+            return side_arrivals(model, side, opposite_best)
 
-        monkeypatch.setattr(lobsim.engine, "event_table", counting_event_table)
+        def counting_table(tables, key, *args):
+            if key not in tables:
+                key_builds.append(key)
+            return table(tables, key, *args)
+
+        monkeypatch.setattr(lobsim.engine, "side_arrivals", counting_side_arrivals)
+        monkeypatch.setattr(lobsim.engine, "_table", counting_table)
         tables: dict = {}
         recording = RecordingConfig(events=False)
         for seed in (11, 12):
             result = simulate(
                 model, event_count=2000, seed=seed, recording=recording, _tables=tables
             )
-        assert builds == len(tables)
+        assert len(row_builds) == len(set(row_builds)) <= 2 * (k + 1)
+        assert len(key_builds) == len(set(key_builds))
+        assert set(tables) == set(row_builds) | set(key_builds)
         if anchoring == "static":
+            assert key_builds == [()] and len(row_builds) == 2
+        else:
+            assert len(key_builds) > 100
+        for key in key_builds:
+            cum, arrivals, levels = tables[key]
+            if key:
+                book = book_with_quotes(model, -key[0], key[1], len(cum) - len(arrivals))
+            else:
+                book = result.final_state
+            entries = event_table(model, book).entries
+            assert arrivals == [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+            assert levels == [signed_level(d) for d in arrivals]
             # The appended cancellation tail holds the floats np.cumsum gives.
-            ((cum, arrivals, _),) = tables.values()
-            final = result.final_state
-            expected = np.cumsum([rate for _, rate in event_table(model, final).entries])
-            assert cum[: len(arrivals) + final.order_count()] == expected.tolist()
+            expected = np.cumsum([rate for _, rate in entries]).tolist()
+            assert cum[: len(expected)] == expected
+
+
+def signed_level(descriptor):
+    return descriptor.price_level if descriptor.kind is EventKind.ARRIVAL_ASK else -descriptor.price_level
+
+
+def book_with_quotes(model, bid, ask, n):
+    """A uniform book of ``n`` orders quoting ``bid`` and ``ask`` (0 / K + 1 for
+    an empty side): one order at each quote, the rest at the ask, or at the
+    bid when no ask is quoted."""
+    k, q = model.grid_size, model.unit_quantity
+    quoted = [(Side.BID, bid)] * (bid > 0) + [(Side.ASK, ask)] * (ask <= k)
+    book = empty_book(k)
+    for side, level in quoted + quoted[-1:] * (n - len(quoted)):
+        book, _ = submit_order(book, side, level, q, 0.0)
+    return book
+
+
+@st.composite
+def drawn_books(draw):
+    """A model on grid 2-6 with 1-3 groups (shares may be 0), either anchoring,
+    a cancellation rate that may be 0 and orders of size 1-2, and a uniform
+    book on its grid: up to two orders per level, bids at or below a drawn
+    level and asks above it, submitted in a drawn order."""
+    grid = draw(st.integers(2, 6))
+    weights = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), max_size=2))
+    groups = []
+    for weight in weights:
+        ask, bid = (
+            # mu up to ln(support) keeps a weight above 0; a small sigma
+            # underflows the ranks far from e^mu, which can empty a side.
+            DgxParams(draw(st.floats(0.0, math.log(s))), draw(st.floats(0.01, 4.0)), s)
+            for s in (draw(st.integers(1, grid)), draw(st.integers(1, grid)))
+        )
+        groups.append(
+            TraderGroup(
+                weight / sum(weights),
+                ask,
+                bid,
+                ask_anchor=draw(st.integers(1, grid - ask.support_size + 1)),
+                bid_anchor=draw(st.integers(bid.support_size, grid)),
+            )
+        )
+    model = RateModel(
+        grid_size=grid,
+        groups=tuple(groups),
+        per_order_cancel_rate=draw(st.sampled_from([0.0, 0.25])),
+        event_intensity=1.0,
+        anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
+        unit_quantity=draw(st.integers(1, 2)),
+    )
+    split = draw(st.integers(0, grid))
+    counts = draw(st.lists(st.integers(0, 2), min_size=grid, max_size=grid))
+    orders = [
+        (Side.BID if level <= split else Side.ASK, level)
+        for level, count in enumerate(counts, 1)
+        for _ in range(count)
+    ]
+    book = empty_book(grid)
+    for side, level in draw(st.permutations(orders)):
+        book, _ = submit_order(book, side, level, model.unit_quantity, 0.0)
+    return model, book
+
+
+# Under opposite-best anchoring, a bid at 3 and an ask at 4 leave DGX ranks
+# 1-4 on the grid of 6 for either side, and these weights are 0 there: no
+# arrival, no cancellation, so the book is absorbing.
+_NARROW = DgxParams(math.log(6), 0.01, 6)
+ABSORBING = (
+    RateModel(6, (TraderGroup(1.0, _NARROW, _NARROW, 1, 6),), 0.0, 1.0, AnchoringMode.OPPOSITE_BEST),
+    submit_order(submit_order(empty_book(6), Side.BID, 3, 1, 0.0)[0], Side.ASK, 4, 1, 0.0)[0],
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(drawn_books())
+@example(ABSORBING)
+def test_table_matches_event_table_on_drawn_books(case):
+    # The loop's entry for a book's key, built on its first event, against
+    # the event_table of that book; where event_table finds the book
+    # absorbing, simulate raises before its first event.
+    model, book = case
+    k = model.grid_size
+    tables: dict = {}
+    run = partial(
+        simulate, model, book, event_count=1, seed=3, recording=RecordingConfig(events=False),
+        _tables=tables,
+    )
+    try:
+        entries = event_table(model, book).entries
+    except AbsorbingStateError:
+        with pytest.raises(AbsorbingStateError):
+            run()
+        return
+    run()
+    if model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
+        key = ()
+    else:
+        key = (-(book.best_bid() or 0), book.best_ask() or k + 1, 0)
+    cum, arrivals, levels = tables[key]
+    assert cum == np.cumsum([rate for _, rate in entries]).tolist()
+    assert arrivals == [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+    assert levels == [signed_level(d) for d in arrivals]
 
 
 class TestEnsemble:

@@ -243,7 +243,8 @@ class TestSimulate:
 
 
 def signed_level(descriptor):
-    return descriptor.price_level if descriptor.kind is EventKind.ARRIVAL_ASK else -descriptor.price_level
+    level = descriptor.price_level
+    return level if descriptor.kind is EventKind.ARRIVAL_ASK else -level
 
 
 def book_with_quotes(model, bid, ask, n):
@@ -309,7 +310,9 @@ def drawn_books(draw):
 # arrival, no cancellation, so the book is absorbing.
 _NARROW = DgxParams(math.log(6), 0.01, 6)
 ABSORBING = (
-    RateModel(6, (TraderGroup(1.0, _NARROW, _NARROW, 1, 6),), 0.0, 1.0, AnchoringMode.OPPOSITE_BEST),
+    RateModel(
+        6, (TraderGroup(1.0, _NARROW, _NARROW, 1, 6),), 0.0, 1.0, AnchoringMode.OPPOSITE_BEST
+    ),
     submit_order(submit_order(empty_book(6), Side.BID, 3, 1, 0.0)[0], Side.ASK, 4, 1, 0.0)[0],
 )
 

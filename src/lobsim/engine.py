@@ -21,14 +21,16 @@ resident follows the arrivals, appended in place as the book grows, so the
 table for n residents is a prefix of the table for n + 1. An entry also
 carries its arrivals' signed levels (+ asks, - bids), so the loop applies
 an arrival by its level alone. A side's arrivals depend only on the other
-side's best level (under static anchoring, on nothing), so an uncapped
-table joins two side rows of :func:`~lobsim.rates.side_arrivals`, each built
+side's best level (under static anchoring, on nothing), so a table
+joins two side rows of :func:`~lobsim.rates.side_arrivals`, each built
 once per cache under the key (side, opposite best or None): at most
 2(K + 1) rows, and no book. One ``np.cumsum`` over the joined rates gives
-``event_table``'s floats; a cumsum per side, offset, would not. A capped
-table comes from ``event_table`` on a :class:`BookState`, as the cap rule
-is defined there on the book after each arrival; validation builds a few
-dozen.
+``event_table``'s floats; a cumsum per side, offset, would not. Under caps
+a key (bid, ask, n) keeps no arrival above ``max_quantity``, else those
+after which the book holds at most ``max_orders``: every order has size
+``unit_quantity``, so one that rests leaves n + 1 orders and one that
+crosses (filling a resident whole) n - 1. That is ``event_table``'s cap
+rule on any book with the key's quotes and count.
 
 The loop builds per-event objects only where a recording reads them: a
 cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
@@ -59,7 +61,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from itertools import compress
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -199,35 +201,37 @@ def _depth_profile(k: int, q: int, at_level: list[int]) -> DepthProfile:
 
 
 def _row(entries) -> tuple[list[EventDescriptor], list[int], list[float]]:
-    """Table entries' arrivals, their signed levels (+ asks, - bids), and every raw rate."""
-    arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+    """Side arrivals, their signed levels (+ asks, - bids), and their raw rates."""
     ask = EventKind.ARRIVAL_ASK
-    levels = [d.price_level if d.kind is ask else -d.price_level for d in arrivals]
-    return arrivals, levels, [rate for _, rate in entries]
+    levels = [d.price_level if d.kind is ask else -d.price_level for d, _ in entries]
+    return [d for d, _ in entries], levels, [rate for _, rate in entries]
 
 
 def _table(
-    tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], book, slots: int
+    tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], slots: int
 ) -> tuple[list[float], list[EventDescriptor], list[int]]:
     """``key``'s entry (cumulative raw rates, arrivals, their signed levels), built
-    once: uncapped from the side rows of its quotes, capped by ``event_table``
-    on ``book()``; cancellation slots are appended in place until ``slots`` fit."""
+    once from the side rows of its quotes, under caps keeping the arrivals the
+    count rule admits; cancellation slots are appended in place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
-        if caps is None:
-            k = model.grid_size
-            bid, ask = (-key[0] or None, key[1] if key[1] <= k else None) if key else (None, None)
-            rows = (Side.ASK, bid), (Side.BID, ask)
-            for row in rows:
-                if row not in tables:
-                    tables[row] = _row(side_arrivals(model, *row)[0])
-            (asks, ask_levels, ask_rates), (bids, bid_levels, bid_rates) = (tables[r] for r in rows)
-            arrivals, levels = asks + bids, ask_levels + bid_levels
-            rates = ask_rates + bid_rates + [model.per_order_cancel_rate] * slots
-            if not rates:
-                raise AbsorbingStateError("state has no outgoing transitions")
-        else:
-            arrivals, levels, rates = _row(event_table(model, book(), caps=caps).entries)
+        k, by_quotes = model.grid_size, model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+        bid, ask = (-key[0] or None, key[1] if key[1] <= k else None) if by_quotes else (None, None)
+        rows = (Side.ASK, bid), (Side.BID, ask)
+        for row in rows:
+            if row not in tables:
+                tables[row] = _row(side_arrivals(model, *row)[0])
+        (asks, ask_levels, ask_rates), (bids, bid_levels, bid_rates) = (tables[r] for r in rows)
+        arrivals, levels, rates = asks + bids, ask_levels + bid_levels, ask_rates + bid_rates
+        if caps is not None:
+            # An arrival rests (n + 1 orders) unless it crosses the opposite best (n - 1).
+            n, most = key[2], math.inf if caps.max_orders is None else caps.max_orders
+            fits = caps.max_quantity is None or model.unit_quantity <= caps.max_quantity
+            keep = [fits and n + (1 if key[s < 0] + s > 0 else -1) <= most for s in levels]
+            arrivals, levels, rates = (list(compress(x, keep)) for x in (arrivals, levels, rates))
+        rates = rates + [model.per_order_cancel_rate] * slots
+        if not rates:
+            raise AbsorbingStateError("state has no outgoing transitions")
         entry = tables[key] = np.cumsum(rates).tolist(), arrivals, levels
     cum, arrivals, _ = entry
     while len(cum) < len(arrivals) + slots:
@@ -351,12 +355,12 @@ def simulate(
             key = (best[0], best[1], count if capped else 0)
             table = tables.get(key)
         if table is None:
-            table = _table(tables, key, model, caps, book_state, slots)
+            table = _table(tables, key, model, caps, slots)
         cum, arrivals, arrival_levels = table
         n_arrivals = len(arrival_levels)
         hi = n_arrivals + slots
         if len(cum) < hi:
-            _table(tables, key, model, caps, book_state, slots)  # grows cum in place
+            _table(tables, key, model, caps, slots)  # grows cum in place
         if i_draw == len(draws):
             # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
             pairs = block if event_count is None else min(block, event_count - events)
@@ -573,16 +577,14 @@ class _PaddedTables:
         self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
         self.rows: list[tuple[list[float], list[int], int]] = []
 
-    def ids(
-        self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray, levels: np.ndarray
-    ) -> np.ndarray:
+    def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray) -> np.ndarray:
         """Row per run for best bid/ask levels (0 / K + 1 when empty) and order count."""
         code = ((bid * self.width[0] + ask - 1) * self.width[1]) + n
         ids = self.id_of_code[code]
         missing = np.flatnonzero(ids < 0)
         if missing.size:
             for r in missing[np.unique(code[missing], return_index=True)[1]].tolist():
-                self._add(code[r], int(bid[r]), int(ask[r]), int(n[r]), levels[r, : n[r]].tolist())
+                self._add(code[r], int(bid[r]), int(ask[r]), int(n[r]))
             self.cum = np.full((len(self.rows), max(len(c) for c, _, _ in self.rows)), np.inf)
             self.level = np.zeros(self.cum.shape, dtype=np.int64)
             for i, (cum, level, _) in enumerate(self.rows):
@@ -593,11 +595,10 @@ class _PaddedTables:
             ids = self.id_of_code[code]
         return ids
 
-    def _add(self, code: int, bid: int, ask: int, n: int, levels: list[int]) -> None:
-        model, k, q = self.model, self.model.grid_size, self.model.unit_quantity
-        book = partial(_book_state, k, q, list(range(1, n + 1)), levels, None, n + 1)
-        # The key holds the order count, so the entry is built with all n slots.
-        cum, _, level = _table(self.tables, (-bid, ask, n), model, self.caps, book, 0)
+    def _add(self, code: int, bid: int, ask: int, n: int) -> None:
+        # The key holds the order count, so the entry is built with all its slots.
+        slots = n if self.model.per_order_cancel_rate > 0.0 else 0
+        cum, _, level = _table(self.tables, (-bid, ask, n), self.model, self.caps, slots)
         self.id_of_code[code] = len(self.rows)
         self.rows.append((cum, level, len(level)))
 
@@ -654,7 +655,7 @@ def _simulate_lockstep(
     columns = np.arange(m)
     step = 0
     while live.size:
-        ids = padded.ids(bid, ask, n, levels)
+        ids = padded.ids(bid, ask, n)
         if step % block == 0:
             draws = streams.random(live, 2 * block)
         u_time, u_event = draws[:, 2 * (step % block)], draws[:, 2 * (step % block) + 1]

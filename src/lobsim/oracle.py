@@ -2,13 +2,14 @@
 
 Enumerates every price-time-normal-form book within the cutoffs as a pair
 of per-side placement ids, and assembles the sparse transition-rate
-generator from the same arrival rates and cap rule as the event tables the
-engine samples from. One lookup resolves a (bid, ask) pair of placement
-ids to its state index and serves canonical keys, order counts (each side
-written as a K-digit code in base ``max_orders + 1``, tabulated once per
-order quantity, so ``(max_orders + 1)^K`` must fit int64) and generator
-targets alike. An event changes one side's placement and reaches the other
-side only through the remainder of a fill, so the assembly works out each
+generator from the same side arrival rows (``side_arrivals`` of the best
+quotes) and cap rule as the event tables the engine samples from. One
+lookup resolves a (bid, ask) pair of placement ids to its state index and
+serves canonical keys, order counts (each side written as a K-digit code
+in base ``max_orders + 1``, tabulated once per order quantity, so
+``(max_orders + 1)^K`` must fit int64) and generator targets alike. An
+event changes one side's placement and reaches the other side only
+through the remainder of a fill, so the assembly works out each
 transition once per placement and gathers every state's targets from those
 tables with numpy. Probability vectors evolve by uniformization. Used as
 the ground truth the stochastic engine is validated against, on the models
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .book import BookState, CanonicalKey, Order, Side, StateCaps
-from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, arrival_rates
+from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, side_arrivals
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
 
 # A placement's bid half (levels descending) and ask half (levels ascending).
@@ -281,13 +282,13 @@ def build_generator(
 
     Entry (j, i) is the normalized rate of the transition i -> j, with the
     rates and the cap rule of :func:`~lobsim.rates.event_table`: arrivals
-    from ``arrival_rates``, one cancellation per resident, and arrivals whose
-    result would exceed the caps (defaulting to the index cutoffs) removed
-    before normalization, so the matrix describes the same finite process the
-    capped engine runs. The diagonal balances each column to zero; a state
-    with no transition keeps an empty column. A transition leaving the index
-    raises ``KeyError``; a model on another grid than the index raises
-    :class:`OracleError`.
+    from :func:`~lobsim.rates.side_arrivals` of the state's best quotes, one
+    cancellation per resident, and arrivals whose result would exceed the
+    caps (defaulting to the index cutoffs) removed before normalization, so
+    the matrix describes the same finite process the capped engine runs. The
+    diagonal balances each column to zero; a state with no transition keeps
+    an empty column. A transition leaving the index raises ``KeyError``; a
+    model on another grid than the index raises :class:`OracleError`.
 
     Every event changes one side's placement and reaches the other side only
     through the remainder of a fill, so transitions are worked out per
@@ -335,9 +336,10 @@ def build_generator(
     _, first, group = np.unique(quotes, return_index=True, return_inverse=True)
     arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
     lists = []  # per group: (arrival id, raw rate) in event-table order
-    for i in first:
+    for b, a in zip(best[0][bid[first]].tolist(), best[1][ask[first]].tolist()):
         lists.append([])
-        for d, rate in arrival_rates(model, index.state(int(i))).entries:
+        sides = (Side.ASK, b or None), (Side.BID, a if a <= model.grid_size else None)
+        for d, rate in (entry for side in sides for entry in side_arrivals(model, *side)[0]):
             if d.quantity <= max_quantity:
                 arrival = (d.side is Side.ASK, d.price_level, d.quantity)
                 lists[-1].append((arrival_ids.setdefault(arrival, len(arrival_ids)), rate))
@@ -489,9 +491,7 @@ def evolve(
     segments = max(1, math.ceil(rate_cap * t / 64.0))
     dt = t / segments
     poisson_mean = rate_cap * dt
-    transition = (
-        sparse.identity(p.size, format="csr") + generator.tocsr() / rate_cap
-    )
+    transition = sparse.identity(p.size, format="csr") + generator.tocsr() / rate_cap
     max_terms = int(poisson_mean + 20.0 * math.sqrt(poisson_mean + 1.0) + 200)
     for _ in range(segments):
         weight = math.exp(-poisson_mean)
@@ -526,9 +526,7 @@ def exact_moment(
     return float((values**order) @ p_t)
 
 
-def compare_distributions(
-    empirical: Sequence[float], exact: Sequence[float]
-) -> float:
+def compare_distributions(empirical: Sequence[float], exact: Sequence[float]) -> float:
     """Total variation distance between two distributions on the same index."""
     a = np.asarray(empirical, dtype=float)
     b = np.asarray(exact, dtype=float)

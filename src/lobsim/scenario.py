@@ -22,7 +22,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import engine, observables, oracle
-from .book import Side, empty_book
+from .book import Side
 from .engine import RecordingConfig, SimulationResult
 from .engine import run_ensemble  # noqa: F401  (bench/spans.py wraps it)
 from .observables import RunSummary, summarize_run
@@ -33,7 +33,7 @@ from .rates import (
     RateModel,
     RateModelError,
     TraderGroup,
-    arrival_rates,
+    side_arrivals,
 )
 
 SCHEMA_VERSION = 1
@@ -262,11 +262,13 @@ def config_from_dict(raw: dict, name: str = "custom") -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a JSON scenario file."""
+    """Read and validate a JSON scenario file; :class:`ConfigError` when it is
+    not UTF-8 JSON, holds an integer past Python's digit limit or nests past
+    the recursion limit."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError([f"{path}: invalid JSON: {exc}"]) from exc
     return config_from_dict(raw, name=path.stem)
 
@@ -484,7 +486,7 @@ def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
                 raise BundleError(f"malformed bundle {out}: unexpected summary.csv header")
             for row in reader:
                 rows.append({key: float(value) for key, value in row.items()})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise BundleError(f"malformed bundle {out}: {exc}") from exc
     return metadata, rows
 
@@ -717,13 +719,11 @@ def validate_against_oracle(
 
 
 def arrival_rate_rows(config: ScenarioConfig) -> list[list[str]]:
-    """Per-side arrival-rate table (side, price level, rate), CSV-ready."""
+    """Per-side arrival-rate table (side, price level, rate), CSV-ready: the
+    :func:`~lobsim.rates.side_arrivals` rows with no opposite quote."""
     model = build_rate_model(config)
-    rates = arrival_rates(model, empty_book(config.grid_size))
-    rows: list[list[str]] = []
-    for side in (Side.ASK, Side.BID):
-        for level in range(1, config.grid_size + 1):
-            rate = rates.rate(side, level)
-            if rate > 0.0:
-                rows.append([side.value, str(level), _format(rate)])
-    return rows
+    return [
+        [side.value, str(d.price_level), _format(rate)]
+        for side in (Side.ASK, Side.BID)
+        for d, rate in side_arrivals(model, side, None)[0]
+    ]

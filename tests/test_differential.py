@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lobsim.engine
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book
 from lobsim.engine import (
     LOCKSTEP_CHUNK,
@@ -278,6 +279,27 @@ def test_batched_long_horizon_refills_draws():
     # About 120 events per run: every run refills its block of draws.
     batch = assert_batch_matches_scalar("tiny-overlap", runs=40, time_horizon=20.0)
     assert batch.event_counts.min() > 64
+
+
+def test_batched_runs_build_no_book(monkeypatch):
+    # Capped tables come from side rows and the order count: with no way to
+    # build a BookState, the batched form still matches one scalar call per seed.
+    model, caps = ORACLE_MODELS["tiny-overlap"]()
+    seeds = derive_run_seeds(9, 200)
+    recording = RecordingConfig(events=False)
+    expected = [
+        order_counts(
+            simulate(model, time_horizon=2.0, seed=seed, recording=recording, caps=caps).final_state
+        )
+        for seed in seeds
+    ]
+
+    def no_book(*args):
+        raise AssertionError("a BookState was built")
+
+    monkeypatch.setattr(lobsim.engine, "_book_state", no_book)
+    batch = simulate(model, time_horizon=2.0, seed=seeds, recording=recording, caps=caps)
+    assert np.array_equal(batch.final_depths, expected)
 
 
 def test_absorbing_state_raises_in_both_forms():

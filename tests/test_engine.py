@@ -1,6 +1,6 @@
 """Engine: determinism, waiting-time law, event-frequency agreement with the
 rate table, one table build per cache key, the loop's tables against
-event_table on drawn models and books, stop criteria, ensembles,
+event_table on drawn models, books and caps, stop criteria, ensembles,
 steady-state behavior, the seed range, the replicated numpy streams of the
 batched form, and tied event selection."""
 
@@ -317,28 +317,41 @@ ABSORBING = (
 )
 
 
+# Caps for a book of n orders: None, or max_orders from n - 1 (not below 0),
+# n, n + 1 or unbounded, and max_quantity 1, 2 or unbounded.
+DRAWN_CAPS = st.one_of(
+    st.tuples(st.sampled_from([-1, 0, 1, None]), st.sampled_from([1, 2, None])), st.none()
+)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(drawn_books())
-@example(ABSORBING)
-def test_table_matches_event_table_on_drawn_books(case):
+@given(drawn_books(), DRAWN_CAPS)
+@example(ABSORBING, None)
+def test_table_matches_event_table_on_drawn_books(case, drawn_caps):
     # The loop's entry for a book's key, built on its first event, against
-    # the event_table of that book; where event_table finds the book
-    # absorbing, simulate raises before its first event.
+    # the event_table of that book under the same caps; where event_table
+    # finds the book absorbing, simulate raises before its first event.
     model, book = case
-    k = model.grid_size
+    k, n = model.grid_size, book.order_count()
+    caps = None
+    if drawn_caps is not None:
+        offset, max_quantity = drawn_caps
+        caps = StateCaps(None if offset is None else max(n + offset, 0), max_quantity)
     tables: dict = {}
     run = partial(
         simulate, model, book, event_count=1, seed=3, recording=RecordingConfig(events=False),
-        _tables=tables,
+        caps=caps, _tables=tables,
     )
     try:
-        entries = event_table(model, book).entries
+        entries = event_table(model, book, caps).entries
     except AbsorbingStateError:
         with pytest.raises(AbsorbingStateError):
             run()
         return
     run()
-    if model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
+    if caps is not None:
+        key = (-(book.best_bid() or 0), book.best_ask() or k + 1, n)
+    elif model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
         key = ()
     else:
         key = (-(book.best_bid() or 0), book.best_ask() or k + 1, 0)
@@ -346,6 +359,8 @@ def test_table_matches_event_table_on_drawn_books(case):
     assert cum == np.cumsum([rate for _, rate in entries]).tolist()
     assert arrivals == [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
     assert levels == [signed_level(d) for d in arrivals]
+    if caps is not None and model.unit_quantity > (caps.max_quantity or math.inf):
+        assert arrivals == []
 
 
 class TestEnsemble:

@@ -236,6 +236,16 @@ class TestGeneratorMatchesBookCore:
             build_generator(model, index, caps), reference_generator(model, index, caps)
         )
 
+    def test_arrivals_come_from_quotes_not_books(self, monkeypatch):
+        model, index = oracle_case("tiny-opposite")
+        expected = reference_generator(model, index)
+
+        def no_book(self, i):
+            raise AssertionError("a BookState was built")
+
+        monkeypatch.setattr(StateIndex, "state", no_book)
+        assert_identical(build_generator(model, index), expected)
+
     def test_zero_cancellation_rate_leaves_absorbing_columns_empty(self):
         model, index = oracle_case("tiny")
         model = replace(model, per_order_cancel_rate=0.0)

@@ -351,6 +351,9 @@ class TestCli:
             ("metadata.json", "{}"),
             ("summary.csv", "run,events\n0,50\n"),
             ("summary.csv", ""),
+            pytest.param(
+                "metadata.json", "[" * 100_000 + "]" * 100_000, id="nested-past-recursion-limit"
+            ),
         ],
     )
     def test_malformed_bundle_is_io_error(self, tmp_path, capsys, file, text):
@@ -378,6 +381,23 @@ class TestCli:
         path.write_text(json.dumps({"groups": []}))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("verb", ["run", "print-rates"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"runs": "\xe9"}', b"[" * 100_000 + b"]" * 100_000, b'{"runs": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf-8", "nested-past-recursion-limit", "integer-past-digit-limit"],
+    )
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, verb, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        args = ["--out", str(out)] if verb == "run" else []
+        assert main([verb, "--config", str(path), *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags", [["--seed", "-1"], ["--runs", "0"], ["--events", "-5"]]

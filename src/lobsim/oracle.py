@@ -1,40 +1,28 @@
 """Exact forward-equation solver on a truncated book state space.
 
 Enumerates every price-time-normal-form book within the cutoffs as a pair
-of per-side placement ids, and assembles the sparse transition-rate
-generator from the same side arrival rows (``side_arrivals`` of the best
-quotes) and cap rule as the event tables the engine samples from. One
-lookup resolves a (bid, ask) pair of placement ids to its state index and
-serves canonical keys, order counts (each side written as a K-digit code
-in base ``max_orders + 1``, tabulated once per order quantity, so
-``(max_orders + 1)^K`` must fit int64) and generator targets alike. An
-event changes one side's placement and reaches the other side only
-through the remainder of a fill, so the assembly works out each
-transition once per placement and gathers every state's targets from those
-tables with numpy. Probability vectors evolve by uniformization. Used as
-the ground truth the stochastic engine is validated against, on the models
-``tiny``, ``tiny-overlap`` and ``tiny-opposite`` (opposite-best anchoring).
-``tests/test_oracle.py`` checks the generator against one assembled through
-the book core (``event_table`` and ``apply_event`` on ``BookState``s), on
-fixed and on drawn models.
+of per-side placements, each one side's resting orders held as a padded
+numpy row of (level, quantity) entries in ask order (the bid form reverses
+the level blocks); one sorted-row lookup maps rows back to placement ids.
+The sparse transition-rate generator comes from the same side arrival rows
+(``side_arrivals`` of the best quotes) and cap rule as the engine's event
+tables, with fills, rests and cancellations worked out by array operations
+over all placements at once. Probability vectors evolve by uniformization.
+The engine is validated against it on the tiny models; ``tests/test_oracle.py``
+checks the generator against one assembled through the book core.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .book import BookState, CanonicalKey, Order, Side, StateCaps
 from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, side_arrivals
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
-
-# A placement's bid half (levels descending) and ask half (levels ascending).
-PlacementHalves = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 if TYPE_CHECKING:
     # Loaded by build_generator and evolve only, so importing lobsim does not load scipy.
@@ -53,34 +41,48 @@ class StateSpaceBudgetError(OracleError):
 class StateIndex:
     """Bijection between truncated canonical book structures and indices.
 
-    A state is a pair of per-side placement ids (see :func:`_side_halves`):
-    state i pairs ``bid_placement[i]`` with ``ask_placement[i]``, and states
-    ascend by the code ``bid_placement * H + ask_placement`` (H placements).
-    One ``np.searchsorted`` on those codes resolves every lookup: by key
-    (:meth:`index`), by order counts (:meth:`positions`: per-side codes of K
-    digits in base ``max_orders + 1``, so ``(max_orders + 1)^K`` must fit
-    int64) and of generator targets. Equality compares the three bounds,
+    ``placements[p]`` is placement p in ask form: ``max_orders + 1`` entries
+    (level, quantity), the resting orders by ascending level and time
+    priority, then (0, 0) padding. State i pairs ``bid_placement[i]`` with
+    ``ask_placement[i]``; states ascend by the code ``bid * H + ask`` (H
+    placements), and one ``np.searchsorted`` on those codes serves every
+    state lookup: :meth:`index`, :meth:`positions` and generator targets.
+    A row maps back to its placement id by a search among the sorted void
+    views of every row in its form. Equality compares the three bounds,
     which determine the enumeration.
     """
 
     grid_size: int
     max_quantity: int
     max_orders: int
-    placements: tuple[PlacementHalves, ...] = field(repr=False, compare=False)
+    placements: np.ndarray = field(repr=False, compare=False)
     bid_placement: np.ndarray = field(repr=False, compare=False)
     ask_placement: np.ndarray = field(repr=False, compare=False)
-    # Per form (0 the bid half, 1 the ask half): half -> placement id.
-    _ids_of: tuple[dict, dict] = field(init=False, repr=False, compare=False)
+    # Per form (0 bid, 1 ask): every placement's row, and the row keys sorted
+    # with their ids. Order j of bid row p is order flip[p, j] of ask row p.
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _ids_of: tuple = field(init=False, repr=False, compare=False)
+    _flip: np.ndarray = field(init=False, repr=False, compare=False)
+    # Orders per placement, and its best level per form (0 or grid_size + 1: none).
+    _length: np.ndarray = field(init=False, repr=False, compare=False)
+    _best: tuple = field(init=False, repr=False, compare=False)
     _codes: np.ndarray = field(init=False, repr=False, compare=False)
     _counted_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        h = len(self.placements)
-        ids_of = tuple({half[form]: p for p, half in enumerate(self.placements)} for form in (0, 1))
-        if any(len(ids) != h for ids in ids_of):
+        asks, level = self.placements, self.placements[..., 0]
+        # A stable sort on descending level reverses the level blocks; padding stays last.
+        flip = np.argsort(np.where(level > 0, -level, 1), axis=1, kind="stable")
+        rows = (np.take_along_axis(asks, flip[..., None], axis=1), asks)
+        orders = [(key, np.argsort(key)) for key in map(self._keys, rows)]
+        ids_of = tuple((key[order], order) for key, order in orders)
+        if (ids_of[1][0][1:] == ids_of[1][0][:-1]).any():
             raise OracleError("duplicate placements in enumeration")
-        object.__setattr__(self, "_ids_of", ids_of)
-        object.__setattr__(self, "_codes", self.bid_placement * h + self.ask_placement)
+        length, best = _profile(asks, self.grid_size)
+        codes = self.bid_placement * len(asks) + self.ask_placement
+        fields = ("_rows", rows), ("_ids_of", ids_of), ("_flip", flip), ("_length", length)
+        for name, value in (*fields, ("_best", best), ("_codes", codes)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self._codes)
@@ -92,16 +94,38 @@ class StateIndex:
         at = np.minimum(np.searchsorted(self._codes, code), len(self._codes) - 1)
         return np.where((self._codes[at] == code) & (bid >= 0) & (ask >= 0), at, -1)
 
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """Rows (n, width, 2) within the bounds as n void scalars, each entry
+        coded level * (max_quantity + 1) + quantity."""
+        radix = self.max_quantity + 1
+        code = rows[..., 0] * radix + rows[..., 1]
+        code = np.ascontiguousarray(code, dtype=np.min_scalar_type((self.grid_size + 1) * radix))
+        return code.view(np.dtype((np.void, code.shape[1] * code.itemsize)))[:, 0]
+
+    def _ids(self, rows: np.ndarray, form: int) -> np.ndarray:
+        """Placement ids of rows within the bounds written in ``form`` (0 bid,
+        1 ask), -1 for a row the index lacks."""
+        keys, ids = self._ids_of[form]
+        key = self._keys(rows)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[at] == key, ids[at], -1)
+
     def key(self, i: int) -> CanonicalKey:
-        return (
-            self.placements[self.bid_placement[i]][0],
-            self.placements[self.ask_placement[i]][1],
+        bids, asks = (
+            tuple((lv, q) for lv, q in rows[p].tolist() if lv)
+            for rows, p in zip(self._rows, (self.bid_placement[i], self.ask_placement[i]))
         )
+        return bids, asks
 
     def index(self, key: CanonicalKey) -> int:
         """The index of a canonical key; ``KeyError`` if the index lacks it."""
-        bids, asks = key
-        i = int(self._find(self._ids_of[0].get(bids, -1), self._ids_of[1].get(asks, -1)))
+        k, q, width = self.grid_size, self.max_quantity, self.placements.shape[1]
+        rows = np.zeros((2, width, 2), dtype=np.int64)
+        for form, half in enumerate(key):
+            if len(half) >= width or not all(0 < lv <= k and 0 < s <= q for lv, s in half):
+                raise KeyError(key)
+            rows[form, : len(half)] = np.reshape(half, (-1, 2))
+        i = int(self._find(self._ids(rows[:1], 0), self._ids(rows[1:], 1))[0])
         if i < 0:
             raise KeyError(key)
         return i
@@ -139,13 +163,11 @@ class StateIndex:
         """Sorted codes (see :meth:`positions`) of the placements whose orders
         all have size ``quantity``, and their ids; built once per quantity."""
         if quantity not in self._counted_by_quantity:
-            radix = self.max_orders + 1
-            ids, codes = [], []
-            for p, (_, asks) in enumerate(self.placements):
-                if all(q == quantity for _, q in asks):
-                    ids.append(p)
-                    codes.append(sum(radix ** (lv - 1) for lv, _ in asks))
-            codes, ids = np.array(codes, dtype=np.int64), np.array(ids, dtype=np.int64)
+            level, size = self.placements[..., 0], self.placements[..., 1]
+            ids = np.flatnonzero(((size == quantity) | (level == 0)).all(axis=1))
+            level = level[ids]
+            digits = (self.max_orders + 1) ** np.maximum(level - 1, 0)
+            codes = np.where(level > 0, digits, 0).sum(axis=1)
             order = np.argsort(codes)
             self._counted_by_quantity[quantity] = (codes[order], ids[order])
         return self._counted_by_quantity[quantity]
@@ -170,109 +192,87 @@ class StateIndex:
         return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
 
 
-def _quantity_tuples(max_len: int, max_quantity: int) -> Iterable[tuple[int, ...]]:
-    for length in range(max_len + 1):
-        yield from product(range(1, max_quantity + 1), repeat=length)
+def _profile(rows: np.ndarray, grid_size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Orders per ask-form row, and its best bid and best ask levels as a
+    placement on either side (0 and ``grid_size + 1`` for an empty one)."""
+    level = rows[..., 0]
+    length = (level > 0).sum(axis=1)
+    return length, (level.max(axis=1), np.where(length > 0, level[:, 0], grid_size + 1))
 
 
-def _side_halves(grid_size: int, max_quantity: int, max_orders: int) -> list[PlacementHalves]:
-    """Every per-side placement, as the (bid, ask) halves of a canonical key.
-
-    A placement is a queue of quantities per level, in time-priority order;
-    distinct orderings are distinct states because matching consumes the
-    front of the queue first. The bid half lists levels descending, the ask
-    half ascending.
-    """
-    halves = []
-    queues: list[tuple[tuple[int, int], ...]] = []  # one per occupied level, ascending
-
-    def recurse(level: int, used: int) -> None:
-        if level > grid_size:
-            halves.append(
-                (
-                    tuple(o for queue in reversed(queues) for o in queue),
-                    tuple(o for queue in queues for o in queue),
-                )
-            )
-            return
-        for qtuple in _quantity_tuples(max_orders - used, max_quantity):
-            if qtuple:
-                queues.append(tuple((level, q) for q in qtuple))
-            recurse(level + 1, used + len(qtuple))
-            if qtuple:
-                queues.pop()
-
-    recurse(1, 0)
-    return halves
+def _state_count(k: int, q: int, m: int) -> int:
+    """The number of states :func:`enumerate_states` pairs on k levels, orders
+    of size up to q, at most m orders, from per-(length, best level) counts."""
+    # asks[n, a]: ask placements of n orders whose best level is a (k + 1 when
+    # empty). The other n - 1 levels form a multiset on a..k.
+    asks = np.zeros((m + 1, k + 2), dtype=object)
+    asks[0, k + 1] = 1
+    for n in range(1, m + 1):
+        for a in range(1, k + 1):
+            asks[n, a] = math.comb(n - 1 + k - a, n - 1) * q**n
+    # fits[n, a]: ask placements of at most n orders whose best level is >= a.
+    fits = asks.cumsum(axis=0)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # Mirroring the levels makes a bid placement of n orders, best level b,
+    # an ask placement with best level k + 1 - b; its asks sit above b.
+    pairs = ((n, b) for n in range(m + 1) for b in range(k + 1))
+    return int(sum(asks[n, k + 1 - b] * fits[m - n, b + 1] for n, b in pairs))
 
 
 def enumerate_states(
-    grid_size: int,
-    max_quantity: int,
-    max_orders: int,
-    budget: int = 200_000,
+    grid_size: int, max_quantity: int, max_orders: int, budget: int = 200_000
 ) -> StateIndex:
     """Enumerate every uncrossed book within the cutoffs, exactly once.
 
     Crossed configurations are excluded: continuous trading resolves them
     inside a single transition, so they are never observable states of the
-    process. Raises :class:`StateSpaceBudgetError` past ``budget`` states.
-    States come bid placement by bid placement, each paired with the ask
-    placements in placement order.
+    process. Raises :class:`StateSpaceBudgetError` past ``budget`` states,
+    counted before any placement is built. Distinct queue orderings are
+    distinct states because matching consumes the front of the queue first.
+    Placements are grown length by length, then ordered lexicographically
+    over levels 1..K of each level's queue, queues ranked by (length,
+    quantities). States pair each bid placement, in that order, with the
+    ask placements that fit beside it, in that order.
     """
-    halves = _side_halves(grid_size, max_quantity, max_orders)
-    lengths = np.array([len(asks) for _, asks in halves])
-    best_ask = np.array([asks[0][0] if asks else grid_size + 1 for _, asks in halves])
-    # (orders left, best bid) -> the ids of the ask placements that fit
-    # beside such a bid placement, in placement order.
-    partners: dict = {}
-    ask_ids = []
-    for bids, _ in halves:
-        fit = (max_orders - len(bids), bids[0][0] if bids else 0)
-        if fit not in partners:
-            partners[fit] = np.flatnonzero((lengths <= fit[0]) & (best_ask > fit[1]))
-        ask_ids.append(partners[fit])
-    sizes = [len(ids) for ids in ask_ids]
-    if sum(sizes) > budget:
-        raise StateSpaceBudgetError(f"state space of {sum(sizes)} exceeds budget of {budget}")
-    return StateIndex(
-        grid_size=grid_size,
-        max_quantity=max_quantity,
-        max_orders=max_orders,
-        placements=tuple(halves),
-        bid_placement=np.repeat(np.arange(len(halves)), sizes),
-        ask_placement=np.concatenate(ask_ids),
+    k, m, q = grid_size, max_orders, max_quantity
+    count = _state_count(k, q, m)
+    if count > budget:
+        raise StateSpaceBudgetError(f"state space of {count} exceeds budget of {budget}")
+    grown = [np.zeros((1, m + 1, 2), dtype=np.int64)]
+    for n in range(1, m + 1):
+        # Append one order at or above the last order's level to each row of n - 1.
+        low = np.maximum(grown[-1][:, n - 2, 0], 1)
+        choices = (k + 1 - low) * q
+        rows = np.repeat(grown[-1], choices, axis=0)
+        c = np.arange(len(rows)) - np.repeat(np.cumsum(choices) - choices, choices)
+        rows[:, n - 1, 0] = np.repeat(low, choices) + c // q
+        rows[:, n - 1, 1] = c % q + 1
+        grown.append(rows)
+    rows = np.concatenate(grown)
+    # Sort on the row of each level's order count followed by its quantities,
+    # levels 1..K; the count of level l sits at l - 1 + (orders below l) and
+    # order j of the row (level l_j) at l_j + j.
+    h, level = len(rows), rows[..., 0]
+    counts = (level[..., None] == np.arange(1, k + 1)).sum(axis=1)
+    order_key = np.zeros((h, k + m), dtype=np.int64)
+    order_key[np.arange(h)[:, None], np.arange(k) + np.cumsum(counts, axis=1) - counts] = counts
+    p, j = np.nonzero(level)
+    order_key[p, level[p, j] + j] = rows[p, j, 1]
+    rows = rows[np.lexsort(order_key.T[::-1])]
+
+    # The ask placements that fit beside a bid placement depend only on its
+    # (orders left, best bid): one row of partners per such pair.
+    length, (best_bid, best_ask) = _profile(rows, k)
+    fit = (m - length) * (k + 1) + best_bid
+    _, first, pair = np.unique(fit, return_index=True, return_inverse=True)
+    group, partner = np.nonzero(
+        (length + length[first, None] <= m) & (best_ask > best_bid[first, None])
     )
-
-
-def _fill(
-    opposite: tuple[tuple[int, int], ...], ask: bool, price: int, remaining: int
-) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The opposite half after an arrival, and the arrival's unfilled remainder.
-
-    As in :func:`~lobsim.book.submit_order`, while the arrival crosses the
-    front of the opposite half it fills that resident, partially when the
-    resident is larger.
-    """
-    filled = 0
-    front: tuple[tuple[int, int], ...] = ()
-    for level, q in opposite:
-        if not remaining or (level < price if ask else level > price):
-            break
-        filled += 1
-        if q > remaining:
-            front, remaining = ((level, q - remaining),), 0
-        else:
-            remaining -= q
-    return front + opposite[filled:], remaining
-
-
-def _rest(
-    asks: tuple[tuple[int, int], ...], price: int, quantity: int
-) -> tuple[tuple[int, int], ...]:
-    """An ask half with an order resting at ``price`` behind every resident of its level."""
-    i = bisect_right(asks, (price, math.inf))
-    return asks[:i] + ((price, quantity),) + asks[i:]
+    fits = np.bincount(group, minlength=len(first))
+    sizes, start = fits[pair], (np.cumsum(fits) - fits)[pair]
+    at = np.repeat(start - np.cumsum(sizes) + sizes, sizes) + np.arange(count)
+    return StateIndex(
+        grid_size, max_quantity, max_orders, rows, np.repeat(np.arange(h), sizes), partner[at]
+    )
 
 
 def build_generator(
@@ -291,16 +291,15 @@ def build_generator(
     model on another grid than the index raises :class:`OracleError`.
 
     Every event changes one side's placement and reaches the other side only
-    through the remainder of a fill, so transitions are worked out per
-    placement, not per state: once per distinct arrival, a table over all
-    placements of the opposite half after the fill and of the remainder, and
-    a table of the own half with a remainder rested; once, a table of each
-    placement with its j-th order cancelled. Each state's targets are then
-    gathered from those tables, slot by slot, with numpy. Totals and
-    outflows are summed slot by slot in the order of the event table, and
-    the triplets come in that order too (kept arrivals, cancellations in
-    submission order, the diagonal), so the float bytes match a generator
-    assembled one state at a time.
+    through the remainder of a fill, so transitions are tabulated per
+    placement with array operations on the rows, then looked up as ids:
+    per distinct arrival, every opposite placement after the fill and the
+    remainder; per price and remainder, every placement with it rested; per
+    order position j, every placement with its j-th order cancelled. Each
+    state's targets are gathered from those tables slot by slot. Totals and
+    outflows are summed slot by slot in event-table order, and the triplets
+    keep that order (kept arrivals, cancellations in submission order, the
+    diagonal), so the float bytes match a state-by-state assembly.
     """
     from scipy import sparse
 
@@ -313,18 +312,12 @@ def build_generator(
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
     max_quantity = math.inf if caps.max_quantity is None else caps.max_quantity
     omega = model.per_order_cancel_rate
-    halves = index.placements
-    n, h = len(index), len(halves)
-    ids_of = index._ids_of
-    length = np.array([len(asks) for _, asks in halves])
+    rows, length, best = index._rows, index._length, index._best
+    n, (h, width, _) = len(index), rows[1].shape
+    column = np.arange(width)
     # Whether a placement holds an order above the quantity cap. Arrivals above
     # it are dropped, so a result holds one only where its state did.
-    over = np.array([any(q > max_quantity for _, q in asks) for _, asks in halves])
-    # Best levels: 0 for no bids, grid_size + 1 for no asks.
-    best = (
-        np.array([bids[0][0] if bids else 0 for bids, _ in halves]),
-        np.array([asks[0][0] if asks else model.grid_size + 1 for _, asks in halves]),
-    )
+    over = (index.placements[..., 1] > max_quantity).any(axis=1)
     bid, ask = index.bid_placement, index.ask_placement
 
     # Arrival lists, keyed like the engine's table cache: one under static
@@ -348,28 +341,40 @@ def build_generator(
     # the remainder; per arrival, remainder and own placement: the placement
     # with the remainder rested, -1 outside the index. A remainder joins the
     # back of its level's queue, the same placement from either side, so
-    # rests are worked out on ask halves, once per (price, remainder), for the
+    # rests are worked out on ask rows, once per (price, remainder), for the
     # placements with room for one more order.
     top = max((q for _, _, q in arrival_ids), default=0)
     fill_to = np.tile(np.arange(h), (len(arrival_ids), 1))
     fill_left = np.zeros((len(arrival_ids), h), dtype=np.int64)
     rest_to = np.full((len(arrival_ids), top + 1, h), -1)
     rest_to[:, 0] = np.arange(h)
-    is_ask = np.zeros(len(arrival_ids), dtype=bool)
-    room = np.flatnonzero(length < index.max_orders).tolist()
+    is_ask = np.array([on_ask for on_ask, _, _ in arrival_ids], dtype=bool)
+    room = np.flatnonzero(length < index.max_orders)
+    own = rows[1][room]
     rests: dict = {}
     for (on_ask, price, quantity), a in arrival_ids.items():
-        is_ask[a] = on_ask
         opposite = 0 if on_ask else 1
-        crossing = best[opposite] >= price if on_ask else best[opposite] <= price
-        crossing = np.flatnonzero(crossing).tolist()
-        filled = [_fill(halves[p][opposite], on_ask, price, quantity) for p in crossing]
-        fill_to[a, crossing] = [ids_of[opposite][half] for half, _ in filled]
+        crossing = np.flatnonzero(best[opposite] >= price if on_ask else best[opposite] <= price)
+        # As in book.submit_order, the arrival fills the crossing front of the
+        # opposite row in priority order, the last resident it reaches
+        # partially when that one is larger; filled residents leave the row.
+        filled = rows[opposite][crossing]
+        level, size = filled[..., 0], filled[..., 1]
+        front = (level >= price) if on_ask else (level > 0) & (level <= price)
+        spent = np.cumsum(size * front, axis=1)
         fill_left[a] = quantity
-        fill_left[a, crossing] = [left for _, left in filled]
-        for r in range(1, quantity + 1):
+        fill_left[a, crossing] = np.maximum(quantity - spent[:, -1], 0)
+        size -= np.minimum(np.maximum(quantity - spent + size, 0), size) * front
+        gone = (front & (size == 0)).sum(axis=1)[:, None]
+        source = np.minimum(column + gone, width - 1) + width * np.arange(len(crossing))[:, None]
+        fill_to[a, crossing] = index._ids(filled.reshape(-1, 2).take(source, axis=0), opposite)
+        for r in range(1, min(quantity, index.max_quantity) + 1):
             if (price, r) not in rests:
-                rests[price, r] = [ids_of[1].get(_rest(halves[p][1], price, r), -1) for p in room]
+                # Insert behind the residents at levels up to price.
+                at = ((own[..., 0] > 0) & (own[..., 0] <= price)).sum(axis=1)[:, None]
+                rested = np.where((column > at)[..., None], np.roll(own, 1, axis=1), own)
+                rested[column == at] = price, r
+                rests[price, r] = index._ids(rested, 1)
             rest_to[a, r, room] = rests[price, r]
 
     # Per slot (arrivals, cancellations, the diagonal) and state: target
@@ -404,20 +409,15 @@ def build_generator(
             kept[:, k] = live
             raw[:, k] = np.where(live, rate_at[group, k], 0.0)
     if cancels:
-        # removed[form][j, p]: placement p without element j of its half in
+        # removed[form][j, p]: placement p without element j of its row in
         # that form, -1 past its length. Slot j cancels element j of bids +
         # asks: submission order in an enumerated book.
-        owner = np.repeat(np.arange(h), length)
-        element = np.arange(len(owner)) - np.repeat(np.cumsum(length) - length, length)
-        removed = []
-        for form, ids in enumerate(ids_of):
-            table = np.full((cancels, h), -1)
-            table[element, owner] = [
-                ids[half[:j] + half[j + 1:]]
-                for half in (pair[form] for pair in halves)
-                for j in range(len(half))
-            ]
-            removed.append(table)
+        removed = np.full((2, width, h), -1)
+        for j in range(cancels):
+            has = np.flatnonzero(length > j)
+            shift = np.minimum(column + (column >= j), width - 1)
+            removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
+        removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
         on_bid = length[bid]
         for j in range(cancels):
             from_bid = j < on_bid
@@ -544,7 +544,7 @@ def vacuum_vector(index: StateIndex) -> np.ndarray:
 
 def order_count_observable(index: StateIndex) -> np.ndarray:
     """Total resident order count per indexed state."""
-    length = np.array([len(asks) for _, asks in index.placements], dtype=float)
+    length = index._length.astype(float)
     return length[index.bid_placement] + length[index.ask_placement]
 
 

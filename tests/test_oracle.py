@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +94,46 @@ class TestEnumeration:
         assert all(index.index(index.key(i)) == i for i in range(len(index)))
 
     def test_duplicate_placements_raise(self):
-        empty = ((), ())
+        # Two empty placements: rows of max_orders + 1 = 2 padding entries.
+        empty = np.zeros((2, 2, 2), dtype=np.int64)
         with pytest.raises(OracleError, match="duplicate"):
-            StateIndex(2, 1, 1, (empty, empty), np.array([0]), np.array([0]))
+            StateIndex(2, 1, 1, empty, np.array([0]), np.array([0]))
 
     def test_budget_exceeded(self):
         with pytest.raises(StateSpaceBudgetError):
             enumerate_states(6, 2, 6, budget=100)
+
+    @pytest.mark.parametrize(
+        "bounds, count", [((12, 1, 10), 4_173_806), ((20, 2, 6), 73_449_769)]
+    )
+    def test_budget_is_checked_before_placements_are_built(self, bounds, count):
+        # Building every placement of these first would take seconds and
+        # hundreds of MiB; the count comes from per-(length, best level) tallies.
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceBudgetError, match=f"state space of {count} exceeds"):
+                enumerate_states(*bounds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_forty_orders_on_two_levels(self):
+        # 861 placements of up to 40 orders: a row code in base K * Q + 1 = 3
+        # would need 3**40 > 2**63, so the row lookup must not pack rows into int64.
+        index = enumerate_states(2, 1, 40)
+        assert len(index) == 2501
+        assert all(index.index(index.key(i)) == i for i in range(len(index)))
+        model, _ = tiny_overlapping_model()
+        generator = build_generator(model, index)
+        assert generator.shape == (2501, 2501)
+        max_column_sum, min_off = generator_diagnostics(generator)
+        assert max_column_sum <= 1e-12 and min_off >= 0.0
+        # A full book of 40 bids at level 1: an ask arriving at 1 takes the
+        # front bid, a bid arriving cannot rest, a cancellation removes one.
+        full = index.index((((1, 1),) * 40, ()))
+        fewer = index.index((((1, 1),) * 39, ()))
+        assert generator[fewer, full] > 0.0
 
     def test_random_engine_walks_stay_inside_index(self):
         model, caps = tiny_overlapping_model()
@@ -111,6 +146,52 @@ class TestEnumeration:
             for record in result.records:
                 state, _ = apply_event(state, record.event, record.time)
                 index.index(state.canonical_key())  # KeyError outside the index
+
+
+def reference_keys(grid_size, max_quantity, max_orders):
+    """Every state's key in enumeration order, from the recursive placement
+    enumeration: level 1's queue outermost, each level's queues ranked by
+    (length, quantities); bid placements in that order, each paired with the
+    ask placements that fit beside it, in that order."""
+    halves = []  # per placement: (bid half, ask half)
+    queues = []  # one per occupied level, ascending
+
+    def recurse(level, used):
+        if level > grid_size:
+            halves.append(
+                (
+                    tuple(o for queue in reversed(queues) for o in queue),
+                    tuple(o for queue in queues for o in queue),
+                )
+            )
+            return
+        for length in range(max_orders - used + 1):
+            for quantities in product(range(1, max_quantity + 1), repeat=length):
+                if quantities:
+                    queues.append(tuple((level, q) for q in quantities))
+                recurse(level + 1, used + length)
+                if quantities:
+                    queues.pop()
+
+    recurse(1, 0)
+    partners, keys = {}, []
+    for bids, _ in halves:
+        fit = (max_orders - len(bids), bids[0][0] if bids else 0)
+        if fit not in partners:
+            partners[fit] = [
+                asks for _, asks in halves
+                if len(asks) <= fit[0] and (not asks or asks[0][0] > fit[1])
+            ]
+        keys += [(bids, asks) for asks in partners[fit]]
+    return keys
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4))
+def test_enumeration_order_matches_recursive_reference(grid_size, max_quantity, max_orders):
+    index = enumerate_states(grid_size, max_quantity, max_orders)
+    expected = reference_keys(grid_size, max_quantity, max_orders)
+    assert [index.key(i) for i in range(len(index))] == expected
 
 
 def uniform_books(index, quantity):

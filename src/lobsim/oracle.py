@@ -295,11 +295,12 @@ def build_generator(
     placement with array operations on the rows, then looked up as ids:
     per distinct arrival, every opposite placement after the fill and the
     remainder; per price and remainder, every placement with it rested; per
-    order position j, every placement with its j-th order cancelled. Each
-    state's targets are gathered from those tables slot by slot. Totals and
-    outflows are summed slot by slot in event-table order, and the triplets
-    keep that order (kept arrivals, cancellations in submission order, the
-    diagonal), so the float bytes match a state-by-state assembly.
+    order position j, every placement with its j-th order cancelled. Slots
+    run in event-table order (a group's arrivals, then cancellation j for the
+    states with more than j residents), and each keeps only its live
+    transitions. Totals and outflows add each state's rates in slot order, its
+    diagonal follows every slot, and COO to CSC keeps each column's entries in
+    input order, so the float bytes match a state-by-state assembly.
     """
     from scipy import sparse
 
@@ -328,14 +329,15 @@ def build_generator(
         quotes = np.zeros(n, dtype=np.int64)
     _, first, group = np.unique(quotes, return_index=True, return_inverse=True)
     arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
-    lists = []  # per group: (arrival id, raw rate) in event-table order
+    lists = []  # per group: (arrival id, ask?, raw rate) in event-table order
     for b, a in zip(best[0][bid[first]].tolist(), best[1][ask[first]].tolist()):
         lists.append([])
         sides = (Side.ASK, b or None), (Side.BID, a if a <= model.grid_size else None)
         for d, rate in (entry for side in sides for entry in side_arrivals(model, *side)[0]):
             if d.quantity <= max_quantity:
                 arrival = (d.side is Side.ASK, d.price_level, d.quantity)
-                lists[-1].append((arrival_ids.setdefault(arrival, len(arrival_ids)), rate))
+                arrival_id = arrival_ids.setdefault(arrival, len(arrival_ids))
+                lists[-1].append((arrival_id, arrival[0], rate))
 
     # Per arrival and opposite placement: the placement after the fill and
     # the remainder; per arrival, remainder and own placement: the placement
@@ -348,7 +350,6 @@ def build_generator(
     fill_left = np.zeros((len(arrival_ids), h), dtype=np.int64)
     rest_to = np.full((len(arrival_ids), top + 1, h), -1)
     rest_to[:, 0] = np.arange(h)
-    is_ask = np.array([on_ask for on_ask, _, _ in arrival_ids], dtype=bool)
     room = np.flatnonzero(length < index.max_orders)
     own = rows[1][room]
     rests: dict = {}
@@ -377,76 +378,63 @@ def build_generator(
                 rests[price, r] = index._ids(rested, 1)
             rest_to[a, r, room] = rests[price, r]
 
-    # Per slot (arrivals, cancellations, the diagonal) and state: target
-    # index, raw rate (0 where dropped), and whether the slot is kept.
-    cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
-    arrivals = max(map(len, lists))
-    slots = arrivals + cancels + 1
-    target = np.zeros((n, slots), dtype=np.int32)
-    raw = np.zeros((n, slots))
-    kept = np.zeros((n, slots), dtype=bool)
-    if arrivals:
-        arrival_at = np.full((len(lists), arrivals), -1)
-        rate_at = np.zeros((len(lists), arrivals))
-        for g, entries in enumerate(lists):
-            arrival_at[g, : len(entries)] = [a for a, _ in entries]
-            rate_at[g, : len(entries)] = [rate for _, rate in entries]
-        oversized = over[bid] | over[ask]
-        for k in range(arrivals):
-            a = arrival_at[group, k]
-            on_ask = is_ask[a]
-            opposite = np.where(on_ask, bid, ask)
-            own = np.where(on_ask, ask, bid)
-            to = fill_to[a, opposite]
-            left = fill_left[a, opposite]
-            rested = rest_to[a, left, own]
-            live = (
-                (a >= 0)
-                & (length[to] + length[own] + (left > 0) <= max_orders)
-                & ~(oversized & (over[to] | over[own]))
-            )
-            target[:, k] = index._find(np.where(on_ask, to, rested), np.where(on_ask, rested, to))
-            kept[:, k] = live
-            raw[:, k] = np.where(live, rate_at[group, k], 0.0)
-    if cancels:
-        # removed[form][j, p]: placement p without element j of its row in
-        # that form, -1 past its length. Slot j cancels element j of bids +
-        # asks: submission order in an enumerated book.
-        removed = np.full((2, width, h), -1)
-        for j in range(cancels):
-            has = np.flatnonzero(length > j)
-            shift = np.minimum(column + (column >= j), width - 1)
-            removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
-        removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
-        on_bid = length[bid]
-        for j in range(cancels):
-            from_bid = j < on_bid
-            live = j < on_bid + length[ask]
-            from_ask = removed[1][np.maximum(j - on_bid, 0), ask]
-            target[:, arrivals + j] = index._find(
-                np.where(from_bid, removed[0][j, bid], bid), np.where(from_bid, ask, from_ask)
-            )
-            kept[:, arrivals + j] = live
-            raw[:, arrivals + j] = np.where(live, omega, 0.0)
-    leaving = (kept & (target < 0)).any(axis=1)
-    if leaving.any():
-        raise KeyError(f"a transition from {index.key(int(leaving.argmax()))} leaves the index")
+    # Per slot, its kept transitions as (states, targets, raw rate); every
+    # state of a group shares its arrival list, so each side is a Python bool.
+    slots = []
 
-    total = np.zeros(n)
-    for k in range(slots - 1):
-        total += raw[:, k]
-    alive = total > 0.0
-    factor = model.event_intensity / np.where(alive, total, 1.0)
-    rate = raw * factor[:, None]
-    outflow = np.zeros(n)
-    for k in range(slots - 1):
-        outflow += rate[:, k]
-    target[:, -1] = np.arange(n)
-    rate[:, -1] = -outflow
-    kept[:, -1] = True
-    kept &= alive[:, None]
-    columns = np.repeat(np.arange(n, dtype=np.int32), kept.sum(axis=1))
-    return sparse.csc_matrix((rate[kept], (target[kept], columns)), shape=(n, n))
+    def keep(states: np.ndarray, bid_to: np.ndarray, ask_to: np.ndarray, rate: float) -> None:
+        targets = index._find(bid_to, ask_to)
+        if (targets < 0).any():
+            i = int(states[(targets < 0).argmax()])
+            raise KeyError(f"a transition from {index.key(i)} leaves the index")
+        slots.append((states.astype(np.int32), targets.astype(np.int32), rate))
+
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    for states, entries in zip(members, lists):
+        sides = bid[states], ask[states]
+        oversized = over[sides[0]] | over[sides[1]]
+        for a, on_ask, rate in entries:
+            opposite, own = sides if on_ask else sides[::-1]
+            to, left = fill_to[a, opposite], fill_left[a, opposite]
+            live = length[to] + length[own] + (left > 0) <= max_orders
+            live &= ~(oversized & (over[to] | over[own]))
+            to, rested = to[live], rest_to[a, left[live], own[live]]
+            keep(states[live], *((to, rested) if on_ask else (rested, to)), rate)
+
+    # removed[form][j, p]: placement p without element j of its row in that
+    # form, -1 past its length. Slot j cancels element j of bids + asks:
+    # submission order in an enumerated book.
+    cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
+    removed = np.full((2, width, h), -1)
+    for j in range(cancels):
+        has = np.flatnonzero(length > j)
+        shift = np.minimum(column + (column >= j), width - 1)
+        removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
+    removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
+    on_bid = length[bid]
+    for j in range(cancels):
+        states = np.flatnonzero(on_bid + length[ask] > j)
+        b, a, k = bid[states], ask[states], on_bid[states]
+        from_bid = j < k
+        bid_to = np.where(from_bid, removed[0][j, b], b)
+        ask_to = np.where(from_bid, a, removed[1][np.maximum(j - k, 0), a])
+        keep(states, bid_to, ask_to, omega)
+
+    # Every kept transition, slot after slot, then the diagonal of each state
+    # with one. Kept rates are positive, so those states' totals are too, and
+    # np.bincount adds weights in input order, as an event table sums its rows.
+    empty = np.zeros(0, dtype=np.int32)  # for a generator with no transition
+    data = np.repeat([rate for _, _, rate in slots], [len(s) for s, _, _ in slots])
+    states = np.concatenate([s for s, _, _ in slots] + [empty])
+    targets = np.concatenate([t for _, t, _ in slots] + [empty])
+    slots.clear()  # frees the per-slot arrays before the copies below
+    total = np.bincount(states, data, minlength=n)
+    data *= (model.event_intensity / np.where(total > 0.0, total, 1.0))[states]
+    diagonal = np.flatnonzero(total).astype(np.int32)
+    data = np.concatenate((data, -np.bincount(states, data, minlength=n)[diagonal]))
+    states = np.concatenate((states, diagonal))
+    targets = np.concatenate((targets, diagonal))
+    return sparse.csc_matrix((data, (targets, states)), shape=(n, n))
 
 
 def _check_probability_vector(p: np.ndarray, where: str) -> np.ndarray:

@@ -86,10 +86,6 @@ class BundleError(Exception):
     """An output bundle's files could not be parsed back."""
 
 
-class ValidationFailure(Exception):
-    """An oracle validation check exceeded its tolerance."""
-
-
 @dataclass(frozen=True)
 class GroupConfig:
     """One trader group: flow share and symmetric DGX placement parameters."""

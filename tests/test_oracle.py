@@ -260,6 +260,8 @@ def reference_generator(model, index, caps=None):
     """The generator assembled through the book core: one event table per
     ``BookState``, each event applied with ``apply_event``."""
     caps = index.caps() if caps is None else caps
+    # One dict per index: index(key) costs a few numpy calls per key.
+    position = {index.key(i): i for i in range(len(index))}
     rows, cols, data = [], [], []
     for i, state in enumerate(index.states):
         try:
@@ -269,7 +271,7 @@ def reference_generator(model, index, caps=None):
         outflow = 0.0
         for descriptor, raw in table.entries:
             rate = raw * table.normalization
-            rows.append(index.index(apply_event(state, descriptor)[0].canonical_key()))
+            rows.append(position[apply_event(state, descriptor)[0].canonical_key()])
             cols.append(i)
             data.append(rate)
             outflow += rate
@@ -465,6 +467,19 @@ class TestGenerator:
         assert dense[three_a, full] == pytest.approx(3.0)
         assert dense[three_b, full] == pytest.approx(3.0)
         assert dense[full, full] == pytest.approx(-6.0)
+
+    def test_build_holds_no_states_by_slots_arrays(self):
+        # Each slot keeps only its live transitions; a dense layout of every
+        # state by every slot peaks above the bound on these 30,459 states.
+        model, index = oracle_case("grid8-static")
+        build_generator(model, index)  # imports scipy, fills the DGX cache
+        tracemalloc.start()
+        try:
+            build_generator(model, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_matching_transition_in_overlap_model(self):
         model, caps = tiny_overlapping_model()

@@ -51,6 +51,22 @@ numpy in ``tests/test_engine.py``), waiting times use ``math.log1p``, and
 events are selected from the same cached cumulative-rate floats, so every
 depth equals the one-seed call's.
 
+The batched form walks the jump chain over interned books. A live run is
+the id of its book, its residents' signed levels in submission order, in
+a :class:`_Books` set kept in the table cache, so calls that share the
+cache share the set. A book keeps its table's row and a next-book row
+that is filled the first time a run takes each table entry; a step
+selects every run's entry, reads the next books, and computes only the
+(book, entry) pairs no run took before, in one vectorized update whose
+rows are interned in one batch. A book costs a row of ``max_orders + 1``
+int8, an int32 table id, an int32 next-book row of ``2K + max_orders + 1``
+and a dict entry: about 250 B at K = 10 and 9 orders. At
+:data:`_BOOK_CAP` books the set restarts from the books the live runs
+hold, which bounds its memory. Runs that revisit a few hundred books, as
+on the tiny validation models, gain the most; where most pairs are new
+(grid 10, 9 orders, t = 50) the update and interning cost more than
+per-run rows did (README.md).
+
 A seed is an integer in [0, 2**64), the range :func:`derive_run_seeds`
 yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
 """
@@ -61,7 +77,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -453,16 +469,17 @@ def simulate(
 
 
 def _check_seeds(seeds) -> None:
-    """:class:`EngineError` unless every seed is an integer in [0, 2**64)."""
+    """:class:`EngineError` unless every seed is an integer in [0, 2**64), not a bool."""
     for seed in seeds:
-        if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 1 << 64):
+        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integer and 0 <= int(seed) < 1 << 64):
             raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 # Seeds per batched simulate call in validation, bounded by peak RSS: per
-# run the kernel holds a few int64 rows, a block of draws and four uint64
-# stream words. At 20,000 tiny-overlap runs 2,048 peaks at 57 MiB, as 1,024
-# did with one Generator per run; 4,096 adds about 3 MiB (README.md).
+# run the kernel holds a book id, a block of draws, four uint64 stream words
+# and a depth per checkpoint. At 20,000 tiny-overlap runs 2,048 peaks at
+# 56.6 MiB, under the 57.1 of per-run rows; 4,096 adds about 2.3 MiB (README.md).
 LOCKSTEP_CHUNK = 2048
 # Uniform pairs each run draws per block; a block ends for every live run at once.
 _LOCKSTEP_BLOCK = 16
@@ -567,40 +584,148 @@ class _PaddedTables:
     Row i holds one cached table: ``cum`` its cumulative raw rates padded
     with +inf, ``total`` its last entry, ``size`` its length, ``arrivals``
     its arrival count and ``level`` the arrivals' signed levels (0 for a
-    cancellation slot). Entries come from ``_table`` under the scalar loop's
-    cache keys, so both paths select from the same floats.
+    cancellation slot). A row has ``entries`` columns: a table holds at most
+    K arrivals per side and ``max_orders`` cancellation slots. Entries come
+    from ``_table`` under the scalar loop's cache keys, so both paths select
+    from the same floats.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
         self.model, self.caps, self.tables = model, caps, tables
-        self.width = (model.grid_size + 1, caps.max_orders + 1)
+        k, m = model.grid_size, caps.max_orders
+        self.width, self.entries = (k + 1, m + 1), 2 * k + m
         self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
-        self.rows: list[tuple[list[float], list[int], int]] = []
+        self.cum, self.level = np.zeros((0, self.entries)), np.zeros((0, self.entries), np.int64)
+        self.total, self.size, self.arrivals = np.zeros(0), *np.zeros((2, 0), np.int64)
 
     def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Row per run for best bid/ask levels (0 / K + 1 when empty) and order count."""
+        """Row per book for best bid/ask levels (0 / K + 1 when empty) and order count."""
         code = ((bid * self.width[0] + ask - 1) * self.width[1]) + n
         ids = self.id_of_code[code]
         missing = np.flatnonzero(ids < 0)
         if missing.size:
-            for r in missing[np.unique(code[missing], return_index=True)[1]].tolist():
-                self._add(code[r], int(bid[r]), int(ask[r]), int(n[r]))
-            self.cum = np.full((len(self.rows), max(len(c) for c, _, _ in self.rows)), np.inf)
-            self.level = np.zeros(self.cum.shape, dtype=np.int64)
-            for i, (cum, level, _) in enumerate(self.rows):
-                self.cum[i, : len(cum)], self.level[i, : len(level)] = cum, level
-            self.total = np.array([c[-1] for c, _, _ in self.rows])
-            self.size = np.array([len(c) for c, _, _ in self.rows])
-            self.arrivals = np.array([a for _, _, a in self.rows])
+            # The key holds the order count, so each entry is built with all its slots.
+            cancels = self.model.per_order_cancel_rate > 0.0
+            new = missing[np.unique(code[missing], return_index=True)[1]]
+            entries = [
+                _table(self.tables, (-b, a, c), self.model, self.caps, c if cancels else 0)
+                for b, a, c in zip(bid[new].tolist(), ask[new].tolist(), n[new].tolist())
+            ]
+            cum = np.full((len(new), self.entries), np.inf)
+            level = np.zeros((len(new), self.entries), dtype=np.int64)
+            for i, (c, _, s) in enumerate(entries):
+                cum[i, : len(c)], level[i, : len(s)] = c, s
+            self.id_of_code[code[new]] = np.arange(len(new)) + len(self.total)
+            self.cum = np.concatenate([self.cum, cum])
+            self.level = np.concatenate([self.level, level])
+            self.total = np.concatenate([self.total, [c[-1] for c, _, _ in entries]])
+            self.size = np.concatenate([self.size, [len(c) for c, _, _ in entries]])
+            self.arrivals = np.concatenate([self.arrivals, [len(s) for _, _, s in entries]])
             ids = self.id_of_code[code]
         return ids
 
-    def _add(self, code: int, bid: int, ask: int, n: int) -> None:
-        # The key holds the order count, so the entry is built with all its slots.
-        slots = n if self.model.per_order_cancel_rate > 0.0 else 0
-        cum, _, level = _table(self.tables, (-bid, ask, n), self.model, self.caps, slots)
-        self.id_of_code[code] = len(self.rows)
-        self.rows.append((cum, level, len(level)))
+
+# Books a batched cache holds before it restarts from the books its runs hold.
+_BOOK_CAP = 1 << 15
+
+
+class _Books:
+    """Capped books interned for the batched form, with the books they lead to.
+
+    A book is its residents' signed levels (+ asks, - bids) in submission
+    order: a row of ``max_orders + 1`` small ints, padded with 0, so the
+    last column is always 0. Book i keeps its row, the ``_PaddedTables`` row
+    of its cache key, and a next-book row: entry c is the book that table
+    entry c leads to, -1 until a run takes it. Entry ``size`` (one past the
+    table) is the last entry's book, as the count of entries at or below
+    u * total reaches it when the product rounds to the total. When new
+    books would take the set past :data:`_BOOK_CAP`, it restarts from the
+    books the runs hold.
+    """
+
+    def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
+        k, m = model.grid_size, caps.max_orders
+        self.k, self.m, self.padded = k, m, _PaddedTables(model, caps, tables)
+        self.ids: dict[bytes, int] = {}
+        self.width = self.padded.entries + 1
+        self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k))
+        self.table = np.zeros(0, dtype=np.int32)
+        self.next = np.zeros((0, self.width), dtype=np.int32)
+
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of ``rows``, adding the books not yet in the set in one batch."""
+        rows = np.ascontiguousarray(rows, dtype=self.rows.dtype)
+        keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+        ids = self.ids
+        fresh = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
+        if fresh:
+            start = len(ids)
+            self._add(np.frombuffer(b"".join(fresh), rows.dtype).reshape(len(fresh), -1), start)
+            ids.update(zip(fresh, range(start, start + len(fresh))))
+        return np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys))
+
+    def _add(self, rows: np.ndarray, start: int) -> None:
+        # The table first: an absorbing book raises before the set changes.
+        table = self.padded.ids(*_quotes(rows.astype(np.int64), self.k))
+        end = start + len(rows)
+        if end > len(self.table):
+            size = max(end, min(2 * len(self.table), _BOOK_CAP))
+            self.rows, self.table, self.next = (
+                np.concatenate([a[:start], np.empty((size - start, *a.shape[1:]), a.dtype)])
+                for a in (self.rows, self.table, self.next)
+            )
+        self.rows[start:end], self.table[start:end], self.next[start:end] = rows, table, -1
+
+    def depth(self, book: np.ndarray) -> np.ndarray:
+        """Order counts of the books, shape (len(book), 2, K), as ``EnsembleResult`` holds them."""
+        k, rows = self.k, self.rows[book].astype(np.int64)
+        # Bid level l counts at l - 1, ask level l at K + l - 1, in the run's block of 2K.
+        at = np.where(rows > 0, k - 1 + rows, -1 - rows) + 2 * k * np.arange(len(book))[:, None]
+        return np.bincount(at[rows != 0], minlength=2 * k * len(book)).reshape(-1, 2, k)
+
+    def advance(self, book: np.ndarray, choice: np.ndarray) -> np.ndarray:
+        """The book each run reaches from ``book`` by table entry ``choice``."""
+        after = self.next[book, choice]
+        new = np.flatnonzero(after < 0)
+        if not new.size:
+            return after
+        pairs = np.unique(book[new].astype(np.int64) * self.width + choice[new])
+        if len(self.ids) + pairs.size > _BOOK_CAP:
+            # Restart from the books the runs hold; every next-book row is unknown again.
+            keep, book = np.unique(book, return_inverse=True)
+            rows = self.rows[keep]
+            self.ids.clear()
+            self.intern(rows)
+            pairs = np.unique(book * self.width + choice)
+        source, entry = np.divmod(pairs, self.width)
+        self.next[source, entry] = self.intern(self._apply(source, entry))
+        return self.next[book, choice]
+
+    def _apply(self, source: np.ndarray, entry: np.ndarray) -> np.ndarray:
+        """The rows after table entry ``entry`` of each book in ``source``."""
+        m, padded, table = self.m, self.padded, self.table[source]
+        entry = np.minimum(entry, padded.size[table] - 1)
+        rows = self.rows[source].astype(np.int64)
+        s = padded.level[table, entry]
+        bid, ask, n = _quotes(rows, self.k)
+        cancel = s == 0
+        opposite = np.where(s > 0, -bid, ask)
+        cross = ~cancel & (opposite + s <= 0)
+        rest = ~(cancel | cross)
+        # The resident that leaves: slot j, or the oldest at the opposite best.
+        j = np.where(cancel, entry - padded.arrivals[table], m)
+        j = np.where(cross, (rows == opposite[:, None]).argmax(axis=1), j)
+        rows[np.flatnonzero(rest), n[rest]] = s[rest]
+        columns = np.arange(m)
+        rows[:, :m] = np.take_along_axis(rows, columns + (columns >= j[:, None]), axis=1)
+        return rows
+
+
+def _quotes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best bid and ask levels (0 / K + 1 when a side is empty) and order counts of
+    int64 book rows; the zero padding makes the row minimum at most 0."""
+    ask = np.where(rows > 0, rows, k + 1).min(axis=1)
+    return -rows.min(axis=1), ask, np.count_nonzero(rows, axis=1)
 
 
 def _simulate_lockstep(
@@ -616,11 +741,12 @@ def _simulate_lockstep(
 ) -> EnsembleResult:
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
-    Every live run has kept ``step`` events, so all runs read the same column
-    of their draw blocks. Per live run, in the scalar loop's order: the table
-    of the current book (an absorbing book raises here), the waiting time,
-    the horizon test, pending checkpoints before the next event, then the
-    event, counted as ``bisect_right`` counts.
+    Each live run is the id of its book in the :class:`_Books` set kept in
+    ``tables``, and every live run has kept ``step`` events, so all runs read
+    the same column of their draw blocks. Per live run, in the scalar loop's
+    order: the waiting time, pending checkpoints before the next event, the
+    horizon test, then the event, counted as ``bisect_right`` counts, and the
+    book it leads to (an absorbing book raises when it is first reached).
     """
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
@@ -636,73 +762,53 @@ def _simulate_lockstep(
     if len(seeds) == 0:
         raise EngineError("need at least one seed")
     _check_seeds(seeds)
+    books = tables.get(_Books)
+    if books is None:
+        books = tables[_Books] = _Books(model, caps, tables)
+    padded, block, runs = books.padded, _LOCKSTEP_BLOCK, len(seeds)
+    streams = _Streams(seeds)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
-    padded = _PaddedTables(model, caps, tables)
-    m, block = caps.max_orders, _LOCKSTEP_BLOCK
-    streams = _Streams(seeds)
+    # The bounds a run passes in turn, each taking its book: the checkpoint
+    # times, then the horizon, which stops it.
+    bounds = np.array([*times, time_horizon, math.inf])
     # The depth at each checkpoint time, then the final one.
-    depths = np.zeros((len(times) + 1, len(seeds), 2, k), dtype=np.int64)
-    event_counts = np.zeros(len(seeds), dtype=np.int64)
-    live = np.arange(len(seeds))
-    # Residents' signed levels (+ asks, - bids) in submission order; column m stays 0.
-    levels = np.zeros((len(seeds), m + 1), dtype=np.int64)
-    depth = np.zeros((len(seeds), 2, k), dtype=np.int64)
-    n = np.zeros(len(seeds), dtype=np.int64)
-    bid, ask = np.zeros(len(seeds), dtype=np.int64), np.full(len(seeds), k + 1)
-    pending = np.ones((len(seeds), len(times)), dtype=bool)
-    now = np.zeros(len(seeds))
-    columns = np.arange(m)
+    depths = np.zeros((len(times) + 1, runs, 2, k), dtype=np.int64)
+    event_counts = np.zeros(runs, dtype=np.int64)
+    live = np.arange(runs)
+    book = np.repeat(books.intern(np.zeros((1, caps.max_orders + 1))), runs)
+    passed, bound = np.zeros(runs, dtype=np.int64), np.full(runs, bounds[0])
+    now = np.zeros(runs)
     step = 0
     while live.size:
-        ids = padded.ids(bid, ask, n)
         if step % block == 0:
             draws = streams.random(live, 2 * block)
         u_time, u_event = draws[:, 2 * (step % block)], draws[:, 2 * (step % block) + 1]
         # math.log1p, as in the scalar loop: np.log1p differs from it in the last ulp.
-        logs = np.array([math.log1p(u) for u in (-u_time).tolist()])
+        logs = np.fromiter(map(math.log1p, (-u_time).tolist()), float, live.size)
         t_next = now + -logs / model.event_intensity
-        for c, t in enumerate(times):
-            hit = pending[:, c] & (t < t_next)
-            depths[c, live[hit]] = depth[hit]
-            pending[hit, c] = False
-        stop = t_next > time_horizon
-        if stop.any():
-            depths[-1, live[stop]] = depth[stop]
-            event_counts[live[stop]] = step
-            go = ~stop
-            per_run = live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event
-            live, levels, depth, n, bid, ask, pending, draws, ids, t_next, u_event = (
-                a[go] for a in per_run
-            )
+        hit = np.flatnonzero(bound < t_next)
+        if hit.size:
+            while hit.size:
+                depths[passed[hit], live[hit]] = books.depth(book[hit])
+                passed[hit] += 1
+                bound[hit] = bounds[passed[hit]]
+                hit = hit[bound[hit] < t_next[hit]]
+            go = passed <= len(times)
+            if not go.all():
+                event_counts[live[~go]] = step
+                per_run = live, book, passed, bound, draws, t_next, u_event
+                live, book, passed, bound, draws, t_next, u_event = (a[go] for a in per_run)
         now = t_next
         step += 1
 
-        rows = np.arange(live.size)
-        cum = padded.cum[ids]
-        choice = (cum <= (u_event * padded.total[ids])[:, None]).sum(axis=1)
-        choice = np.minimum(choice, padded.size[ids] - 1)
-        s = padded.level[ids, choice]
-        cancel = s == 0
-        opposite = np.where(s > 0, -bid, ask)
-        cross = ~cancel & (opposite + s <= 0)
-        rest = ~(cancel | cross)
-        # The resident that leaves: slot j, or the oldest at the opposite best.
-        j = np.where(cancel, choice - padded.arrivals[ids], m)
-        j = np.where(cross, (levels == opposite[:, None]).argmax(axis=1), j)
-        changed = np.where(rest, s, levels[rows, j])
-        levels[rows[rest], n[rest]] = s[rest]
-        levels[:, :m] = np.take_along_axis(levels, columns + (columns >= j[:, None]), axis=1)
-        delta = np.where(rest, 1, -1)
-        depth[rows, (changed > 0).astype(np.int64), np.abs(changed) - 1] += delta
-        n += delta
-        has_ask, has_bid = depth[:, 1] > 0, depth[:, 0, ::-1] > 0
-        ask = np.where(has_ask.any(axis=1), has_ask.argmax(axis=1) + 1, k + 1)
-        bid = np.where(has_bid.any(axis=1), k - has_bid.argmax(axis=1), 0)
+        table = books.table[book]
+        choice = (padded.cum[table] <= (u_event * padded.total[table])[:, None]).sum(axis=1)
+        book = books.advance(book, choice)
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,
-        final_times=np.full(len(seeds), float(time_horizon)),
+        final_times=np.full(runs, float(time_horizon)),
         final_depths=depths[-1],
         checkpoints=dict(zip(times, depths)),
     )

@@ -26,7 +26,7 @@ from lobsim.engine import (
 )
 from lobsim.observables import depth, quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
-from lobsim.rates import AbsorbingStateError
+from lobsim.rates import AbsorbingStateError, AnchoringMode, DgxParams, RateModel, TraderGroup
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
@@ -221,15 +221,24 @@ def order_counts(state):
     return counts
 
 
-def assert_batch_matches_scalar(model_name, runs, time_horizon=2.0, base_seed=5, times=None):
-    """The batched call against one scalar call per seed; returns the batch."""
-    model, caps = ORACLE_MODELS[model_name]()
+def assert_batch_matches_scalar(
+    model_name, runs, time_horizon=2.0, base_seed=5, times=None, tables=None, case=None
+):
+    """The batched call against one scalar call per seed; returns the batch.
+
+    ``case`` is a (model, caps) pair in place of the named oracle model;
+    ``tables`` is the batched call's table cache.
+    """
+    model, caps = case if case is not None else ORACLE_MODELS[model_name]()
     seeds = derive_run_seeds(base_seed, runs)
     if times is None:
         # Before the first event, at and between the oracle times, past the horizon.
         times = (-1.0, 0.0, *ORACLE_TIMES, 0.75, time_horizon, time_horizon + 1.0)
     recording = RecordingConfig(events=False, checkpoint_times=times)
-    batch = simulate(model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps)
+    batch = simulate(
+        model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps,
+        _tables=tables,
+    )
     assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
     assert batch.depth_frames == ()
     total = 0
@@ -279,6 +288,39 @@ def test_batched_long_horizon_refills_draws():
     # About 120 events per run: every run refills its block of draws.
     batch = assert_batch_matches_scalar("tiny-overlap", runs=40, time_horizon=20.0)
     assert batch.event_counts.min() > 64
+
+
+@pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
+def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, monkeypatch):
+    # With a cap of a few dozen books the set restarts from the live books
+    # every step or two; at the first restart some runs take known entries,
+    # whose books are renumbered. Two chunk calls share one table cache, and
+    # so one set.
+    uncapped: dict = {}
+    assert_batch_matches_scalar(model_name, runs=150, tables=uncapped)
+    monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 32)
+    tables: dict = {}
+    assert_batch_matches_scalar(model_name, runs=150, tables=tables)
+    assert_batch_matches_scalar(model_name, runs=150, base_seed=6, tables=tables)
+    books = tables[lobsim.engine._Books]
+    assert len(books.ids) < len(uncapped[lobsim.engine._Books].ids)
+
+
+def test_batched_runs_match_scalar_runs_on_grid10_opposite_best():
+    # Grid 10, up to 9 orders, anchored on the opposite best: most (book,
+    # entry) pairs a run takes are new, so nearly every step interns books.
+    params = DgxParams(1.0, 3.0, 5)
+    group = TraderGroup(1.0, params, params, ask_anchor=5, bid_anchor=6)
+    model = RateModel(
+        grid_size=10,
+        groups=(group,),
+        per_order_cancel_rate=0.1,
+        event_intensity=6.0,
+        anchoring_mode=AnchoringMode.OPPOSITE_BEST,
+    )
+    case = model, StateCaps(max_orders=9, max_quantity=1)
+    batch = assert_batch_matches_scalar(None, runs=100, case=case)
+    assert batch.final_depths.sum(axis=(1, 2)).max() == 9
 
 
 def test_batched_runs_build_no_book(monkeypatch):

@@ -429,6 +429,16 @@ class TestSeeds:
         with pytest.raises(EngineError, match="seed must be an integer"):
             simulate(model, time_horizon=1.0, seed=[1, seed], recording=recording, caps=caps)
 
+    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    def test_bool_seed_rejected(self, seed):
+        # bool is an int subclass: True would otherwise run as seed 1.
+        model, caps = ORACLE_MODELS["tiny"]()
+        recording = RecordingConfig(events=False)
+        with pytest.raises(EngineError, match="seed must be an integer"):
+            simulate(model, event_count=3, seed=seed)
+        with pytest.raises(EngineError, match="seed must be an integer"):
+            simulate(model, time_horizon=1.0, seed=[1, seed], recording=recording, caps=caps)
+
     def test_replicated_streams_match_default_rng(self):
         # Bit for bit, so a change to numpy's SeedSequence or PCG64 shows here.
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345] + derive_run_seeds(2024, 10_000)

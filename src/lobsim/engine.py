@@ -62,7 +62,9 @@ rows are interned in one batch. A book costs a row of ``max_orders + 1``
 int8, an int32 table id, an int32 next-book row of ``2K + max_orders + 1``
 and a dict entry: about 250 B at K = 10 and 9 orders. At
 :data:`_BOOK_CAP` books the set restarts from the books the live runs
-hold, which bounds its memory. Runs that revisit a few hundred books, as
+hold, which bounds its memory; after a restart it may grow by one step's
+books plus its own size before the next, so runs that hold more than half
+the cap do not restart it on every step. Runs that revisit a few hundred books, as
 on the tiny validation models, gain the most; where most pairs are new
 (grid 10, 9 orders, t = 50) the update and interning cost more than
 per-run rows did (README.md).
@@ -625,7 +627,7 @@ class _PaddedTables:
         return ids
 
 
-# Books a batched cache holds before it restarts from the books its runs hold.
+# Books a batched cache holds before it first restarts from the books its runs hold.
 _BOOK_CAP = 1 << 15
 
 
@@ -639,15 +641,16 @@ class _Books:
     entry c leads to, -1 until a run takes it. Entry ``size`` (one past the
     table) is the last entry's book, as the count of entries at or below
     u * total reaches it when the product rounds to the total. When new
-    books would take the set past :data:`_BOOK_CAP`, it restarts from the
-    books the runs hold.
+    books would take the set past its limit, it restarts from the books the
+    runs hold. The limit is :data:`_BOOK_CAP` at first, and after a restart
+    the larger of that and twice the set's size plus one book per run.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
         k, m = model.grid_size, caps.max_orders
         self.k, self.m, self.padded = k, m, _PaddedTables(model, caps, tables)
         self.ids: dict[bytes, int] = {}
-        self.width = self.padded.entries + 1
+        self.limit, self.width = _BOOK_CAP, self.padded.entries + 1
         self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k))
         self.table = np.zeros(0, dtype=np.int32)
         self.next = np.zeros((0, self.width), dtype=np.int32)
@@ -669,7 +672,7 @@ class _Books:
         table = self.padded.ids(*_quotes(rows.astype(np.int64), self.k))
         end = start + len(rows)
         if end > len(self.table):
-            size = max(end, min(2 * len(self.table), _BOOK_CAP))
+            size = max(end, min(2 * len(self.table), self.limit))
             self.rows, self.table, self.next = (
                 np.concatenate([a[:start], np.empty((size - start, *a.shape[1:]), a.dtype)])
                 for a in (self.rows, self.table, self.next)
@@ -690,7 +693,8 @@ class _Books:
         if not new.size:
             return after
         pairs = np.unique(book[new].astype(np.int64) * self.width + choice[new])
-        if len(self.ids) + pairs.size > _BOOK_CAP:
+        restart = len(self.ids) + pairs.size > self.limit
+        if restart:
             # Restart from the books the runs hold; every next-book row is unknown again.
             keep, book = np.unique(book, return_inverse=True)
             rows = self.rows[keep]
@@ -699,6 +703,11 @@ class _Books:
             pairs = np.unique(book * self.width + choice)
         source, entry = np.divmod(pairs, self.width)
         self.next[source, entry] = self.intern(self._apply(source, entry))
+        if restart:
+            # Room for one step's pairs (at most one per run) and as many new books
+            # as the set holds, so that runs holding more than half the cap do not
+            # restart it on every step; the restarts' cost stays linear in the books.
+            self.limit = max(_BOOK_CAP, 2 * len(self.ids) + len(book))
         return self.next[book, choice]
 
     def _apply(self, source: np.ndarray, entry: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 Enumerates every price-time-normal-form book within the cutoffs as a pair
 of per-side placements, each one side's resting orders held as a padded
 numpy row of (level, quantity) entries in ask order (the bid form reverses
-the level blocks); one sorted-row lookup maps rows back to placement ids.
-The sparse transition-rate generator comes from the same side arrival rows
-(``side_arrivals`` of the best quotes) and cap rule as the engine's event
-tables, with fills, rests and cancellations worked out by array operations
-over all placements at once. Probability vectors evolve by uniformization.
-The engine is validated against it on the tiny models; ``tests/test_oracle.py``
-checks the generator against one assembled through the book core.
+the level blocks). Rows map to placement ids, and id pairs to states, by
+direct addressing. The sparse transition-rate generator comes from the same
+side arrival rows (``side_arrivals`` of the best quotes) and cap rule as the
+engine's event tables, with fills, rests and cancellations worked out by array
+operations over all placements at once. Probability vectors evolve by
+uniformization. The engine is validated against it on the tiny models;
+``tests/test_oracle.py`` checks the generator against the book core's.
 """
 
 from __future__ import annotations
@@ -43,13 +43,12 @@ class StateIndex:
 
     ``placements[p]`` is placement p in ask form: ``max_orders + 1`` entries
     (level, quantity), the resting orders by ascending level and time
-    priority, then (0, 0) padding. State i pairs ``bid_placement[i]`` with
-    ``ask_placement[i]``; states ascend by the code ``bid * H + ask`` (H
-    placements), and one ``np.searchsorted`` on those codes serves every
-    state lookup: :meth:`index`, :meth:`positions` and generator targets.
-    A row maps back to its placement id by a search among the sorted void
-    views of every row in its form. Equality compares the three bounds,
-    which determine the enumeration.
+    priority, then (0, 0) padding; the bid form reverses the level blocks.
+    State i pairs ``bid_placement[i]`` with ``ask_placement[i]``, in the
+    enumeration order (checked). No lookup searches: a row walks to its
+    placement id through its form's append table, one gather per entry, and
+    a pair of ids maps to its state by arithmetic (:meth:`_find`).
+    Equality compares the three bounds, which determine the enumeration.
     """
 
     grid_size: int
@@ -58,57 +57,74 @@ class StateIndex:
     placements: np.ndarray = field(repr=False, compare=False)
     bid_placement: np.ndarray = field(repr=False, compare=False)
     ask_placement: np.ndarray = field(repr=False, compare=False)
-    # Per form (0 bid, 1 ask): every placement's row, and the row keys sorted
-    # with their ids. Order j of bid row p is order flip[p, j] of ask row p.
+    # Per form (0 bid, 1 ask): every placement's row, and its append table:
+    # child[p, level * max_quantity + quantity] is p with that entry appended,
+    # H if the index lacks it (row H is a sink); code 0, padding, keeps p, and
+    # placement 0 is empty. Order j of bid row p is order flip[p, j] of ask row p.
     _rows: tuple = field(init=False, repr=False, compare=False)
-    _ids_of: tuple = field(init=False, repr=False, compare=False)
+    _child: np.ndarray = field(init=False, repr=False, compare=False)
     _flip: np.ndarray = field(init=False, repr=False, compare=False)
     # Orders per placement, and its best level per form (0 or grid_size + 1: none).
     _length: np.ndarray = field(init=False, repr=False, compare=False)
     _best: tuple = field(init=False, repr=False, compare=False)
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    # States run by bid placement, then by the ask placements that fit beside
+    # it, and those with a best ask above any level are a prefix of the ids. So
+    # state = start[bid] + fits[L, ask] if ask < limit[bid], L = its room for
+    # asks and fits[L, a] the placements before a of at most L orders (-1 if a
+    # has more), kept flat with row[bid] = L * (H + 1). -1 ids read last entries.
+    _pairs: tuple = field(init=False, repr=False, compare=False)
     _counted_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        asks, level = self.placements, self.placements[..., 0]
+        asks, m, q = self.placements, self.max_orders, self.max_quantity
         # A stable sort on descending level reverses the level blocks; padding stays last.
-        flip = np.argsort(np.where(level > 0, -level, 1), axis=1, kind="stable")
+        flip = np.argsort(np.where(asks[..., 0] > 0, -asks[..., 0], 1), axis=1, kind="stable")
         rows = (np.take_along_axis(asks, flip[..., None], axis=1), asks)
-        orders = [(key, np.argsort(key)) for key in map(self._keys, rows)]
-        ids_of = tuple((key[order], order) for key, order in orders)
-        if (ids_of[1][0][1:] == ids_of[1][0][:-1]).any():
-            raise OracleError("duplicate placements in enumeration")
-        length, best = _profile(asks, self.grid_size)
-        codes = self.bid_placement * len(asks) + self.ask_placement
-        fields = ("_rows", rows), ("_ids_of", ids_of), ("_flip", flip), ("_length", length)
-        for name, value in (*fields, ("_best", best), ("_codes", codes)):
+        h, (length, best) = len(asks), _profile(asks, self.grid_size)
+        # Each row enters its form's append table under its prefix of j entries
+        # (node), so the rows must be distinct and closed under prefixes.
+        child = np.full((2, h + 1, (self.grid_size + 1) * q + 1), h, dtype=np.int32)
+        child[..., 0] = np.arange(h + 1)
+        for table, form in zip(child, rows):
+            code, node = form[..., 0] * q + form[..., 1], np.zeros(h, dtype=np.int32)
+            for j in range(m):
+                at = np.flatnonzero((length == j + 1) & (node < h))
+                table[node[at], code[at, j]] = at
+                node = table[node, code[:, j]]
+            if (node != np.arange(h)).any():
+                raise OracleError("duplicate placements, or not prefix-closed from an empty 0")
+        short = np.append(length, m + 1) <= np.arange(m + 1)[:, None]  # a last column for -1
+        before = np.cumsum(short, axis=1) - short
+        limit = np.count_nonzero(best[1] > np.arange(self.grid_size + 1)[:, None], axis=1)[best[0]]
+        partners = before[m - length, limit]
+        fits = np.where(short, before, -1)
+        per_bid = np.cumsum(partners) - partners, (m - length) * (h + 1), limit
+        pairs = *(np.append(a, 0) for a in per_bid), fits.astype(np.int32).ravel()
+        fields = ("_rows", rows), ("_child", child), ("_flip", flip), ("_length", length)
+        for name, value in (*fields, ("_best", best), ("_pairs", pairs)):
             object.__setattr__(self, name, value)
+        found = self._find(self.bid_placement, self.ask_placement)
+        if (np.diff(best[1]) > 0).any() or not np.array_equal(found, np.arange(partners.sum())):
+            raise OracleError("states are not in enumeration order")
 
     def __len__(self) -> int:
-        return len(self._codes)
-
-    def _find(self, bid: np.ndarray, ask: np.ndarray) -> np.ndarray:
-        """Indices of the states pairing placements ``bid`` and ``ask``
-        (elementwise), -1 where the index has no such state or an id is -1."""
-        code = bid * len(self.placements) + ask
-        at = np.minimum(np.searchsorted(self._codes, code), len(self._codes) - 1)
-        return np.where((self._codes[at] == code) & (bid >= 0) & (ask >= 0), at, -1)
-
-    def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """Rows (n, width, 2) within the bounds as n void scalars, each entry
-        coded level * (max_quantity + 1) + quantity."""
-        radix = self.max_quantity + 1
-        code = rows[..., 0] * radix + rows[..., 1]
-        code = np.ascontiguousarray(code, dtype=np.min_scalar_type((self.grid_size + 1) * radix))
-        return code.view(np.dtype((np.void, code.shape[1] * code.itemsize)))[:, 0]
+        return len(self.bid_placement)
 
     def _ids(self, rows: np.ndarray, form: int) -> np.ndarray:
         """Placement ids of rows within the bounds written in ``form`` (0 bid,
         1 ask), -1 for a row the index lacks."""
-        keys, ids = self._ids_of[form]
-        key = self._keys(rows)
-        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where(keys[at] == key, ids[at], -1)
+        child, width = self._child[form].ravel(), np.intp(self._child.shape[2])
+        node = np.zeros(len(rows), dtype=np.int32)
+        for code in (rows[..., 0] * self.max_quantity + rows[..., 1]).T:
+            node = child[node * width + code]  # flat gathers: faster than child[node, code]
+        return np.where(node < len(self.placements), node, -1)
+
+    def _find(self, bid: np.ndarray, ask: np.ndarray) -> np.ndarray:
+        """Indices of the states pairing placements ``bid`` and ``ask``
+        (elementwise), -1 where the pair is crossed or too long or an id is -1."""
+        start, row, limit, fits = self._pairs
+        before = fits[row[bid] + ask]
+        return np.where((before >= 0) & (ask < limit[bid]), start[bid] + before, -1)
 
     def key(self, i: int) -> CanonicalKey:
         bids, asks = (
@@ -135,12 +151,12 @@ class StateIndex:
 
         ``depths[..., 0, l - 1]`` and ``depths[..., 1, l - 1]`` count the bids
         and the asks at level l, every order of size ``quantity``, as batched
-        :func:`~lobsim.engine.simulate` returns them. Each side's counts are
-        written as one mixed-radix code, digits in base ``max_orders + 1``,
-        and looked up among the sorted codes of the placements whose orders
-        all have that size (built once per quantity); the two placement ids
-        then go through the index's one state lookup. :class:`OracleError`
-        if a book lies outside the index.
+        :func:`~lobsim.engine.simulate` returns them. Counts are not rows, so
+        each side's are written as one mixed-radix code, digits in base
+        ``max_orders + 1``, and searched among the sorted codes of the
+        placements whose orders all have that size (built once per quantity);
+        :meth:`_find` pairs the two ids. :class:`OracleError` if a book lies
+        outside the index.
         """
         k, radix = self.grid_size, self.max_orders + 1
         if depths.shape[-2:] != (2, k):
@@ -292,15 +308,15 @@ def build_generator(
 
     Every event changes one side's placement and reaches the other side only
     through the remainder of a fill, so transitions are tabulated per
-    placement with array operations on the rows, then looked up as ids:
-    per distinct arrival, every opposite placement after the fill and the
-    remainder; per price and remainder, every placement with it rested; per
-    order position j, every placement with its j-th order cancelled. Slots
-    run in event-table order (a group's arrivals, then cancellation j for the
-    states with more than j residents), and each keeps only its live
-    transitions. Totals and outflows add each state's rates in slot order, its
-    diagonal follows every slot, and COO to CSC keeps each column's entries in
-    input order, so the float bytes match a state-by-state assembly.
+    placement with array operations, then addressed through the index's
+    append tables: cancellations per order position; fills per form and
+    quantity, chained from first-order removals where a fill takes whole
+    orders; rests per price and remainder. Slots run in event-table order (a
+    group's arrivals, then cancellation j for the states with more than j
+    residents), each keeping only its live transitions. Totals and outflows
+    add each state's rates in slot order, its diagonal follows every slot,
+    and COO to CSC keeps each column's entries in input order, so the float
+    bytes match a state-by-state assembly.
     """
     from scipy import sparse
 
@@ -315,7 +331,7 @@ def build_generator(
     omega = model.per_order_cancel_rate
     rows, length, best = index._rows, index._length, index._best
     n, (h, width, _) = len(index), rows[1].shape
-    column = np.arange(width)
+    column, p = np.arange(width), np.arange(h)
     # Whether a placement holds an order above the quantity cap. Arrivals above
     # it are dropped, so a result holds one only where its state did.
     over = (index.placements[..., 1] > max_quantity).any(axis=1)
@@ -329,7 +345,7 @@ def build_generator(
         quotes = np.zeros(n, dtype=np.int64)
     _, first, group = np.unique(quotes, return_index=True, return_inverse=True)
     arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
-    lists = []  # per group: (arrival id, ask?, raw rate) in event-table order
+    lists = []  # per group: (arrival id, ask?, price, raw rate) in event-table order
     for b, a in zip(best[0][bid[first]].tolist(), best[1][ask[first]].tolist()):
         lists.append([])
         sides = (Side.ASK, b or None), (Side.BID, a if a <= model.grid_size else None)
@@ -337,46 +353,63 @@ def build_generator(
             if d.quantity <= max_quantity:
                 arrival = (d.side is Side.ASK, d.price_level, d.quantity)
                 arrival_id = arrival_ids.setdefault(arrival, len(arrival_ids))
-                lists[-1].append((arrival_id, arrival[0], rate))
+                lists[-1].append((arrival_id, *arrival[:2], rate))
 
-    # Per arrival and opposite placement: the placement after the fill and
-    # the remainder; per arrival, remainder and own placement: the placement
-    # with the remainder rested, -1 outside the index. A remainder joins the
-    # back of its level's queue, the same placement from either side, so
-    # rests are worked out on ask rows, once per (price, remainder), for the
-    # placements with room for one more order.
+    # removed[form][j, p]: placement p without element j of its row in that form,
+    # -1 past its length (slot j cancels element j of bids + asks, in submission
+    # order); drop[form][f, p]: p without its first f, read only where p has f.
+    removed = np.full((2, width, h), -1, dtype=np.int32)
+    for j in range(width - 1):
+        has = np.flatnonzero(length > j)
+        shift = np.minimum(column + (column >= j), width - 1)
+        removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
+    removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
+    drop, first = np.empty_like(removed), removed[:, 0].ravel()  # both forms, flat
+    drop[:, 0] = p
+    for f in range(1, width):
+        drop[:, f] = first[drop[:, f - 1] + [[0], [h]]]
+
+    # Per form, spent[p, f]: the size of row p's first f orders; per placement,
+    # below[p, l]: its orders at or below level l (padding sits below level 0).
+    spent = [np.cumsum(r[..., 1], axis=1) - r[..., 1] for r in rows]
+    below = (rows[1][..., :1] <= np.arange(model.grid_size + 1)).sum(axis=1)
+    below -= (width - length)[:, None]
+    # Per form and quantity, every placement after a fill of it at any price:
+    # the orders it takes whole dropped, and a row looked up where it takes part of one.
+    unlimited = {}
+    for form, quantity in {(int(not on_ask), q) for on_ask, _, q in arrival_ids}:
+        gone = np.minimum((spent[form] + rows[form][..., 1] <= quantity).sum(axis=1), length)
+        cut = quantity - spent[form][p, gone]
+        part = np.flatnonzero((gone < length) & (cut > 0))
+        shift = np.minimum(column + gone[part, None], width - 1)[..., None]
+        rest = np.take_along_axis(rows[form][part], shift, axis=1)
+        rest[:, 0, 1] -= cut[part]
+        unlimited[form, quantity] = drop[form, gone, p]
+        unlimited[form, quantity][part] = index._ids(rest, form)
+
+    # Per arrival and opposite placement, the placement after the fill and the
+    # remainder: as in book.submit_order, all of the crossing front (the row's
+    # first f orders, drop[f]) if the quantity covers it, else its unlimited fill.
+    fill_to, fill_left = np.empty((2, len(arrival_ids), h), dtype=np.int32)
+    for (on_ask, price, quantity), a in arrival_ids.items():
+        opposite = int(not on_ask)
+        front = length - below[:, price - 1] if on_ask else below[:, price]
+        taken, whole = spent[opposite][p, front], drop[opposite, front, p]
+        fill_to[a] = np.where(quantity >= taken, whole, unlimited[opposite, quantity])
+        fill_left[a] = np.maximum(quantity - taken, 0)
+    # rest_to[price, r, p]: p with a remainder r rested behind its orders at levels
+    # up to price, one placement from either side (so on ask rows); -1 if not indexed.
     top = max((q for _, _, q in arrival_ids), default=0)
-    fill_to = np.tile(np.arange(h), (len(arrival_ids), 1))
-    fill_left = np.zeros((len(arrival_ids), h), dtype=np.int64)
-    rest_to = np.full((len(arrival_ids), top + 1, h), -1)
-    rest_to[:, 0] = np.arange(h)
+    rest_to = np.full((model.grid_size + 1, top + 1, h), -1, dtype=np.int32)
+    rest_to[:, 0] = p
     room = np.flatnonzero(length < index.max_orders)
     own = rows[1][room]
-    rests: dict = {}
-    for (on_ask, price, quantity), a in arrival_ids.items():
-        opposite = 0 if on_ask else 1
-        crossing = np.flatnonzero(best[opposite] >= price if on_ask else best[opposite] <= price)
-        # As in book.submit_order, the arrival fills the crossing front of the
-        # opposite row in priority order, the last resident it reaches
-        # partially when that one is larger; filled residents leave the row.
-        filled = rows[opposite][crossing]
-        level, size = filled[..., 0], filled[..., 1]
-        front = (level >= price) if on_ask else (level > 0) & (level <= price)
-        spent = np.cumsum(size * front, axis=1)
-        fill_left[a] = quantity
-        fill_left[a, crossing] = np.maximum(quantity - spent[:, -1], 0)
-        size -= np.minimum(np.maximum(quantity - spent + size, 0), size) * front
-        gone = (front & (size == 0)).sum(axis=1)[:, None]
-        source = np.minimum(column + gone, width - 1) + width * np.arange(len(crossing))[:, None]
-        fill_to[a, crossing] = index._ids(filled.reshape(-1, 2).take(source, axis=0), opposite)
-        for r in range(1, min(quantity, index.max_quantity) + 1):
-            if (price, r) not in rests:
-                # Insert behind the residents at levels up to price.
-                at = ((own[..., 0] > 0) & (own[..., 0] <= price)).sum(axis=1)[:, None]
-                rested = np.where((column > at)[..., None], np.roll(own, 1, axis=1), own)
-                rested[column == at] = price, r
-                rests[price, r] = index._ids(rested, 1)
-            rest_to[a, r, room] = rests[price, r]
+    quantities = range(1, min(top, index.max_quantity) + 1)
+    for price, r in {(x, r) for _, x, q in arrival_ids for r in quantities if r <= q}:
+        at = ((own[..., 0] > 0) & (own[..., 0] <= price)).sum(axis=1)[:, None]
+        rested = np.where((column > at)[..., None], np.roll(own, 1, axis=1), own)
+        rested[column == at] = price, r
+        rest_to[price, r, room] = index._ids(rested, 1)
 
     # Per slot, its kept transitions as (states, targets, raw rate); every
     # state of a group shares its arrival list, so each side is a Python bool.
@@ -393,24 +426,15 @@ def build_generator(
     for states, entries in zip(members, lists):
         sides = bid[states], ask[states]
         oversized = over[sides[0]] | over[sides[1]]
-        for a, on_ask, rate in entries:
+        for a, on_ask, price, rate in entries:
             opposite, own = sides if on_ask else sides[::-1]
             to, left = fill_to[a, opposite], fill_left[a, opposite]
             live = length[to] + length[own] + (left > 0) <= max_orders
             live &= ~(oversized & (over[to] | over[own]))
-            to, rested = to[live], rest_to[a, left[live], own[live]]
+            to, rested = to[live], rest_to[price, left[live], own[live]]
             keep(states[live], *((to, rested) if on_ask else (rested, to)), rate)
 
-    # removed[form][j, p]: placement p without element j of its row in that
-    # form, -1 past its length. Slot j cancels element j of bids + asks:
-    # submission order in an enumerated book.
     cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
-    removed = np.full((2, width, h), -1)
-    for j in range(cancels):
-        has = np.flatnonzero(length > j)
-        shift = np.minimum(column + (column >= j), width - 1)
-        removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
-    removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
     on_bid = length[bid]
     for j in range(cancels):
         states = np.flatnonzero(on_bid + length[ask] > j)
@@ -419,6 +443,7 @@ def build_generator(
         bid_to = np.where(from_bid, removed[0][j, b], b)
         ask_to = np.where(from_bid, a, removed[1][np.maximum(j - k, 0), a])
         keep(states, bid_to, ask_to, omega)
+    del fill_to, fill_left, rest_to, removed, drop, unlimited, spent, below  # before the copies
 
     # Every kept transition, slot after slot, then the diagonal of each state
     # with one. Kept rates are positive, so those states' totals are too, and

@@ -292,18 +292,31 @@ def test_batched_long_horizon_refills_draws():
 
 @pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
 def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, monkeypatch):
-    # With a cap of a few dozen books the set restarts from the live books
-    # every step or two; at the first restart some runs take known entries,
-    # whose books are renumbered. Two chunk calls share one table cache, and
-    # so one set.
-    uncapped: dict = {}
-    assert_batch_matches_scalar(model_name, runs=150, tables=uncapped)
+    # 150 runs hold more books than half a cap of 32, so the set restarts
+    # from the live books; at a restart some runs take known entries, whose
+    # books are renumbered. Two chunk calls share one table cache, and so one
+    # set. After a restart the set has room for its own size again plus one
+    # step's pairs, so it restarts once in the 42 steps; with the cap as the
+    # only limit it restarted on most steps (29-31 times).
     monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 32)
+    steps, empty = [], []
+    intern, advance = lobsim.engine._Books.intern, lobsim.engine._Books.advance
+
+    def counted_intern(self, rows):
+        empty.append(not self.ids)  # the first books, or a restart
+        return intern(self, rows)
+
+    def counted_advance(self, book, choice):
+        steps.append(len(book))
+        return advance(self, book, choice)
+
+    monkeypatch.setattr(lobsim.engine._Books, "intern", counted_intern)
+    monkeypatch.setattr(lobsim.engine._Books, "advance", counted_advance)
     tables: dict = {}
     assert_batch_matches_scalar(model_name, runs=150, tables=tables)
     assert_batch_matches_scalar(model_name, runs=150, base_seed=6, tables=tables)
-    books = tables[lobsim.engine._Books]
-    assert len(books.ids) < len(uncapped[lobsim.engine._Books].ids)
+    restarts = sum(empty) - 1
+    assert 1 <= restarts <= len(steps) // 4, (restarts, len(steps))
 
 
 def test_batched_runs_match_scalar_runs_on_grid10_opposite_best():

@@ -256,6 +256,89 @@ class TestPositions:
             index.positions(np.zeros((2, 2, 3), dtype=np.int64))
 
 
+def lookup_index(name):
+    """A fixture index by name, or the 2,501-state index of up to 40 orders."""
+    return enumerate_states(2, 1, 40) if name == "forty-orders" else oracle_case(name)[1]
+
+
+LOOKUP_INDEXES = [*ORACLE_MODELS, *ORACLE_CASES, "forty-orders"]
+
+
+class TestLookups:
+    """The direct-addressed lookups: rows to placement ids through the append
+    tables, id pairs to states by arithmetic."""
+
+    @pytest.mark.parametrize("name", LOOKUP_INDEXES)
+    def test_every_row_maps_to_its_own_id(self, name):
+        index = lookup_index(name)
+        ids = np.arange(len(index.placements))
+        for form in (0, 1):
+            assert np.array_equal(index._ids(index._rows[form], form), ids)
+
+    @pytest.mark.parametrize("name", LOOKUP_INDEXES)
+    def test_every_state_is_found_from_its_ids(self, name):
+        index = lookup_index(name)
+        found = index._find(index.bid_placement, index.ask_placement)
+        assert np.array_equal(found, np.arange(len(index)))
+
+    @pytest.mark.parametrize("name", ["tiny-opposite", "grid4-static", "forty-orders"])
+    def test_every_other_pair_is_not_found(self, name):
+        # All H x H pairs: crossed, too long, and -1 on either side map to -1.
+        index = lookup_index(name)
+        h = len(index.placements)
+        bid, ask = (a.ravel() for a in np.meshgrid(np.arange(-1, h), np.arange(-1, h)))
+        expected = np.full((h + 1, h + 1), -1)
+        expected[index.bid_placement + 1, index.ask_placement + 1] = np.arange(len(index))
+        assert np.array_equal(index._find(bid, ask), expected[bid + 1, ask + 1])
+        length, (best_bid, best_ask) = index._length, index._best
+        valid = (bid >= 0) & (ask >= 0)
+        fits = valid & (length[bid] + length[ask] <= index.max_orders)
+        fits &= best_ask[ask] > best_bid[bid]
+        assert np.array_equal(expected[bid + 1, ask + 1] >= 0, fits)
+        assert (~valid).sum() == 2 * h + 1 and (valid & ~fits).any()
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (((1, 1), (2, 1)), ()),  # bids not best first
+            ((), ((2, 1), (1, 1))),  # asks not best first
+            (((0, 1),), ()),  # level 0
+            ((), ((3, 1),)),  # above the grid
+            (((1, 0),), ()),  # quantity 0
+            ((), ((2, 2),)),  # above max_quantity
+            (((1, 1),) * 5, ()),  # more than max_orders
+            (((1, 1),) * 3, ((2, 1),) * 2),  # more than max_orders in all
+            (((2, 1),), ((1, 1),)),  # crossed
+        ],
+    )
+    def test_keys_outside_the_index_raise(self, key):
+        index = enumerate_states(2, 1, 4)
+        with pytest.raises(KeyError):
+            index.index(key)
+
+    @pytest.mark.parametrize("change", ["swap", "reverse", "drop", "repeat", "relabel"])
+    def test_states_out_of_enumeration_order_raise(self, change):
+        index = enumerate_states(3, 1, 3)
+        args = index.grid_size, index.max_quantity, index.max_orders
+        bid, ask, placements = index.bid_placement, index.ask_placement, index.placements
+        if change == "relabel":
+            # Placements in another order (the empty one still first), the
+            # states renamed to match.
+            order = [0, *np.random.default_rng(3).permutation(np.arange(1, len(placements)))]
+            rename = np.argsort(order)
+            placements, bid, ask = placements[order], rename[bid], rename[ask]
+        else:
+            at = {
+                "swap": [1, 0, *range(2, len(bid))],
+                "reverse": np.arange(len(bid))[::-1],
+                "drop": np.arange(len(bid) - 1),
+                "repeat": [*range(len(bid)), len(bid) - 1],
+            }[change]
+            bid, ask = bid[at], ask[at]
+        with pytest.raises(OracleError, match="not in enumeration order"):
+            StateIndex(*args, placements, bid, ask)
+
+
 def reference_generator(model, index, caps=None):
     """The generator assembled through the book core: one event table per
     ``BookState``, each event applied with ``apply_event``."""

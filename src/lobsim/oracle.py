@@ -20,13 +20,17 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .book import BookState, CanonicalKey, Order, Side, StateCaps
+from .book import CanonicalKey, Side, StateCaps
 from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, side_arrivals
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
 
 if TYPE_CHECKING:
     # Loaded by build_generator and evolve only, so importing lobsim does not load scipy.
     from scipy import sparse
+
+
+# The Poisson weight each uniformization segment of evolve may leave out.
+TAIL_TOLERANCE = 1e-10
 
 
 class OracleError(Exception):
@@ -44,10 +48,12 @@ class StateIndex:
     ``placements[p]`` is placement p in ask form: ``max_orders + 1`` entries
     (level, quantity), the resting orders by ascending level and time
     priority, then (0, 0) padding; the bid form reverses the level blocks.
-    State i pairs ``bid_placement[i]`` with ``ask_placement[i]``, in the
-    enumeration order (checked). No lookup searches: a row walks to its
-    placement id through its form's append table, one gather per entry, and
-    a pair of ids maps to its state by arithmetic (:meth:`_find`).
+    The placements fix the states: bid placement b, in id order, pairs with
+    the placements of at most ``max_orders`` minus its length orders whose
+    best ask lies above its best bid, in id order, and state i pairs
+    ``bid_placement[i]`` with ``ask_placement[i]``. No lookup searches: a row
+    walks to its placement id through its form's append table, one gather per
+    entry, and a pair of ids maps to its state by arithmetic (:meth:`_find`).
     Equality compares the three bounds, which determine the enumeration.
     """
 
@@ -55,8 +61,8 @@ class StateIndex:
     max_quantity: int
     max_orders: int
     placements: np.ndarray = field(repr=False, compare=False)
-    bid_placement: np.ndarray = field(repr=False, compare=False)
-    ask_placement: np.ndarray = field(repr=False, compare=False)
+    bid_placement: np.ndarray = field(init=False, repr=False, compare=False)
+    ask_placement: np.ndarray = field(init=False, repr=False, compare=False)
     # Per form (0 bid, 1 ask): every placement's row, and its append table:
     # child[p, level * max_quantity + quantity] is p with that entry appended,
     # H if the index lacks it (row H is a sink); code 0, padding, keeps p, and
@@ -68,10 +74,11 @@ class StateIndex:
     _length: np.ndarray = field(init=False, repr=False, compare=False)
     _best: tuple = field(init=False, repr=False, compare=False)
     # States run by bid placement, then by the ask placements that fit beside
-    # it, and those with a best ask above any level are a prefix of the ids. So
-    # state = start[bid] + fits[L, ask] if ask < limit[bid], L = its room for
-    # asks and fits[L, a] the placements before a of at most L orders (-1 if a
-    # has more), kept flat with row[bid] = L * (H + 1). -1 ids read last entries.
+    # it, and those with a best ask above any level are a prefix of the ids
+    # (checked). So state = start[bid] + fits[L, ask] if ask < limit[bid], L =
+    # its room for asks and fits[L, a] the placements before a of at most L
+    # orders (-1 if a has more), kept flat with row[bid] = L * (H + 1). -1 ids
+    # read last entries.
     _pairs: tuple = field(init=False, repr=False, compare=False)
     _counted_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -80,7 +87,11 @@ class StateIndex:
         # A stable sort on descending level reverses the level blocks; padding stays last.
         flip = np.argsort(np.where(asks[..., 0] > 0, -asks[..., 0], 1), axis=1, kind="stable")
         rows = (np.take_along_axis(asks, flip[..., None], axis=1), asks)
-        h, (length, best) = len(asks), _profile(asks, self.grid_size)
+        h, level = len(asks), asks[..., 0]
+        length = (level > 0).sum(axis=1)
+        best = level.max(axis=1), np.where(length > 0, level[:, 0], self.grid_size + 1)
+        if (np.diff(best[1]) > 0).any():
+            raise OracleError("placements are not in enumeration order")
         # Each row enters its form's append table under its prefix of j entries
         # (node), so the rows must be distinct and closed under prefixes.
         child = np.full((2, h + 1, (self.grid_size + 1) * q + 1), h, dtype=np.int32)
@@ -100,12 +111,15 @@ class StateIndex:
         fits = np.where(short, before, -1)
         per_bid = np.cumsum(partners) - partners, (m - length) * (h + 1), limit
         pairs = *(np.append(a, 0) for a in per_bid), fits.astype(np.int32).ravel()
+        # Bid b pairs with the first partners[b] placements of at most
+        # m - length[b] orders: a stable argsort lists each L's in id order.
+        bid = np.repeat(np.arange(h), partners)
+        rank = np.arange(len(bid)) - per_bid[0][bid]
+        ask = np.argsort(~short, axis=1, kind="stable")[m - length[bid], rank]
         fields = ("_rows", rows), ("_child", child), ("_flip", flip), ("_length", length)
-        for name, value in (*fields, ("_best", best), ("_pairs", pairs)):
+        fields += ("_best", best), ("_pairs", pairs), ("bid_placement", bid), ("ask_placement", ask)
+        for name, value in fields:
             object.__setattr__(self, name, value)
-        found = self._find(self.bid_placement, self.ask_placement)
-        if (np.diff(best[1]) > 0).any() or not np.array_equal(found, np.arange(partners.sum())):
-            raise OracleError("states are not in enumeration order")
 
     def __len__(self) -> int:
         return len(self.bid_placement)
@@ -188,36 +202,12 @@ class StateIndex:
             self._counted_by_quantity[quantity] = (codes[order], ids[order])
         return self._counted_by_quantity[quantity]
 
-    def state(self, i: int) -> BookState:
-        """The book with key i; its orders' seqs (= ids) run through bids, then asks."""
-        bids, asks = self.key(i)
-        n = len(bids)
-        return BookState(
-            grid_size=self.grid_size,
-            bids=tuple(Order(Side.BID, lv, q, s, s) for s, (lv, q) in enumerate(bids, 1)),
-            asks=tuple(Order(Side.ASK, lv, q, s, s) for s, (lv, q) in enumerate(asks, n + 1)),
-            last_transaction=None,
-            next_seq=n + len(asks) + 1,
-        )
-
-    @property
-    def states(self) -> tuple[BookState, ...]:
-        return tuple(self.state(i) for i in range(len(self)))
-
     def caps(self) -> StateCaps:
         return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
 
 
-def _profile(rows: np.ndarray, grid_size: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Orders per ask-form row, and its best bid and best ask levels as a
-    placement on either side (0 and ``grid_size + 1`` for an empty one)."""
-    level = rows[..., 0]
-    length = (level > 0).sum(axis=1)
-    return length, (level.max(axis=1), np.where(length > 0, level[:, 0], grid_size + 1))
-
-
 def _state_count(k: int, q: int, m: int) -> int:
-    """The number of states :func:`enumerate_states` pairs on k levels, orders
+    """The number of states :func:`enumerate_states` indexes on k levels, orders
     of size up to q, at most m orders, from per-(length, best level) counts."""
     # asks[n, a]: ask placements of n orders whose best level is a (k + 1 when
     # empty). The other n - 1 levels form a multiset on a..k.
@@ -241,15 +231,22 @@ def enumerate_states(
 
     Crossed configurations are excluded: continuous trading resolves them
     inside a single transition, so they are never observable states of the
-    process. Raises :class:`StateSpaceBudgetError` past ``budget`` states,
-    counted before any placement is built. Distinct queue orderings are
-    distinct states because matching consumes the front of the queue first.
-    Placements are grown length by length, then ordered lexicographically
-    over levels 1..K of each level's queue, queues ranked by (length,
-    quantities). States pair each bid placement, in that order, with the
-    ask placements that fit beside it, in that order.
+    process. Raises :class:`OracleError` unless ``grid_size`` and
+    ``max_quantity`` are at least 1 and ``max_orders`` at least 0, and
+    :class:`StateSpaceBudgetError` past ``budget`` states, counted before any
+    placement is built. Distinct queue orderings are distinct states because
+    matching consumes the front of the queue first. Placements are grown
+    length by length, then ordered lexicographically over levels 1..K of each
+    level's queue, queues ranked by (length, quantities); :class:`StateIndex`
+    pairs them into states, each bid placement in that order with the ask
+    placements that fit beside it, in that order.
     """
     k, m, q = grid_size, max_orders, max_quantity
+    if k < 1 or q < 1 or m < 0:
+        raise OracleError(
+            f"bounds (grid_size {k}, max_quantity {q}, max_orders {m}) need"
+            " grid_size >= 1, max_quantity >= 1 and max_orders >= 0"
+        )
     count = _state_count(k, q, m)
     if count > budget:
         raise StateSpaceBudgetError(f"state space of {count} exceeds budget of {budget}")
@@ -273,22 +270,7 @@ def enumerate_states(
     order_key[np.arange(h)[:, None], np.arange(k) + np.cumsum(counts, axis=1) - counts] = counts
     p, j = np.nonzero(level)
     order_key[p, level[p, j] + j] = rows[p, j, 1]
-    rows = rows[np.lexsort(order_key.T[::-1])]
-
-    # The ask placements that fit beside a bid placement depend only on its
-    # (orders left, best bid): one row of partners per such pair.
-    length, (best_bid, best_ask) = _profile(rows, k)
-    fit = (m - length) * (k + 1) + best_bid
-    _, first, pair = np.unique(fit, return_index=True, return_inverse=True)
-    group, partner = np.nonzero(
-        (length + length[first, None] <= m) & (best_ask > best_bid[first, None])
-    )
-    fits = np.bincount(group, minlength=len(first))
-    sizes, start = fits[pair], (np.cumsum(fits) - fits)[pair]
-    at = np.repeat(start - np.cumsum(sizes) + sizes, sizes) + np.arange(count)
-    return StateIndex(
-        grid_size, max_quantity, max_orders, rows, np.repeat(np.arange(h), sizes), partner[at]
-    )
+    return StateIndex(grid_size, max_quantity, max_orders, rows[np.lexsort(order_key.T[::-1])])
 
 
 def build_generator(
@@ -308,15 +290,16 @@ def build_generator(
 
     Every event changes one side's placement and reaches the other side only
     through the remainder of a fill, so transitions are tabulated per
-    placement with array operations, then addressed through the index's
-    append tables: cancellations per order position; fills per form and
-    quantity, chained from first-order removals where a fill takes whole
-    orders; rests per price and remainder. Slots run in event-table order (a
-    group's arrivals, then cancellation j for the states with more than j
-    residents), each keeping only its live transitions. Totals and outflows
-    add each state's rates in slot order, its diagonal follows every slot,
-    and COO to CSC keeps each column's entries in input order, so the float
-    bytes match a state-by-state assembly.
+    placement with array operations: cancellations per order position and
+    fills per form and quantity, addressed through the index's append tables
+    (or chained from first-order removals where a fill takes whole orders);
+    rests scattered from the cancellations that undo them, one per order that
+    ends a level block. Slots run in event-table order (a group's arrivals,
+    then cancellation j for the states with more than j residents), each
+    keeping only its live transitions. Totals and outflows add each state's
+    rates in slot order, its diagonal follows every slot, and COO to CSC
+    keeps each column's entries in input order, so the float bytes match a
+    state-by-state assembly.
     """
     from scipy import sparse
 
@@ -399,17 +382,16 @@ def build_generator(
         fill_left[a] = np.maximum(quantity - taken, 0)
     # rest_to[price, r, p]: p with a remainder r rested behind its orders at levels
     # up to price, one placement from either side (so on ask rows); -1 if not indexed.
+    # Resting is the inverse of cancelling the last order of a level block: each
+    # such order, at position `at` of placement `placed`, fills one entry.
     top = max((q for _, _, q in arrival_ids), default=0)
     rest_to = np.full((model.grid_size + 1, top + 1, h), -1, dtype=np.int32)
     rest_to[:, 0] = p
-    room = np.flatnonzero(length < index.max_orders)
-    own = rows[1][room]
-    quantities = range(1, min(top, index.max_quantity) + 1)
-    for price, r in {(x, r) for _, x, q in arrival_ids for r in quantities if r <= q}:
-        at = ((own[..., 0] > 0) & (own[..., 0] <= price)).sum(axis=1)[:, None]
-        rested = np.where((column > at)[..., None], np.roll(own, 1, axis=1), own)
-        rested[column == at] = price, r
-        rest_to[price, r, room] = index._ids(rested, 1)
+    level, size = rows[1][:, :-1, 0], rows[1][:, :-1, 1]
+    ends = (level > 0) & (level != rows[1][:, 1:, 0]) & (size <= top)
+    placed, at = np.nonzero(ends & (removed[1, :-1].T >= 0))
+    rest_to[level[placed, at], size[placed, at], removed[1, at, placed]] = placed
+    del ends, placed, at  # held through the slots, they raise a large build's peak RSS
 
     # Per slot, its kept transitions as (states, targets, raw rate); every
     # state of a group shares its arrival list, so each side is a Python bool.
@@ -476,20 +458,15 @@ def _check_probability_vector(p: np.ndarray, where: str, dropped: float = 0.0) -
     return p / p.sum()
 
 
-def evolve(
-    p0: Sequence[float],
-    generator: sparse.spmatrix,
-    t: float,
-    tail_tolerance: float = 1e-10,
-) -> np.ndarray:
+def evolve(p0: Sequence[float], generator: sparse.spmatrix, t: float) -> np.ndarray:
     """Propagate a probability vector: p(t) = exp(generator * t) @ p0.
 
     Uses uniformization: Poisson-weighted powers of the stochastic matrix
     I + generator / rate_cap, truncating the Poisson tail below
-    ``tail_tolerance``. Long horizons are split into segments to keep each
-    Poisson mean moderate. The result is validated and renormalized; each
-    segment may drop up to ``tail_tolerance`` of the mass, so the check
-    allows ``segments * tail_tolerance`` beyond rounding.
+    :data:`TAIL_TOLERANCE`. Long horizons are split into segments to keep
+    each Poisson mean moderate. The result is validated and renormalized;
+    each segment may drop up to :data:`TAIL_TOLERANCE` of the mass, so the
+    check allows ``segments * TAIL_TOLERANCE`` beyond rounding.
     """
     from scipy import sparse
 
@@ -516,7 +493,7 @@ def evolve(
         acc = weight * term
         cumulative = weight
         n = 0
-        while cumulative < 1.0 - tail_tolerance:
+        while cumulative < 1.0 - TAIL_TOLERANCE:
             n += 1
             if n > max_terms:
                 raise OracleError("uniformization failed to converge")
@@ -525,7 +502,7 @@ def evolve(
             acc += weight * term
             cumulative += weight
         p = acc
-    return _check_probability_vector(p, "evolve output", segments * tail_tolerance)
+    return _check_probability_vector(p, "evolve output", segments * TAIL_TOLERANCE)
 
 
 def exact_moment(

@@ -47,9 +47,9 @@ batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
 keeps its scalar stream: :class:`_Streams` replicates
 ``np.random.default_rng(seed).random()`` for every seed at once on uint64
 arrays (numpy's ``SeedSequence`` and PCG64, checked bit for bit against
-numpy in ``tests/test_engine.py``), waiting times use ``math.log1p``, and
-events are selected from the same cached cumulative-rate floats, so every
-depth equals the one-seed call's.
+numpy in ``tests/test_engine.py``) and each step draws a pair for the live
+runs alone; waiting times use ``math.log1p``, and events are selected from
+the same cached cumulative-rate floats, so every depth equals the one-seed call's.
 
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
@@ -58,16 +58,13 @@ cache share the set. A book keeps its table's row and a next-book row
 that is filled the first time a run takes each table entry; a step
 selects every run's entry, reads the next books, and computes only the
 (book, entry) pairs no run took before, in one vectorized update whose
-rows are interned in one batch. A book costs a row of ``max_orders + 1``
-int8, an int32 table id, an int32 next-book row of ``2K + max_orders + 1``
-and a dict entry: about 250 B at K = 10 and 9 orders. At
-:data:`_BOOK_CAP` books the set restarts from the books the live runs
-hold, which bounds its memory; after a restart it may grow by one step's
-books plus its own size before the next, so runs that hold more than half
-the cap do not restart it on every step. Runs that revisit a few hundred books, as
-on the tiny validation models, gain the most; where most pairs are new
-(grid 10, 9 orders, t = 50) the update and interning cost more than
-per-run rows did (README.md).
+rows are interned in one batch. A checkpoint copies the book's row, as a
+restart renumbers the books; depths are counted once per checkpoint at the
+end. At :data:`_BOOK_CAP` books the set restarts from the books the live
+runs hold; after a restart it may grow by one step's books plus its own size
+before the next, so runs that hold more than half the cap do not restart it
+on every step. README.md gives what a book costs, and where the set gains
+(runs that revisit a few hundred books) and loses (most pairs new).
 
 A seed is an integer in [0, 2**64), the range :func:`derive_run_seeds`
 yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
@@ -471,7 +468,10 @@ def simulate(
 
 
 def _check_seeds(seeds) -> None:
-    """:class:`EngineError` unless every seed is an integer in [0, 2**64), not a bool."""
+    """:class:`EngineError` unless every seed is an integer in [0, 2**64), not a bool;
+    exact ints, as :func:`derive_run_seeds` returns them, need only their extremes checked."""
+    if set(map(type, seeds)) == {int} and 0 <= min(seeds) and max(seeds) < 1 << 64:
+        return
     for seed in seeds:
         integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
         if not (integer and 0 <= int(seed) < 1 << 64):
@@ -479,12 +479,10 @@ def _check_seeds(seeds) -> None:
 
 
 # Seeds per batched simulate call in validation, bounded by peak RSS: per
-# run the kernel holds a book id, a block of draws, four uint64 stream words
-# and a depth per checkpoint. At 20,000 tiny-overlap runs 2,048 peaks at
-# 56.6 MiB, under the 57.1 of per-run rows; 4,096 adds about 2.3 MiB (README.md).
-LOCKSTEP_CHUNK = 2048
-# Uniform pairs each run draws per block; a block ends for every live run at once.
-_LOCKSTEP_BLOCK = 16
+# run the kernel holds a book id, four uint64 stream words, its step arrays and
+# a book row per checkpoint. At 20,000 tiny-overlap runs 4,096 peaks at 57.1-57.7
+# MiB, as 2,048 did with blocks of draws; 8,192 adds about 1.7 MiB (README.md).
+LOCKSTEP_CHUNK = 4096
 
 # PCG64's 128-bit LCG multiplier as 64-bit halves, and the low half's 32-bit limbs.
 _MUL_HI, _MUL_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
@@ -502,6 +500,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence's 32-bit mix of two pool words."""
     value = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
     return value ^ value >> 16
+
+
+def _generate_state(pool: np.ndarray, words: int) -> np.ndarray:
+    """SeedSequence's ``generate_state(words // 2, uint64)`` from its uint32 ``pool``,
+    on the last axis: word i hashes pool word i % 4 with INIT_B * MULT_B**i and
+    **(i + 1) mod 2**32, and a uint64 is two words, low first."""
+    const = np.full(words + 1, 0x58F38DED, dtype=np.uint32)
+    const[0] = 0x8B51F9DD
+    np.multiply.accumulate(const, out=const)
+    value = np.tile(pool, -(-words // 4))[..., :words] ^ const[:-1]
+    value *= const[1:]
+    value ^= value >> 16
+    return value.astype("<u4", copy=False).view("<u8")
 
 
 def _lcg_step(
@@ -531,12 +542,13 @@ class _Streams:
     words are hashed into a pool of four and mixed, and the pool is hashed
     out into eight 32-bit words. Each step is a few integer operations, done
     here on uint64 arrays with one element per seed, for seeds in
-    [0, 2**64). ``tests/test_engine.py`` checks the draws bit for bit against
-    numpy, so a change to either algorithm in numpy shows there.
+    [0, 2**64): ``words`` are the states' and increments' high and low halves.
+    ``tests/test_engine.py`` checks the draws bit for bit against numpy, so
+    a change to either algorithm in numpy shows there.
     """
 
     def __init__(self, seeds: Sequence[int]):
-        words = np.array([int(s) for s in seeds], dtype=np.uint64)
+        words = np.array(seeds, dtype=np.uint64)
         zeros = np.zeros_like(words)
         # A seed below 2**32 is one 32-bit word; its missing high word hashes as 0.
         const, pool = 0x43B0D7E5, []
@@ -548,48 +560,35 @@ class _Streams:
                 if src != dst:
                     value, const = _hashmix(pool[src], const)
                     pool[dst] = _mix(pool[dst], value)
-        const, out = 0x8B51F9DD, []
-        for i in range(8):
-            const, value = const * 0x58F38DED & 0xFFFFFFFF, pool[i % 4] ^ const
-            value = value * const & 0xFFFFFFFF
-            out.append(value ^ value >> 16)
         # initstate and initseq, each as (high, low) 64-bit words.
-        init_hi, init_lo, seq_hi, seq_lo = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
-        # PCG64 srandom: inc = initseq << 1 | 1; step from 0, add initstate, step.
-        self.inc_hi, self.inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-        hi, lo = _lcg_step(zeros, zeros, self.inc_hi, self.inc_lo)
-        lo = lo + init_lo
-        hi = hi + init_hi + (lo < init_lo).astype(np.uint64)
-        self.hi, self.lo = _lcg_step(hi, lo, self.inc_hi, self.inc_lo)
+        init_hi, init_lo, seq_hi, seq_lo = _generate_state(np.array(pool, np.uint32).T, 8).T
+        # PCG64 srandom: inc = initseq << 1 | 1; step from 0 (to inc), add initstate, step.
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        lo = inc_lo + init_lo
+        hi = inc_hi + init_hi + (lo < init_lo).astype(np.uint64)
+        self.words = (*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
-    def random(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """The next ``n`` uniforms of the streams in ``rows``, shape (len(rows), n).
-
-        Advances only those streams, each as ``rng.random(n)`` would.
-        """
-        hi, lo, inc_hi, inc_lo = self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows]
-        out = np.empty((len(rows), n))
-        for j in range(n):
-            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-            # XSL-RR: the halves xor-ed, rotated right by the state's top six bits.
-            x, rot = hi ^ lo, hi >> 58
-            x = x >> rot | x << (64 - rot & 63)
-            # random(): the top 53 bits scaled to [0, 1).
-            out[:, j] = (x >> 11).astype(np.float64) * 2.0**-53
-        self.hi[rows], self.lo[rows] = hi, lo
-        return out
+    def draw(self) -> np.ndarray:
+        """Each stream's next uniform, as ``rng.random()`` gives it."""
+        hi, lo = _lcg_step(*self.words)
+        self.words = hi, lo, *self.words[2:]
+        # XSL-RR: the halves xor-ed, rotated right by the state's top six bits.
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << (64 - rot & 63)
+        # random(): the top 53 bits scaled to [0, 1).
+        return (x >> 11).astype(np.float64) * 2.0**-53
 
 
 class _PaddedTables:
     """Capped tables as padded arrays, looked up by a code of their cache key.
 
-    Row i holds one cached table: ``cum`` its cumulative raw rates padded
-    with +inf, ``total`` its last entry, ``size`` its length, ``arrivals``
-    its arrival count and ``level`` the arrivals' signed levels (0 for a
-    cancellation slot). A row has ``entries`` columns: a table holds at most
-    K arrivals per side and ``max_orders`` cancellation slots. Entries come
-    from ``_table`` under the scalar loop's cache keys, so both paths select
-    from the same floats.
+    Table i is column i of ``cum``, its cumulative raw rates padded with
+    +inf, and entry i of ``total`` (its last rate), ``size`` (its length),
+    ``arrivals`` (its arrival count) and ``level`` (a row of the arrivals'
+    signed levels, 0 for a cancellation slot). A table has at most
+    ``entries``: K arrivals per side and ``max_orders`` cancellation slots.
+    They come from ``_table`` under the scalar loop's cache keys, so both
+    paths select from the same floats.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
@@ -597,7 +596,7 @@ class _PaddedTables:
         k, m = model.grid_size, caps.max_orders
         self.width, self.entries = (k + 1, m + 1), 2 * k + m
         self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
-        self.cum, self.level = np.zeros((0, self.entries)), np.zeros((0, self.entries), np.int64)
+        self.cum, self.level = np.zeros((self.entries, 0)), np.zeros((0, self.entries), np.int64)
         self.total, self.size, self.arrivals = np.zeros(0), *np.zeros((2, 0), np.int64)
 
     def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -618,7 +617,7 @@ class _PaddedTables:
             for i, (c, _, s) in enumerate(entries):
                 cum[i, : len(c)], level[i, : len(s)] = c, s
             self.id_of_code[code[new]] = np.arange(len(new)) + len(self.total)
-            self.cum = np.concatenate([self.cum, cum])
+            self.cum = np.concatenate([self.cum, cum.T], axis=1)
             self.level = np.concatenate([self.level, level])
             self.total = np.concatenate([self.total, [c[-1] for c, _, _ in entries]])
             self.size = np.concatenate([self.size, [len(c) for c, _, _ in entries]])
@@ -679,12 +678,13 @@ class _Books:
             )
         self.rows[start:end], self.table[start:end], self.next[start:end] = rows, table, -1
 
-    def depth(self, book: np.ndarray) -> np.ndarray:
-        """Order counts of the books, shape (len(book), 2, K), as ``EnsembleResult`` holds them."""
-        k, rows = self.k, self.rows[book].astype(np.int64)
-        # Bid level l counts at l - 1, ask level l at K + l - 1, in the run's block of 2K.
-        at = np.where(rows > 0, k - 1 + rows, -1 - rows) + 2 * k * np.arange(len(book))[:, None]
-        return np.bincount(at[rows != 0], minlength=2 * k * len(book)).reshape(-1, 2, k)
+    def depth(self, rows: np.ndarray) -> np.ndarray:
+        """Order counts of book rows, shape (len(rows), 2, K), as ``EnsembleResult`` holds them."""
+        k, width, levels = self.k, 2 * self.k + 1, np.arange(1, self.k + 1)
+        # Signed level s of row i counts in bin width * i + K + s; padding fills bin K.
+        bins = rows + np.arange(k, width * len(rows), width)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=width * len(rows)).reshape(-1, width)
+        return counts[:, np.concatenate([k - levels, k + levels])].reshape(-1, 2, k)
 
     def advance(self, book: np.ndarray, choice: np.ndarray) -> np.ndarray:
         """The book each run reaches from ``book`` by table entry ``choice``."""
@@ -751,9 +751,9 @@ def _simulate_lockstep(
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
     Each live run is the id of its book in the :class:`_Books` set kept in
-    ``tables``, and every live run has kept ``step`` events, so all runs read
-    the same column of their draw blocks. Per live run, in the scalar loop's
-    order: the waiting time, pending checkpoints before the next event, the
+    ``tables`` and its stream's words; every step draws a pair per live run.
+    Per live run, in the scalar loop's order: the waiting time, pending
+    checkpoints before the next event (each copies the book's row), the
     horizon test, then the event, counted as ``bisect_right`` counts, and the
     book it leads to (an absorbing book raises when it is first reached).
     """
@@ -774,15 +774,15 @@ def _simulate_lockstep(
     books = tables.get(_Books)
     if books is None:
         books = tables[_Books] = _Books(model, caps, tables)
-    padded, block, runs = books.padded, _LOCKSTEP_BLOCK, len(seeds)
+    padded, runs = books.padded, len(seeds)
     streams = _Streams(seeds)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
     # The bounds a run passes in turn, each taking its book: the checkpoint
     # times, then the horizon, which stops it.
     bounds = np.array([*times, time_horizon, math.inf])
-    # The depth at each checkpoint time, then the final one.
-    depths = np.zeros((len(times) + 1, runs, 2, k), dtype=np.int64)
+    # The book row at each checkpoint time, then the final one.
+    held = np.zeros((len(times) + 1, runs, caps.max_orders + 1), dtype=books.rows.dtype)
     event_counts = np.zeros(runs, dtype=np.int64)
     live = np.arange(runs)
     book = np.repeat(books.intern(np.zeros((1, caps.max_orders + 1))), runs)
@@ -790,30 +790,30 @@ def _simulate_lockstep(
     now = np.zeros(runs)
     step = 0
     while live.size:
-        if step % block == 0:
-            draws = streams.random(live, 2 * block)
-        u_time, u_event = draws[:, 2 * (step % block)], draws[:, 2 * (step % block) + 1]
+        u_time, u_event = streams.draw(), streams.draw()
         # math.log1p, as in the scalar loop: np.log1p differs from it in the last ulp.
         logs = np.fromiter(map(math.log1p, (-u_time).tolist()), float, live.size)
         t_next = now + -logs / model.event_intensity
         hit = np.flatnonzero(bound < t_next)
         if hit.size:
             while hit.size:
-                depths[passed[hit], live[hit]] = books.depth(book[hit])
+                held[passed[hit], live[hit]] = books.rows[book[hit]]
                 passed[hit] += 1
                 bound[hit] = bounds[passed[hit]]
                 hit = hit[bound[hit] < t_next[hit]]
             go = passed <= len(times)
             if not go.all():
                 event_counts[live[~go]] = step
-                per_run = live, book, passed, bound, draws, t_next, u_event
-                live, book, passed, bound, draws, t_next, u_event = (a[go] for a in per_run)
+                streams.words = [words[go] for words in streams.words]
+                per_run = live, book, passed, bound, t_next, u_event
+                live, book, passed, bound, t_next, u_event = (a[go] for a in per_run)
         now = t_next
         step += 1
 
         table = books.table[book]
-        choice = (padded.cum[table] <= (u_event * padded.total[table])[:, None]).sum(axis=1)
+        choice = (padded.cum.take(table, axis=1) <= u_event * padded.total[table]).sum(axis=0)
         book = books.advance(book, choice)
+    depths = [books.depth(rows) for rows in held]
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,
@@ -824,9 +824,9 @@ def _simulate_lockstep(
 
 
 def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
-    """Deterministic, independent per-run seeds from one base seed."""
-    words = np.random.SeedSequence(base_seed).generate_state(runs, dtype=np.uint64)
-    return [int(w) for w in words]
+    """Deterministic, independent per-run seeds from one base seed: the words of
+    ``SeedSequence(base_seed).generate_state(runs, np.uint64)``, as ints."""
+    return _generate_state(np.random.SeedSequence(base_seed).pool, 2 * runs).tolist()
 
 
 def run_ensemble(

@@ -84,6 +84,13 @@ class StateIndex:
 
     def __post_init__(self) -> None:
         asks, m, q = self.placements, self.max_orders, self.max_quantity
+        # An entry is padding (0, 0), else (level, quantity) within the bounds;
+        # whole-array reductions, as reducing each two-element entry is slow.
+        level, quantity = asks[..., 0], asks[..., 1]
+        if asks.min(initial=0) < 0 or level.max(initial=0) > self.grid_size or (
+            quantity.max(initial=0) > q or ((level == 0) != (quantity == 0)).any()
+        ):
+            raise OracleError(f"placement entries outside levels 1..{self.grid_size}, sizes 1..{q}")
         # A stable sort on descending level reverses the level blocks; padding stays last.
         flip = np.argsort(np.where(asks[..., 0] > 0, -asks[..., 0], 1), axis=1, kind="stable")
         rows = (np.take_along_axis(asks, flip[..., None], axis=1), asks)

@@ -284,8 +284,8 @@ def test_batched_checkpoints_at_scalar_event_times():
     assert_batch_matches_scalar("tiny-opposite", runs=25, times=times)
 
 
-def test_batched_long_horizon_refills_draws():
-    # About 120 events per run: every run refills its block of draws.
+def test_batched_long_horizon_runs():
+    # About 120 events per run, ten times as many as to the oracle horizon.
     batch = assert_batch_matches_scalar("tiny-overlap", runs=40, time_horizon=20.0)
     assert batch.event_counts.min() > 64
 

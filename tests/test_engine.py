@@ -443,14 +443,38 @@ class TestSeeds:
         # Bit for bit, so a change to numpy's SeedSequence or PCG64 shows here.
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345] + derive_run_seeds(2024, 10_000)
         expected = np.array([np.random.default_rng(seed).random(128) for seed in seeds])
-        streams, drawn = _Streams(seeds), np.zeros(len(seeds), dtype=np.int64)
-        every = np.arange(len(seeds))
-        # Four refills; in the second and the fourth only some streams are live.
-        for rows in (every, every[::3], every, every[1::2]):
-            columns = drawn[rows, None] + np.arange(32)
-            got, want = streams.random(rows, 32), expected[rows[:, None], columns]
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            drawn[rows] += 32
+        streams, rows = _Streams(seeds), np.arange(len(seeds))
+        # 64 pairs; every 16 steps only some streams are kept, edge seeds among them.
+        for j in range(64):
+            if j and j % 16 == 0:
+                # As the batched loop drops finished runs.
+                go = rows % (j // 16 + 1) != 1
+                streams.words = [words[go] for words in streams.words]
+                rows = rows[go]
+            got = np.stack([streams.draw(), streams.draw()], axis=1)
+            want = expected[rows, 2 * j : 2 * j + 2]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), j
+        assert rows[:2].tolist() == [0, 2] and len(rows) < len(seeds) // 2
+
+    @pytest.mark.parametrize("runs", [0, 1, 2, 3, 7, 20_000])
+    @pytest.mark.parametrize("base_seed", [0, 1, 2**32, 2**64 - 1, 2**70 + 5, 2024])
+    def test_derived_seeds_match_seed_sequence(self, base_seed, runs):
+        words = np.random.SeedSequence(base_seed).generate_state(runs, np.uint64)
+        seeds = derive_run_seeds(base_seed, runs)
+        assert seeds == words.tolist() and all(type(seed) is int for seed in seeds)
+
+    def test_batched_seeds_as_uint64_array(self):
+        model, caps = ORACLE_MODELS["tiny-overlap"]()
+        seeds = [0, 2**64 - 1] + derive_run_seeds(7, 200)
+        recording = RecordingConfig(events=False, checkpoint_times=(0.5, 1.0))
+        runs = [
+            simulate(model, time_horizon=2.0, seed=s, recording=recording, caps=caps)
+            for s in (seeds, np.array(seeds, dtype=np.uint64))
+        ]
+        assert np.array_equal(runs[0].event_counts, runs[1].event_counts)
+        assert np.array_equal(runs[0].final_depths, runs[1].final_depths)
+        for t in (0.5, 1.0):
+            assert np.array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
 
 
 def fixed_draws(head):
@@ -460,6 +484,17 @@ def fixed_draws(head):
         return np.array((head + [0.5] * n)[:n])
 
     return draws
+
+
+class FixedStreams:
+    """``_Streams`` whose every stream draws the n draws of ``draws(n)`` in turn."""
+
+    def __init__(self, draws, seeds):
+        self.draws, self.drawn, self.words = draws, 0, [np.zeros(len(seeds))]
+
+    def draw(self):
+        self.drawn += 1
+        return np.full(len(self.words[0]), self.draws(self.drawn)[-1])
 
 
 def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
@@ -480,9 +515,8 @@ def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
         assert event is entries[i + 1][0]
         draws = fixed_draws([0.0, u, 1.0 - 2.0**-53])
         rng = SimpleNamespace(random=draws)
-        streams = SimpleNamespace(random=lambda rows, n: np.tile(draws(n), (len(rows), 1)))
         monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
-        monkeypatch.setattr(lobsim.engine, "_Streams", lambda seeds: streams)
+        monkeypatch.setattr(lobsim.engine, "_Streams", lambda seeds: FixedStreams(draws, seeds))
         run = simulate(model, time_horizon=0.0, seed=1, caps=caps)
         assert [record.event for record in run.records] == [event]
         batch = simulate(model, time_horizon=0.0, seed=[1, 2], recording=recording, caps=caps)

@@ -99,6 +99,15 @@ class TestEnumeration:
         with pytest.raises(OracleError, match="duplicate"):
             StateIndex(2, 1, 1, empty)
 
+    @pytest.mark.parametrize("entry", [(1, 2), (1, 0), (3, 1), (0, 1), (-1, 1), (2, -1)])
+    def test_entries_outside_bounds_raise(self, entry):
+        # Grid 2, quantities up to 1, one order: (1, 2) would alias (2, 1) and
+        # (3, 1) would index past the append table.
+        rows = np.zeros((3, 2, 2), dtype=np.int64)
+        rows[1, 0], rows[2, 0] = (2, 1), entry
+        with pytest.raises(OracleError, match="placement entries outside levels 1..2, sizes 1..1"):
+            StateIndex(2, 1, 1, rows)
+
     @pytest.mark.parametrize("bounds", [(2, 1, -1), (-1, 1, 1), (0, 1, 2), (2, 0, 2)])
     def test_bounds_out_of_range_raise(self, bounds):
         with pytest.raises(OracleError, match="need grid_size >= 1"):

@@ -44,12 +44,12 @@ Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
 their order counts as an :class:`EnsembleResult`; the caller bounds the
 batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
-keeps its scalar stream: :class:`_Streams` replicates
-``np.random.default_rng(seed).random()`` for every seed at once on uint64
-arrays (numpy's ``SeedSequence`` and PCG64, checked bit for bit against
-numpy in ``tests/test_engine.py``) and each step draws a pair for the live
-runs alone; waiting times use ``math.log1p``, and events are selected from
-the same cached cumulative-rate floats, so every depth equals the one-seed call's.
+keeps its scalar stream (:class:`_Streams` replicates ``default_rng(seed)``'s
+uniforms on uint64 arrays, checked bit for bit in ``tests/test_engine.py``),
+draws a pair per step and selects from the same cumulative-rate floats. Its
+times, from ``np.log1p``, feed nothing but comparisons with the checkpoint
+times and the horizon; a run within :func:`_clock_slack` of a bound takes the
+scalar loop's exact time, so every depth equals the one-seed call's.
 
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
@@ -688,19 +688,22 @@ class _Books:
 
     def advance(self, book: np.ndarray, choice: np.ndarray) -> np.ndarray:
         """The book each run reaches from ``book`` by table entry ``choice``."""
-        after = self.next[book, choice]
+        # (book, entry) pairs as flat indexes of ``next``, in intp once they can pass int32.
+        flat = self.next.ravel()
+        at = (book.astype(np.intp) if flat.size >> 31 else book) * self.width + choice
+        after = flat.take(at)
         new = np.flatnonzero(after < 0)
         if not new.size:
             return after
-        pairs = np.unique(book[new].astype(np.int64) * self.width + choice[new])
+        pairs = np.unique(at[new])
         restart = len(self.ids) + pairs.size > self.limit
         if restart:
             # Restart from the books the runs hold; every next-book row is unknown again.
             keep, book = np.unique(book, return_inverse=True)
-            rows = self.rows[keep]
             self.ids.clear()
-            self.intern(rows)
-            pairs = np.unique(book * self.width + choice)
+            self.intern(self.rows[keep])
+            at = book * self.width + choice
+            pairs = np.unique(at)
         source, entry = np.divmod(pairs, self.width)
         self.next[source, entry] = self.intern(self._apply(source, entry))
         if restart:
@@ -708,7 +711,7 @@ class _Books:
             # as the set holds, so that runs holding more than half the cap do not
             # restart it on every step; the restarts' cost stays linear in the books.
             self.limit = max(_BOOK_CAP, 2 * len(self.ids) + len(book))
-        return self.next[book, choice]
+        return self.next.ravel().take(at)
 
     def _apply(self, source: np.ndarray, entry: np.ndarray) -> np.ndarray:
         """The rows after table entry ``entry`` of each book in ``source``."""
@@ -735,6 +738,29 @@ def _quotes(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     int64 book rows; the zero padding makes the row minimum at most 0."""
     ask = np.where(rows > 0, rows, k + 1).min(axis=1)
     return -rows.min(axis=1), ask, np.count_nonzero(rows, axis=1)
+
+
+# np.log1p's relative error against math.log1p on -uniform, generously: 1 ulp was measured.
+_LOG1P_ERROR = 2.0**-44
+
+
+def _clock_slack(steps: int) -> float:
+    """A relative bound on the gap between a batched run's clock and the scalar loop's.
+
+    With u = 2**-53 and e = :data:`_LOG1P_ERROR`, the scalar waiting time d = fl(-L / λ),
+    L = ``math.log1p(-u_time)``, and the batched one differ by at most (e + 3u)d. A sum
+    rounds once, so step i adds at most (e + 3u)d_i + u(t_i+1 + t'_i+1) to the gap. As the
+    d_i sum to at most (1 + nu)t_n, after n = ``steps`` steps (nu < 2**-10) the gap is below
+    (1.2e + 2.3nu) times either clock; the slack, 4e + 4nu, leaves a margin for rounding."""
+    return 4 * _LOG1P_ERROR + steps * 2.0**-51
+
+
+def _scalar_clock(seed: int, steps: int, intensity: float) -> float:
+    """The scalar loop's clock after ``steps`` steps of ``seed``, summed in its order."""
+    now = 0.0
+    for u_time in np.random.default_rng(seed).random(2 * steps)[::2].tolist():
+        now = now + -math.log1p(-u_time) / intensity
+    return now
 
 
 def _simulate_lockstep(
@@ -791,11 +817,15 @@ def _simulate_lockstep(
     step = 0
     while live.size:
         u_time, u_event = streams.draw(), streams.draw()
-        # math.log1p, as in the scalar loop: np.log1p differs from it in the last ulp.
-        logs = np.fromiter(map(math.log1p, (-u_time).tolist()), float, live.size)
-        t_next = now + -logs / model.event_intensity
-        hit = np.flatnonzero(bound < t_next)
+        t_next = now - np.log1p(-u_time) / model.event_intensity
+        # Near a bound it compares with (the next, or any it passes), a run takes the scalar time.
+        slack = _clock_slack(step + 1)
+        hit = np.flatnonzero(bound <= t_next * (1 + slack))
         if hit.size:
+            near = np.maximum(np.searchsorted(bounds, t_next[hit] * (1 - slack)), passed[hit])
+            for i in hit[bounds[near] <= t_next[hit] * (1 + slack)].tolist():
+                t_next[i] = _scalar_clock(int(seeds[live[i]]), step + 1, model.event_intensity)
+            hit = hit[bound[hit] < t_next[hit]]
             while hit.size:
                 held[passed[hit], live[hit]] = books.rows[book[hit]]
                 passed[hit] += 1

@@ -9,7 +9,9 @@ steps many seeds at once, is compared with one simulate call per seed on
 event counts, final times and depths.
 """
 
+import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -282,6 +284,55 @@ def test_batched_checkpoints_at_scalar_event_times():
     ]
     times = (*event_times, *np.nextafter(event_times, -np.inf).tolist())
     assert_batch_matches_scalar("tiny-opposite", runs=25, times=times)
+
+
+def test_batched_horizon_at_scalar_event_times():
+    # A horizon at a scalar event time keeps that event, one a ulp below it
+    # drops it. Each horizon is an event time that a clock summed from
+    # np.log1p, as the batched clock is, misses: without the exact replay
+    # that run would keep or drop the event wrongly.
+    model, caps = ORACLE_MODELS["tiny-overlap"]()
+    seeds = derive_run_seeds(7, 40)
+    missed = {}
+    for i, seed in enumerate(seeds):
+        records = simulate(model, time_horizon=2.0, seed=seed, caps=caps).records
+        u_time = np.random.default_rng(seed).random(2 * len(records))[::2]
+        clock = accumulate((-np.log1p(-u_time) / model.event_intensity).tolist())
+        for j, (t, record) in enumerate(zip(clock, records)):
+            if t != record.time:
+                missed.setdefault(i, (j, record.time))
+    assert len(missed) >= 4
+    for i, (j, at) in list(missed.items())[:4]:
+        for horizon, count in ((at, j + 1), (float(np.nextafter(at, -np.inf)), j)):
+            batch = assert_batch_matches_scalar("tiny-overlap", 40, horizon, base_seed=7)
+            assert batch.event_counts[i] == count
+
+
+def assert_ensembles_equal(a, b):
+    assert a.event_count == b.event_count
+    for name in ("event_counts", "final_times", "final_depths"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.checkpoints.keys() == b.checkpoints.keys()
+    for t in a.checkpoints:
+        assert np.array_equal(a.checkpoints[t], b.checkpoints[t]), t
+
+
+def test_batched_runs_replayed_at_every_bound(monkeypatch):
+    # With an unbounded slack every clock that meets a bound takes the scalar
+    # loop's time: on every step of every run, the one past the horizon too.
+    default = assert_batch_matches_scalar("tiny-opposite", runs=30, time_horizon=4.0)
+    replays = []
+    scalar_clock = lobsim.engine._scalar_clock
+
+    def counted_scalar_clock(*args):
+        replays.append(args)
+        return scalar_clock(*args)
+
+    monkeypatch.setattr(lobsim.engine, "_clock_slack", lambda steps: math.inf)
+    monkeypatch.setattr(lobsim.engine, "_scalar_clock", counted_scalar_clock)
+    replayed = assert_batch_matches_scalar("tiny-opposite", runs=30, time_horizon=4.0)
+    assert len(replays) == replayed.event_count + 30
+    assert_ensembles_equal(default, replayed)
 
 
 def test_batched_long_horizon_runs():

@@ -477,6 +477,17 @@ class TestSeeds:
             assert np.array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
 
 
+def test_np_log1p_within_the_clock_slack_bound():
+    # _clock_slack assumes np.log1p(-u) is within _LOG1P_ERROR of math.log1p(-u),
+    # relative, on every uniform the streams draw; the edges are 0, 2**-53 and the
+    # largest uniform below 1.
+    edges = [0.0, 2.0**-53, 1.0 - 2.0**-53]
+    u = np.concatenate([edges, np.random.default_rng(2024).random(1_000_000)])
+    exact = np.fromiter(map(math.log1p, (-u).tolist()), float, u.size)
+    error = np.abs(np.log1p(-u) - exact)
+    assert np.all(error <= lobsim.engine._LOG1P_ERROR * np.abs(exact)), error.max()
+
+
 def fixed_draws(head):
     """A uniform source whose every block of n draws starts with ``head``; 0.5s fill the rest."""
 

@@ -42,14 +42,14 @@ Summary rows go to one flat int list, reshaped once per run.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
-their order counts as an :class:`EnsembleResult`; the caller bounds the
+their books as an :class:`EnsembleResult`; the caller bounds the
 batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
 keeps its scalar stream (:class:`_Streams` replicates ``default_rng(seed)``'s
 uniforms on uint64 arrays, checked bit for bit in ``tests/test_engine.py``),
 draws a pair per step and selects from the same cumulative-rate floats. Its
 times, from ``np.log1p``, feed nothing but comparisons with the checkpoint
 times and the horizon; a run within :func:`_clock_slack` of a bound takes the
-scalar loop's exact time, so every depth equals the one-seed call's.
+scalar loop's exact time, so every book equals the one-seed call's.
 
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
@@ -59,8 +59,8 @@ that is filled the first time a run takes each table entry; a step
 selects every run's entry, reads the next books, and computes only the
 (book, entry) pairs no run took before, in one vectorized update whose
 rows are interned in one batch. A checkpoint copies the book's row, as a
-restart renumbers the books; depths are counted once per checkpoint at the
-end. At :data:`_BOOK_CAP` books the set restarts from the books the live
+restart renumbers the books, and the copied rows are what the result holds.
+At :data:`_BOOK_CAP` books the set restarts from the books the live
 runs hold; after a restart it may grow by one step's books plus its own size
 before the next, so runs that hold more than half the cap do not restart it
 on every step. README.md gives what a book costs, and where the set gains
@@ -150,16 +150,16 @@ class SimulationResult:
 class EnsembleResult:
     """Runs stepped in lockstep by :func:`simulate`, in seed order.
 
-    A depth array has shape (runs, 2, K): order counts per run, side (0 bids,
-    1 asks) and level (level l at l - 1). ``checkpoints`` maps each
-    checkpoint time within the horizon to one; ``depth_frames`` is always
-    empty, as no frames are kept.
+    A book array holds the kernel's rows, shape (runs, max_orders + 1): each
+    run's residents' signed levels (+ asks, - bids) in submission order, 0-padded,
+    int8 up to K = 128. ``checkpoints`` maps each checkpoint time within the
+    horizon to one; ``depth_frames`` is always empty, as no frames are kept.
     """
 
     event_count: int
     event_counts: np.ndarray
     final_times: np.ndarray
-    final_depths: np.ndarray
+    final_books: np.ndarray
     checkpoints: dict[float, np.ndarray]
     depth_frames: tuple = ()
 
@@ -270,23 +270,25 @@ def simulate(
 
     Exactly reproducible: the same (model, initial, stop, seed, recording,
     caps) produce the same trajectory bit for bit. Stops after
-    ``event_count`` events or when the next event would pass
-    ``time_horizon``, whichever comes first; at least one must be given.
-    ``initial`` must be a uniform book on the model's grid, as the engine
-    builds them (every order of size ``unit_quantity``, id equal to seq),
-    else :class:`EngineError`. ``_tables`` is the table cache (see the module
-    docstring); it may be shared across runs of one model and one ``caps``.
+    ``event_count`` events or when the next event would pass ``time_horizon``
+    (>= 0, finite without ``event_count``), whichever comes first; at least one
+    must be given. ``initial`` must be a uniform book on the model's grid, as
+    the engine builds them (every order of size ``unit_quantity``, id equal to
+    seq). :class:`EngineError` otherwise. ``_tables`` is the table cache (see the
+    module docstring); it may be shared across runs of one model and one ``caps``.
 
     A seed is an integer in [0, 2**64), else :class:`EngineError`.
 
     Given a sequence of seeds, steps every one of them at once, in one pass
     on numpy arrays (the caller bounds the batch, as memory grows with it),
-    and returns an :class:`EnsembleResult` whose depths equal those of one
-    call per seed. That form supports only what oracle validation needs: an
-    empty initial book, a ``time_horizon`` stop without ``event_count``,
-    ``caps`` with ``max_orders``, and ``RecordingConfig(events=False,
-    checkpoint_times=...)``; any other argument raises :class:`EngineError`.
+    and returns an :class:`EnsembleResult` whose rows list the residents of
+    each seed's one-seed call in ``orders_by_seq()`` order. That form supports
+    only what oracle validation needs: an empty initial book, a
+    ``time_horizon`` stop without ``event_count``, ``caps`` with
+    ``max_orders``, and ``RecordingConfig(events=False, checkpoint_times=...)``;
+    any other argument raises :class:`EngineError`.
     """
+    _check_stop(event_count, time_horizon)
     tables = _tables if _tables is not None else {}
     if isinstance(seed, (Sequence, np.ndarray)):
         return _simulate_lockstep(
@@ -294,12 +296,6 @@ def simulate(
             tables,
         )
     _check_seeds((seed,))
-    if event_count is None and time_horizon is None:
-        raise EngineError("need event_count and/or time_horizon")
-    if event_count is not None and event_count < 0:
-        raise EngineError("event_count must be nonnegative")
-    if time_horizon is not None and time_horizon < 0:
-        raise EngineError("time_horizon must be nonnegative")
     initial_state = initial if initial is not None else empty_book(model.grid_size)
     k, q = model.grid_size, model.unit_quantity
     residents = initial_state.orders_by_seq()
@@ -465,6 +461,24 @@ def simulate(
         inter_event_times=np.asarray(dts) if collect_dts else None,
         summary_columns=SummaryColumns(quoted_array, prices) if record_summary else None,
     )
+
+
+def _check_stop(event_count, time_horizon) -> None:
+    """:class:`EngineError` unless the stop bounds the run: ``event_count`` None or an
+    integer >= 0, not a bool; ``time_horizon`` None or a number >= 0, not NaN, and
+    finite unless ``event_count`` is given; at least one of the two."""
+    counted = event_count is not None
+    if not counted and time_horizon is None:
+        raise EngineError("need event_count and/or time_horizon")
+    integer = isinstance(event_count, (int, np.integer)) and not isinstance(event_count, bool)
+    if counted and not (integer and event_count >= 0):
+        raise EngineError(f"event_count must be an integer >= 0, got {event_count!r}")
+    if time_horizon is not None and not (
+        isinstance(time_horizon, (int, float, np.integer, np.floating))
+        and time_horizon >= 0 and (counted or time_horizon < math.inf)
+    ):
+        limit = "a number >= 0, finite without event_count"
+        raise EngineError(f"time_horizon must be {limit}, got {time_horizon!r}")
 
 
 def _check_seeds(seeds) -> None:
@@ -678,14 +692,6 @@ class _Books:
             )
         self.rows[start:end], self.table[start:end], self.next[start:end] = rows, table, -1
 
-    def depth(self, rows: np.ndarray) -> np.ndarray:
-        """Order counts of book rows, shape (len(rows), 2, K), as ``EnsembleResult`` holds them."""
-        k, width, levels = self.k, 2 * self.k + 1, np.arange(1, self.k + 1)
-        # Signed level s of row i counts in bin width * i + K + s; padding fills bin K.
-        bins = rows + np.arange(k, width * len(rows), width)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=width * len(rows)).reshape(-1, width)
-        return counts[:, np.concatenate([k - levels, k + levels])].reshape(-1, 2, k)
-
     def advance(self, book: np.ndarray, choice: np.ndarray) -> np.ndarray:
         """The book each run reaches from ``book`` by table entry ``choice``."""
         # (book, entry) pairs as flat indexes of ``next``, in intp once they can pass int32.
@@ -786,8 +792,8 @@ def _simulate_lockstep(
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
         raise EngineError(f"batched runs start from an empty book on grid {k}")
-    if event_count is not None or time_horizon is None or time_horizon < 0:
-        raise EngineError("batched runs need a nonnegative time_horizon and no event_count")
+    if event_count is not None or time_horizon is None:
+        raise EngineError("batched runs need a time_horizon and no event_count")
     if recording != RecordingConfig(events=False, checkpoint_times=recording.checkpoint_times):
         raise EngineError("batched runs record checkpoints only: events=False, nothing else")
     if caps is None or caps.max_orders is None:
@@ -843,13 +849,12 @@ def _simulate_lockstep(
         table = books.table[book]
         choice = (padded.cum.take(table, axis=1) <= u_event * padded.total[table]).sum(axis=0)
         book = books.advance(book, choice)
-    depths = [books.depth(rows) for rows in held]
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,
         final_times=np.full(runs, float(time_horizon)),
-        final_depths=depths[-1],
-        checkpoints=dict(zip(times, depths)),
+        final_books=held[-1],
+        checkpoints=dict(zip(times, held)),
     )
 
 

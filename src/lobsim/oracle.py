@@ -80,7 +80,6 @@ class StateIndex:
     # orders (-1 if a has more), kept flat with row[bid] = L * (H + 1). -1 ids
     # read last entries.
     _pairs: tuple = field(init=False, repr=False, compare=False)
-    _counted_by_quantity: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         asks, m, q = self.placements, self.max_orders, self.max_quantity
@@ -131,12 +130,13 @@ class StateIndex:
     def __len__(self) -> int:
         return len(self.bid_placement)
 
-    def _ids(self, rows: np.ndarray, form: int) -> np.ndarray:
-        """Placement ids of rows within the bounds written in ``form`` (0 bid,
-        1 ask), -1 for a row the index lacks."""
+    def _ids(self, codes: np.ndarray, form: int) -> np.ndarray:
+        """Placement ids of rows of entry codes, level * max_quantity + quantity
+        (0 keeps the node), within the bounds written in ``form`` (0 bid, 1 ask),
+        -1 for a row the index lacks."""
         child, width = self._child[form].ravel(), np.intp(self._child.shape[2])
-        node = np.zeros(len(rows), dtype=np.int32)
-        for code in (rows[..., 0] * self.max_quantity + rows[..., 1]).T:
+        node = np.zeros(len(codes), dtype=np.int32)
+        for code in codes.T:
             node = child[node * width + code]  # flat gathers: faster than child[node, code]
         return np.where(node < len(self.placements), node, -1)
 
@@ -157,57 +157,45 @@ class StateIndex:
     def index(self, key: CanonicalKey) -> int:
         """The index of a canonical key; ``KeyError`` if the index lacks it."""
         k, q, width = self.grid_size, self.max_quantity, self.placements.shape[1]
-        rows = np.zeros((2, width, 2), dtype=np.int64)
+        codes = np.zeros((2, width), dtype=np.int64)
         for form, half in enumerate(key):
             if len(half) >= width or not all(0 < lv <= k and 0 < s <= q for lv, s in half):
                 raise KeyError(key)
-            rows[form, : len(half)] = np.reshape(half, (-1, 2))
-        i = int(self._find(self._ids(rows[:1], 0), self._ids(rows[1:], 1))[0])
+            codes[form, : len(half)] = [lv * q + s for lv, s in half]
+        i = int(self._find(self._ids(codes[:1], 0), self._ids(codes[1:], 1))[0])
         if i < 0:
             raise KeyError(key)
         return i
 
-    def positions(self, depths: np.ndarray, quantity: int = 1) -> np.ndarray:
-        """Indices of books given as order counts, shape (..., 2, K) -> (...).
+    def positions(self, books: np.ndarray, quantity: int = 1) -> np.ndarray:
+        """Indices of books given as rows of signed levels, shape (..., max_orders + 1) -> (...).
 
-        ``depths[..., 0, l - 1]`` and ``depths[..., 1, l - 1]`` count the bids
-        and the asks at level l, every order of size ``quantity``, as batched
-        :func:`~lobsim.engine.simulate` returns them. Counts are not rows, so
-        each side's are written as one mixed-radix code, digits in base
-        ``max_orders + 1``, and searched among the sorted codes of the
-        placements whose orders all have that size (built once per quantity);
-        :meth:`_find` pairs the two ids. :class:`OracleError` if a book lies
-        outside the index.
+        A row holds a book's residents as batched :func:`~lobsim.engine.simulate`
+        returns them: signed levels (+ asks, - bids) in submission order, 0 for
+        padding, every order of size ``quantity``. One sort puts the bids best
+        first, then the padding, then the asks best first; each form walks its
+        append table over the whole sorted row, where code 0 (padding and the
+        other side) keeps the node, and :meth:`_find` pairs the two ids.
+        :class:`OracleError` for a row of another width, a quantity outside
+        1..``max_quantity``, or a book outside the index.
         """
-        k, radix = self.grid_size, self.max_orders + 1
-        if depths.shape[-2:] != (2, k):
-            raise OracleError(f"order counts of shape {depths.shape} are not (..., 2, {k})")
-        if radix**k > np.iinfo(np.int64).max:
-            raise OracleError(f"codes of {k} counts in base {radix} overflow int64")
-        counts = depths.reshape(-1, 2, k)
-        codes, ids = self._counted(quantity)
-        code = counts @ radix ** np.arange(k, dtype=np.int64)
-        at = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-        placement = np.where(codes[at] == code, ids[at], -1)
-        found = self._find(placement[:, 0], placement[:, 1])
-        outside = ((counts < 0) | (counts >= radix)).any(axis=(1, 2)) | (found < 0)
-        if outside.any():
-            bad = counts[outside.argmax()].tolist()
-            raise OracleError(f"observed state outside the index: counts {bad}")
-        return found.reshape(depths.shape[:-2])
-
-    def _counted(self, quantity: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted codes (see :meth:`positions`) of the placements whose orders
-        all have size ``quantity``, and their ids; built once per quantity."""
-        if quantity not in self._counted_by_quantity:
-            level, size = self.placements[..., 0], self.placements[..., 1]
-            ids = np.flatnonzero(((size == quantity) | (level == 0)).all(axis=1))
-            level = level[ids]
-            digits = (self.max_orders + 1) ** np.maximum(level - 1, 0)
-            codes = np.where(level > 0, digits, 0).sum(axis=1)
-            order = np.argsort(codes)
-            self._counted_by_quantity[quantity] = (codes[order], ids[order])
-        return self._counted_by_quantity[quantity]
+        k, q, width = self.grid_size, self.max_quantity, self.max_orders + 1
+        if books.shape[-1:] != (width,) or not 1 <= quantity <= q:
+            raise OracleError(
+                f"books of shape {books.shape}, size {quantity}: need (..., {width}), sizes 1..{q}"
+            )
+        rows = np.sort(books.reshape(-1, width), axis=1)
+        # Per form, the code of each signed level -K - 1..K + 1: its entry on the
+        # form's side, else 0; past the grid q, an entry code no placement has.
+        level = np.maximum(np.arange(-k - 1, k + 2) * np.array([[-1], [1]]), 0)
+        code = np.where(level > 0, level * q + quantity, 0)
+        code[:, [0, -1]] = q
+        at = np.clip(rows, -k - 1, k + 1, dtype=np.intp) + (k + 1)
+        found = self._find(self._ids(code[0].take(at), 0), self._ids(code[1].take(at), 1))
+        if (found < 0).any():
+            bad = rows[found.argmin()].tolist()
+            raise OracleError(f"observed state outside the index: book {bad}")
+        return found.reshape(books.shape[:-1])
 
     def caps(self) -> StateCaps:
         return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
@@ -348,11 +336,12 @@ def build_generator(
     # removed[form][j, p]: placement p without element j of its row in that form,
     # -1 past its length (slot j cancels element j of bids + asks, in submission
     # order); drop[form][f, p]: p without its first f, read only where p has f.
+    codes = [r[..., 0] * index.max_quantity + r[..., 1] for r in rows]  # as _ids walks them
     removed = np.full((2, width, h), -1, dtype=np.int32)
     for j in range(width - 1):
         has = np.flatnonzero(length > j)
         shift = np.minimum(column + (column >= j), width - 1)
-        removed[1, j, has] = index._ids(rows[1][has][:, shift], 1)
+        removed[1, j, has] = index._ids(codes[1][has][:, shift], 1)
     removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
     drop, first = np.empty_like(removed), removed[:, 0].ravel()  # both forms, flat
     drop[:, 0] = p
@@ -371,9 +360,9 @@ def build_generator(
         gone = np.minimum((spent[form] + rows[form][..., 1] <= quantity).sum(axis=1), length)
         cut = quantity - spent[form][p, gone]
         part = np.flatnonzero((gone < length) & (cut > 0))
-        shift = np.minimum(column + gone[part, None], width - 1)[..., None]
-        rest = np.take_along_axis(rows[form][part], shift, axis=1)
-        rest[:, 0, 1] -= cut[part]
+        shift = np.minimum(column + gone[part, None], width - 1)
+        rest = np.take_along_axis(codes[form][part], shift, axis=1)
+        rest[:, 0] -= cut[part]  # the quantity left of the first order
         unlimited[form, quantity] = drop[form, gone, p]
         unlimited[form, quantity][part] = index._ids(rest, form)
 
@@ -398,7 +387,7 @@ def build_generator(
     ends = (level > 0) & (level != rows[1][:, 1:, 0]) & (size <= top)
     placed, at = np.nonzero(ends & (removed[1, :-1].T >= 0))
     rest_to[level[placed, at], size[placed, at], removed[1, at, placed]] = placed
-    del ends, placed, at  # held through the slots, they raise a large build's peak RSS
+    del ends, placed, at, codes  # held through the slots, they raise a large build's peak RSS
 
     # Per slot, its kept transitions as (states, targets, raw rate); every
     # state of a group shares its arrival list, so each side is a Python bool.

@@ -655,15 +655,19 @@ def validate_against_oracle(
     ``engine.simulate``, one chunk of ``engine.LOCKSTEP_CHUNK`` seeds per
     call, reduces each chunk to the index positions of its runs' books at
     those times, and reports total variation distances plus first and
-    second moment checks of the resident-order count.
+    second moment checks of the resident-order count. :class:`ConfigError`
+    unless the model is known and ``runs`` (>= 1) and ``base_seed`` (>= 0)
+    are integers, as scenario fields are checked.
     """
     problems = []
-    if model_name not in ORACLE_MODELS:
+    if not (isinstance(model_name, str) and model_name in ORACLE_MODELS):
         problems.append(f"unknown oracle model {model_name!r}; choose from {sorted(ORACLE_MODELS)}")
-    if runs < 1:
-        problems.append(f"runs must be >= 1, got {runs}")
-    if base_seed < 0:
-        problems.append(f"seed must be >= 0, got {base_seed}")
+    accepts, kind = _TYPE_RULES["int"]
+    for name, value, least in (("runs", runs, 1), ("seed", base_seed, 0)):
+        if not accepts(value):
+            problems.append(f"{name} must be {kind}, got {value!r}")
+        elif value < least:
+            problems.append(f"{name} must be >= {least}, got {value}")
     if problems:
         raise ConfigError(problems)
     model, caps = ORACLE_MODELS[model_name]()
@@ -684,8 +688,8 @@ def validate_against_oracle(
             caps=caps,
             _tables=tables,
         )
-        depths = np.stack([result.checkpoints[t] for t in ORACLE_TIMES], axis=1)
-        chunks.append(index.positions(depths, model.unit_quantity))
+        books = np.stack([result.checkpoints[t] for t in ORACLE_TIMES], axis=1)
+        chunks.append(index.positions(books, model.unit_quantity))
     positions = np.concatenate(chunks)
 
     p0 = oracle.vacuum_vector(index)

@@ -6,7 +6,8 @@ the same seed, both must produce the same times, events, trades, quotes,
 streamed summary columns, XLM values, heatmap depth frames and book states,
 ids and sequence numbers included. The batched form of simulate, which
 steps many seeds at once, is compared with one simulate call per seed on
-event counts, final times and depths.
+event counts, final times and book rows: each resident's signed level in
+submission order, so queue order is checked as well as depth.
 """
 
 import math
@@ -214,13 +215,13 @@ def test_initial_book_on_another_grid_rejected():
         simulate(scenario_model("scenario1"), empty_book(30), event_count=10, seed=1)
 
 
-def order_counts(state):
-    """Per-level order counts of a book, shape (2, K): bids, then asks."""
-    counts = np.zeros((2, state.grid_size), dtype=np.int64)
-    for side, orders in enumerate((state.bids, state.asks)):
-        for order in orders:
-            counts[side, order.price_level - 1] += 1
-    return counts
+def book_row(state, width):
+    """A book as batched runs return it: its residents' signed levels (+ asks,
+    - bids) in ``orders_by_seq()`` order, padded with 0 to ``width``."""
+    row = np.zeros(width, dtype=np.int64)
+    for j, order in enumerate(state.orders_by_seq()):
+        row[j] = order.price_level if order.side is Side.ASK else -order.price_level
+    return row
 
 
 def assert_batch_matches_scalar(
@@ -243,15 +244,17 @@ def assert_batch_matches_scalar(
     )
     assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
     assert batch.depth_frames == ()
+    width = caps.max_orders + 1
+    assert batch.final_books.shape == (runs, width) and batch.final_books.dtype == np.int8
     total = 0
     for i, seed in enumerate(seeds):
         run = simulate(model, time_horizon=time_horizon, seed=seed, recording=recording, caps=caps)
         assert batch.event_counts[i] == run.event_count
         assert batch.final_times[i] == run.final_time
-        assert np.array_equal(batch.final_depths[i], order_counts(run.final_state))
+        assert np.array_equal(batch.final_books[i], book_row(run.final_state, width))
         assert set(run.checkpoints) == set(batch.checkpoints)
         for t, state in run.checkpoints.items():
-            assert np.array_equal(batch.checkpoints[t][i], order_counts(state)), (i, t)
+            assert np.array_equal(batch.checkpoints[t][i], book_row(state, width)), (i, t)
         total += run.event_count
     assert type(batch.event_count) is int and batch.event_count == total
     return batch
@@ -310,7 +313,7 @@ def test_batched_horizon_at_scalar_event_times():
 
 def assert_ensembles_equal(a, b):
     assert a.event_count == b.event_count
-    for name in ("event_counts", "final_times", "final_depths"):
+    for name in ("event_counts", "final_times", "final_books"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.checkpoints.keys() == b.checkpoints.keys()
     for t in a.checkpoints:
@@ -384,7 +387,7 @@ def test_batched_runs_match_scalar_runs_on_grid10_opposite_best():
     )
     case = model, StateCaps(max_orders=9, max_quantity=1)
     batch = assert_batch_matches_scalar(None, runs=100, case=case)
-    assert batch.final_depths.sum(axis=(1, 2)).max() == 9
+    assert np.count_nonzero(batch.final_books, axis=1).max() == 9
 
 
 def test_batched_runs_build_no_book(monkeypatch):
@@ -393,19 +396,16 @@ def test_batched_runs_build_no_book(monkeypatch):
     model, caps = ORACLE_MODELS["tiny-overlap"]()
     seeds = derive_run_seeds(9, 200)
     recording = RecordingConfig(events=False)
-    expected = [
-        order_counts(
-            simulate(model, time_horizon=2.0, seed=seed, recording=recording, caps=caps).final_state
-        )
-        for seed in seeds
-    ]
+    stop = {"time_horizon": 2.0, "recording": recording, "caps": caps}
+    runs = [simulate(model, seed=seed, **stop) for seed in seeds]
+    expected = [book_row(run.final_state, caps.max_orders + 1) for run in runs]
 
     def no_book(*args):
         raise AssertionError("a BookState was built")
 
     monkeypatch.setattr(lobsim.engine, "_book_state", no_book)
     batch = simulate(model, time_horizon=2.0, seed=seeds, recording=recording, caps=caps)
-    assert np.array_equal(batch.final_depths, expected)
+    assert np.array_equal(batch.final_books, expected)
 
 
 def test_absorbing_state_raises_in_both_forms():

@@ -168,6 +168,39 @@ class TestSimulate:
         with pytest.raises(EngineError):
             simulate(scenario1_model, seed=13)
 
+    HORIZON = "time_horizon must be a number >= 0, finite without event_count"
+
+    @pytest.mark.parametrize("seed", [1, [1, 2]], ids=["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "stop, match",
+        [
+            ({}, "need event_count"),
+            ({"event_count": 2.5}, "event_count must be an integer"),
+            ({"event_count": True}, "event_count must be an integer"),
+            ({"event_count": -1}, "event_count must be an integer"),
+            ({"time_horizon": -1.0}, HORIZON),
+            ({"time_horizon": math.nan}, HORIZON),
+            ({"time_horizon": math.inf}, HORIZON),
+            ({"event_count": 5, "time_horizon": math.nan}, HORIZON),
+            ({"event_count": 5, "time_horizon": -math.inf}, HORIZON),
+            ({"event_count": "5"}, "event_count must be an integer"),
+            ({"time_horizon": "1.0"}, HORIZON),
+        ],
+    )
+    def test_stop_arguments_checked_in_both_forms(self, stop, match, seed):
+        # Without the check a NaN horizon, or an infinite one no event count
+        # bounds, loops forever, and event_count=True runs one event.
+        model, caps = ORACLE_MODELS["tiny-overlap"]()
+        recording = RecordingConfig(events=False)
+        with pytest.raises(EngineError, match=match):
+            simulate(model, seed=seed, recording=recording, caps=caps, **stop)
+
+    @pytest.mark.parametrize("count", [7, np.int64(7)])
+    def test_event_count_bounds_an_infinite_horizon(self, count):
+        model, caps = ORACLE_MODELS["tiny-overlap"]()
+        result = simulate(model, event_count=count, time_horizon=math.inf, seed=3, caps=caps)
+        assert result.event_count == 7 and len(result.records) == 7
+
     def test_capped_run_respects_cutoffs(self, scenario1_model):
         caps = StateCaps(max_orders=3, max_quantity=1)
         result = simulate(
@@ -472,7 +505,7 @@ class TestSeeds:
             for s in (seeds, np.array(seeds, dtype=np.uint64))
         ]
         assert np.array_equal(runs[0].event_counts, runs[1].event_counts)
-        assert np.array_equal(runs[0].final_depths, runs[1].final_depths)
+        assert np.array_equal(runs[0].final_books, runs[1].final_books)
         for t in (0.5, 1.0):
             assert np.array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
 
@@ -531,7 +564,7 @@ def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
         run = simulate(model, time_horizon=0.0, seed=1, caps=caps)
         assert [record.event for record in run.records] == [event]
         batch = simulate(model, time_horizon=0.0, seed=[1, 2], recording=recording, caps=caps)
-        counts = np.zeros((2, k), dtype=np.int64)
-        counts[int(event.kind is EventKind.ARRIVAL_ASK), event.price_level - 1] = 1
-        assert np.array_equal(batch.final_depths, [counts, counts])
+        row = np.zeros(caps.max_orders + 1, dtype=np.int64)
+        row[0] = event.price_level if event.kind is EventKind.ARRIVAL_ASK else -event.price_level
+        assert np.array_equal(batch.final_books, [row, row])
         assert batch.event_counts.tolist() == [1, 1]

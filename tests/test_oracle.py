@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -208,66 +208,98 @@ def test_enumeration_order_matches_recursive_reference(grid_size, max_quantity, 
     assert [index.key(i) for i in range(len(index))] == expected
 
 
-def uniform_books(index, quantity):
-    """Indices of the keys whose orders all have size ``quantity``, and their order counts."""
+def uniform_books(index, quantity, rng=None):
+    """Indices of the keys whose orders all have size ``quantity``, and their books
+    as batched runs return them: rows of signed levels (+ asks, - bids) padded
+    with 0. ``rng`` shuffles each row into a random submission order."""
     keys = [index.key(i) for i in range(len(index))]
     uniform = [
         i for i, (bids, asks) in enumerate(keys) if all(q == quantity for _, q in bids + asks)
     ]
-    depths = np.zeros((len(uniform), 2, index.grid_size), dtype=np.int64)
+    books = np.zeros((len(uniform), index.max_orders + 1), dtype=np.int8)
     for row, i in enumerate(uniform):
-        for side, half in enumerate(keys[i]):
-            for level, _ in half:
-                depths[row, side, level - 1] += 1
-    return uniform, depths
+        bids, asks = keys[i]
+        levels = [-level for level, _ in bids] + [level for level, _ in asks]
+        if rng is not None:
+            rng.shuffle(levels)
+        books[row, : len(levels)] = levels
+    return uniform, books
 
 
 class TestPositions:
     @pytest.mark.parametrize("quantity", [1, 2])
-    def test_order_counts_find_every_uniform_key(self, quantity):
+    def test_rows_find_every_uniform_key(self, quantity):
+        # Residents in shuffled submission orders, bids and asks interleaved.
         index = enumerate_states(3, 2, 4)
-        uniform, depths = uniform_books(index, quantity)
-        assert np.array_equal(index.positions(depths, quantity), uniform)
-        # Any leading shape: (runs, times, 2, K) -> (runs, times).
-        stacked = np.stack([depths, depths[::-1]], axis=1)
+        uniform, books = uniform_books(index, quantity, np.random.default_rng(quantity))
+        assert np.array_equal(index.positions(books, quantity), uniform)
+        # Any leading shape: (runs, times, max_orders + 1) -> (runs, times).
+        stacked = np.stack([books, books[::-1]], axis=1)
         expected = np.stack([uniform, uniform[::-1]], axis=1)
         assert np.array_equal(index.positions(stacked, quantity), expected)
 
     def test_one_index_looks_up_each_quantity(self):
-        # Books of size-1 and size-2 orders share their counts, not their indices.
+        # Books of size-1 and size-2 orders share their rows, not their indices.
         index = enumerate_states(3, 2, 4)
         for quantity in (1, 2, 1):
-            uniform, depths = uniform_books(index, quantity)
-            assert np.array_equal(index.positions(depths, quantity), uniform)
+            uniform, books = uniform_books(index, quantity)
+            assert np.array_equal(index.positions(books, quantity), uniform)
 
     @pytest.mark.parametrize(
-        "bids, asks", [((0, 1), (1, 0)), ((1, 0), (1, 0)), ((3, 0), (0, 2)), ((-1, 0), (0, 0))]
+        "bids, asks",
+        [
+            ((2,), (1,)),  # crossed
+            ((1,), (1,)),  # locked
+            ((1, 1, 1), (2, 2)),  # five orders, at most four
+            ((3,), ()),  # a bid past the grid
+            ((), (3,)),  # an ask past the grid
+        ],
     )
     def test_books_outside_the_index_raise(self, bids, asks):
+        # Sides interleaved in submission order, after a book the index holds.
         index = enumerate_states(2, 1, 4)
-        depths = np.array([[[0, 0], [0, 0]], [bids, asks]])
+        books = np.zeros((2, 5), dtype=np.int8)
+        books[0, :2] = (-1, 2)
+        levels = [s for pair in zip_longest([-b for b in bids], asks) for s in pair if s]
+        books[1, : len(levels)] = levels
         with pytest.raises(OracleError, match="outside the index"):
-            index.positions(depths)
+            index.positions(books)
 
     def test_sixteen_levels_of_three_orders(self):
-        # 3,417 states on 16 levels: a code of all 32 counts in base 4 would
-        # overflow int64; each side's 16 counts do not.
         index = enumerate_states(16, 1, 3)
-        uniform, depths = uniform_books(index, 1)
+        uniform, books = uniform_books(index, 1, np.random.default_rng(16))
         assert len(uniform) == len(index) == 3417
-        assert np.array_equal(index.positions(depths), uniform)
+        assert np.array_equal(index.positions(books), uniform)
 
-    def test_codes_past_int64_raise(self):
-        # 129 states on 64 levels: one side's counts in base 2 need 2**64.
+    def test_sixty_four_levels_map_every_state(self):
+        # 129 states on 64 levels: one side's counts as a code in base 2 need
+        # 2**64, so a count-code lookup could not map them.
         index = enumerate_states(64, 1, 1)
-        assert len(index) == 129
-        with pytest.raises(OracleError, match="overflow"):
-            index.positions(np.zeros((2, 64), dtype=np.int64))
+        uniform, books = uniform_books(index, 1)
+        assert len(uniform) == len(index) == 129
+        assert np.array_equal(index.positions(books), np.arange(129))
 
-    def test_counts_for_another_grid_raise(self):
+    @pytest.mark.parametrize(
+        "shape, quantity", [((2, 4), 1), ((2, 6), 1), ((2, 2, 2), 1), ((5,), 0), ((5,), 2)]
+    )
+    def test_rows_of_another_width_or_size_raise(self, shape, quantity):
         index = enumerate_states(2, 1, 4)
-        with pytest.raises(OracleError, match="not"):
-            index.positions(np.zeros((2, 2, 3), dtype=np.int64))
+        with pytest.raises(OracleError, match=r"need \(\.\.\., 5\), sizes 1\.\.1"):
+            index.positions(np.zeros(shape, dtype=np.int8), quantity)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_any_submission_order_maps_to_the_key(data):
+    # One uniform key's levels in any order are the same book.
+    index = enumerate_states(3, 2, 4)
+    quantity = data.draw(st.integers(1, 2))
+    uniform, books = uniform_books(index, quantity)
+    row = data.draw(st.sampled_from(range(len(uniform))))
+    levels = books[row][books[row] != 0].tolist()
+    shuffled = np.zeros_like(books[row])
+    shuffled[: len(levels)] = data.draw(st.permutations(levels))
+    assert index.positions(shuffled, quantity) == uniform[row]
 
 
 def lookup_index(name):
@@ -286,8 +318,9 @@ class TestLookups:
     def test_every_row_maps_to_its_own_id(self, name):
         index = lookup_index(name)
         ids = np.arange(len(index.placements))
-        for form in (0, 1):
-            assert np.array_equal(index._ids(index._rows[form], form), ids)
+        for rows, form in zip(index._rows, (0, 1)):
+            codes = rows[..., 0] * index.max_quantity + rows[..., 1]
+            assert np.array_equal(index._ids(codes, form), ids)
 
     @pytest.mark.parametrize("name", LOOKUP_INDEXES)
     def test_every_state_is_found_from_its_ids(self, name):

@@ -454,6 +454,22 @@ class TestCli:
     def test_bad_validate_arguments_are_config_errors(self, flags):
         assert main(["validate", "--model", "tiny", *flags]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "arguments, match",
+        [
+            ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+            ({"runs": "10"}, "runs must be an integer, got '10'"),
+            ({"runs": True}, "runs must be an integer, got True"),
+            ({"runs": 0}, "runs must be >= 1, got 0"),
+            ({"base_seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"base_seed": -1}, "seed must be >= 0, got -1"),
+            ({"model_name": ["tiny"]}, "unknown oracle model"),
+        ],
+    )
+    def test_bad_validate_library_arguments_are_config_errors(self, arguments, match):
+        with pytest.raises(ConfigError, match=match):
+            scenario.validate_against_oracle(**{"model_name": "tiny", **arguments})
+
     def test_bad_usage_is_config_error(self):
         assert main(["run"]) == EXIT_CONFIG
 

@@ -36,9 +36,9 @@ The loop builds per-event objects only where a recording reads them: a
 cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
 :class:`Transaction` only for a record or a book state (checkpoint,
 ``debug_invariants``, the final state); until then the last trade is a
-plain (price, time, aggressor). A depth frame is read off the per-level
-counts: int64 counts, and quantities of counts times ``unit_quantity``.
-Summary rows go to one flat int list, reshaped once per run.
+plain (price, time, aggressor). Each block of draws gets its clock at once, in
+C. Per event the loop logs one int, the move's signed level and kind, and per
+quote move (event, best): numpy rebuilds summary columns and frames from them.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
@@ -74,10 +74,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import compress, filterfalse
-from typing import Callable, Optional, Sequence, Union
+from itertools import accumulate, compress, count, filterfalse, islice, repeat
+from math import log1p
+from operator import neg, truediv
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -207,14 +208,6 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
-def _depth_profile(k: int, q: int, at_level: list[int]) -> DepthProfile:
-    """The depth of the loop's per-level counts: bids at -1..-k, asks at 1..k."""
-    counts = np.array(at_level, dtype=np.int64)
-    quantities = counts * q
-    bids, asks = slice(2 * k + 1, k + 1, -1), slice(1, k + 1)
-    return DepthProfile(k, counts[bids], quantities[bids], counts[asks], quantities[asks])
-
-
 def _row(entries) -> tuple[list[EventDescriptor], list[int], list[float]]:
     """Side arrivals, their signed levels (+ asks, - bids), and their raw rates."""
     ask = EventKind.ARRIVAL_ASK
@@ -313,9 +306,7 @@ def simulate(
     for s in levels:
         at_level[s] += 1
     sides = [s for s in levels if s < 0], [s for s in levels if s > 0]
-    best = [min(sides[0], default=0), min(sides[1], default=k + 1)]
-    # level_sums[x] sums side x's signed levels: the bid side's is negative.
-    orders, level_sums = [len(x) for x in sides], [sum(x) for x in sides]
+    best, ends = [min(sides[0], default=0), min(sides[1], default=k + 1)], (0, k + 1)
     # The last trade is a Transaction, or (price, time, aggressor) until a book needs it.
     next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
     aggressor = Side.BID, Side.ASK
@@ -330,126 +321,115 @@ def simulate(
     def book_state() -> BookState:
         return _book_state(k, q, seqs, levels, last_transaction(), next_seq)
 
-    # Table cache keys, as the module docstring describes; there are no
-    # cancellation slots at rate 0. The static key () is looked up once.
-    cancels = model.per_order_cancel_rate > 0.0
+    # Table cache keys as the module docstring describes; no cancellation slots at
+    # rate 0. A bound of -inf (``stale``) sends the next event down the rare path,
+    # which looks the table up again: first, after a quote moves under opposite-best
+    # anchoring, after every event under caps, and after a rest outgrows ``cum``.
+    slot = 1 if model.per_order_cancel_rate > 0.0 else 0
     capped = caps is not None
     by_quotes = capped or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
-    key = ()
-    table = None if by_quotes else tables.get(key)
     rng = np.random.default_rng(seed)
     intensity = model.event_intensity
     horizon = math.inf if time_horizon is None else time_horizon
     limit = math.inf if event_count is None else event_count
+    stale = bound = -math.inf
 
-    record_events, record_summary = recording.events, recording.summary
-    collect_dts, depth_window = recording.collect_inter_event_times, recording.depth_window
+    slow = recording.events or debug_invariants or capped
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
-    pending_checkpoints, cp_index = sorted(recording.checkpoint_times), 0
-    next_checkpoint = pending_checkpoints[0] if pending_checkpoints else math.inf
-    window: deque = deque(maxlen=depth_window or None)
-    # Without a horizon the run's length is known: take frames for the window only.
-    first_frame = event_count - depth_window if time_horizon is None else 0
+    pending, cp_index = [*sorted(recording.checkpoint_times), math.inf], 0
     dts: list[float] = []
-    # Six ints per event after which both sides quote, one SummaryColumns row each.
-    quoted: list[int] = []
-    prices: list[int] = []
+    # One code per event, 4 (s + k) + kind for the signed level s an order enters
+    # (kind 2) or leaves by a cancellation (0) or a fill (1); per side, from event
+    # 1 on, event and best for the quote and each move of it.
+    moves: list[int] = []
+    move = moves.append
+    quote_log = [1, best[0]], [1, best[1]]
+    cancelled, filled, rested = 4 * k, 4 * k + 1, 4 * k + 2
 
-    draws: list[float] = []  # uniforms, drawn in growing blocks of pairs
-    i_draw, block = 0, 16
-    now, events = 0.0, 0
+    block, now, events = 16, 0.0, 0
     while events < limit:
-        count = orders[0] + orders[1]
-        slots = count if cancels else 0
-        if by_quotes:
-            key = (best[0], best[1], count if capped else 0)
-            table = tables.get(key)
-        if table is None:
-            table = _table(tables, key, model, caps, slots)
-        cum, arrivals, arrival_levels = table
-        n_arrivals = len(arrival_levels)
-        hi = n_arrivals + slots
-        if len(cum) < hi:
-            _table(tables, key, model, caps, slots)  # grows cum in place
-        if i_draw == len(draws):
-            # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
-            pairs = block if event_count is None else min(block, event_count - events)
-            draws, i_draw, block = rng.random(2 * pairs).tolist(), 0, min(2 * block, 4096)
-        u_time, u_event = draws[i_draw], draws[i_draw + 1]
-        i_draw += 2
-        delta_t = -math.log1p(-u_time) / intensity
-        t_next = now + delta_t
-        if t_next > horizon:
-            now = time_horizon
-            break
-        while next_checkpoint < t_next:
-            checkpoints[next_checkpoint] = book_state()
-            cp_index += 1
-            next_checkpoint = (
-                pending_checkpoints[cp_index] if cp_index < len(pending_checkpoints) else math.inf
-            )
-        now = t_next
-        events += 1
+        # Blocks of rng.random(n) yield exactly the stream of n scalar draws.
+        pairs = min(block, limit - events)
+        draws, block = rng.random(2 * pairs).tolist(), min(2 * block, 4096)
+        waits = _waiting_times(islice(draws, 0, None, 2), intensity)
+        if recording.collect_inter_event_times:
+            waits = list(waits)
+            dts += waits
+        times = islice(accumulate(waits, initial=now), 1, None)
+        for events, t_next, u_event in zip(count(events + 1), times, islice(draws, 1, None, 2)):
+            if t_next > bound:
+                slots = len(levels) * slot
+                key = (best[0], best[1], len(levels) if capped else 0) if by_quotes else ()
+                cum, arrivals, arrival_levels = _table(tables, key, model, caps, slots)
+                n_arrivals, hi = len(arrival_levels), len(arrival_levels) + slots
+                if t_next > horizon:
+                    break
+                while pending[cp_index] < t_next:
+                    checkpoints[pending[cp_index]] = book_state()
+                    cp_index += 1
+                bound = min(horizon, pending[cp_index])  # horizon if the checkpoint is NaN
 
-        # i >= 0 is cancellation slot i; i < 0 is arrival i, counted from the end.
-        i = bisect_right(cum, u_event * cum[hi - 1], 0, hi)
-        i = (i if i < hi else hi - 1) - n_arrivals
-        trade = None
-        # One order enters (delta +1) or leaves (-1) signed level s.
-        if i >= 0:
-            s, seq, delta = levels.pop(i), seqs.pop(i), -1
-            if record_events:
-                event = EventDescriptor(EventKind.CANCELLATION, abs(s), q, target_order_id=seq)
-        else:
-            s = arrival_levels[i]
-            if record_events:
-                event = arrivals[i]
-            opposite = best[s < 0]
-            if opposite + s <= 0:
-                # Crosses: fills the oldest order at the best opposite level.
-                i = levels.index(opposite)
-                del levels[i], seqs[i]
-                trade = last_trade = (abs(opposite), now, aggressor[s > 0])
-                s, delta = opposite, -1
+            # i >= 0 is cancellation slot i; i < 0 is arrival i, counted from the end.
+            i = bisect_right(cum, u_event * cum[hi - 1], 0, hi)
+            i = (i if i < hi else hi - 1) - n_arrivals
+            if i >= 0:
+                s, seq = levels.pop(i), seqs.pop(i)
+                at_level[s] -= 1
+                hi -= 1
+                move(4 * s + cancelled)
             else:
-                seqs.append(next_seq)
-                levels.append(s)
-                delta = 1
-            next_seq += 1
-        at_level[s] += delta
-        x = s > 0
-        orders[x] += delta
-        level_sums[x] += delta * s
-        if delta > 0 and s < best[x]:
-            best[x] = s
-        elif delta < 0 and s == best[x] and not at_level[s]:
-            end = k + 1 if x else 0
-            while s != end and not at_level[s]:
-                s += 1
-            best[x] = s
+                s = arrival_levels[i]
+                opposite = best[s < 0]
+                if opposite + s <= 0:
+                    # Crosses: fills the oldest order at the best opposite level.
+                    j = levels.index(opposite)
+                    del levels[j], seqs[j]
+                    last_trade = (abs(opposite), t_next, aggressor[s > 0])
+                    s = opposite
+                    at_level[s] -= 1
+                    hi -= slot
+                    move(4 * s + filled)
+                else:
+                    seqs.append(next_seq)
+                    levels.append(s)
+                    at_level[s] += 1
+                    hi += slot
+                    if hi > len(cum):
+                        bound = stale
+                    move(4 * s + rested)
+                next_seq += 1
+            x = s > 0
+            if s < best[x] or s == best[x] and not at_level[s]:
+                b = s
+                while not at_level[b] and b != ends[x]:
+                    b += 1
+                best[x] = b
+                quote_log[x].extend((events, b))
+                if by_quotes:
+                    bound = stale
 
-        bid, ask = -best[0], best[1]  # 0 / k + 1 when the side is empty
-        if debug_invariants:
-            validate_book(book_state())
-        if collect_dts:
-            dts.append(delta_t)
-        if record_summary:
-            if trade is not None:
-                prices.append(trade[0])
-            if bid != 0 and ask <= k:
-                quoted.extend((bid, ask, level_sums[1], orders[1], -level_sums[0], orders[0]))
-        if record_events:
-            if trade is not None:
-                trade = last_transaction()
-            quote = quote_snapshot(bid or None, ask if ask <= k else None)
-            records.append(TrajectoryRecord(now, event, (trade,) if trade else (), quote))
-        if depth_window and events > first_frame:
-            window.append(DepthFrame(events, _depth_profile(k, q, at_level), trade is not None))
+            if slow:
+                if debug_invariants:
+                    validate_book(book_state())
+                if recording.events:
+                    event = arrivals[i] if i < 0 else EventDescriptor(
+                        EventKind.CANCELLATION, abs(s), q, target_order_id=seq
+                    )
+                    trade = (last_transaction(),) if moves[-1] & 3 == 1 else ()
+                    quote = quote_snapshot(-best[0] or None, best[1] if best[1] <= k else None)
+                    records.append(TrajectoryRecord(t_next, event, trade, quote))
+                if capped:
+                    bound = stale
+        else:
+            now = t_next
+            continue
+        now, events = time_horizon, events - 1
+        break
 
     final_state = book_state()
-    checkpoints.update((t, final_state) for t in pending_checkpoints[cp_index:] if t <= now)
-    quoted_array = np.array(quoted, dtype=np.int64).reshape(-1, 6)
+    checkpoints.update((t, final_state) for t in pending[cp_index:] if t <= now)
+    codes, window = np.fromiter(moves, np.int64, len(moves)), recording.depth_window
 
     return SimulationResult(
         records=records,
@@ -457,10 +437,46 @@ def simulate(
         final_time=now,
         event_count=events,
         checkpoints=checkpoints,
-        depth_frames=list(window),
-        inter_event_times=np.asarray(dts) if collect_dts else None,
-        summary_columns=SummaryColumns(quoted_array, prices) if record_summary else None,
+        depth_frames=_depth_frames(k, q, codes, at_level, window) if window else [],
+        inter_event_times=np.asarray(dts[:events]) if recording.collect_inter_event_times else None,
+        summary_columns=_summary_columns(k, codes, quote_log, sides) if recording.summary else None,
     )
+
+
+def _summary_columns(k: int, codes: np.ndarray, quote_log: tuple, sides) -> SummaryColumns:
+    """A run's summary columns from its moves and its initial sides' signed levels: per-side
+    counts and level sums are cumulative sums, and a quote holds from its move to the next."""
+    s, step = (codes >> 2) - k, np.where(codes & 2, 1, -1)
+    # Each side's best signed level after every event (0 / k + 1 when it is empty).
+    bid, ask = (
+        np.repeat(m[1::2], np.diff(m[::2], append=len(codes) + 1)) for m in map(np.array, quote_log)
+    )
+    rows = (bid != 0) & (ask <= k)
+    quoted = np.empty((np.count_nonzero(rows), 6), dtype=np.int64)
+    quoted[:, 0], quoted[:, 1] = -bid[rows], ask[rows]
+    # Columns 2-3 are the ask side's level sum and count, 4-5 the bid side's (sum negated).
+    for side, column, sign in ((sides[1], 2, 1), (sides[0], 4, -1)):
+        moved = step * (s > 0 if sign > 0 else s < 0)
+        quoted[:, column] = (np.cumsum(moved * s) + sum(side))[rows] * sign
+        quoted[:, column + 1] = (np.cumsum(moved) + len(side))[rows]
+    return SummaryColumns(quoted, np.abs(s[codes & 3 == 1]).tolist())
+
+
+def _depth_frames(k: int, q: int, codes: np.ndarray, at_level: list, window: int) -> list:
+    """The :class:`DepthFrame` of each of a run's last ``window`` events, from its move
+    codes and its final per-level counts: the final counts less the later moves."""
+    first, codes = max(len(codes) - window, 0), codes[-window:]  # window >= 1
+    change = np.zeros((len(codes), 2 * k + 1), dtype=np.int64)
+    change[np.arange(len(codes)), codes >> 2] = np.where(codes & 2, 1, -1)
+    # Columns are signed levels -k..k: bids at -1..-k, asks at 1..k.
+    counts = np.array(at_level[-k:] + at_level[: k + 1]) - change.sum(axis=0)
+    counts = counts + change.cumsum(axis=0)
+    quantities, bids, asks = counts * q, slice(k - 1, None, -1), slice(k + 1, None)
+    fills = (codes & 3 == 1).tolist()
+    return [
+        DepthFrame(event, DepthProfile(k, c[bids], n[bids], c[asks], n[asks]), fill)
+        for event, c, n, fill in zip(count(first + 1), counts, quantities, fills)
+    ]
 
 
 def _check_stop(event_count, time_horizon) -> None:
@@ -470,15 +486,20 @@ def _check_stop(event_count, time_horizon) -> None:
     counted = event_count is not None
     if not counted and time_horizon is None:
         raise EngineError("need event_count and/or time_horizon")
-    integer = isinstance(event_count, (int, np.integer)) and not isinstance(event_count, bool)
-    if counted and not (integer and event_count >= 0):
-        raise EngineError(f"event_count must be an integer >= 0, got {event_count!r}")
+    if counted:
+        _check_integer("event_count", event_count, 0)
     if time_horizon is not None and not (
         isinstance(time_horizon, (int, float, np.integer, np.floating))
         and time_horizon >= 0 and (counted or time_horizon < math.inf)
     ):
         limit = "a number >= 0, finite without event_count"
         raise EngineError(f"time_horizon must be {limit}, got {time_horizon!r}")
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """:class:`EngineError` unless ``value`` is an integer >= ``least``, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise EngineError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_seeds(seeds) -> None:
@@ -761,12 +782,15 @@ def _clock_slack(steps: int) -> float:
     return 4 * _LOG1P_ERROR + steps * 2.0**-51
 
 
+def _waiting_times(u_times: Iterable[float], intensity: float) -> Iterator[float]:
+    """-log1p(-u) / intensity for each uniform u, in C: x / -λ is -x / λ bit for bit."""
+    return map(truediv, map(log1p, map(neg, u_times)), repeat(-intensity))
+
+
 def _scalar_clock(seed: int, steps: int, intensity: float) -> float:
     """The scalar loop's clock after ``steps`` steps of ``seed``, summed in its order."""
-    now = 0.0
-    for u_time in np.random.default_rng(seed).random(2 * steps)[::2].tolist():
-        now = now + -math.log1p(-u_time) / intensity
-    return now
+    u_times = np.random.default_rng(seed).random(2 * steps)[::2].tolist()
+    return list(accumulate(_waiting_times(u_times, intensity), initial=0.0))[-1]
 
 
 def _simulate_lockstep(
@@ -880,10 +904,11 @@ def run_ensemble(
 
     Results come back in run order; ``reduce`` maps each finished run to
     whatever should be kept (per-run summaries, final states, ...) so large
-    ensembles do not hold every trajectory in memory.
+    ensembles do not hold every trajectory in memory. ``runs`` is an integer
+    >= 1 and ``base_seed`` one >= 0, else :class:`EngineError`.
     """
-    if runs < 1:
-        raise EngineError("runs must be >= 1")
+    _check_integer("runs", runs, 1)
+    _check_integer("base_seed", base_seed, 0)
     seeds = derive_run_seeds(base_seed, runs)
     tables: dict = {}
     out: list = []

@@ -8,9 +8,11 @@ they check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lobsim.book import (
     BookState,
@@ -153,3 +155,68 @@ def oracle_case(name: str):
         unit_quantity=unit_quantity,
     )
     return model, enumerate_states(*cutoffs)
+
+
+@st.composite
+def drawn_books(draw):
+    """A model on grid 2-6 with 1-3 groups (shares may be 0), either anchoring,
+    a cancellation rate that may be 0 and orders of size 1-2, and a uniform
+    book on its grid: up to two orders per level, bids at or below a drawn
+    level and asks above it, submitted in a drawn order."""
+    grid = draw(st.integers(2, 6))
+    weights = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), max_size=2))
+    groups = []
+    for weight in weights:
+        ask, bid = (
+            # mu up to ln(support) keeps a weight above 0; a small sigma
+            # underflows the ranks far from e^mu, which can empty a side.
+            DgxParams(draw(st.floats(0.0, math.log(s))), draw(st.floats(0.01, 4.0)), s)
+            for s in (draw(st.integers(1, grid)), draw(st.integers(1, grid)))
+        )
+        groups.append(
+            TraderGroup(
+                weight / sum(weights),
+                ask,
+                bid,
+                ask_anchor=draw(st.integers(1, grid - ask.support_size + 1)),
+                bid_anchor=draw(st.integers(bid.support_size, grid)),
+            )
+        )
+    model = RateModel(
+        grid_size=grid,
+        groups=tuple(groups),
+        per_order_cancel_rate=draw(st.sampled_from([0.0, 0.25])),
+        event_intensity=1.0,
+        anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
+        unit_quantity=draw(st.integers(1, 2)),
+    )
+    split = draw(st.integers(0, grid))
+    counts = draw(st.lists(st.integers(0, 2), min_size=grid, max_size=grid))
+    orders = [
+        (Side.BID if level <= split else Side.ASK, level)
+        for level, count in enumerate(counts, 1)
+        for _ in range(count)
+    ]
+    book = empty_book(grid)
+    for side, level in draw(st.permutations(orders)):
+        book, _ = submit_order(book, side, level, model.unit_quantity, 0.0)
+    return model, book
+
+
+# Under opposite-best anchoring, a bid at 3 and an ask at 4 leave DGX ranks
+# 1-4 on the grid of 6 for either side, and these weights are 0 there: no
+# arrival, no cancellation, so the book is absorbing.
+_NARROW = DgxParams(math.log(6), 0.01, 6)
+ABSORBING = (
+    RateModel(
+        6, (TraderGroup(1.0, _NARROW, _NARROW, 1, 6),), 0.0, 1.0, AnchoringMode.OPPOSITE_BEST
+    ),
+    submit_order(submit_order(empty_book(6), Side.BID, 3, 1, 0.0)[0], Side.ASK, 4, 1, 0.0)[0],
+)
+
+
+# Caps for a book of n orders: None, or max_orders from n - 1 (not below 0),
+# n, n + 1 or unbounded, and max_quantity 1, 2 or unbounded.
+DRAWN_CAPS = st.one_of(
+    st.tuples(st.sampled_from([-1, 0, 1, None]), st.sampled_from([1, 2, None])), st.none()
+)

@@ -3,8 +3,9 @@
 The reference below is the engine's loop written directly over immutable
 book states: one step() per event, through the matching core. Driven from
 the same seed, both must produce the same times, events, trades, quotes,
-streamed summary columns, XLM values, heatmap depth frames and book states,
-ids and sequence numbers included. The batched form of simulate, which
+streamed summary columns, XLM values, heatmap depth frames, waiting times
+and book states, ids and sequence numbers included, on fixed cases and on
+drawn models, books, caps and stops. The batched form of simulate, which
 steps many seeds at once, is compared with one simulate call per seed on
 event counts, final times and book rows: each resident's signed level in
 submission order, so queue order is checked as well as depth.
@@ -16,6 +17,9 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from conftest import DRAWN_CAPS, drawn_books
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lobsim.engine
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book
@@ -27,50 +31,94 @@ from lobsim.engine import (
     simulate,
     step,
 )
-from lobsim.observables import depth, quotes, xlm, xlm_legs
+from lobsim.observables import quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
 from lobsim.rates import AbsorbingStateError, AnchoringMode, DgxParams, RateModel, TraderGroup
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
 def reference_run(model, initial, seed, event_count=None, time_horizon=None, caps=None):
-    """(per-event (time, event, trades, state), final time): the step() loop."""
+    """(per-event (time, event, trades, state), final time, waiting times): the step() loop."""
     state = initial
     rng = np.random.default_rng(seed)
-    trajectory = []
+    trajectory, waits = [], []
     now = 0.0
     while event_count is None or len(trajectory) < event_count:
         result = step(state, model, rng, now, caps=caps)
         if time_horizon is not None and now + result.delta_t > time_horizon:
-            return trajectory, time_horizon
+            return trajectory, time_horizon, waits
         now += result.delta_t
         state = result.state
         trajectory.append((now, result.event, result.transactions, state))
-    return trajectory, now
+        waits.append(result.delta_t)
+    return trajectory, now, waits
 
 
 def assert_matches_reference(
     model, seed, initial=None, caps=None, debug_invariants=False, _tables=None, events=True, **stop
 ):
     initial = initial if initial is not None else empty_book(model.grid_size)
-    trajectory, final_time = reference_run(model, initial, seed, caps=caps, **stop)
+    trajectory, final_time, waits = reference_run(model, initial, seed, caps=caps, **stop)
     times = [t for t, *_ in trajectory]
-    # A checkpoint at an event's time holds the book right after that event.
-    checkpoint_times = (-1.0, *times, final_time + 1.0)
-    result = simulate(
-        model,
-        initial,
-        seed=seed,
-        caps=caps,
-        debug_invariants=debug_invariants,
-        recording=RecordingConfig(
-            events=events, summary=True, checkpoint_times=checkpoint_times
-        ),
-        _tables=_tables,
-        **stop,
+    recording = RecordingConfig(
+        events=events, summary=True, depth_window=len(trajectory), collect_inter_event_times=True
     )
+    # A checkpoint at an event's time holds the book right after that event.
+    # Checkpoints at every event send each one down the loop's rare path, which
+    # looks its table up again; without them the loop keeps its table between
+    # quote moves (static anchoring, uncapped: throughout).
+    result, plain = (
+        simulate(
+            model,
+            initial,
+            seed=seed,
+            caps=caps,
+            debug_invariants=debug_invariants,
+            recording=replace(recording, checkpoint_times=checkpoint_times),
+            _tables=_tables,
+            **stop,
+        )
+        for checkpoint_times in ((-1.0, *times, final_time + 1.0), ())
+    )
+    assert_run_matches(result, trajectory, final_time, waits, events)
+    assert run_outputs(plain) == run_outputs(result) and plain.checkpoints == {}
+    for time, *_, state in trajectory:
+        engine_state = result.checkpoints[time]
+        assert engine_state.canonical_key() == state.canonical_key()
+        assert engine_state == state  # ids, seqs, next_seq and last_transaction too
+    assert result.checkpoints[-1.0] == initial
+    assert final_time + 1.0 not in result.checkpoints
+    return trajectory[-1][3]
+
+
+def run_outputs(result):
+    """A run's outputs other than its checkpoints, as comparable values."""
+    columns = result.summary_columns
+    frames = [
+        (f.event_index, f.transacted, [getattr(f.profile, name).tolist() for name in DEPTH_ARRAYS])
+        for f in result.depth_frames
+    ]
+    return (
+        result.records,
+        result.final_state,
+        result.final_time,
+        result.event_count,
+        result.inter_event_times.tolist(),
+        columns.quoted.tolist(),
+        columns.prices,
+        frames,
+    )
+
+
+def assert_run_matches(result, trajectory, final_time, waits, events):
+    """``result`` against the reference's trajectory, final time and waiting times."""
     assert result.event_count == len(trajectory) > 0
     assert result.final_time == final_time
+    assert result.inter_event_times.tolist() == waits
+    # A depth frame per event, each the depth of the book after it.
+    assert [f.event_index for f in result.depth_frames] == list(range(1, len(trajectory) + 1))
+    for frame, (_, _, trades, state) in zip(result.depth_frames, trajectory):
+        assert_frame_is_depth(frame, trades, state)
     # One streamed row per event after which both sides quote, with its XLM legs.
     quoted = [state for *_, state in trajectory if state.bids and state.asks]
     rows = result.summary_columns.quoted
@@ -84,15 +132,22 @@ def assert_matches_reference(
     for record, (time, event, trades, state) in zip(result.records, trajectory):
         assert (record.time, record.event, record.transactions) == (time, event, trades)
         assert record.quote == quotes(state)
-    for time, *_, state in trajectory:
-        engine_state = result.checkpoints[time]
-        assert engine_state.canonical_key() == state.canonical_key()
-        assert engine_state == state  # ids, seqs, next_seq and last_transaction too
-    final_state = trajectory[-1][3]
-    assert result.final_state == final_state
-    assert result.checkpoints[-1.0] == initial
-    assert final_time + 1.0 not in result.checkpoints
-    return final_state
+    assert result.final_state == trajectory[-1][3]
+
+
+DEPTH_ARRAYS = ("bid_counts", "bid_quantities", "ask_counts", "ask_quantities")
+
+
+def assert_frame_is_depth(frame, trades, state):
+    """``frame`` holds the counts and quantities of ``state``'s orders per level."""
+    profile, k = frame.profile, state.grid_size
+    for x, orders in enumerate((state.bids, state.asks)):
+        levels = [o.price_level - 1 for o in orders]
+        counts, quantities = (getattr(profile, name) for name in DEPTH_ARRAYS[2 * x : 2 * x + 2])
+        assert counts.tolist() == np.bincount(levels, minlength=k).tolist()
+        sizes = np.bincount(levels, [o.quantity for o in orders], minlength=k)
+        assert quantities.tolist() == sizes.tolist()
+    assert frame.transacted is bool(trades)
 
 
 def scenario_model(name, **overrides):
@@ -179,11 +234,73 @@ def test_uniform_initial_book_continues_exactly():
     assert_matches_reference(model, seed=16, initial=book, event_count=400)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    drawn_books(),
+    DRAWN_CAPS,
+    st.integers(0, 2**32),
+    st.integers(1, 60),
+    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_simulate_matches_step_on_drawn_models(
+    case, drawn_caps, seed, events, past_event, records, debug_invariants
+):
+    # A drawn model and uniform book (possibly empty), caps or none, and a stop
+    # after ``events`` events or, when ``past_event`` is drawn, a horizon that
+    # far into the waiting time after the last of them.
+    model, book = case
+    caps = None
+    if drawn_caps is not None:
+        offset, max_quantity = drawn_caps
+        max_orders = None if offset is None else max(book.order_count() + offset, 0)
+        caps = StateCaps(max_orders, max_quantity)
+    stop = {"event_count": events}
+    try:
+        if past_event is not None:
+            trajectory, _, _ = reference_run(model, book, seed, caps=caps, **stop)
+            stop = {"time_horizon": trajectory[-1][0] + past_event / model.event_intensity}
+        reference_run(model, book, seed, caps=caps, **stop)
+    except AbsorbingStateError:
+        with pytest.raises(AbsorbingStateError):
+            simulate(model, book, seed=seed, caps=caps, **stop)
+        return
+    assert_matches_reference(
+        model, seed, book, caps, debug_invariants=debug_invariants, events=records, **stop
+    )
+
+
+# The loop draws pairs in blocks of 16, 32, 64, ...: the first two blocks end
+# after events 16 and 48.
+@pytest.mark.parametrize("events", [15, 16, 17, 48, 49])
+def test_event_counts_at_draw_block_edges(events):
+    model = scenario_model("scenario2")
+    assert_matches_reference(model, seed=23, event_count=events)
+    recording = RecordingConfig(events=False, collect_inter_event_times=True)
+    result = simulate(model, event_count=events, seed=23, recording=recording)
+    rng = np.random.default_rng(23)
+    pairs = [(rng.random(), rng.random()) for _ in range(events)]
+    waits = [-math.log1p(-u_time) / model.event_intensity for u_time, _ in pairs]
+    assert result.inter_event_times.tolist() == waits
+
+
+@pytest.mark.parametrize("event", [16, 17, 48, 49])
+def test_horizons_at_event_times_at_draw_block_edges(event):
+    # A horizon at event ``event``'s time keeps it; one a ulp below drops it.
+    model = scenario_model("scenario2")
+    at = simulate(model, event_count=event, seed=24).records[-1].time
+    for horizon, count in ((at, event), (float(np.nextafter(at, -np.inf)), event - 1)):
+        result = simulate(model, time_horizon=horizon, seed=24)
+        assert (result.event_count, result.final_time) == (count, horizon)
+        assert_matches_reference(model, seed=24, time_horizon=horizon)
+
+
 @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
 @pytest.mark.parametrize("stop", [dict(event_count=600), dict(time_horizon=100.0)])
 def test_depth_window_frames(anchoring, stop):
     model = scenario_model("scenario2", anchoring=anchoring)
-    trajectory, _ = reference_run(model, empty_book(model.grid_size), 19, **stop)
+    trajectory, _, _ = reference_run(model, empty_book(model.grid_size), 19, **stop)
     recording = RecordingConfig(events=False, depth_window=250)
     frames = simulate(model, seed=19, recording=recording, **stop).depth_frames
     assert len(trajectory) > 250
@@ -191,10 +308,7 @@ def test_depth_window_frames(anchoring, stop):
     assert [f.event_index for f in frames] == list(range(last - 249, last + 1))
     for frame in frames:
         _, _, trades, state = trajectory[frame.event_index - 1]
-        expected = depth(state)
-        for name in ("bid_counts", "bid_quantities", "ask_counts", "ask_quantities"):
-            assert np.array_equal(getattr(frame.profile, name), getattr(expected, name)), name
-        assert frame.transacted == bool(trades)
+        assert_frame_is_depth(frame, trades, state)
 
 
 @pytest.mark.parametrize(

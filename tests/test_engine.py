@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from conftest import ABSORBING, DRAWN_CAPS, drawn_books
 from scipy import stats
 
 import lobsim.engine
@@ -30,10 +30,7 @@ from lobsim.engine import (
 from lobsim.rates import (
     AbsorbingStateError,
     AnchoringMode,
-    DgxParams,
     EventKind,
-    RateModel,
-    TraderGroup,
     event_table,
 )
 from lobsim.scenario import ORACLE_MODELS, build_rate_model, preset
@@ -292,71 +289,6 @@ def book_with_quotes(model, bid, ask, n):
     return book
 
 
-@st.composite
-def drawn_books(draw):
-    """A model on grid 2-6 with 1-3 groups (shares may be 0), either anchoring,
-    a cancellation rate that may be 0 and orders of size 1-2, and a uniform
-    book on its grid: up to two orders per level, bids at or below a drawn
-    level and asks above it, submitted in a drawn order."""
-    grid = draw(st.integers(2, 6))
-    weights = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), max_size=2))
-    groups = []
-    for weight in weights:
-        ask, bid = (
-            # mu up to ln(support) keeps a weight above 0; a small sigma
-            # underflows the ranks far from e^mu, which can empty a side.
-            DgxParams(draw(st.floats(0.0, math.log(s))), draw(st.floats(0.01, 4.0)), s)
-            for s in (draw(st.integers(1, grid)), draw(st.integers(1, grid)))
-        )
-        groups.append(
-            TraderGroup(
-                weight / sum(weights),
-                ask,
-                bid,
-                ask_anchor=draw(st.integers(1, grid - ask.support_size + 1)),
-                bid_anchor=draw(st.integers(bid.support_size, grid)),
-            )
-        )
-    model = RateModel(
-        grid_size=grid,
-        groups=tuple(groups),
-        per_order_cancel_rate=draw(st.sampled_from([0.0, 0.25])),
-        event_intensity=1.0,
-        anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
-        unit_quantity=draw(st.integers(1, 2)),
-    )
-    split = draw(st.integers(0, grid))
-    counts = draw(st.lists(st.integers(0, 2), min_size=grid, max_size=grid))
-    orders = [
-        (Side.BID if level <= split else Side.ASK, level)
-        for level, count in enumerate(counts, 1)
-        for _ in range(count)
-    ]
-    book = empty_book(grid)
-    for side, level in draw(st.permutations(orders)):
-        book, _ = submit_order(book, side, level, model.unit_quantity, 0.0)
-    return model, book
-
-
-# Under opposite-best anchoring, a bid at 3 and an ask at 4 leave DGX ranks
-# 1-4 on the grid of 6 for either side, and these weights are 0 there: no
-# arrival, no cancellation, so the book is absorbing.
-_NARROW = DgxParams(math.log(6), 0.01, 6)
-ABSORBING = (
-    RateModel(
-        6, (TraderGroup(1.0, _NARROW, _NARROW, 1, 6),), 0.0, 1.0, AnchoringMode.OPPOSITE_BEST
-    ),
-    submit_order(submit_order(empty_book(6), Side.BID, 3, 1, 0.0)[0], Side.ASK, 4, 1, 0.0)[0],
-)
-
-
-# Caps for a book of n orders: None, or max_orders from n - 1 (not below 0),
-# n, n + 1 or unbounded, and max_quantity 1, 2 or unbounded.
-DRAWN_CAPS = st.one_of(
-    st.tuples(st.sampled_from([-1, 0, 1, None]), st.sampled_from([1, 2, None])), st.none()
-)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(drawn_books(), DRAWN_CAPS)
 @example(ABSORBING, None)
@@ -449,6 +381,28 @@ class TestEnsemble:
         assert center < 60.0
         for m in means:
             assert abs(m - center) / center < 0.15
+
+    @pytest.mark.parametrize(
+        "arguments, match",
+        [
+            ({"runs": 2.5}, r"runs must be an integer >= 1, got 2\.5"),
+            ({"runs": "3"}, "runs must be an integer >= 1, got '3'"),
+            ({"runs": True}, "runs must be an integer >= 1, got True"),
+            ({"runs": 0}, "runs must be an integer >= 1, got 0"),
+            ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
+            ({"base_seed": 1.5}, r"base_seed must be an integer >= 0, got 1\.5"),
+            ({"base_seed": np.False_}, r"base_seed must be an integer >= 0, got (np\.)?False"),
+        ],
+    )
+    def test_bad_runs_or_base_seed_rejected(self, arguments, match):
+        model, caps = ORACLE_MODELS["tiny"]()
+        with pytest.raises(EngineError, match=match):
+            run_ensemble(model, **{"runs": 2, "events_per_run": 3, "caps": caps, **arguments})
+
+    def test_numpy_integer_runs_and_base_seed_accepted(self):
+        model, caps = ORACLE_MODELS["tiny"]()
+        runs = run_ensemble(model, np.int64(2), 3, np.uint64(5), caps=caps)
+        assert runs == run_ensemble(model, 2, 3, 5, caps=caps)
 
 
 class TestSeeds:

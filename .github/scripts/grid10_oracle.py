@@ -8,7 +8,8 @@ event intensity 6, orders of size 1. ``static`` indexes at most 8 orders
 (238,238 states, int32 targets and row lookups at scale); ``opposite-best``
 indexes at most 9 under opposite-best anchoring (529,958 states, many quote
 groups). Prints the enumerate and build times and the process's peak RSS,
-which the build sets, so run each case in a fresh process.
+which the build sets, so run each case in a fresh process; exits 1 when the
+shape, the digest or the peak RSS bound is off.
 """
 
 import hashlib
@@ -22,7 +23,9 @@ import scipy.sparse  # noqa: F401  (loaded before the clock starts, as in any la
 import lobsim
 from lobsim import oracle
 
-# name: (max orders, anchoring, budget, (states, nonzeros), canonical CSC sha256)
+# name: (max orders, anchoring, budget, (states, nonzeros), canonical CSC sha256,
+# peak RSS bound in MiB). Peaks measured on a 2-CPU Xeon VM (Python 3.11, numpy
+# 2.4, scipy 1.17): 255-258 MiB static, 447-479 MiB opposite-best.
 CASES = {
     "static": (
         8,
@@ -30,6 +33,7 @@ CASES = {
         300_000,
         (238_238, 2_022_878),
         "6243f27ebb53f7e9e7a61280ed2e644eb3525ce71a1cb67506331070c7adf16f",
+        290,
     ),
     "opposite-best": (
         9,
@@ -37,12 +41,13 @@ CASES = {
         600_000,
         (529_958, 4_759_898),
         "b2ac5e9e5b42289f969bd7e5dac4505773f967d6a8e8400eb17c70e53f6a68ce",
+        500,
     ),
 }
 
 
 def main(name: str) -> int:
-    max_orders, anchoring, budget, shape, expected = CASES[name]
+    max_orders, anchoring, budget, shape, expected, most_mib = CASES[name]
     params = lobsim.DgxParams(1.0, 3.0, 5)
     group = lobsim.TraderGroup(1.0, params, params, ask_anchor=5, bid_anchor=6)
     model = lobsim.RateModel(
@@ -75,6 +80,9 @@ def main(name: str) -> int:
         return 1
     if digest.hexdigest() != expected:
         print(f"expected sha256 {expected}", file=sys.stderr)
+        return 1
+    if peak_mib >= most_mib:
+        print(f"expected a peak RSS below {most_mib} MiB", file=sys.stderr)
         return 1
     return 0
 

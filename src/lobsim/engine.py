@@ -41,15 +41,16 @@ C. Per event the loop logs one int, the move's signed level and kind, and per
 quote move (event, best): numpy rebuilds summary columns and frames from them.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
-horizon-stopped runs in lockstep on numpy arrays, in one pass, and returns
-their books as an :class:`EnsembleResult`; the caller bounds the
-batch (validation passes :data:`LOCKSTEP_CHUNK` seeds per call). Each run
-keeps its scalar stream (:class:`_Streams` replicates ``default_rng(seed)``'s
-uniforms on uint64 arrays, checked bit for bit in ``tests/test_engine.py``),
-draws a pair per step and selects from the same cumulative-rate floats. Its
-times, from ``np.log1p``, feed nothing but comparisons with the checkpoint
-times and the horizon; a run within :func:`_clock_slack` of a bound takes the
-scalar loop's exact time, so every book equals the one-seed call's.
+horizon-stopped runs in lockstep on numpy arrays and returns their books as
+an :class:`EnsembleResult`. The runs take turns in :func:`lockstep_width`
+slots: a slot whose run stops takes the next seed, in seed order, so memory
+is bounded by the slots, not the runs. Each run keeps its scalar stream
+(:class:`_Streams` replicates ``default_rng(seed)``'s uniforms on uint64
+arrays, checked bit for bit in ``tests/test_engine.py``), draws a pair per
+step and selects from the same cumulative-rate floats. Its times, from
+``np.log1p``, feed nothing but comparisons with the checkpoint times and the
+horizon; a run within :func:`_clock_slack` of a bound takes the scalar
+loop's exact time, so every book equals the one-seed call's.
 
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
@@ -60,11 +61,10 @@ selects every run's entry, reads the next books, and computes only the
 (book, entry) pairs no run took before, in one vectorized update whose
 rows are interned in one batch. A checkpoint copies the book's row, as a
 restart renumbers the books, and the copied rows are what the result holds.
-At :data:`_BOOK_CAP` books the set restarts from the books the live
-runs hold; after a restart it may grow by one step's books plus its own size
-before the next, so runs that hold more than half the cap do not restart it
-on every step. README.md gives what a book costs, and where the set gains
-(runs that revisit a few hundred books) and loses (most pairs new).
+When a step's new books would pass :data:`_BOOK_CAP`, the set restarts from
+the empty book and the books the live runs hold; it may then double before
+the next restart. README.md gives what a book and a slot cost, and where the
+set gains (runs that revisit a few hundred books) and loses (most pairs new).
 
 A seed is an integer in [0, 2**64), the range :func:`derive_run_seeds`
 yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
@@ -272,10 +272,10 @@ def simulate(
 
     A seed is an integer in [0, 2**64), else :class:`EngineError`.
 
-    Given a sequence of seeds, steps every one of them at once, in one pass
-    on numpy arrays (the caller bounds the batch, as memory grows with it),
-    and returns an :class:`EnsembleResult` whose rows list the residents of
-    each seed's one-seed call in ``orders_by_seq()`` order. That form supports
+    Given a sequence of seeds, steps them in lockstep on numpy arrays, a
+    :func:`lockstep_width` of them at a time, and returns an
+    :class:`EnsembleResult` whose rows list the residents of each seed's
+    one-seed call in ``orders_by_seq()`` order. That form supports
     only what oracle validation needs: an empty initial book, a
     ``time_horizon`` stop without ``event_count``, ``caps`` with
     ``max_orders``, and ``RecordingConfig(events=False, checkpoint_times=...)``;
@@ -429,7 +429,7 @@ def simulate(
 
     final_state = book_state()
     checkpoints.update((t, final_state) for t in pending[cp_index:] if t <= now)
-    codes, window = np.fromiter(moves, np.int64, len(moves)), recording.depth_window
+    codes, window = np.fromiter(moves, np.int32, len(moves)), recording.depth_window
 
     return SimulationResult(
         records=records,
@@ -444,21 +444,24 @@ def simulate(
 
 
 def _summary_columns(k: int, codes: np.ndarray, quote_log: tuple, sides) -> SummaryColumns:
-    """A run's summary columns from its moves and its initial sides' signed levels: per-side
-    counts and level sums are cumulative sums, and a quote holds from its move to the next."""
-    s, step = (codes >> 2) - k, np.where(codes & 2, 1, -1)
+    """A run's summary columns from its int32 moves and its initial sides' signed levels:
+    per-side counts and level sums are cumulative sums, and a quote holds from its move to
+    the next."""
+    s, step = (codes >> 2) - k, (codes & 2) - 1
     # Each side's best signed level after every event (0 / k + 1 when it is empty).
     bid, ask = (
-        np.repeat(m[1::2], np.diff(m[::2], append=len(codes) + 1)) for m in map(np.array, quote_log)
+        np.repeat(m[1::2], np.diff(m[::2], append=len(codes) + 1))
+        for m in (np.array(m, dtype=np.int32) for m in quote_log)
     )
     rows = (bid != 0) & (ask <= k)
     quoted = np.empty((np.count_nonzero(rows), 6), dtype=np.int64)
     quoted[:, 0], quoted[:, 1] = -bid[rows], ask[rows]
+    del bid, ask  # freed before the sums, which peak the transient memory
     # Columns 2-3 are the ask side's level sum and count, 4-5 the bid side's (sum negated).
     for side, column, sign in ((sides[1], 2, 1), (sides[0], 4, -1)):
         moved = step * (s > 0 if sign > 0 else s < 0)
-        quoted[:, column] = (np.cumsum(moved * s) + sum(side))[rows] * sign
-        quoted[:, column + 1] = (np.cumsum(moved) + len(side))[rows]
+        quoted[:, column] = np.cumsum(moved * s * sign)[rows] + sign * sum(side)
+        quoted[:, column + 1] = np.cumsum(moved)[rows] + len(side)
     return SummaryColumns(quoted, np.abs(s[codes & 3 == 1]).tolist())
 
 
@@ -513,15 +516,27 @@ def _check_seeds(seeds) -> None:
             raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-# Seeds per batched simulate call in validation, bounded by peak RSS: per
-# run the kernel holds a book id, four uint64 stream words, its step arrays and
-# a book row per checkpoint. At 20,000 tiny-overlap runs 4,096 peaks at 57.1-57.7
-# MiB, as 2,048 did with blocks of draws; 8,192 adds about 1.7 MiB (README.md).
-LOCKSTEP_CHUNK = 4096
+# Table entries the batched kernel gathers per step, 2K + max_orders per slot: 4,096
+# slots on the tiny models, 1,129 on grid 10 with 9 orders (README.md: a slot's cost).
+LOCKSTEP_CELLS = 1 << 15
 
-# PCG64's 128-bit LCG multiplier as 64-bit halves, and the low half's 32-bit limbs.
-_MUL_HI, _MUL_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_MUL_LO_LIMBS = _MUL_LO & 0xFFFFFFFF, _MUL_LO >> 32
+
+def lockstep_width(model: RateModel, caps: StateCaps) -> int:
+    """The batched kernel's slot count for capped ``model``: :data:`LOCKSTEP_CELLS` per table."""
+    return max(LOCKSTEP_CELLS // (2 * model.grid_size + caps.max_orders), 1)
+
+
+def _multiplier(*factors: int) -> tuple[np.ndarray, ...]:
+    """LCG multipliers mod 2**128 for :func:`_lcg_step`: uint64 high and low halves and the
+    low halves' 32-bit limbs, each of shape (len(factors), 1) to broadcast over streams."""
+    hi, lo = np.array([divmod(f % 2**128, 2**64) for f in factors], np.uint64).T[..., None]
+    return hi, lo, lo & 0xFFFFFFFF, lo >> 32
+
+
+# PCG64's 128-bit LCG multiplier M. A pair of steps takes s to s * M + inc and
+# s * M**2 + inc * (M + 1); one step of multipliers (1, M + 1) gives both increments.
+_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+_STEP, _PAIR, _INCREMENTS = _multiplier(_MUL), _multiplier(_MUL, _MUL**2), _multiplier(1, _MUL + 1)
 
 
 def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
@@ -550,21 +565,20 @@ def _generate_state(pool: np.ndarray, words: int) -> np.ndarray:
     return value.astype("<u4", copy=False).view("<u8")
 
 
-def _lcg_step(
-    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 state step, state * multiplier + inc mod 2**128, on 64-bit halves.
+def _lcg_step(hi, lo, inc_hi, inc_lo, multiplier: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """state * multiplier + inc mod 2**128 on 64-bit halves, one row per ``_multiplier`` factor.
 
-    uint64 products wrap mod 2**64; the high half of ``lo * _MUL_LO`` is
-    summed from 32-bit limbs, whose products fit in 64 bits.
+    uint64 products wrap mod 2**64; the high half of the low halves' product
+    is summed from 32-bit limbs, whose products fit in 64 bits (Warren,
+    Hacker's Delight, 8-2).
     """
-    (lo0, lo1), (m0, m1) = (lo & 0xFFFFFFFF, lo >> 32), _MUL_LO_LIMBS
-    cross0, cross1 = lo0 * m1, lo1 * m0
-    middle = (lo0 * m0 >> 32) + (cross0 & 0xFFFFFFFF) + (cross1 & 0xFFFFFFFF)
-    lo_product_hi = lo1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
-    new_lo = lo * _MUL_LO + inc_lo
-    carry = (new_lo < inc_lo).astype(np.uint64)
-    return lo_product_hi + lo * _MUL_HI + hi * _MUL_LO + inc_hi + carry, new_lo
+    mul_hi, mul_lo, m0, m1 = multiplier
+    lo0, lo1 = lo & 0xFFFFFFFF, lo >> 32
+    t = lo1 * m0 + (lo0 * m0 >> 32)
+    middle = lo0 * m1 + (t & 0xFFFFFFFF)
+    new_lo = lo * mul_lo + inc_lo
+    high = lo1 * m1 + (t >> 32) + (middle >> 32)  # of lo * mul_lo
+    return high + lo * mul_hi + hi * mul_lo + inc_hi + (new_lo < inc_lo), new_lo
 
 
 class _Streams:
@@ -577,7 +591,9 @@ class _Streams:
     words are hashed into a pool of four and mixed, and the pool is hashed
     out into eight 32-bit words. Each step is a few integer operations, done
     here on uint64 arrays with one element per seed, for seeds in
-    [0, 2**64): ``words`` are the states' and increments' high and low halves.
+    [0, 2**64). ``words`` holds a column per stream: its state's high and low
+    halves, then the high halves of inc and inc * (M + 1) and their low
+    halves, so one pass of :func:`_lcg_step` takes two steps.
     ``tests/test_engine.py`` checks the draws bit for bit against numpy, so
     a change to either algorithm in numpy shows there.
     """
@@ -601,12 +617,15 @@ class _Streams:
         inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
         lo = inc_lo + init_lo
         hi = inc_hi + init_hi + (lo < init_lo).astype(np.uint64)
-        self.words = (*_lcg_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+        (hi,), (lo,) = _lcg_step(hi, lo, inc_hi, inc_lo, _STEP)
+        self.words = np.vstack([hi, lo, *_lcg_step(inc_hi, inc_lo, 0, 0, _INCREMENTS)])
 
-    def draw(self) -> np.ndarray:
-        """Each stream's next uniform, as ``rng.random()`` gives it."""
-        hi, lo = _lcg_step(*self.words)
-        self.words = hi, lo, *self.words[2:]
+    def pairs(self) -> np.ndarray:
+        """Each stream's next two uniforms, as two ``rng.random()`` calls give them: shape
+        (2, streams)."""
+        words = self.words
+        hi, lo = _lcg_step(words[0], words[1], words[2:4], words[4:], _PAIR)
+        words[0], words[1] = hi[1], lo[1]
         # XSL-RR: the halves xor-ed, rotated right by the state's top six bits.
         x, rot = hi ^ lo, hi >> 58
         x = x >> rot | x << (64 - rot & 63)
@@ -674,10 +693,11 @@ class _Books:
     of its cache key, and a next-book row: entry c is the book that table
     entry c leads to, -1 until a run takes it. Entry ``size`` (one past the
     table) is the last entry's book, as the count of entries at or below
-    u * total reaches it when the product rounds to the total. When new
-    books would take the set past its limit, it restarts from the books the
-    runs hold. The limit is :data:`_BOOK_CAP` at first, and after a restart
-    the larger of that and twice the set's size plus one book per run.
+    u * total reaches it when the product rounds to the total. Book 0 is
+    the empty book. When the books a step adds would take the set past its
+    limit, it restarts from book 0 and the books the runs hold. The limit is
+    :data:`_BOOK_CAP` at first, and after a restart the larger of that and
+    twice the set's size.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
@@ -688,15 +708,19 @@ class _Books:
         self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k))
         self.table = np.zeros(0, dtype=np.int32)
         self.next = np.zeros((0, self.width), dtype=np.int32)
+        self.intern(np.zeros((1, m + 1)))  # book 0
 
-    def intern(self, rows: np.ndarray) -> np.ndarray:
-        """The ids of ``rows``, adding the books not yet in the set in one batch."""
+    def intern(self, rows: np.ndarray, limit: float = math.inf) -> Optional[np.ndarray]:
+        """The ids of ``rows``, adding the books not yet in the set in one batch; None, and
+        nothing added, if they would take the set past ``limit`` books."""
         rows = np.ascontiguousarray(rows, dtype=self.rows.dtype)
         keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
         ids = self.ids
         fresh = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
         if fresh:
             start = len(ids)
+            if start + len(fresh) > limit:
+                return None
             self._add(np.frombuffer(b"".join(fresh), rows.dtype).reshape(len(fresh), -1), start)
             ids.update(zip(fresh, range(start, start + len(fresh))))
         return np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys))
@@ -706,7 +730,7 @@ class _Books:
         table = self.padded.ids(*_quotes(rows.astype(np.int64), self.k))
         end = start + len(rows)
         if end > len(self.table):
-            size = max(end, min(2 * len(self.table), self.limit))
+            size = max(end, min(1 << (end - 1).bit_length(), self.limit))
             self.rows, self.table, self.next = (
                 np.concatenate([a[:start], np.empty((size - start, *a.shape[1:]), a.dtype)])
                 for a in (self.rows, self.table, self.next)
@@ -722,22 +746,19 @@ class _Books:
         new = np.flatnonzero(after < 0)
         if not new.size:
             return after
-        pairs = np.unique(at[new])
-        restart = len(self.ids) + pairs.size > self.limit
-        if restart:
-            # Restart from the books the runs hold; every next-book row is unknown again.
-            keep, book = np.unique(book, return_inverse=True)
+        source, entry = np.divmod(np.unique(at[new]), self.width)
+        ids = self.intern(self._apply(source, entry), self.limit)
+        if ids is None:
+            # Restart from the empty book and the books the runs hold; every next-book
+            # row is unknown again. The set may then double before the next restart.
+            keep, inverse = np.unique(book, return_inverse=True)
             self.ids.clear()
-            self.intern(self.rows[keep])
-            at = book * self.width + choice
-            pairs = np.unique(at)
-        source, entry = np.divmod(pairs, self.width)
-        self.next[source, entry] = self.intern(self._apply(source, entry))
-        if restart:
-            # Room for one step's pairs (at most one per run) and as many new books
-            # as the set holds, so that runs holding more than half the cap do not
-            # restart it on every step; the restarts' cost stays linear in the books.
-            self.limit = max(_BOOK_CAP, 2 * len(self.ids) + len(book))
+            book = self.intern(np.concatenate([self.rows[:1], self.rows[keep]]))[1:][inverse]
+            at = book.astype(np.intp) * self.width + choice
+            source, entry = np.divmod(np.unique(at), self.width)
+            ids = self.intern(self._apply(source, entry))
+            self.limit = max(_BOOK_CAP, 2 * len(self.ids))
+        self.next[source, entry] = ids
         return self.next.ravel().take(at)
 
     def _apply(self, source: np.ndarray, entry: np.ndarray) -> np.ndarray:
@@ -806,12 +827,13 @@ def _simulate_lockstep(
 ) -> EnsembleResult:
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
-    Each live run is the id of its book in the :class:`_Books` set kept in
-    ``tables`` and its stream's words; every step draws a pair per live run.
-    Per live run, in the scalar loop's order: the waiting time, pending
-    checkpoints before the next event (each copies the book's row), the
-    horizon test, then the event, counted as ``bisect_right`` counts, and the
-    book it leads to (an absorbing book raises when it is first reached).
+    A slot holds a run: its book's id in the :class:`_Books` set kept in
+    ``tables``, its stream's words and its first step, from which a replay of
+    its clock counts. Per slot, in the scalar loop's order: the waiting time,
+    pending checkpoints before the next event (each copies the book's row),
+    the horizon test, then the event, counted as ``bisect_right`` counts, and
+    the book it leads to (an absorbing book raises when it is first reached).
+    A stopped run's slot takes the next queued seed until the queue is empty.
     """
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
@@ -830,8 +852,8 @@ def _simulate_lockstep(
     books = tables.get(_Books)
     if books is None:
         books = tables[_Books] = _Books(model, caps, tables)
-    padded, runs = books.padded, len(seeds)
-    streams = _Streams(seeds)
+    padded, runs, intensity = books.padded, len(seeds), model.event_intensity
+    width = min(lockstep_width(model, caps), runs)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
     # The bounds a run passes in turn, each taking its book: the checkpoint
@@ -840,39 +862,61 @@ def _simulate_lockstep(
     # The book row at each checkpoint time, then the final one.
     held = np.zeros((len(times) + 1, runs, caps.max_orders + 1), dtype=books.rows.dtype)
     event_counts = np.zeros(runs, dtype=np.int64)
-    live = np.arange(runs)
-    book = np.repeat(books.intern(np.zeros((1, caps.max_orders + 1))), runs)
-    passed, bound = np.zeros(runs, dtype=np.int64), np.full(runs, bounds[0])
-    now = np.zeros(runs)
+    # Streams are seeded a block of ``width`` seeds at a time, as the queue reaches them.
+    blocks = (_Streams(seeds[i : i + width]) for i in range(0, runs, width))
+    streams, queued = next(blocks), width
+    queue = streams.words[:, :0]
+    # Per slot: its run, book, bounds passed, next bound, clock and first step.
+    run, book = np.arange(width), np.zeros(width, dtype=np.int32)
+    passed, bound = np.zeros(width, dtype=np.int64), np.full(width, bounds[0])
+    now, admitted = np.zeros(width), np.zeros(width, dtype=np.int64)
     step = 0
-    while live.size:
-        u_time, u_event = streams.draw(), streams.draw()
-        t_next = now - np.log1p(-u_time) / model.event_intensity
-        # Near a bound it compares with (the next, or any it passes), a run takes the scalar time.
+    while run.size:
+        u_time, u_event = streams.pairs()
+        t_next = now - np.log1p(-u_time) / intensity
+        # Near a bound it compares with (the next, or any it passes), a run takes the
+        # scalar time; no run has taken more than step + 1 steps.
         slack = _clock_slack(step + 1)
         hit = np.flatnonzero(bound <= t_next * (1 + slack))
+        go, stop = slice(None), hit[:0]
         if hit.size:
             near = np.maximum(np.searchsorted(bounds, t_next[hit] * (1 - slack)), passed[hit])
             for i in hit[bounds[near] <= t_next[hit] * (1 + slack)].tolist():
-                t_next[i] = _scalar_clock(int(seeds[live[i]]), step + 1, model.event_intensity)
-            hit = hit[bound[hit] < t_next[hit]]
-            while hit.size:
-                held[passed[hit], live[hit]] = books.rows[book[hit]]
-                passed[hit] += 1
-                bound[hit] = bounds[passed[hit]]
-                hit = hit[bound[hit] < t_next[hit]]
-            go = passed <= len(times)
-            if not go.all():
-                event_counts[live[~go]] = step
-                streams.words = [words[go] for words in streams.words]
-                per_run = live, book, passed, bound, t_next, u_event
-                live, book, passed, bound, t_next, u_event = (a[go] for a in per_run)
+                steps = step + 1 - int(admitted[i])
+                t_next[i] = _scalar_clock(int(seeds[run[i]]), steps, intensity)
+            # Each run passes the bounds below its clock, taking its book at each.
+            over = hit[bound[hit] < t_next[hit]]
+            while over.size:
+                held[passed[over], run[over]] = books.rows[book[over]]
+                passed[over] += 1
+                bound[over] = bounds[passed[over]]
+                over = over[bound[over] < t_next[over]]
+            stop = hit[passed[hit] > len(times)]
+            if stop.size:
+                event_counts[run[stop]] = step - admitted[stop]
+                go = np.flatnonzero(passed <= len(times))
         now = t_next
         step += 1
 
-        table = books.table[book]
-        choice = (padded.cum.take(table, axis=1) <= u_event * padded.total[table]).sum(axis=0)
-        book = books.advance(book, choice)
+        # The event stage, for the slots whose run goes on.
+        at = book[go]
+        table = books.table[at]
+        choice = (padded.cum.take(table, axis=1) <= u_event[go] * padded.total[table]).sum(axis=0)
+        book[go] = books.advance(at, choice)
+        if stop.size:
+            # Stopped slots take the next queued runs; once the queue is empty, they go.
+            fill, drop = stop[: runs - queued], stop[runs - queued :]
+            if queue.shape[1] < fill.size:
+                queue = np.concatenate([queue, next(blocks).words], axis=1)
+            streams.words[:, fill], queue = queue[:, : fill.size], queue[:, fill.size :]
+            run[fill], queued = np.arange(queued, queued + fill.size), queued + fill.size
+            book[fill], passed[fill], bound[fill] = 0, 0, bounds[0]
+            now[fill], admitted[fill] = 0.0, step
+            if drop.size:
+                keep = np.flatnonzero(passed <= len(times))
+                streams.words = streams.words[:, keep]
+                per_slot = run, book, passed, bound, now, admitted
+                run, book, passed, bound, now, admitted = (a[keep] for a in per_slot)
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,

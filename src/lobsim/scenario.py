@@ -651,11 +651,11 @@ def validate_against_oracle(
 ) -> OracleReport:
     """Compare the capped engine's state distribution with the exact solution.
 
-    Steps the runs to the last of :data:`ORACLE_TIMES` with the batched
-    ``engine.simulate``, one chunk of ``engine.LOCKSTEP_CHUNK`` seeds per
-    call, reduces each chunk to the index positions of its runs' books at
-    those times, and reports total variation distances plus first and
-    second moment checks of the resident-order count. :class:`ConfigError`
+    Steps the runs to the last of :data:`ORACLE_TIMES` in one batched
+    ``engine.simulate`` call, maps their books at those times to index
+    positions a block of ``engine.lockstep_width`` rows at a time, and
+    reports total variation distances plus first and second moment checks
+    of the resident-order count. :class:`ConfigError`
     unless the model is known and ``runs`` (>= 1) and ``base_seed`` (>= 0)
     are integers, as scenario fields are checked.
     """
@@ -677,26 +677,21 @@ def validate_against_oracle(
 
     recording = RecordingConfig(events=False, checkpoint_times=ORACLE_TIMES)
     seeds = engine.derive_run_seeds(base_seed, runs)
-    tables: dict = {}
-    chunks = []
-    for start in range(0, runs, engine.LOCKSTEP_CHUNK):
-        result = engine.simulate(
-            model,
-            time_horizon=ORACLE_TIMES[-1],
-            seed=seeds[start : start + engine.LOCKSTEP_CHUNK],
-            recording=recording,
-            caps=caps,
-            _tables=tables,
-        )
-        books = np.stack([result.checkpoints[t] for t in ORACLE_TIMES], axis=1)
-        chunks.append(index.positions(books, model.unit_quantity))
-    positions = np.concatenate(chunks)
+    result = engine.simulate(
+        model, time_horizon=ORACLE_TIMES[-1], seed=seeds, recording=recording, caps=caps
+    )
+    # Rows to states a block at a time, so memory stays flat.
+    block, q = engine.lockstep_width(model, caps), model.unit_quantity
+    positions = [
+        np.concatenate([index.positions(rows[i : i + block], q) for i in range(0, runs, block)])
+        for rows in map(result.checkpoints.get, ORACLE_TIMES)
+    ]
 
     p0 = oracle.vacuum_vector(index)
     counts = oracle.order_count_observable(index)
     tv_distances: dict[float, float] = {}
     moment_checks: list[tuple[float, int, float, float, float]] = []
-    for t, at_t in zip(ORACLE_TIMES, positions.T):
+    for t, at_t in zip(ORACLE_TIMES, positions):
         exact = oracle.evolve(p0, generator, t)
         empirical = np.bincount(at_t, minlength=len(index)) / runs
         tv_distances[t] = oracle.compare_distributions(empirical, exact)

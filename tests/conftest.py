@@ -158,13 +158,15 @@ def oracle_case(name: str):
 
 
 @st.composite
-def drawn_books(draw):
+def drawn_books(draw, largest_grid=6, most_groups=3):
     """A model on grid 2-6 with 1-3 groups (shares may be 0), either anchoring,
     a cancellation rate that may be 0 and orders of size 1-2, and a uniform
     book on its grid: up to two orders per level, bids at or below a drawn
-    level and asks above it, submitted in a drawn order."""
-    grid = draw(st.integers(2, 6))
-    weights = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), max_size=2))
+    level and asks above it, submitted in a drawn order. ``largest_grid`` and
+    ``most_groups`` narrow the grid and group ranges."""
+    grid = draw(st.integers(2, largest_grid))
+    weights = [draw(st.integers(1, 3))]
+    weights += draw(st.lists(st.integers(0, 3), max_size=most_groups - 1))
     groups = []
     for weight in weights:
         ask, bid = (

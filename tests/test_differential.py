@@ -14,6 +14,7 @@ submission order, so queue order is checked as well as depth.
 import math
 from dataclasses import replace
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from hypothesis import strategies as st
 import lobsim.engine
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book
 from lobsim.engine import (
-    LOCKSTEP_CHUNK,
     EngineError,
     RecordingConfig,
     derive_run_seeds,
+    lockstep_width,
     simulate,
     step,
 )
@@ -383,10 +384,47 @@ def test_batched_single_run():
     assert_batch_matches_scalar("tiny-overlap", runs=1)
 
 
-def test_batched_runs_beyond_one_lockstep_chunk():
-    # LOCKSTEP_CHUNK + 5 runs in one batched call, against one scalar call each.
-    batch = assert_batch_matches_scalar("tiny-opposite", runs=LOCKSTEP_CHUNK + 5, time_horizon=0.5)
-    assert len(batch.event_counts) == LOCKSTEP_CHUNK + 5
+def test_batched_runs_beyond_one_active_set():
+    # Five runs more than the kernel has slots, in one batched call, against one
+    # scalar call each: the first five slots to stop take them.
+    runs = lockstep_width(*ORACLE_MODELS["tiny-opposite"]()) + 5
+    batch = assert_batch_matches_scalar("tiny-opposite", runs=runs, time_horizon=0.5)
+    assert len(batch.event_counts) == runs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    drawn_books(largest_grid=4, most_groups=2),
+    st.integers(2, 5),
+    st.sampled_from([1, 2, None]),
+    st.integers(2, 7),
+    st.data(),
+)
+def test_batched_runs_match_scalar_runs_on_drawn_models(
+    case, max_orders, max_quantity, width, data
+):
+    # A drawn capped model, horizon and checkpoints, and 1 to 3 * width + 1 runs on
+    # ``width`` slots: slots are refilled from the queue, then drained and dropped.
+    model, _ = case
+    caps = StateCaps(max_orders, max_quantity)
+    runs = data.draw(st.sampled_from(range(1, 3 * width + 2)))
+    horizon = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 8.0]))
+    times = tuple(data.draw(st.lists(st.floats(-0.5, horizon + 0.5), min_size=1, max_size=3)))
+    stop = {"time_horizon": horizon, "base_seed": data.draw(st.integers(0, 2**32)), "times": times}
+    cells = width * (2 * model.grid_size + max_orders)
+    recording = RecordingConfig(events=False, checkpoint_times=times)
+    seeds = derive_run_seeds(stop["base_seed"], runs)
+    with mock.patch.object(lobsim.engine, "LOCKSTEP_CELLS", cells):
+        assert lockstep_width(model, caps) == width
+        try:
+            simulate(model, time_horizon=horizon, seed=seeds, recording=recording, caps=caps)
+        except AbsorbingStateError:
+            # Then some run reaches an absorbing book: its one-seed call raises too.
+            with pytest.raises(AbsorbingStateError):
+                for seed in seeds:
+                    simulate(model, time_horizon=horizon, seed=seed, recording=recording, caps=caps)
+            return
+        assert_batch_matches_scalar(None, runs, case=(model, caps), **stop)
 
 
 def test_batched_checkpoints_at_scalar_event_times():
@@ -437,6 +475,8 @@ def assert_ensembles_equal(a, b):
 def test_batched_runs_replayed_at_every_bound(monkeypatch):
     # With an unbounded slack every clock that meets a bound takes the scalar
     # loop's time: on every step of every run, the one past the horizon too.
+    # Seven slots take the 30 runs in turn, so a replay counts its own run's
+    # steps, not the kernel's.
     default = assert_batch_matches_scalar("tiny-opposite", runs=30, time_horizon=4.0)
     replays = []
     scalar_clock = lobsim.engine._scalar_clock
@@ -447,8 +487,16 @@ def test_batched_runs_replayed_at_every_bound(monkeypatch):
 
     monkeypatch.setattr(lobsim.engine, "_clock_slack", lambda steps: math.inf)
     monkeypatch.setattr(lobsim.engine, "_scalar_clock", counted_scalar_clock)
+    model, caps = ORACLE_MODELS["tiny-opposite"]()
+    cells = 7 * (2 * model.grid_size + caps.max_orders)
+    monkeypatch.setattr(lobsim.engine, "LOCKSTEP_CELLS", cells)
+    assert lockstep_width(model, caps) == 7
     replayed = assert_batch_matches_scalar("tiny-opposite", runs=30, time_horizon=4.0)
-    assert len(replays) == replayed.event_count + 30
+    steps = {seed: [] for seed in derive_run_seeds(5, 30)}
+    for seed, step, _ in replays:
+        steps[seed].append(step)
+    counts = replayed.event_counts.tolist()
+    assert list(steps.values()) == [list(range(1, n + 2)) for n in counts]
     assert_ensembles_equal(default, replayed)
 
 
@@ -460,19 +508,18 @@ def test_batched_long_horizon_runs():
 
 @pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
 def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, monkeypatch):
-    # 150 runs hold more books than half a cap of 32, so the set restarts
-    # from the live books; at a restart some runs take known entries, whose
-    # books are renumbered. Two chunk calls share one table cache, and so one
-    # set. After a restart the set has room for its own size again plus one
-    # step's pairs, so it restarts once in the 42 steps; with the cap as the
-    # only limit it restarted on most steps (29-31 times).
-    monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 32)
+    # The tiny models reach 31 to 161 books, so under a cap of 16 the set
+    # restarts from the empty book and the live books; at a restart some runs
+    # take known entries, whose books are renumbered. Two calls share one table
+    # cache, and so one set. After a restart the set may double before the
+    # next, so it restarts one to three times in the 42 steps.
+    monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 16)
     steps, empty = [], []
     intern, advance = lobsim.engine._Books.intern, lobsim.engine._Books.advance
 
-    def counted_intern(self, rows):
+    def counted_intern(self, rows, *limit):
         empty.append(not self.ids)  # the first books, or a restart
-        return intern(self, rows)
+        return intern(self, rows, *limit)
 
     def counted_advance(self, book, choice):
         steps.append(len(book))
@@ -485,6 +532,26 @@ def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, mo
     assert_batch_matches_scalar(model_name, runs=150, base_seed=6, tables=tables)
     restarts = sum(empty) - 1
     assert 1 <= restarts <= len(steps) // 4, (restarts, len(steps))
+
+
+def test_book_set_restarts_only_when_its_books_pass_the_limit(monkeypatch):
+    # The tiny model reaches 31 books, so under a cap of 32 the set never
+    # restarts, although on some steps it holds fewer books than its unseen
+    # (book, entry) pairs would need: a restart counts the books a step adds.
+    monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 32)
+    wanted, advance = [], lobsim.engine._Books.advance
+
+    def counted_advance(self, book, choice):
+        at = book * self.width + choice
+        wanted.append(len(self.ids) + np.unique(at[self.next.ravel()[at] < 0]).size)
+        return advance(self, book, choice)
+
+    monkeypatch.setattr(lobsim.engine._Books, "advance", counted_advance)
+    tables: dict = {}
+    assert_batch_matches_scalar("tiny", runs=150, tables=tables)
+    assert_batch_matches_scalar("tiny", runs=150, base_seed=6, tables=tables)
+    books = tables[lobsim.engine._Books]
+    assert max(wanted) > 32 and len(books.ids) == 31 and books.limit == 32
 
 
 def test_batched_runs_match_scalar_runs_on_grid10_opposite_best():

@@ -430,18 +430,29 @@ class TestSeeds:
         # Bit for bit, so a change to numpy's SeedSequence or PCG64 shows here.
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345] + derive_run_seeds(2024, 10_000)
         expected = np.array([np.random.default_rng(seed).random(128) for seed in seeds])
-        streams, rows = _Streams(seeds), np.arange(len(seeds))
-        # 64 pairs; every 16 steps only some streams are kept, edge seeds among them.
+        # Slot i draws seed rows[i]'s stream from step first[i] on, a pair per step, as the
+        # batched loop's slots do: every 16 steps some slots stop, and take the next queued
+        # seeds' fresh streams while any are left; once the queue is empty they are dropped.
+        streams, queued = _Streams(seeds[:5000]), 5000
+        rows, first = np.arange(5000), np.zeros(5000, dtype=int)
+        drawn = np.zeros(len(seeds), dtype=bool)
         for j in range(64):
             if j and j % 16 == 0:
-                # As the batched loop drops finished runs.
-                go = rows % (j // 16 + 1) != 1
-                streams.words = [words[go] for words in streams.words]
-                rows = rows[go]
-            got = np.stack([streams.draw(), streams.draw()], axis=1)
-            want = expected[rows, 2 * j : 2 * j + 2]
+                stop = np.flatnonzero((rows >= 6) & ((rows + j // 16) % 2 == 0))
+                fresh, stop = stop[: len(seeds) - queued], stop[len(seeds) - queued :]
+                rows[fresh], first[fresh] = np.arange(queued, queued + fresh.size), j
+                streams.words[:, fresh] = _Streams(seeds[queued : queued + fresh.size]).words
+                queued += fresh.size
+                go = np.ones(rows.size, dtype=bool)
+                go[stop] = False
+                streams.words, rows, first = streams.words[:, go], rows[go], first[go]
+            got = streams.pairs().T
+            want = expected[rows[:, None], 2 * (j - first)[:, None] + [0, 1]]
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), j
-        assert rows[:2].tolist() == [0, 2] and len(rows) < len(seeds) // 2
+            drawn[rows] = True
+        # Every seed draws at least 16 pairs; the edge seeds draw all 64.
+        assert queued == len(seeds) and drawn.all()
+        assert rows[:6].tolist() == list(range(6)) and len(rows) < 5000
 
     @pytest.mark.parametrize("runs", [0, 1, 2, 3, 7, 20_000])
     @pytest.mark.parametrize("base_seed", [0, 1, 2**32, 2**64 - 1, 2**70 + 5, 2024])
@@ -485,14 +496,16 @@ def fixed_draws(head):
 
 
 class FixedStreams:
-    """``_Streams`` whose every stream draws the n draws of ``draws(n)`` in turn."""
+    """``_Streams`` whose every stream draws the n draws of ``draws(n)`` in turn, a pair per
+    step; ``words`` counts each stream's pairs, so a refilled slot's stream starts over."""
 
     def __init__(self, draws, seeds):
-        self.draws, self.drawn, self.words = draws, 0, [np.zeros(len(seeds))]
+        self.draws, self.words = draws, np.zeros((1, len(seeds)), dtype=np.int64)
 
-    def draw(self):
-        self.drawn += 1
-        return np.full(len(self.words[0]), self.draws(self.drawn)[-1])
+    def pairs(self):
+        self.words += 1
+        drawn = 2 * self.words[0]
+        return self.draws(drawn.max())[[drawn - 2, drawn - 1]]
 
 
 def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
@@ -517,8 +530,11 @@ def test_tied_selection_picks_the_event_bisect_right_picks(monkeypatch):
         monkeypatch.setattr(lobsim.engine, "_Streams", lambda seeds: FixedStreams(draws, seeds))
         run = simulate(model, time_horizon=0.0, seed=1, caps=caps)
         assert [record.event for record in run.records] == [event]
-        batch = simulate(model, time_horizon=0.0, seed=[1, 2], recording=recording, caps=caps)
         row = np.zeros(caps.max_orders + 1, dtype=np.int64)
         row[0] = event.price_level if event.kind is EventKind.ARRIVAL_ASK else -event.price_level
-        assert np.array_equal(batch.final_books, [row, row])
-        assert batch.event_counts.tolist() == [1, 1]
+        # Two slots for two runs, then one slot the three runs take in turn.
+        for cells, seeds in ((1 << 15, [1, 2]), (1, [1, 2, 3])):
+            monkeypatch.setattr(lobsim.engine, "LOCKSTEP_CELLS", cells)
+            batch = simulate(model, time_horizon=0.0, seed=seeds, recording=recording, caps=caps)
+            assert np.array_equal(batch.final_books, [row] * len(seeds))
+            assert batch.event_counts.tolist() == [1] * len(seeds)

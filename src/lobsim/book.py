@@ -80,10 +80,6 @@ class Transaction:
     time: float
     aggressor_side: Side
 
-    @property
-    def volume(self) -> int:
-        return self.price_level * self.quantity
-
 
 @dataclass(frozen=True)
 class StateCaps:

@@ -55,10 +55,12 @@ loop's exact time, so every book equals the one-seed call's.
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
 a :class:`_Books` set kept in the table cache, so calls that share the
-cache share the set. A book keeps its table's row and a next-book row
-that is filled the first time a run takes each table entry; a step
-selects every run's entry, reads the next books, and computes only the
-(book, entry) pairs no run took before, in one vectorized update whose
+cache share the set. The set also holds the tables its books use, each
+built once by :func:`_table`; a book keeps its row, its table's id and a
+next-book row that is filled the first time a run takes each table
+entry. A step selects every run's entry, reads the next books, and
+computes only the (book, entry) pairs no run took before, in one
+vectorized update that reads each pair's move from the table and whose
 rows are interned in one batch. A checkpoint copies the book's row, as a
 restart renumbers the books, and the copied rows are what the result holds.
 When a step's new books would pass :data:`_BOOK_CAP`, the set restarts from
@@ -270,7 +272,9 @@ def simulate(
     seq). :class:`EngineError` otherwise. ``_tables`` is the table cache (see the
     module docstring); it may be shared across runs of one model and one ``caps``.
 
-    A seed is an integer in [0, 2**64), else :class:`EngineError`.
+    A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0, and
+    ``caps``' ``max_orders`` and ``max_quantity`` None or ones >= 0 and >= 1, else
+    :class:`EngineError`.
 
     Given a sequence of seeds, steps them in lockstep on numpy arrays, a
     :func:`lockstep_width` of them at a time, and returns an
@@ -282,6 +286,10 @@ def simulate(
     any other argument raises :class:`EngineError`.
     """
     _check_stop(event_count, time_horizon)
+    _check_integer("depth_window", recording.depth_window, 0)
+    for name, least in (("max_orders", 0), ("max_quantity", 1)):
+        if getattr(caps, name, None) is not None:
+            _check_integer(name, getattr(caps, name), least)
     tables = _tables if _tables is not None else {}
     if isinstance(seed, (Sequence, np.ndarray)):
         return _simulate_lockstep(
@@ -633,78 +641,38 @@ class _Streams:
         return (x >> 11).astype(np.float64) * 2.0**-53
 
 
-class _PaddedTables:
-    """Capped tables as padded arrays, looked up by a code of their cache key.
-
-    Table i is column i of ``cum``, its cumulative raw rates padded with
-    +inf, and entry i of ``total`` (its last rate), ``size`` (its length),
-    ``arrivals`` (its arrival count) and ``level`` (a row of the arrivals'
-    signed levels, 0 for a cancellation slot). A table has at most
-    ``entries``: K arrivals per side and ``max_orders`` cancellation slots.
-    They come from ``_table`` under the scalar loop's cache keys, so both
-    paths select from the same floats.
-    """
-
-    def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
-        self.model, self.caps, self.tables = model, caps, tables
-        k, m = model.grid_size, caps.max_orders
-        self.width, self.entries = (k + 1, m + 1), 2 * k + m
-        self.id_of_code = np.full(self.width[0] ** 2 * self.width[1], -1)
-        self.cum, self.level = np.zeros((self.entries, 0)), np.zeros((0, self.entries), np.int64)
-        self.total, self.size, self.arrivals = np.zeros(0), *np.zeros((2, 0), np.int64)
-
-    def ids(self, bid: np.ndarray, ask: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """Row per book for best bid/ask levels (0 / K + 1 when empty) and order count."""
-        code = ((bid * self.width[0] + ask - 1) * self.width[1]) + n
-        ids = self.id_of_code[code]
-        missing = np.flatnonzero(ids < 0)
-        if missing.size:
-            # The key holds the order count, so each entry is built with all its slots.
-            cancels = self.model.per_order_cancel_rate > 0.0
-            new = missing[np.unique(code[missing], return_index=True)[1]]
-            entries = [
-                _table(self.tables, (-b, a, c), self.model, self.caps, c if cancels else 0)
-                for b, a, c in zip(bid[new].tolist(), ask[new].tolist(), n[new].tolist())
-            ]
-            cum = np.full((len(new), self.entries), np.inf)
-            level = np.zeros((len(new), self.entries), dtype=np.int64)
-            for i, (c, _, s) in enumerate(entries):
-                cum[i, : len(c)], level[i, : len(s)] = c, s
-            self.id_of_code[code[new]] = np.arange(len(new)) + len(self.total)
-            self.cum = np.concatenate([self.cum, cum.T], axis=1)
-            self.level = np.concatenate([self.level, level])
-            self.total = np.concatenate([self.total, [c[-1] for c, _, _ in entries]])
-            self.size = np.concatenate([self.size, [len(c) for c, _, _ in entries]])
-            self.arrivals = np.concatenate([self.arrivals, [len(s) for _, _, s in entries]])
-            ids = self.id_of_code[code]
-        return ids
-
-
 # Books a batched cache holds before it first restarts from the books its runs hold.
 _BOOK_CAP = 1 << 15
 
 
 class _Books:
-    """Capped books interned for the batched form, with the books they lead to.
+    """Capped books interned for the batched form, with their tables and next books.
 
     A book is its residents' signed levels (+ asks, - bids) in submission
     order: a row of ``max_orders + 1`` small ints, padded with 0, so the
-    last column is always 0. Book i keeps its row, the ``_PaddedTables`` row
-    of its cache key, and a next-book row: entry c is the book that table
-    entry c leads to, -1 until a run takes it. Entry ``size`` (one past the
-    table) is the last entry's book, as the count of entries at or below
-    u * total reaches it when the product rounds to the total. Book 0 is
-    the empty book. When the books a step adds would take the set past its
-    limit, it restarts from book 0 and the books the runs hold. The limit is
-    :data:`_BOOK_CAP` at first, and after a restart the larger of that and
-    twice the set's size.
+    last column is always 0. Book i keeps its row, its table's id and a
+    next-book row: entry c is the book that table entry c leads to, -1
+    until a run takes it. Book 0 is the empty book. A key's table is built
+    once by ``_table`` under the scalar loop's key, as table t =
+    ``table_of[code]`` (-1 until then): column t of ``cum``, its cumulative
+    raw rates padded with +inf, ``total[t]``, its last rate, and row t of
+    ``move``, each entry's signed level or K + 1 + j for cancellation slot
+    j. The entry past the table repeats the last, as the count of entries at
+    or below u * total reaches it when the product rounds to the total, which
+    only a subnormal total allows. When the books a step adds would take the
+    set past its limit, it restarts from book 0 and the books the runs hold.
+    The limit is :data:`_BOOK_CAP` at first, and after a restart the larger
+    of that and twice the set's size.
     """
 
     def __init__(self, model: RateModel, caps: StateCaps, tables: dict):
         k, m = model.grid_size, caps.max_orders
-        self.k, self.m, self.padded = k, m, _PaddedTables(model, caps, tables)
+        self.model, self.caps, self.tables, self.k, self.m = model, caps, tables, k, m
         self.ids: dict[bytes, int] = {}
-        self.limit, self.width = _BOOK_CAP, self.padded.entries + 1
+        self.limit, self.width = _BOOK_CAP, 2 * k + m + 1
+        self.table_of = np.full((k + 1) ** 2 * (m + 1), -1)
+        self.cum, self.total = np.zeros((self.width - 1, 0)), np.zeros(0)
+        self.move = np.zeros((0, self.width), dtype=np.int64)
         self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k))
         self.table = np.zeros(0, dtype=np.int32)
         self.next = np.zeros((0, self.width), dtype=np.int32)
@@ -726,8 +694,27 @@ class _Books:
         return np.fromiter(map(ids.__getitem__, keys), np.int32, len(keys))
 
     def _add(self, rows: np.ndarray, start: int) -> None:
-        # The table first: an absorbing book raises before the set changes.
-        table = self.padded.ids(*_quotes(rows.astype(np.int64), self.k))
+        # The tables first, keyed by (bid, ask, n) as digits: an absorbing key raises
+        # before the set changes. The key holds the order count, so a table has all its slots.
+        k = self.k
+        bid, ask, n = _quotes(rows.astype(np.int64), k)
+        code = (bid * (k + 1) + ask - 1) * (self.m + 1) + n
+        missing = np.flatnonzero(self.table_of[code] < 0)
+        if missing.size:
+            slot = 1 if self.model.per_order_cancel_rate > 0.0 else 0
+            new = missing[np.unique(code[missing], return_index=True)[1]]
+            cum = np.full((new.size, self.width - 1), np.inf)
+            move, total = np.zeros((new.size, self.width), dtype=np.int64), []
+            for i, key in enumerate(zip((-bid[new]).tolist(), ask[new].tolist(), n[new].tolist())):
+                rates, _, levels = _table(self.tables, key, self.model, self.caps, key[2] * slot)
+                size, slots = len(rates), range(k + 1, k + 1 + key[2] * slot)
+                cum[i, :size], move[i, :size] = rates, [*levels, *slots]
+                move[i, size:] = move[i, size - 1]
+                total.append(rates[-1])
+            self.table_of[code[new]] = np.arange(new.size) + len(self.total)
+            self.cum = np.concatenate([self.cum, cum.T], axis=1)
+            self.total = np.concatenate([self.total, total])
+            self.move = np.concatenate([self.move, move])
         end = start + len(rows)
         if end > len(self.table):
             size = max(end, min(1 << (end - 1).bit_length(), self.limit))
@@ -735,7 +722,8 @@ class _Books:
                 np.concatenate([a[:start], np.empty((size - start, *a.shape[1:]), a.dtype)])
                 for a in (self.rows, self.table, self.next)
             )
-        self.rows[start:end], self.table[start:end], self.next[start:end] = rows, table, -1
+        self.rows[start:end], self.next[start:end] = rows, -1
+        self.table[start:end] = self.table_of[code]
 
     def advance(self, book: np.ndarray, choice: np.ndarray) -> np.ndarray:
         """The book each run reaches from ``book`` by table entry ``choice``."""
@@ -763,17 +751,16 @@ class _Books:
 
     def _apply(self, source: np.ndarray, entry: np.ndarray) -> np.ndarray:
         """The rows after table entry ``entry`` of each book in ``source``."""
-        m, padded, table = self.m, self.padded, self.table[source]
-        entry = np.minimum(entry, padded.size[table] - 1)
+        k, m = self.k, self.m
         rows = self.rows[source].astype(np.int64)
-        s = padded.level[table, entry]
-        bid, ask, n = _quotes(rows, self.k)
-        cancel = s == 0
+        s = self.move[self.table[source], entry]
+        bid, ask, n = _quotes(rows, k)
+        cancel = s > k
         opposite = np.where(s > 0, -bid, ask)
         cross = ~cancel & (opposite + s <= 0)
         rest = ~(cancel | cross)
         # The resident that leaves: slot j, or the oldest at the opposite best.
-        j = np.where(cancel, entry - padded.arrivals[table], m)
+        j = np.where(cancel, s - k - 1, m)
         j = np.where(cross, (rows == opposite[:, None]).argmax(axis=1), j)
         rows[np.flatnonzero(rest), n[rest]] = s[rest]
         columns = np.arange(m)
@@ -828,12 +815,13 @@ def _simulate_lockstep(
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
     A slot holds a run: its book's id in the :class:`_Books` set kept in
-    ``tables``, its stream's words and its first step, from which a replay of
-    its clock counts. Per slot, in the scalar loop's order: the waiting time,
-    pending checkpoints before the next event (each copies the book's row),
-    the horizon test, then the event, counted as ``bisect_right`` counts, and
-    the book it leads to (an absorbing book raises when it is first reached).
-    A stopped run's slot takes the next queued seed until the queue is empty.
+    ``tables``, its stream's words, the bounds it passed and its first step,
+    from which a replay of its clock counts. Per slot, in the scalar loop's
+    order: the waiting time, pending checkpoints before the next event (each
+    copies the book's row), the horizon test, then the event, counted in the
+    book's table as ``bisect_right`` counts, and the book it leads to (an
+    absorbing book raises when it is first reached). A stopped run's slot
+    takes the next queued seed until the queue is empty.
     """
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
@@ -852,7 +840,7 @@ def _simulate_lockstep(
     books = tables.get(_Books)
     if books is None:
         books = tables[_Books] = _Books(model, caps, tables)
-    padded, runs, intensity = books.padded, len(seeds), model.event_intensity
+    runs, intensity = len(seeds), model.event_intensity
     width = min(lockstep_width(model, caps), runs)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
@@ -866,9 +854,8 @@ def _simulate_lockstep(
     blocks = (_Streams(seeds[i : i + width]) for i in range(0, runs, width))
     streams, queued = next(blocks), width
     queue = streams.words[:, :0]
-    # Per slot: its run, book, bounds passed, next bound, clock and first step.
-    run, book = np.arange(width), np.zeros(width, dtype=np.int32)
-    passed, bound = np.zeros(width, dtype=np.int64), np.full(width, bounds[0])
+    # Per slot: its run, book, bounds passed, clock and first step.
+    run, book, passed = np.arange(width), np.zeros(width, dtype=np.int32), np.zeros(width, np.int64)
     now, admitted = np.zeros(width), np.zeros(width, dtype=np.int64)
     step = 0
     while run.size:
@@ -877,7 +864,7 @@ def _simulate_lockstep(
         # Near a bound it compares with (the next, or any it passes), a run takes the
         # scalar time; no run has taken more than step + 1 steps.
         slack = _clock_slack(step + 1)
-        hit = np.flatnonzero(bound <= t_next * (1 + slack))
+        hit = np.flatnonzero(bounds[passed] <= t_next * (1 + slack))
         go, stop = slice(None), hit[:0]
         if hit.size:
             near = np.maximum(np.searchsorted(bounds, t_next[hit] * (1 - slack)), passed[hit])
@@ -885,12 +872,11 @@ def _simulate_lockstep(
                 steps = step + 1 - int(admitted[i])
                 t_next[i] = _scalar_clock(int(seeds[run[i]]), steps, intensity)
             # Each run passes the bounds below its clock, taking its book at each.
-            over = hit[bound[hit] < t_next[hit]]
+            over = hit[bounds[passed[hit]] < t_next[hit]]
             while over.size:
                 held[passed[over], run[over]] = books.rows[book[over]]
                 passed[over] += 1
-                bound[over] = bounds[passed[over]]
-                over = over[bound[over] < t_next[over]]
+                over = over[bounds[passed[over]] < t_next[over]]
             stop = hit[passed[hit] > len(times)]
             if stop.size:
                 event_counts[run[stop]] = step - admitted[stop]
@@ -901,7 +887,7 @@ def _simulate_lockstep(
         # The event stage, for the slots whose run goes on.
         at = book[go]
         table = books.table[at]
-        choice = (padded.cum.take(table, axis=1) <= u_event[go] * padded.total[table]).sum(axis=0)
+        choice = (books.cum.take(table, axis=1) <= u_event[go] * books.total[table]).sum(axis=0)
         book[go] = books.advance(at, choice)
         if stop.size:
             # Stopped slots take the next queued runs; once the queue is empty, they go.
@@ -910,13 +896,13 @@ def _simulate_lockstep(
                 queue = np.concatenate([queue, next(blocks).words], axis=1)
             streams.words[:, fill], queue = queue[:, : fill.size], queue[:, fill.size :]
             run[fill], queued = np.arange(queued, queued + fill.size), queued + fill.size
-            book[fill], passed[fill], bound[fill] = 0, 0, bounds[0]
+            book[fill], passed[fill] = 0, 0
             now[fill], admitted[fill] = 0.0, step
             if drop.size:
                 keep = np.flatnonzero(passed <= len(times))
                 streams.words = streams.words[:, keep]
-                per_slot = run, book, passed, bound, now, admitted
-                run, book, passed, bound, now, admitted = (a[keep] for a in per_slot)
+                per_slot = run, book, passed, now, admitted
+                run, book, passed, now, admitted = (a[keep] for a in per_slot)
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,

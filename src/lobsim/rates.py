@@ -29,6 +29,16 @@ class AbsorbingStateError(RateModelError):
     """Raised when a state has no outgoing transition at all."""
 
 
+def _check_ints(obj, *names: str) -> None:
+    """:class:`RateModelError` unless each named field of frozen ``obj`` is an int, not a
+    bool; a numpy int is stored as an int, as the engine indexes lists with levels."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise RateModelError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 class AnchoringMode(Enum):
     """How DGX rank 1 is pinned to an absolute price level."""
 
@@ -45,6 +55,7 @@ class DgxParams:
     support_size: int
 
     def __post_init__(self) -> None:
+        _check_ints(self, "support_size")
         if not np.isfinite(self.mu):
             raise RateModelError(f"mu must be finite, got {self.mu}")
         if not 0 < self.sigma < np.inf:
@@ -90,6 +101,7 @@ class TraderGroup:
     bid_anchor: int
 
     def __post_init__(self) -> None:
+        _check_ints(self, "ask_anchor", "bid_anchor")
         if not 0.0 <= self.share <= 1.0:
             raise RateModelError(f"group share must lie in [0, 1], got {self.share}")
 
@@ -111,6 +123,7 @@ class RateModel:
     unit_quantity: int = 1
 
     def __post_init__(self) -> None:
+        _check_ints(self, "grid_size", "unit_quantity")
         problems = []
         if not 0 < self.event_intensity < np.inf:
             problems.append(f"event intensity must be finite and > 0: {self.event_intensity}")
@@ -185,12 +198,6 @@ class ArrivalRates:
     entries: tuple[tuple[EventDescriptor, float], ...]
     side_mass: dict[Side, float]
     dropped_mass: dict[Side, float]
-
-    def rate(self, side: Side, price_level: int) -> float:
-        kind = _ARRIVAL_KIND[side]
-        return sum(
-            r for d, r in self.entries if d.kind is kind and d.price_level == price_level
-        )
 
 
 def side_arrivals(
@@ -276,13 +283,6 @@ class EventRateTable:
     @property
     def normalization(self) -> float:
         return self.event_intensity / self.raw_total
-
-    def normalized_rates(self) -> list[tuple[EventDescriptor, float]]:
-        factor = self.normalization
-        return [(d, r * factor) for d, r in self.entries]
-
-    def probabilities(self) -> list[tuple[EventDescriptor, float]]:
-        return [(d, r / self.raw_total) for d, r in self.entries]
 
 
 class VacuumLookupError(RateModelError):

@@ -34,7 +34,14 @@ from lobsim.engine import (
 )
 from lobsim.observables import quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
-from lobsim.rates import AbsorbingStateError, AnchoringMode, DgxParams, RateModel, TraderGroup
+from lobsim.rates import (
+    AbsorbingStateError,
+    AnchoringMode,
+    DgxParams,
+    EventKind,
+    RateModel,
+    TraderGroup,
+)
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
@@ -425,6 +432,37 @@ def test_batched_runs_match_scalar_runs_on_drawn_models(
                     simulate(model, time_horizon=horizon, seed=seed, recording=recording, caps=caps)
             return
         assert_batch_matches_scalar(None, runs, case=(model, caps), **stop)
+
+
+def test_runs_past_the_table_take_its_last_entry(monkeypatch):
+    # With a subnormal cancellation rate the tiny model at its cap of 4 orders
+    # keeps only its four cancellation slots, 2e-323 in total, and u * total
+    # rounds to the total for every u > 0.875: the count of entries at or below
+    # it is one past the table, and each loop takes the last entry, as step()
+    # does. Under a normal total no u < 1 reaches it.
+    model, caps = ORACLE_MODELS["tiny"]()
+    model = replace(model, per_order_cancel_rate=5e-324)
+    seeds = derive_run_seeds(5, 200)
+    for seed in seeds[:20]:
+        assert_matches_reference(model, seed, caps=caps, time_horizon=5.0)
+    scalar = 0
+    for seed in seeds:
+        records = simulate(model, time_horizon=5.0, seed=seed, caps=caps).records
+        u_event = np.random.default_rng(seed).random(2 * len(records))[1::2].tolist()
+        n = 0
+        for u, record in zip(u_event, records):
+            scalar += n == 4 and u * (4 * 5e-324) == 4 * 5e-324
+            n += -1 if record.event.kind is EventKind.CANCELLATION else 1
+    batched, apply = [], lobsim.engine._Books._apply
+
+    def counted_apply(self, source, entry):
+        size = np.isfinite(self.cum[:, self.table[source]]).sum(axis=0)
+        batched.append(np.count_nonzero(entry == size))
+        return apply(self, source, entry)
+
+    monkeypatch.setattr(lobsim.engine._Books, "_apply", counted_apply)
+    assert_batch_matches_scalar(None, 200, time_horizon=5.0, case=(model, caps))
+    assert scalar > 100 and sum(batched) > 10, (scalar, sum(batched))
 
 
 def test_batched_checkpoints_at_scalar_event_times():

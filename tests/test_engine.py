@@ -68,7 +68,7 @@ class TestStep:
         state, _ = submit_order(empty_book(20), Side.BID, 10, 1)
         state, _ = submit_order(state, Side.BID, 9, 1)
         table = event_table(scenario1_model, state)
-        probabilities = {d: r for d, r in table.probabilities()}
+        probabilities = {d: r / table.raw_total for d, r in table.entries}
         rng = np.random.default_rng(2)
         n = 20_000
         counts: dict = {}
@@ -192,6 +192,32 @@ class TestSimulate:
         with pytest.raises(EngineError, match=match):
             simulate(model, seed=seed, recording=recording, caps=caps, **stop)
 
+    @pytest.mark.parametrize("seed", [1, [1, 2]], ids=["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "window, caps, match",
+        [
+            (-1, {}, "depth_window must be an integer >= 0, got -1"),
+            (2.5, {}, "depth_window must be an integer >= 0, got 2.5"),
+            (True, {}, "depth_window must be an integer >= 0, got True"),
+            (0, {"max_orders": -1}, "max_orders must be an integer >= 0, got -1"),
+            (0, {"max_orders": 2.5}, "max_orders must be an integer >= 0, got 2.5"),
+            (0, {"max_orders": "4"}, "max_orders must be an integer >= 0, got '4'"),
+            (0, {"max_quantity": 0}, "max_quantity must be an integer >= 1, got 0"),
+            (0, {"max_quantity": 1.5}, "max_quantity must be an integer >= 1, got 1.5"),
+            (0, {"max_quantity": True}, "max_quantity must be an integer >= 1, got True"),
+        ],
+    )
+    def test_recording_and_caps_checked_in_both_forms(self, window, caps, match, seed):
+        # Without the check a window of -1 returns the last 9 of 10 frames, numbered
+        # from 12, and batched runs with max_orders -1 or 2.5 fail inside numpy.
+        model, tiny_caps = ORACLE_MODELS["tiny-overlap"]()
+        recording = RecordingConfig(events=False, depth_window=window)
+        with pytest.raises(EngineError, match=match):
+            simulate(
+                model, time_horizon=1.0, seed=seed, recording=recording,
+                caps=replace(tiny_caps, **caps),
+            )
+
     @pytest.mark.parametrize("count", [7, np.int64(7)])
     def test_event_count_bounds_an_infinite_horizon(self, count):
         model, caps = ORACLE_MODELS["tiny-overlap"]()
@@ -270,6 +296,51 @@ class TestSimulate:
             # The appended cancellation tail holds the floats np.cumsum gives.
             expected = np.cumsum([rate for _, rate in entries]).tolist()
             assert cum[: len(expected)] == expected
+
+    @pytest.mark.parametrize("model_name", ["tiny-overlap", "tiny-opposite"])
+    def test_one_table_build_per_key_in_batched_runs(self, model_name, monkeypatch):
+        # Two batched calls share one cache. Each key a book reaches is built once,
+        # and the book set holds _table's entry as the key's table: its cumulative
+        # floats padded with +inf, and per entry the signed level or K + 1 + j for
+        # cancellation slot j, the last repeated past the table. The entry is
+        # event_table's on a book with the key's quotes and count.
+        model, caps = ORACLE_MODELS[model_name]()
+        k, table = model.grid_size, lobsim.engine._table
+        key_builds = []
+
+        def counting_table(tables, key, *args):
+            if key not in tables:
+                key_builds.append(key)
+            return table(tables, key, *args)
+
+        monkeypatch.setattr(lobsim.engine, "_table", counting_table)
+        tables: dict = {}
+        recording = RecordingConfig(events=False)
+        for base_seed in (1, 2):
+            seeds = derive_run_seeds(base_seed, 300)
+            simulate(model, time_horizon=2.0, seed=seeds, recording=recording, caps=caps,
+                     _tables=tables)
+        books = tables[lobsim.engine._Books]
+        assert len(key_builds) == len(set(key_builds)) == len(books.total) > 10
+        table_of = {}
+        for row, t in zip(books.rows[: len(books.ids)].tolist(), books.table.tolist()):
+            key = (min(row), min([s for s in row if s > 0], default=k + 1), len(row) - row.count(0))
+            assert table_of.setdefault(key, t) == t
+        assert sorted(table_of) == sorted(key_builds)
+        assert sorted(table_of.values()) == list(range(len(key_builds)))
+        for key, t in table_of.items():
+            cum, arrivals, levels = tables[key]
+            size = len(cum)
+            assert size == len(levels) + key[2]
+            assert books.cum[:size, t].tolist() == cum and np.isinf(books.cum[size:, t]).all()
+            assert books.total[t] == cum[-1]
+            move = books.move[t].tolist()
+            assert move[:size] == levels + list(range(k + 1, k + 1 + key[2]))
+            assert move[size:] == move[size - 1 : size] * (len(move) - size)
+            book = book_with_quotes(model, -key[0], key[1], key[2])
+            entries = event_table(model, book, caps=caps).entries
+            assert cum == np.cumsum([rate for _, rate in entries]).tolist()
+            assert levels == [signed_level(d) for d, _ in entries[: len(levels)]]
 
 
 def signed_level(descriptor):

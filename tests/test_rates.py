@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lobsim.book import Side, StateCaps, empty_book, submit_order
+from lobsim.engine import simulate
 from lobsim.rates import (
     AbsorbingStateError,
     AnchoringMode,
@@ -38,6 +39,22 @@ def two_bid_state(model):
     state, _ = submit_order(empty_book(model.grid_size), Side.BID, 10, 1)
     state, _ = submit_order(state, Side.BID, 9, 1)
     return state
+
+
+def arrival_rate(rates, side, level):
+    """The arrival rate an ``arrival_rates`` result gives ``side`` at ``level``."""
+    kind = EventKind.ARRIVAL_ASK if side is Side.ASK else EventKind.ARRIVAL_BID
+    return sum(r for d, r in rates.entries if d.kind is kind and d.price_level == level)
+
+
+def normalized_rates(table):
+    """An event table's entries with their rates scaled to total its event intensity."""
+    return [(d, r * table.normalization) for d, r in table.entries]
+
+
+def probabilities(table):
+    """An event table's entries with their rates as shares of its raw total."""
+    return [(d, r / table.raw_total) for d, r in table.entries]
 
 
 class TestDgx:
@@ -111,6 +128,43 @@ class TestModelValidation:
         with pytest.raises(RateModelError):
             RateModel(2, (group,), cancel_rate, intensity)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("support_size", 2.0),
+            ("support_size", True),
+            ("ask_anchor", 1.0),
+            ("bid_anchor", "2"),
+            ("grid_size", True),
+            ("grid_size", 2.0),
+            ("unit_quantity", 1.5),
+            ("unit_quantity", np.float64(1.0)),
+        ],
+    )
+    def test_integer_fields(self, field, value):
+        # A float would build and then size an order 1.5 or index a list; a bool
+        # is an int to Python but never a count or a level.
+        fields = {"support_size": 1, "ask_anchor": 2, "bid_anchor": 1}
+        fields |= {"grid_size": 2, "unit_quantity": 1}
+        fields[field] = value
+        with pytest.raises(RateModelError, match=f"{field} must be an integer"):
+            point = DgxParams(0.0, 1.0, fields["support_size"])
+            group = TraderGroup(1.0, point, point, fields["ask_anchor"], fields["bid_anchor"])
+            quantity = fields["unit_quantity"]
+            RateModel(fields["grid_size"], (group,), 0.1, 6.0, unit_quantity=quantity)
+
+    def test_numpy_integer_fields(self):
+        # Stored as ints: the engine indexes lists by levels and their signs.
+        point = DgxParams(0.0, 1.0, np.int64(1))
+        group = TraderGroup(1.0, point, point, np.int32(2), np.int64(1))
+        model = RateModel(np.int64(2), (group,), 0.1, 6.0, unit_quantity=np.int8(1))
+        assert type(point.support_size) is type(group.ask_anchor) is type(model.grid_size) is int
+        point = DgxParams(0.0, 1.0, 1)
+        assert model == RateModel(2, (TraderGroup(1.0, point, point, 2, 1),), 0.1, 6.0)
+        result = simulate(model, event_count=50, seed=3)
+        assert result.final_state.order_count() > 0
+        assert {o.quantity for o in result.final_state.orders_by_seq()} == {1}
+
 
 class TestArrivalRates:
     def test_scenario1_supports_and_mirror_symmetry(self):
@@ -122,8 +176,8 @@ class TestArrivalRates:
         assert ask_levels == set(range(9, 21))
         # rank r: bid level 12-(r-1) mirrors ask level 9+(r-1)
         for rank in range(1, 13):
-            bid = rates.rate(Side.BID, 12 - (rank - 1))
-            ask = rates.rate(Side.ASK, 9 + (rank - 1))
+            bid = arrival_rate(rates, Side.BID, 12 - (rank - 1))
+            ask = arrival_rate(rates, Side.ASK, 9 + (rank - 1))
             assert bid == pytest.approx(ask, abs=1e-15)
 
     def test_side_mass_is_one_per_side(self):
@@ -139,7 +193,7 @@ class TestArrivalRates:
         rates = arrival_rates(model, empty_book(20))
         pmf = dgx_pmf(DgxParams(1.0, 3.0, 12))
         for rank in range(1, 13):
-            assert rates.rate(Side.ASK, 9 + rank - 1) == pytest.approx(pmf[rank - 1])
+            assert arrival_rate(rates, Side.ASK, 9 + rank - 1) == pytest.approx(pmf[rank - 1])
 
     def test_two_group_mixture(self):
         model = build_rate_model(preset("scenario2"))
@@ -147,9 +201,9 @@ class TestArrivalRates:
         g1 = dgx_pmf(DgxParams(1.0, 3.0, 12))
         g2 = dgx_pmf(DgxParams(4.0, 1.0, 14))
         # ask level 9 is rank 1 for group 1 and rank 3 for group 2 (anchor 7)
-        assert rates.rate(Side.ASK, 9) == pytest.approx(0.7 * g1[0] + 0.3 * g2[2])
+        assert arrival_rate(rates, Side.ASK, 9) == pytest.approx(0.7 * g1[0] + 0.3 * g2[2])
         # ask level 7 is covered only by group 2
-        assert rates.rate(Side.ASK, 7) == pytest.approx(0.3 * g2[0])
+        assert arrival_rate(rates, Side.ASK, 7) == pytest.approx(0.3 * g2[0])
 
     def test_opposite_best_anchoring(self):
         point = DgxParams(0.0, 1.0, 2)
@@ -159,12 +213,12 @@ class TestArrivalRates:
         )
         # empty book: falls back to the static anchors
         rates = arrival_rates(model, empty_book(20))
-        assert rates.rate(Side.ASK, 10) > 0 and rates.rate(Side.BID, 11) > 0
+        assert arrival_rate(rates, Side.ASK, 10) > 0 and arrival_rate(rates, Side.BID, 11) > 0
         # with a best bid at 5, ask rank 1 re-anchors there
         state, _ = submit_order(empty_book(20), Side.BID, 5, 1)
         rates = arrival_rates(model, state)
-        assert rates.rate(Side.ASK, 5) > rates.rate(Side.ASK, 6) > 0
-        assert rates.rate(Side.ASK, 10) == 0.0
+        assert arrival_rate(rates, Side.ASK, 5) > arrival_rate(rates, Side.ASK, 6) > 0
+        assert arrival_rate(rates, Side.ASK, 10) == 0.0
 
     def test_opposite_best_truncation_flagged(self):
         point = DgxParams(0.0, 1.0, 3)
@@ -228,7 +282,7 @@ class TestEventTable:
         model = build_rate_model(preset("scenario2"))
         state = two_bid_state(model)
         table = event_table(model, state)
-        total = sum(r for _, r in table.normalized_rates())
+        total = sum(r for _, r in normalized_rates(table))
         assert total == pytest.approx(6.0, abs=1e-9)
         assert all(r >= 0 for _, r in table.entries)
 
@@ -237,7 +291,7 @@ class TestEventTable:
         table = event_table(model, empty_book(20))
         assert all(d.kind is not EventKind.CANCELLATION for d, _ in table.entries)
         assert table.raw_total == pytest.approx(2.0, abs=1e-12)
-        assert sum(r for _, r in table.normalized_rates()) == pytest.approx(6.0)
+        assert sum(r for _, r in normalized_rates(table)) == pytest.approx(6.0)
 
     def test_scaling_invariance(self):
         model = build_rate_model(preset("scenario1"))
@@ -247,11 +301,11 @@ class TestEventTable:
             7.5 * table.raw_total,
             table.event_intensity,
         )
-        for (d1, p1), (d2, p2) in zip(table.probabilities(), scaled.probabilities()):
+        for (d1, p1), (d2, p2) in zip(probabilities(table), probabilities(scaled)):
             assert d1 == d2
             assert p1 == pytest.approx(p2, rel=1e-12)
-        norm1 = dict((d, r) for d, r in table.normalized_rates())
-        norm2 = dict((d, r) for d, r in scaled.normalized_rates())
+        norm1 = dict((d, r) for d, r in normalized_rates(table))
+        norm2 = dict((d, r) for d, r in normalized_rates(scaled))
         for d in norm1:
             assert norm1[d] == pytest.approx(norm2[d], rel=1e-12)
 
@@ -267,7 +321,7 @@ class TestEventTable:
                 pytest.fail("bid arrival should have been capped")
             if descriptor.kind is EventKind.ARRIVAL_ASK:
                 assert descriptor.price_level <= 10
-        assert sum(r for _, r in table.normalized_rates()) == pytest.approx(6.0)
+        assert sum(r for _, r in normalized_rates(table)) == pytest.approx(6.0)
 
     def test_absorbing_state_raises(self):
         model = build_rate_model(preset("scenario1"))

@@ -143,6 +143,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"groups\[0\]\.{field} must be"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "group, top, problem",
+        [
+            ({"support": 2.0}, {}, "groups[0].support must be an integer, got 2.0"),
+            ({"ask_anchor": True}, {}, "groups[0].ask_anchor must be an integer, got True"),
+            ({}, {"grid_size": True}, "grid_size must be an integer, got True"),
+            ({}, {"unit_quantity": 1.5}, "unit_quantity must be an integer, got 1.5"),
+        ],
+    )
+    def test_integer_fields_keep_their_scenario_messages(self, group, top, problem):
+        # The scenario types its fields before it builds the model, so the model's
+        # own integer check never names them.
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"groups": [{**GROUP, **group}], **top})
+        assert excinfo.value.problems == [problem]
+
     def test_unknown_group_key_rejected(self):
         raw = {"groups": [{**GROUP, "weight": 1.0}]}
         with pytest.raises(ConfigError, match="unknown key 'weight' in groups\\[0\\]"):

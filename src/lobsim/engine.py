@@ -24,8 +24,9 @@ an arrival by its level alone. A side's arrivals depend only on the other
 side's best level (under static anchoring, on nothing), so a table
 joins two side rows of :func:`~lobsim.rates.side_arrivals`, each built
 once per cache under the key (side, opposite best or None): at most
-2(K + 1) rows, and no book. One ``np.cumsum`` over the joined rates gives
-``event_table``'s floats; a cumsum per side, offset, would not. Under caps
+2(K + 1) rows, and no book. One running sum of Python floats over the joined
+rates, left to right as ``np.cumsum`` adds, gives ``event_table``'s floats; a
+sum per side, offset, would not. Under caps
 a key (bid, ask, n) keeps no arrival above ``max_quantity``, else those
 after which the book holds at most ``max_orders``: every order has size
 ``unit_quantity``, so one that rests leaves n + 1 orders and one that
@@ -38,7 +39,7 @@ cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
 ``debug_invariants``, the final state); until then the last trade is a
 plain (price, time, aggressor). Each block of draws gets its clock at once, in
 C. Per event the loop logs one int, the move's signed level and kind, and per
-quote move (event, best): numpy rebuilds summary columns and frames from them.
+quote move (event, best): numpy rebuilds summary columns and depth counts from them.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays and returns their books as
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from math import log1p
 from operator import neg, truediv
@@ -102,11 +103,11 @@ class RecordingConfig:
     ``events`` retains one record per step, each with the best quotes after
     it. ``summary`` streams the columns
     :func:`~lobsim.observables.summarize_run` reduces, the only source of
-    run summaries. ``depth_window`` keeps depth profiles for the final N
-    steps (heatmap-style output). Book states are snapshotted at each time
-    in ``checkpoint_times``; a checkpoint past the simulated horizon is
-    simply absent from the result. ``collect_inter_event_times`` keeps the
-    waiting times.
+    run summaries. ``depth_window`` keeps per-level counts after each of the
+    final N steps (heatmap-style output), as :class:`DepthFrames`. Book states
+    are snapshotted at each time in ``checkpoint_times``, any iterable of real
+    numbers; a checkpoint past the simulated horizon, or at NaN, is absent
+    from the result. ``collect_inter_event_times`` keeps the waiting times.
     """
 
     events: bool = True
@@ -136,6 +137,33 @@ class DepthFrame:
 
 
 @dataclass
+class DepthFrames:
+    """A run's last ``depth_window`` events: row i of ``counts`` holds the orders per signed
+    level -K..K (bids at -1..-K, asks at 1..K) after event ``first + i``, ``fills[i]`` whether
+    it traded. Iterating builds each :class:`DepthFrame`, ``len`` none."""
+
+    first: int
+    counts: np.ndarray
+    fills: np.ndarray
+    unit_quantity: int
+
+    def __len__(self) -> int:
+        return len(self.fills)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not DepthFrames:
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+    def __iter__(self) -> Iterator[DepthFrame]:
+        k = self.counts.shape[1] // 2
+        bids, asks = slice(k - 1, None, -1), slice(k + 1, None)
+        for event, c, fill in zip(count(self.first), self.counts, self.fills.tolist()):
+            n = c * self.unit_quantity
+            yield DepthFrame(event, DepthProfile(k, c[bids], n[bids], c[asks], n[asks]), fill)
+
+
+@dataclass
 class SimulationResult:
     """A finished run: records per recording config, plus final state/time."""
 
@@ -144,7 +172,7 @@ class SimulationResult:
     final_time: float
     event_count: int
     checkpoints: dict[float, BookState]
-    depth_frames: list[DepthFrame]
+    depth_frames: Union[DepthFrames, tuple]  # () without a depth window
     inter_event_times: Optional[np.ndarray]
     summary_columns: Optional[SummaryColumns] = None
 
@@ -220,9 +248,9 @@ def _row(entries) -> tuple[list[EventDescriptor], list[int], list[float]]:
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], slots: int
 ) -> tuple[list[float], list[EventDescriptor], list[int]]:
-    """``key``'s entry (cumulative raw rates, arrivals, their signed levels), built
-    once from the side rows of its quotes, under caps keeping the arrivals the
-    count rule admits; cancellation slots are appended in place until ``slots`` fit."""
+    """``key``'s entry (cumulative raw rates, Python floats summed as ``np.cumsum`` sums,
+    arrivals, their signed levels), built once from the side rows of its quotes, under caps
+    keeping the arrivals the count rule admits; slots are appended in place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
         k, by_quotes = model.grid_size, model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
@@ -242,7 +270,7 @@ def _table(
         rates = rates + [model.per_order_cancel_rate] * slots
         if not rates:
             raise AbsorbingStateError("state has no outgoing transitions")
-        entry = tables[key] = np.cumsum(rates).tolist(), arrivals, levels
+        entry = tables[key] = list(accumulate(rates)), arrivals, levels
     cum, arrivals, _ = entry
     while len(cum) < len(arrivals) + slots:
         cum.append(cum[-1] + model.per_order_cancel_rate)
@@ -272,7 +300,8 @@ def simulate(
     seq). :class:`EngineError` otherwise. ``_tables`` is the table cache (see the
     module docstring); it may be shared across runs of one model and one ``caps``.
 
-    A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0, and
+    A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0,
+    ``recording.checkpoint_times`` an iterable of real numbers (not bools), and
     ``caps``' ``max_orders`` and ``max_quantity`` None or ones >= 0 and >= 1, else
     :class:`EngineError`.
 
@@ -287,6 +316,11 @@ def simulate(
     """
     _check_stop(event_count, time_horizon)
     _check_integer("depth_window", recording.depth_window, 0)
+    given, reals = recording.checkpoint_times, (int, float, np.integer, np.floating)
+    times = tuple(given) if isinstance(given, Iterable) else (None,)  # an iterator read once
+    if not all(isinstance(t, reals) and type(t) is not bool for t in times):
+        raise EngineError(f"checkpoint_times must be an iterable of real numbers, got {given!r}")
+    recording = replace(recording, checkpoint_times=times)
     for name, least in (("max_orders", 0), ("max_quantity", 1)):
         if getattr(caps, name, None) is not None:
             _check_integer(name, getattr(caps, name), least)
@@ -331,8 +365,9 @@ def simulate(
 
     # Table cache keys as the module docstring describes; no cancellation slots at
     # rate 0. A bound of -inf (``stale``) sends the next event down the rare path,
-    # which looks the table up again: first, after a quote moves under opposite-best
-    # anchoring, after every event under caps, and after a rest outgrows ``cum``.
+    # which looks the table up again: first, after every event under caps, after a
+    # rest outgrows ``cum``, and after a quote moves under opposite-best anchoring if
+    # the run is ``slow`` or the new quotes' key is not built (else ``switch`` takes it).
     slot = 1 if model.per_order_cancel_rate > 0.0 else 0
     capped = caps is not None
     by_quotes = capped or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
@@ -343,9 +378,10 @@ def simulate(
     stale = bound = -math.inf
 
     slow = recording.events or debug_invariants or capped
+    switch = by_quotes and not slow
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
-    pending, cp_index = [*sorted(recording.checkpoint_times), math.inf], 0
+    pending, cp_index = [*sorted(t for t in times if t <= math.inf), math.inf], 0  # drops NaN
     dts: list[float] = []
     # One code per event, 4 (s + k) + kind for the signed level s an order enters
     # (kind 2) or leaves by a cancellation (0) or a fill (1); per side, from event
@@ -376,7 +412,7 @@ def simulate(
                 while pending[cp_index] < t_next:
                     checkpoints[pending[cp_index]] = book_state()
                     cp_index += 1
-                bound = min(horizon, pending[cp_index])  # horizon if the checkpoint is NaN
+                bound = min(horizon, pending[cp_index])
 
             # i >= 0 is cancellation slot i; i < 0 is arrival i, counted from the end.
             i = bisect_right(cum, u_event * cum[hi - 1], 0, hi)
@@ -414,7 +450,12 @@ def simulate(
                     b += 1
                 best[x] = b
                 quote_log[x].extend((events, b))
-                if by_quotes:
+                if switch and (entry := tables.get((best[0], best[1], 0))):
+                    cum, arrivals, arrival_levels = entry
+                    n_arrivals, hi = len(arrival_levels), len(arrival_levels) + len(levels) * slot
+                    while len(cum) < hi:  # grown as _table grows it
+                        cum.append(cum[-1] + model.per_order_cancel_rate)
+                elif by_quotes:
                     bound = stale
 
             if slow:
@@ -445,7 +486,7 @@ def simulate(
         final_time=now,
         event_count=events,
         checkpoints=checkpoints,
-        depth_frames=_depth_frames(k, q, codes, at_level, window) if window else [],
+        depth_frames=_depth_frames(k, q, codes, at_level, window) if window else (),
         inter_event_times=np.asarray(dts[:events]) if recording.collect_inter_event_times else None,
         summary_columns=_summary_columns(k, codes, quote_log, sides) if recording.summary else None,
     )
@@ -473,21 +514,14 @@ def _summary_columns(k: int, codes: np.ndarray, quote_log: tuple, sides) -> Summ
     return SummaryColumns(quoted, np.abs(s[codes & 3 == 1]).tolist())
 
 
-def _depth_frames(k: int, q: int, codes: np.ndarray, at_level: list, window: int) -> list:
-    """The :class:`DepthFrame` of each of a run's last ``window`` events, from its move
-    codes and its final per-level counts: the final counts less the later moves."""
+def _depth_frames(k: int, q: int, codes: np.ndarray, at_level: list, window: int) -> DepthFrames:
+    """The :class:`DepthFrames` of a run's last ``window`` events, from its move codes
+    and its final per-level counts: the final counts less the later moves."""
     first, codes = max(len(codes) - window, 0), codes[-window:]  # window >= 1
     change = np.zeros((len(codes), 2 * k + 1), dtype=np.int64)
     change[np.arange(len(codes)), codes >> 2] = np.where(codes & 2, 1, -1)
-    # Columns are signed levels -k..k: bids at -1..-k, asks at 1..k.
     counts = np.array(at_level[-k:] + at_level[: k + 1]) - change.sum(axis=0)
-    counts = counts + change.cumsum(axis=0)
-    quantities, bids, asks = counts * q, slice(k - 1, None, -1), slice(k + 1, None)
-    fills = (codes & 3 == 1).tolist()
-    return [
-        DepthFrame(event, DepthProfile(k, c[bids], n[bids], c[asks], n[asks]), fill)
-        for event, c, n, fill in zip(count(first + 1), counts, quantities, fills)
-    ]
+    return DepthFrames(first + 1, counts + change.cumsum(axis=0), codes & 3 == 1, q)
 
 
 def _check_stop(event_count, time_horizon) -> None:

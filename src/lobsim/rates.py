@@ -236,7 +236,7 @@ def side_arrivals(
                 dropped += group.share * weight
     kind, q = _ARRIVAL_KIND[side], model.unit_quantity
     entries = tuple(
-        (EventDescriptor(kind, level, q), level_rates[level])
+        (EventDescriptor(kind, level, q), float(level_rates[level]))
         for level in sorted(level_rates)
         if level_rates[level] > 0.0
     )

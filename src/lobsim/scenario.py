@@ -301,27 +301,22 @@ def _recording_for(config: ScenarioConfig) -> RecordingConfig:
     )
 
 
-def _aggregate_heatmap(
-    config: ScenarioConfig, frames_per_run: list[list[engine.DepthFrame]]
-) -> list[str]:
-    """heatmap.csv's rows: per step of the window, side and level, the mean
-    quantity over completed runs and the share of them that traded."""
-    window, k, n = config.heatmap_window, config.grid_size, len(frames_per_run)
-    # Integer sums, exact in any order; each mean is one division by n.
-    quantity = np.zeros((window, 2, k), dtype=np.int64)
-    transacted = np.zeros(window, dtype=np.int64)
-    # A completed run has one frame per row, as the window fits in the run.
-    for frames in frames_per_run:
-        quantity += [(f.profile.bid_quantities, f.profile.ask_quantities) for f in frames]
-        transacted += [f.transacted for f in frames]
+def _heatmap_rows(quantities: np.ndarray, traded: np.ndarray, runs: int) -> list[str]:
+    """heatmap.csv's rows from the quantities per step and signed level -K..K and the
+    trades per step, summed over the ``runs`` completed runs: per step of the window,
+    side and level, the mean quantity and the share of runs that traded."""
+    window, k = len(traded), quantities.shape[1] // 2
+    # Integer sums, exact in any order; each mean is one division by the run count.
+    quantities = np.concatenate([quantities[:, k - 1 :: -1], quantities[:, k + 1 :]], axis=1)
     with np.errstate(invalid="ignore"):  # no completed run: every mean is NaN
-        means, shares = (quantity / n).tolist(), (transacted / n).tolist()
-    # repr is _format's shortest round-trip float.
+        means, shares = (quantities / runs).tolist(), (traded / runs).tolist()
+    # Steps, sides, levels and shares are formatted once; repr is _format's shortest float.
+    starts, ends = [f"{step}," for step in range(-window, 0)], [f",{s!r}\n" for s in shares]
+    cells = [f"{side.value},{level}," for side in (Side.BID, Side.ASK) for level in range(1, k + 1)]
     return [
-        f"{row - window},{side},{level + 1},{means[row][x][level]!r},{share!r}\n"
-        for row, share in enumerate(shares)
-        for x, side in enumerate((Side.BID.value, Side.ASK.value))
-        for level in range(k)
+        start + cell + repr(mean) + end
+        for start, end, row in zip(starts, ends, means)
+        for cell, mean in zip(cells, row)
     ]
 
 
@@ -352,7 +347,9 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
     recording = _recording_for(config)
     summaries: list[RunSummary] = []
     aborted: list[int] = []
-    frames_per_run: list[list[engine.DepthFrame]] = []
+    # Completed runs' depth windows, summed as they finish.
+    counts = np.zeros((recording.depth_window, 2 * config.grid_size + 1), dtype=np.int64)
+    traded = np.zeros(recording.depth_window, dtype=np.int64)
     event_csv: list[str] = []
 
     seeds = engine.derive_run_seeds(config.base_seed, config.runs)
@@ -372,12 +369,15 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
             continue
         summaries.append(summarize_run(result))
         if config.record == "heatmap":
-            frames_per_run.append(result.depth_frames)
+            counts += result.depth_frames.counts
+            traded += result.depth_frames.fills
         elif config.record == "events":
             event_csv.append(_event_csv(run_index, result))
 
     heatmap = (
-        _aggregate_heatmap(config, frames_per_run) if config.record == "heatmap" else None
+        _heatmap_rows(counts * model.unit_quantity, traded, config.runs - len(aborted))
+        if config.record == "heatmap"
+        else None
     )
     metadata = {
         "schema_version": SCHEMA_VERSION,

@@ -305,6 +305,27 @@ def test_horizons_at_event_times_at_draw_block_edges(event):
 
 
 @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
+def test_tables_switched_at_quote_moves(anchoring):
+    # Uncapped opposite-best runs without event records take the new quotes' table
+    # at a quote move; with records, the next event looks it up on the rare path.
+    # Per seed, both give the same summary columns and frames, from a fresh table
+    # cache or from one the earlier seeds warmed (its cum lists already grown).
+    model = scenario_model("scenario2", anchoring=anchoring)
+    warm: dict = {}
+    for seed in (31, 32, 33):
+        outputs = []
+        for events, tables in ((True, {}), (False, {}), (False, warm), (True, warm)):
+            recording = RecordingConfig(events=events, summary=True, depth_window=2000)
+            result = simulate(
+                model, event_count=2000, seed=seed, recording=recording, _tables=tables
+            )
+            columns = result.summary_columns
+            outputs.append((columns.quoted.tolist(), columns.prices, result.depth_frames))
+        assert all(output == outputs[0] for output in outputs[1:])
+        assert len(outputs[0][2]) == 2000
+
+
+@pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
 @pytest.mark.parametrize("stop", [dict(event_count=600), dict(time_horizon=100.0)])
 def test_depth_window_frames(anchoring, stop):
     model = scenario_model("scenario2", anchoring=anchoring)

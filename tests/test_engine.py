@@ -192,31 +192,52 @@ class TestSimulate:
         with pytest.raises(EngineError, match=match):
             simulate(model, seed=seed, recording=recording, caps=caps, **stop)
 
+    TIMES = "checkpoint_times must be an iterable of real numbers, got "
+
     @pytest.mark.parametrize("seed", [1, [1, 2]], ids=["scalar", "batched"])
     @pytest.mark.parametrize(
-        "window, caps, match",
+        "recorded, caps, match",
         [
-            (-1, {}, "depth_window must be an integer >= 0, got -1"),
-            (2.5, {}, "depth_window must be an integer >= 0, got 2.5"),
-            (True, {}, "depth_window must be an integer >= 0, got True"),
-            (0, {"max_orders": -1}, "max_orders must be an integer >= 0, got -1"),
-            (0, {"max_orders": 2.5}, "max_orders must be an integer >= 0, got 2.5"),
-            (0, {"max_orders": "4"}, "max_orders must be an integer >= 0, got '4'"),
-            (0, {"max_quantity": 0}, "max_quantity must be an integer >= 1, got 0"),
-            (0, {"max_quantity": 1.5}, "max_quantity must be an integer >= 1, got 1.5"),
-            (0, {"max_quantity": True}, "max_quantity must be an integer >= 1, got True"),
+            ({"depth_window": -1}, {}, "depth_window must be an integer >= 0, got -1"),
+            ({"depth_window": 2.5}, {}, "depth_window must be an integer >= 0, got 2.5"),
+            ({"depth_window": True}, {}, "depth_window must be an integer >= 0, got True"),
+            ({"checkpoint_times": ("1",)}, {}, TIMES + r"\('1',\)"),
+            ({"checkpoint_times": (None,)}, {}, TIMES + r"\(None,\)"),
+            ({"checkpoint_times": 5.0}, {}, TIMES + "5.0"),
+            ({"checkpoint_times": (0.5, True)}, {}, TIMES + r"\(0.5, True\)"),
+            ({}, {"max_orders": -1}, "max_orders must be an integer >= 0, got -1"),
+            ({}, {"max_orders": 2.5}, "max_orders must be an integer >= 0, got 2.5"),
+            ({}, {"max_orders": "4"}, "max_orders must be an integer >= 0, got '4'"),
+            ({}, {"max_quantity": 0}, "max_quantity must be an integer >= 1, got 0"),
+            ({}, {"max_quantity": 1.5}, "max_quantity must be an integer >= 1, got 1.5"),
+            ({}, {"max_quantity": True}, "max_quantity must be an integer >= 1, got True"),
         ],
     )
-    def test_recording_and_caps_checked_in_both_forms(self, window, caps, match, seed):
+    def test_recording_and_caps_checked_in_both_forms(self, recorded, caps, match, seed):
         # Without the check a window of -1 returns the last 9 of 10 frames, numbered
-        # from 12, and batched runs with max_orders -1 or 2.5 fail inside numpy.
+        # from 12, batched runs with max_orders -1 or 2.5 fail inside numpy, and
+        # checkpoint times of ("1",), (None,) or 5.0 raise TypeError.
         model, tiny_caps = ORACLE_MODELS["tiny-overlap"]()
-        recording = RecordingConfig(events=False, depth_window=window)
+        recording = RecordingConfig(events=False, **recorded)
         with pytest.raises(EngineError, match=match):
             simulate(
                 model, time_horizon=1.0, seed=seed, recording=recording,
                 caps=replace(tiny_caps, **caps),
             )
+
+    @pytest.mark.parametrize("seed", [5, [5]], ids=["scalar", "batched"])
+    def test_nan_checkpoint_time_is_absent(self, seed):
+        # A NaN time is never reached. The scalar form once took the final book at
+        # every checkpoint sorted after it; a generator of times is read once.
+        model, caps = ORACLE_MODELS["tiny-overlap"]()
+        held = []
+        for times in ((0.5, 2.0), (math.nan, 0.5, 2.0), (0.5, math.nan, 2.0), iter((2.0, 0.5))):
+            recording = RecordingConfig(events=False, checkpoint_times=times)
+            result = simulate(model, time_horizon=3.0, seed=seed, recording=recording, caps=caps)
+            books = result.checkpoints.items()
+            held.append({t: book if seed == 5 else book.tolist() for t, book in books})
+        assert held[0].keys() == {0.5, 2.0} and held[0][0.5] != held[0][2.0]
+        assert all(h == held[0] for h in held[1:])
 
     @pytest.mark.parametrize("count", [7, np.int64(7)])
     def test_event_count_bounds_an_infinite_horizon(self, count):
@@ -296,6 +317,8 @@ class TestSimulate:
             # The appended cancellation tail holds the floats np.cumsum gives.
             expected = np.cumsum([rate for _, rate in entries]).tolist()
             assert cum[: len(expected)] == expected
+            # Python floats: on numpy scalars the loop runs several percent slower.
+            assert all(type(x) is float for x in cum)
 
     @pytest.mark.parametrize("model_name", ["tiny-overlap", "tiny-opposite"])
     def test_one_table_build_per_key_in_batched_runs(self, model_name, monkeypatch):

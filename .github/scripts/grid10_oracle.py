@@ -3,11 +3,12 @@
 Usage: python .github/scripts/grid10_oracle.py static|opposite-best
 (lobsim installed, or PYTHONPATH=src from the repository root)
 
-One DGX(1, 3, 5) group, ask anchor 5, bid anchor 6, cancellation rate 0.1,
-event intensity 6, orders of size 1. ``static`` indexes at most 8 orders
-(238,238 states, int32 targets and row lookups at scale); ``opposite-best``
-indexes at most 9 under opposite-best anchoring (529,958 states, many quote
-groups). Prints the enumerate and build times and the process's peak RSS,
+The model, :func:`grid10_model`, is CI's one grid-10 model (``grid10_runs.py``
+imports it): one DGX(1, 3, 5) group, ask anchor 5, bid anchor 6,
+cancellation rate 0.1, event intensity 6, orders of size 1. ``static``
+indexes at most 8 orders (238,238 states, int32 targets and row lookups at
+scale); ``opposite-best`` indexes at most 9 under opposite-best anchoring
+(529,958 states, many quote groups). Prints the enumerate and build times and the process's peak RSS,
 which the build sets, so run each case in a fresh process; exits 1 when the
 shape, the digest or the peak RSS bound is off.
 """
@@ -18,7 +19,6 @@ import sys
 import time
 
 import numpy as np
-import scipy.sparse  # noqa: F401  (loaded before the clock starts, as in any later build)
 
 import lobsim
 from lobsim import oracle
@@ -46,17 +46,26 @@ CASES = {
 }
 
 
-def main(name: str) -> int:
-    max_orders, anchoring, budget, shape, expected, most_mib = CASES[name]
+def grid10_model(anchoring: lobsim.AnchoringMode) -> lobsim.RateModel:
+    """The grid-10 model under ``anchoring``."""
     params = lobsim.DgxParams(1.0, 3.0, 5)
     group = lobsim.TraderGroup(1.0, params, params, ask_anchor=5, bid_anchor=6)
-    model = lobsim.RateModel(
+    return lobsim.RateModel(
         grid_size=10,
         groups=(group,),
         per_order_cancel_rate=0.1,
         event_intensity=6.0,
         anchoring_mode=anchoring,
     )
+
+
+def main(name: str) -> int:
+    # Loaded here, not on import, so grid10_runs.py's peak RSS holds no scipy; and
+    # before the clock starts, as in any later build.
+    import scipy.sparse  # noqa: F401
+
+    max_orders, anchoring, budget, shape, expected, most_mib = CASES[name]
+    model = grid10_model(anchoring)
     start = time.perf_counter()
     index = oracle.enumerate_states(10, 1, max_orders, budget=budget)
     enumerated = time.perf_counter()

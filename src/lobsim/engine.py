@@ -16,25 +16,29 @@ the single-event reference on a :class:`BookState`, through the book core.
 Tables are cached by the key their arrivals depend on. Without caps that is
 ``()`` under static anchoring and the best quotes under opposite-best
 anchoring; under caps, the best quotes and the order count. Each table is
-built once per key by :func:`_table`; one flat-rate cancellation slot per
-resident follows the arrivals, appended in place as the book grows, so the
-table for n residents is a prefix of the table for n + 1. An entry also
-carries its arrivals' signed levels (+ asks, - bids), so the loop applies
-an arrival by its level alone. A side's arrivals depend only on the other
-side's best level (under static anchoring, on nothing), so a table
-joins two side rows of :func:`~lobsim.rates.side_arrivals`, each built
-once per cache under the key (side, opposite best or None): at most
-2(K + 1) rows, and no book. One running sum of Python floats over the joined
-rates, left to right as ``np.cumsum`` adds, gives ``event_table``'s floats; a
-sum per side, offset, would not. Under caps
-a key (bid, ask, n) keeps no arrival above ``max_quantity``, else those
-after which the book holds at most ``max_orders``: every order has size
-``unit_quantity``, so one that rests leaves n + 1 orders and one that
-crosses (filling a resident whole) n - 1. That is ``event_table``'s cap
-rule on any book with the key's quotes and count.
+built once per key by :func:`_table`, and holds only numbers: cumulative
+rates and the arrivals' signed levels (+ asks, - bids), so the loop applies
+an arrival, and a record builds its descriptor, by level alone. One
+flat-rate cancellation slot per resident follows the arrivals, appended in
+place as an uncapped book grows, so the table for n residents is a prefix of
+the table for n + 1. The event that changes a run's key (a quote move under
+opposite-best anchoring, any event under caps) takes the new key's table
+from the cache; only a run's first event, a key not built yet, and the
+checkpoint and horizon bounds take the rare path that calls :func:`_table`.
+A side's arrivals depend only on the other side's best level (under static
+anchoring, on nothing), so a table joins two side rows of
+:func:`~lobsim.rates.side_arrivals`, each built once per cache under the key
+(side, opposite best or None): at most 2(K + 1) rows, and no book. One
+running sum of Python floats over the joined rates, left to right as
+``np.cumsum`` adds, gives ``event_table``'s floats; a sum per side, offset,
+would not. Under caps a key (bid, ask, n) keeps no arrival above
+``max_quantity``, else those after which the book holds at most
+``max_orders``: every order has size ``unit_quantity``, so one that rests
+leaves n + 1 orders and one that crosses (filling a resident whole) n - 1.
+That is ``event_table``'s cap rule on any book with the key's quotes and count.
 
-The loop builds per-event objects only where a recording reads them: a
-cancellation's :class:`EventDescriptor` only under ``events``, and a trade's
+The loop builds per-event objects only where a recording reads them: an
+event's :class:`EventDescriptor` only under ``events``, and a trade's
 :class:`Transaction` only for a record or a book state (checkpoint,
 ``debug_invariants``, the final state); until then the last trade is a
 plain (price, time, aggressor). Each block of draws gets its clock at once, in
@@ -238,18 +242,17 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
-def _row(entries) -> tuple[list[EventDescriptor], list[int], list[float]]:
-    """Side arrivals, their signed levels (+ asks, - bids), and their raw rates."""
-    ask = EventKind.ARRIVAL_ASK
-    levels = [d.price_level if d.kind is ask else -d.price_level for d, _ in entries]
-    return [d for d, _ in entries], levels, [rate for _, rate in entries]
+def _row(entries) -> tuple[list[int], list[float]]:
+    """Side arrivals' signed levels (+ asks, - bids) and raw rates: numbers only."""
+    sign = {EventKind.ARRIVAL_ASK: 1, EventKind.ARRIVAL_BID: -1}
+    return [sign[d.kind] * d.price_level for d, _ in entries], [rate for _, rate in entries]
 
 
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], slots: int
-) -> tuple[list[float], list[EventDescriptor], list[int]]:
+) -> tuple[list[float], list[int]]:
     """``key``'s entry (cumulative raw rates, Python floats summed as ``np.cumsum`` sums,
-    arrivals, their signed levels), built once from the side rows of its quotes, under caps
+    and the arrivals' signed levels), built once from the side rows of its quotes, under caps
     keeping the arrivals the count rule admits; slots are appended in place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
@@ -259,20 +262,20 @@ def _table(
         for row in rows:
             if row not in tables:
                 tables[row] = _row(side_arrivals(model, *row)[0])
-        (asks, ask_levels, ask_rates), (bids, bid_levels, bid_rates) = (tables[r] for r in rows)
-        arrivals, levels, rates = asks + bids, ask_levels + bid_levels, ask_rates + bid_rates
+        (ask_levels, ask_rates), (bid_levels, bid_rates) = (tables[r] for r in rows)
+        levels, rates = ask_levels + bid_levels, ask_rates + bid_rates
         if caps is not None:
             # An arrival rests (n + 1 orders) unless it crosses the opposite best (n - 1).
             n, most = key[2], math.inf if caps.max_orders is None else caps.max_orders
             fits = caps.max_quantity is None or model.unit_quantity <= caps.max_quantity
             keep = [fits and n + (1 if key[s < 0] + s > 0 else -1) <= most for s in levels]
-            arrivals, levels, rates = (list(compress(x, keep)) for x in (arrivals, levels, rates))
+            levels, rates = list(compress(levels, keep)), list(compress(rates, keep))
         rates = rates + [model.per_order_cancel_rate] * slots
         if not rates:
             raise AbsorbingStateError("state has no outgoing transitions")
-        entry = tables[key] = list(accumulate(rates)), arrivals, levels
-    cum, arrivals, _ = entry
-    while len(cum) < len(arrivals) + slots:
+        entry = tables[key] = list(accumulate(rates)), levels
+    cum, levels = entry
+    while len(cum) < len(levels) + slots:
         cum.append(cum[-1] + model.per_order_cancel_rate)
     return entry
 
@@ -325,7 +328,7 @@ def simulate(
         if getattr(caps, name, None) is not None:
             _check_integer(name, getattr(caps, name), least)
     tables = _tables if _tables is not None else {}
-    if isinstance(seed, (Sequence, np.ndarray)):
+    if isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, (str, bytes, bytearray)):
         return _simulate_lockstep(
             model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants,
             tables,
@@ -351,7 +354,10 @@ def simulate(
     best, ends = [min(sides[0], default=0), min(sides[1], default=k + 1)], (0, k + 1)
     # The last trade is a Transaction, or (price, time, aggressor) until a book needs it.
     next_seq, last_trade = initial_state.next_seq, initial_state.last_transaction
-    aggressor = Side.BID, Side.ASK
+    aggressor, arrival = (Side.BID, Side.ASK), (EventKind.ARRIVAL_BID, EventKind.ARRIVAL_ASK)
+    # Under ``events``, the records share one arrival descriptor per signed level.
+    signed = range(-k, k + 1) if recording.events else ()
+    arrivals = {s: EventDescriptor(arrival[s > 0], abs(s), q) for s in signed if s}
 
     def last_transaction() -> Optional[Transaction]:
         nonlocal last_trade
@@ -363,13 +369,8 @@ def simulate(
     def book_state() -> BookState:
         return _book_state(k, q, seqs, levels, last_transaction(), next_seq)
 
-    # Table cache keys as the module docstring describes; no cancellation slots at
-    # rate 0. A bound of -inf (``stale``) sends the next event down the rare path,
-    # which looks the table up again: first, after every event under caps, after a
-    # rest outgrows ``cum``, and after a quote moves under opposite-best anchoring if
-    # the run is ``slow`` or the new quotes' key is not built (else ``switch`` takes it).
-    slot = 1 if model.per_order_cancel_rate > 0.0 else 0
-    capped = caps is not None
+    cancel_rate, capped = model.per_order_cancel_rate, caps is not None
+    slot = 1 if cancel_rate > 0.0 else 0  # no cancellation slots at rate 0
     by_quotes = capped or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     rng = np.random.default_rng(seed)
     intensity = model.event_intensity
@@ -377,8 +378,7 @@ def simulate(
     limit = math.inf if event_count is None else event_count
     stale = bound = -math.inf
 
-    slow = recording.events or debug_invariants or capped
-    switch = by_quotes and not slow
+    slow, rekey = recording.events or debug_invariants, capped
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
     pending, cp_index = [*sorted(t for t in times if t <= math.inf), math.inf], 0  # drops NaN
@@ -403,10 +403,9 @@ def simulate(
         times = islice(accumulate(waits, initial=now), 1, None)
         for events, t_next, u_event in zip(count(events + 1), times, islice(draws, 1, None, 2)):
             if t_next > bound:
-                slots = len(levels) * slot
                 key = (best[0], best[1], len(levels) if capped else 0) if by_quotes else ()
-                cum, arrivals, arrival_levels = _table(tables, key, model, caps, slots)
-                n_arrivals, hi = len(arrival_levels), len(arrival_levels) + slots
+                cum, arrival_levels = _table(tables, key, model, caps, len(levels) * slot)
+                n_arrivals, hi = len(arrival_levels), len(arrival_levels) + len(levels) * slot
                 if t_next > horizon:
                     break
                 while pending[cp_index] < t_next:
@@ -423,7 +422,7 @@ def simulate(
                 hi -= 1
                 move(4 * s + cancelled)
             else:
-                s = arrival_levels[i]
+                a = s = arrival_levels[i]
                 opposite = best[s < 0]
                 if opposite + s <= 0:
                     # Crosses: fills the oldest order at the best opposite level.
@@ -439,8 +438,8 @@ def simulate(
                     levels.append(s)
                     at_level[s] += 1
                     hi += slot
-                    if hi > len(cum):
-                        bound = stale
+                    if hi > len(cum) and not capped:  # a capped key keeps its n slots
+                        cum.append(cum[-1] + cancel_rate)
                     move(4 * s + rested)
                 next_seq += 1
             x = s > 0
@@ -450,26 +449,27 @@ def simulate(
                     b += 1
                 best[x] = b
                 quote_log[x].extend((events, b))
-                if switch and (entry := tables.get((best[0], best[1], 0))):
-                    cum, arrivals, arrival_levels = entry
+                rekey = by_quotes
+            if rekey:  # the key changed: switch tables as the module docstring describes
+                rekey = capped
+                if entry := tables.get((best[0], best[1], len(levels) if capped else 0)):
+                    cum, arrival_levels = entry
                     n_arrivals, hi = len(arrival_levels), len(arrival_levels) + len(levels) * slot
                     while len(cum) < hi:  # grown as _table grows it
-                        cum.append(cum[-1] + model.per_order_cancel_rate)
-                elif by_quotes:
+                        cum.append(cum[-1] + cancel_rate)
+                else:
                     bound = stale
 
             if slow:
                 if debug_invariants:
                     validate_book(book_state())
                 if recording.events:
-                    event = arrivals[i] if i < 0 else EventDescriptor(
+                    event = arrivals[a] if i < 0 else EventDescriptor(
                         EventKind.CANCELLATION, abs(s), q, target_order_id=seq
                     )
                     trade = (last_transaction(),) if moves[-1] & 3 == 1 else ()
                     quote = quote_snapshot(-best[0] or None, best[1] if best[1] <= k else None)
                     records.append(TrajectoryRecord(t_next, event, trade, quote))
-                if capped:
-                    bound = stale
         else:
             now = t_next
             continue
@@ -740,7 +740,7 @@ class _Books:
             cum = np.full((new.size, self.width - 1), np.inf)
             move, total = np.zeros((new.size, self.width), dtype=np.int64), []
             for i, key in enumerate(zip((-bid[new]).tolist(), ask[new].tolist(), n[new].tolist())):
-                rates, _, levels = _table(self.tables, key, self.model, self.caps, key[2] * slot)
+                rates, levels = _table(self.tables, key, self.model, self.caps, key[2] * slot)
                 size, slots = len(rates), range(k + 1, k + 1 + key[2] * slot)
                 cum[i, :size], move[i, :size] = rates, [*levels, *slots]
                 move[i, size:] = move[i, size - 1]

@@ -13,7 +13,7 @@ submission order, so queue order is checked as well as depth.
 
 import math
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest import mock
 
 import numpy as np
@@ -73,8 +73,10 @@ def assert_matches_reference(
     )
     # A checkpoint at an event's time holds the book right after that event.
     # Checkpoints at every event send each one down the loop's rare path, which
-    # looks its table up again; without them the loop keeps its table between
-    # quote moves (static anchoring, uncapped: throughout).
+    # looks its table up again. Without them only the first event and a key not
+    # built yet take it: the event that changes the key (a quote move under
+    # opposite-best anchoring, any event under caps) takes its table from the
+    # cache, and static uncapped runs keep one table throughout.
     result, plain = (
         simulate(
             model,
@@ -304,23 +306,32 @@ def test_horizons_at_event_times_at_draw_block_edges(event):
         assert_matches_reference(model, seed=24, time_horizon=horizon)
 
 
-@pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
-def test_tables_switched_at_quote_moves(anchoring):
-    # Uncapped opposite-best runs without event records take the new quotes' table
-    # at a quote move; with records, the next event looks it up on the rare path.
-    # Per seed, both give the same summary columns and frames, from a fresh table
-    # cache or from one the earlier seeds warmed (its cum lists already grown).
+@pytest.mark.parametrize(
+    "anchoring, caps",
+    [("static", None), ("opposite_best", None), ("opposite_best", StateCaps(max_orders=8))],
+    ids=["static", "opposite_best", "opposite_best-capped"],
+)
+def test_tables_switched_at_quote_moves(anchoring, caps):
+    # The event that changes a run's key (a quote move under opposite-best anchoring,
+    # any event under caps) takes the new key's table from the cache, with or without
+    # event records and invariant checks; only a key not built yet is looked up on
+    # the next event's rare path. Per seed, every variant gives the same summary
+    # columns, frames and final book, from a fresh table cache or from one the
+    # earlier seeds warmed (its cum lists already grown).
     model = scenario_model("scenario2", anchoring=anchoring)
     warm: dict = {}
     for seed in (31, 32, 33):
         outputs = []
-        for events, tables in ((True, {}), (False, {}), (False, warm), (True, warm)):
+        for events, checked, fresh in product((True, False), (False, True), (True, False)):
             recording = RecordingConfig(events=events, summary=True, depth_window=2000)
             result = simulate(
-                model, event_count=2000, seed=seed, recording=recording, _tables=tables
+                model, event_count=2000, seed=seed, recording=recording, caps=caps,
+                debug_invariants=checked, _tables={} if fresh else warm,
             )
             columns = result.summary_columns
-            outputs.append((columns.quoted.tolist(), columns.prices, result.depth_frames))
+            outputs.append(
+                (columns.quoted.tolist(), columns.prices, result.depth_frames, result.final_state)
+            )
         assert all(output == outputs[0] for output in outputs[1:])
         assert len(outputs[0][2]) == 2000
 

@@ -1,8 +1,8 @@
 """Engine: determinism, waiting-time law, event-frequency agreement with the
-rate table, one table build per cache key, the loop's tables against
-event_table on drawn models, books and caps, stop criteria, ensembles,
-steady-state behavior, the seed range, the replicated numpy streams of the
-batched form, and tied event selection."""
+rate table, one table build per cache key and one lookup per run on a warm
+cache, the loop's tables against event_table on drawn models, books and caps,
+stop criteria, ensembles, steady-state behavior, the seed range, the
+replicated numpy streams of the batched form, and tied event selection."""
 
 import math
 from bisect import bisect_right
@@ -273,9 +273,9 @@ class TestSimulate:
     @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
     def test_one_table_build_per_key(self, anchoring, monkeypatch):
         # Two runs share one cache. Each side row and each key's entry is built
-        # once, never again as the book grows, and every entry holds the
-        # arrivals, levels and cumulative floats of event_table on a book with
-        # the key's quotes.
+        # once, never again as the book grows, and every entry holds the signed
+        # levels of event_table's arrivals and its cumulative floats on a book
+        # with the key's quotes.
         model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
         k = model.grid_size
         side_arrivals, table = lobsim.engine.side_arrivals, lobsim.engine._table
@@ -306,19 +306,56 @@ class TestSimulate:
         else:
             assert len(key_builds) > 100
         for key in key_builds:
-            cum, arrivals, levels = tables[key]
+            cum, levels = tables[key]
             if key:
-                book = book_with_quotes(model, -key[0], key[1], len(cum) - len(arrivals))
+                book = book_with_quotes(model, -key[0], key[1], len(cum) - len(levels))
             else:
                 book = result.final_state
             entries = event_table(model, book).entries
-            assert arrivals == [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+            arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
             assert levels == [signed_level(d) for d in arrivals]
             # The appended cancellation tail holds the floats np.cumsum gives.
             expected = np.cumsum([rate for _, rate in entries]).tolist()
             assert cum[: len(expected)] == expected
             # Python floats: on numpy scalars the loop runs several percent slower.
             assert all(type(x) is float for x in cum)
+
+    @pytest.mark.parametrize(
+        "anchoring, recording, checked, caps",
+        [
+            ("static", RecordingConfig(events=False, summary=True), False, None),
+            ("opposite_best", RecordingConfig(events=False, depth_window=5000), False, None),
+            ("opposite_best", RecordingConfig(events=True), False, None),
+            ("opposite_best", RecordingConfig(events=False), True, None),
+            ("static", RecordingConfig(events=True), False, StateCaps(max_orders=8)),
+        ],
+        ids=["static", "opposite_best-heatmap", "opposite_best-events",
+             "opposite_best-debug_invariants", "static-capped-events"],
+    )
+    def test_one_table_lookup_per_run_on_a_warm_cache(
+        self, anchoring, recording, checked, caps, monkeypatch
+    ):
+        # Once every key a run reaches is built, the event that changes its key takes
+        # the table from the cache, so the run calls _table only at its first event:
+        # with or without records and invariant checks, capped or not.
+        model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
+        seeds, tables, calls = derive_run_seeds(7, 4), {}, []
+        run = partial(simulate, model, event_count=5000, caps=caps, _tables=tables)
+        for seed in seeds:  # the same books, so the same keys, as the counted runs
+            run(seed=seed, recording=RecordingConfig(events=False))
+        table = lobsim.engine._table
+
+        def counting_table(*args):
+            calls.append(args[1])
+            return table(*args)
+
+        monkeypatch.setattr(lobsim.engine, "_table", counting_table)
+        for seed in seeds:
+            run(seed=seed, recording=recording, debug_invariants=checked)
+        assert len(calls) == len(seeds)
+        if caps is not None:  # a capped key's entry keeps its n slots, as _Books reads it
+            entries = [(key[2], tables[key]) for key in tables if len(key) == 3]
+            assert entries and all(len(cum) == len(levels) + n for n, (cum, levels) in entries)
 
     @pytest.mark.parametrize("model_name", ["tiny-overlap", "tiny-opposite"])
     def test_one_table_build_per_key_in_batched_runs(self, model_name, monkeypatch):
@@ -352,7 +389,7 @@ class TestSimulate:
         assert sorted(table_of) == sorted(key_builds)
         assert sorted(table_of.values()) == list(range(len(key_builds)))
         for key, t in table_of.items():
-            cum, arrivals, levels = tables[key]
+            cum, levels = tables[key]
             size = len(cum)
             assert size == len(levels) + key[2]
             assert books.cum[:size, t].tolist() == cum and np.isinf(books.cum[size:, t]).all()
@@ -389,7 +426,8 @@ def book_with_quotes(model, bid, ask, n):
 def test_table_matches_event_table_on_drawn_books(case, drawn_caps):
     # The loop's entry for a book's key, built on its first event, against
     # the event_table of that book under the same caps; where event_table
-    # finds the book absorbing, simulate raises before its first event.
+    # finds the book absorbing, simulate raises before its first event. An
+    # event that rests appends its cancellation slot to an uncapped entry.
     model, book = case
     k, n = model.grid_size, book.order_count()
     caps = None
@@ -407,19 +445,21 @@ def test_table_matches_event_table_on_drawn_books(case, drawn_caps):
         with pytest.raises(AbsorbingStateError):
             run()
         return
-    run()
+    rested = run().final_state.order_count() > n
     if caps is not None:
         key = (-(book.best_bid() or 0), book.best_ask() or k + 1, n)
     elif model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
         key = ()
     else:
         key = (-(book.best_bid() or 0), book.best_ask() or k + 1, 0)
-    cum, arrivals, levels = tables[key]
-    assert cum == np.cumsum([rate for _, rate in entries]).tolist()
-    assert arrivals == [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
+    cum, levels = tables[key]
+    grown = rested and caps is None and model.per_order_cancel_rate > 0
+    rates = [rate for _, rate in entries] + [model.per_order_cancel_rate] * grown
+    assert cum == np.cumsum(rates).tolist()
+    arrivals = [d for d, _ in entries if d.kind is not EventKind.CANCELLATION]
     assert levels == [signed_level(d) for d in arrivals]
     if caps is not None and model.unit_quantity > (caps.max_quantity or math.inf):
-        assert arrivals == []
+        assert levels == []
 
 
 class TestEnsemble:
@@ -510,9 +550,10 @@ class TestSeeds:
         with pytest.raises(EngineError, match="seed must be an integer"):
             simulate(model, time_horizon=1.0, seed=[1, seed], recording=recording, caps=caps)
 
-    @pytest.mark.parametrize("seed", [True, False, np.True_])
+    @pytest.mark.parametrize("seed", [True, False, np.True_, "7", b"7", ""])
     def test_bool_seed_rejected(self, seed):
-        # bool is an int subclass: True would otherwise run as seed 1.
+        # bool is an int subclass: True would otherwise run as seed 1. A str or
+        # bytes seed is a sequence, but one seed, not a batch.
         model, caps = ORACLE_MODELS["tiny"]()
         recording = RecordingConfig(events=False)
         with pytest.raises(EngineError, match="seed must be an integer"):

@@ -3,8 +3,8 @@
 Usage: python .github/scripts/grid10_runs.py horizon-50|runs-20000
 (lobsim installed, or PYTHONPATH=src from the repository root)
 
-The model is ``grid10_oracle.grid10_model`` under opposite-best anchoring,
-capped at 9 orders of size 1, so the batched kernel runs 1,129 slots.
+The model is ``grid10-opposite-best`` of ``tests/golden.py``, capped at the
+9 orders of size 1 it indexes, so the batched kernel runs 1,129 slots.
 ``horizon-50`` steps 2,048 runs to t = 50, where most books are new: the book
 set's cap bounds the peak RSS (without it the set would hold about 300,000
 books and the run would peak near 185 MiB). ``runs-20000`` steps 20,000 runs
@@ -16,12 +16,13 @@ peak RSS bound is off.
 
 import resource
 import sys
+from pathlib import Path
 
-from grid10_oracle import grid10_model
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+import golden  # noqa: E402
 
-import lobsim
-from lobsim.book import StateCaps
-from lobsim.engine import RecordingConfig, derive_run_seeds, lockstep_width, simulate
+from lobsim.book import StateCaps  # noqa: E402
+from lobsim.engine import RecordingConfig, derive_run_seeds, lockstep_width, simulate  # noqa: E402
 
 # name: (runs, horizon, the event counts accepted, peak RSS bound in MiB). Peaks
 # measured on a 2-CPU Xeon VM (Python 3.11, numpy 2.4): 48.4-48.5 MiB at 615,985
@@ -37,8 +38,8 @@ SLOTS = 1_129
 
 def main(name: str) -> int:
     runs, horizon, events, most_mib = CASES[name]
-    model = grid10_model(lobsim.AnchoringMode.OPPOSITE_BEST)
-    caps = StateCaps(max_orders=9, max_quantity=1)
+    model, (_, max_quantity, max_orders, _) = golden.case_model("grid10-opposite-best")
+    caps = StateCaps(max_orders=max_orders, max_quantity=max_quantity)
     slots = lockstep_width(model, caps)
     result = simulate(
         model,

@@ -948,7 +948,10 @@ def _simulate_lockstep(
 
 def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
     """Deterministic, independent per-run seeds from one base seed: the words of
-    ``SeedSequence(base_seed).generate_state(runs, np.uint64)``, as ints."""
+    ``SeedSequence(base_seed).generate_state(runs, np.uint64)``, as ints.
+    :class:`EngineError` unless both are integers >= 0, not bools."""
+    _check_integer("base_seed", base_seed, 0)
+    _check_integer("runs", runs, 0)
     return _generate_state(np.random.SeedSequence(base_seed).pool, 2 * runs).tolist()
 
 
@@ -969,10 +972,10 @@ def run_ensemble(
     Results come back in run order; ``reduce`` maps each finished run to
     whatever should be kept (per-run summaries, final states, ...) so large
     ensembles do not hold every trajectory in memory. ``runs`` is an integer
-    >= 1 and ``base_seed`` one >= 0, else :class:`EngineError`.
+    >= 1 and ``base_seed`` one >= 0 (:func:`derive_run_seeds` checks it), else
+    :class:`EngineError`.
     """
     _check_integer("runs", runs, 1)
-    _check_integer("base_seed", base_seed, 0)
     seeds = derive_run_seeds(base_seed, runs)
     tables: dict = {}
     out: list = []

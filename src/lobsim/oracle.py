@@ -226,8 +226,9 @@ def enumerate_states(
 
     Crossed configurations are excluded: continuous trading resolves them
     inside a single transition, so they are never observable states of the
-    process. Raises :class:`OracleError` unless ``grid_size`` and
-    ``max_quantity`` are at least 1 and ``max_orders`` at least 0, and
+    process. Raises :class:`OracleError` unless the bounds and ``budget`` are
+    integers, not bools, ``grid_size`` and ``max_quantity`` are at least 1 and
+    ``max_orders`` at least 0, and
     :class:`StateSpaceBudgetError` past ``budget`` states, counted before any
     placement is built. Distinct queue orderings are distinct states because
     matching consumes the front of the queue first. Placements are grown
@@ -237,10 +238,14 @@ def enumerate_states(
     placements that fit beside it, in that order.
     """
     k, m, q = grid_size, max_orders, max_quantity
-    if k < 1 or q < 1 or m < 0:
+    integers = all(
+        isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in (k, q, m, budget)
+    )
+    if not (integers and k >= 1 and q >= 1 and m >= 0):
         raise OracleError(
-            f"bounds (grid_size {k}, max_quantity {q}, max_orders {m}) need"
-            " grid_size >= 1, max_quantity >= 1 and max_orders >= 0"
+            f"bounds (grid_size {k!r}, max_quantity {q!r}, max_orders {m!r}) need"
+            " grid_size >= 1, max_quantity >= 1 and max_orders >= 0; they and the"
+            f" budget ({budget!r}) must be integers, not bools"
         )
     count = _state_count(k, q, m)
     if count > budget:

@@ -22,9 +22,7 @@ from lobsim.book import (
     cancel_order,
     validate_book,
 )
-from lobsim.oracle import enumerate_states
 from lobsim.rates import AnchoringMode, DgxParams, RateModel, TraderGroup
-from lobsim.scenario import ORACLE_MODELS
 
 
 @dataclass
@@ -121,40 +119,6 @@ def random_crossed_book(rng: np.random.Generator, grid_size: int = 12) -> BookSt
         quantity = int(rng.integers(1, 4))
         state, _ = submit_order(state, side, level, quantity, matching=False)
     return state
-
-
-# name -> (DGX support, ask anchor, bid anchor, anchoring, unit quantity,
-# enumerate_states arguments); every case has mu 1, sigma 3 and cancel 0.1.
-ORACLE_CASES = {
-    # Orders of size 2 on a grid of 4: arrivals of 2 against residents of 1
-    # fill partially, and the supports overlap so arrivals cross.
-    "grid4-static": (3, 2, 3, AnchoringMode.STATIC_SUPPORT, 2, (4, 2, 4)),
-    "grid4-opposite-best": (3, 2, 3, AnchoringMode.OPPOSITE_BEST, 2, (4, 2, 4)),
-    # The 30,459-state static model of ROADMAP item 3.
-    "grid8-static": (4, 4, 5, AnchoringMode.STATIC_SUPPORT, 1, (8, 1, 7)),
-    # 20,213 states of orders of size 1 and 2; arrivals of 1 fill residents
-    # of 2 partially.
-    "grid5-opposite-best": (3, 2, 4, AnchoringMode.OPPOSITE_BEST, 1, (5, 2, 5)),
-}
-
-
-def oracle_case(name: str):
-    """(model, index) for a named oracle model or an entry of ``ORACLE_CASES``."""
-    if name in ORACLE_MODELS:
-        model, caps = ORACLE_MODELS[name]()
-        return model, enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
-    support, ask_anchor, bid_anchor, anchoring, unit_quantity, cutoffs = ORACLE_CASES[name]
-    params = DgxParams(mu=1.0, sigma=3.0, support_size=support)
-    group = TraderGroup(1.0, params, params, ask_anchor=ask_anchor, bid_anchor=bid_anchor)
-    model = RateModel(
-        grid_size=cutoffs[0],
-        groups=(group,),
-        per_order_cancel_rate=0.1,
-        event_intensity=6.0,
-        anchoring_mode=anchoring,
-        unit_quantity=unit_quantity,
-    )
-    return model, enumerate_states(*cutoffs)
 
 
 @st.composite

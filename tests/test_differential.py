@@ -19,6 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import DRAWN_CAPS, drawn_books
+from golden import case_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,14 +35,7 @@ from lobsim.engine import (
 )
 from lobsim.observables import quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
-from lobsim.rates import (
-    AbsorbingStateError,
-    AnchoringMode,
-    DgxParams,
-    EventKind,
-    RateModel,
-    TraderGroup,
-)
+from lobsim.rates import AbsorbingStateError, EventKind
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
@@ -627,16 +621,8 @@ def test_book_set_restarts_only_when_its_books_pass_the_limit(monkeypatch):
 def test_batched_runs_match_scalar_runs_on_grid10_opposite_best():
     # Grid 10, up to 9 orders, anchored on the opposite best: most (book,
     # entry) pairs a run takes are new, so nearly every step interns books.
-    params = DgxParams(1.0, 3.0, 5)
-    group = TraderGroup(1.0, params, params, ask_anchor=5, bid_anchor=6)
-    model = RateModel(
-        grid_size=10,
-        groups=(group,),
-        per_order_cancel_rate=0.1,
-        event_intensity=6.0,
-        anchoring_mode=AnchoringMode.OPPOSITE_BEST,
-    )
-    case = model, StateCaps(max_orders=9, max_quantity=1)
+    model, (_, max_quantity, max_orders, _) = case_model("grid10-opposite-best")
+    case = model, StateCaps(max_orders=max_orders, max_quantity=max_quantity)
     batch = assert_batch_matches_scalar(None, runs=100, case=case)
     assert np.count_nonzero(batch.final_books, axis=1).max() == 9
 

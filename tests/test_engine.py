@@ -523,8 +523,10 @@ class TestEnsemble:
             ({"runs": "3"}, "runs must be an integer >= 1, got '3'"),
             ({"runs": True}, "runs must be an integer >= 1, got True"),
             ({"runs": 0}, "runs must be an integer >= 1, got 0"),
+            ({"runs": -1}, "runs must be an integer >= 1, got -1"),
             ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
             ({"base_seed": 1.5}, r"base_seed must be an integer >= 0, got 1\.5"),
+            ({"base_seed": True}, "base_seed must be an integer >= 0, got True"),
             ({"base_seed": np.False_}, r"base_seed must be an integer >= 0, got (np\.)?False"),
         ],
     )
@@ -532,6 +534,10 @@ class TestEnsemble:
         model, caps = ORACLE_MODELS["tiny"]()
         with pytest.raises(EngineError, match=match):
             run_ensemble(model, **{"runs": 2, "events_per_run": 3, "caps": caps, **arguments})
+        # derive_run_seeds takes the same arguments, and 0 runs.
+        if arguments.get("runs") != 0:
+            with pytest.raises(EngineError, match=match.replace(">= 1", ">= 0")):
+                derive_run_seeds(**{"base_seed": 0, "runs": 2, **arguments})
 
     def test_numpy_integer_runs_and_base_seed_accepted(self):
         model, caps = ORACLE_MODELS["tiny"]()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ORACLE_CASES, oracle_case
+from golden import ORACLE_CASES, oracle_case
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -108,7 +108,12 @@ class TestEnumeration:
         with pytest.raises(OracleError, match="placement entries outside levels 1..2, sizes 1..1"):
             StateIndex(2, 1, 1, rows)
 
-    @pytest.mark.parametrize("bounds", [(2, 1, -1), (-1, 1, 1), (0, 1, 2), (2, 0, 2)])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(2, 1, -1), (-1, 1, 1), (0, 1, 2), (2, 0, 2)]
+        # Not integers, or bools: (2, 1, True) would index 5 states.
+        + [(2.5, 1, 1), (2, 1.5, 1), (2, 1, True), (2, 1, 1.0), (True, 1, 1), (2, 1, 1, 1e5)],
+    )
     def test_bounds_out_of_range_raise(self, bounds):
         with pytest.raises(OracleError, match="need grid_size >= 1"):
             enumerate_states(*bounds)
@@ -116,6 +121,9 @@ class TestEnumeration:
     def test_budget_exceeded(self):
         with pytest.raises(StateSpaceBudgetError):
             enumerate_states(6, 2, 6, budget=100)
+
+    def test_numpy_integer_bounds_accepted(self):
+        assert len(enumerate_states(np.int64(2), np.int32(1), np.int64(4), np.int64(35))) == 35
 
     @pytest.mark.parametrize(
         "bounds, count", [((12, 1, 10), 4_173_806), ((20, 2, 6), 73_449_769)]

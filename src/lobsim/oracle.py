@@ -130,22 +130,23 @@ class StateIndex:
     def __len__(self) -> int:
         return len(self.bid_placement)
 
-    def _ids(self, codes: np.ndarray, form: int) -> np.ndarray:
+    def _ids(self, codes: np.ndarray, form: int, start: Optional[np.ndarray] = None) -> np.ndarray:
         """Placement ids of rows of entry codes, level * max_quantity + quantity
         (0 keeps the node), within the bounds written in ``form`` (0 bid, 1 ask),
-        -1 for a row the index lacks."""
+        -1 for a row the index lacks. A row walks from the empty placement, or
+        from its ``start`` id: the placement its codes then extend."""
         child, width = self._child[form].ravel(), np.intp(self._child.shape[2])
-        node = np.zeros(len(codes), dtype=np.int32)
+        node = np.zeros(len(codes), dtype=np.int32) if start is None else start
         for code in codes.T:
-            node = child[node * width + code]  # flat gathers: faster than child[node, code]
+            node = child.take(node * width + code)  # flat gathers: faster than child[node, code]
         return np.where(node < len(self.placements), node, -1)
 
     def _find(self, bid: np.ndarray, ask: np.ndarray) -> np.ndarray:
         """Indices of the states pairing placements ``bid`` and ``ask``
         (elementwise), -1 where the pair is crossed or too long or an id is -1."""
         start, row, limit, fits = self._pairs
-        before = fits[row[bid] + ask]
-        return np.where((before >= 0) & (ask < limit[bid]), start[bid] + before, -1)
+        before = fits.take(row.take(bid) + ask)
+        return np.where((before >= 0) & (ask < limit.take(bid)), start.take(bid) + before, -1)
 
     def key(self, i: int) -> CanonicalKey:
         bids, asks = (
@@ -288,115 +289,111 @@ def build_generator(
     an empty column. A transition leaving the index raises ``KeyError``; a
     model on another grid than the index raises :class:`OracleError`.
 
-    Every event changes one side's placement and reaches the other side only
-    through the remainder of a fill, so transitions are tabulated per
-    placement with array operations: cancellations per order position and
-    fills per form and quantity, addressed through the index's append tables
-    (or chained from first-order removals where a fill takes whole orders);
-    rests scattered from the cancellations that undo them, one per order that
-    ends a level block. Slots run in event-table order (a group's arrivals,
-    then cancellation j for the states with more than j residents), each
-    keeping only its live transitions. Totals and outflows add each state's
-    rates in slot order, its diagonal follows every slot, and COO to CSC
-    keeps each column's entries in input order, so the float bytes match a
-    state-by-state assembly.
+    Every event changes one side's placement and reaches the other side only through
+    the remainder of a fill, so transitions are tabulated per placement with array
+    operations: cancellations per order position (the orders after it walked on from
+    the id of those before: one prefix walk), fills per form and quantity, chained
+    from first-order removals where a fill takes whole orders, and rests scattered
+    from the cancellations that undo them. Each (side, opposite best) arrival row is
+    read once. Slots run in event-table order (a group's arrivals, then cancellation
+    j for the states with more than j residents), each keeping its live transitions,
+    with the quantity-cap test only if an order exceeds that cap. Totals and
+    outflows add each state's rates in slot order, its diagonal follows every slot,
+    and COO to CSC keeps each column's entries in input order, so the float bytes
+    match a state-by-state assembly.
     """
     from scipy import sparse
 
-    if model.grid_size != index.grid_size:
-        raise OracleError(
-            f"model on a grid of {model.grid_size} levels, index on {index.grid_size}"
-        )
-    if caps is None:
-        caps = index.caps()
+    grid, omega = model.grid_size, model.per_order_cancel_rate
+    if grid != index.grid_size:
+        raise OracleError(f"model on a grid of {grid} levels, index on {index.grid_size}")
+    caps = index.caps() if caps is None else caps
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
     max_quantity = math.inf if caps.max_quantity is None else caps.max_quantity
-    omega = model.per_order_cancel_rate
     rows, length, best = index._rows, index._length, index._best
     n, (h, width, _) = len(index), rows[1].shape
-    column, p = np.arange(width), np.arange(h)
-    # Whether a placement holds an order above the quantity cap. Arrivals above
-    # it are dropped, so a result holds one only where its state did.
-    over = (index.placements[..., 1] > max_quantity).any(axis=1)
-    bid, ask = index.bid_placement, index.ask_placement
+    # Whether a placement holds an order above the quantity cap, if any does. Arrivals
+    # above it are dropped, so a result holds one only where its state did.
+    capped = index.placements[..., 1].max(initial=0) > max_quantity
+    over = (index.placements[..., 1] > max_quantity).any(axis=1) if capped else None
+    bid, ask, p = index.bid_placement, index.ask_placement, np.arange(h)
 
-    # Arrival lists, keyed like the engine's table cache: one under static
-    # anchoring, one per pair of best quotes under opposite-best.
-    if model.anchoring_mode is AnchoringMode.OPPOSITE_BEST:
-        quotes = best[0][bid] * (model.grid_size + 2) + best[1][ask]
-    else:
-        quotes = np.zeros(n, dtype=np.int64)
-    _, first, group = np.unique(quotes, return_index=True, return_inverse=True)
+    # Arrival lists, keyed like the engine's table cache (one under static anchoring, one per
+    # pair of best quotes under opposite-best), from side rows read once, keyed as _table's.
+    by_quotes = model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
+    quotes = best[0][bid] * (grid + 2) + best[1][ask] if by_quotes else np.full(n, grid + 1)
+    held = np.bincount(quotes) > 0  # the quote codes present, one group each, in code order
+    group = (np.cumsum(held) - 1)[quotes]
     arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
-    lists = []  # per group: (arrival id, ask?, price, raw rate) in event-table order
-    for b, a in zip(best[0][bid[first]].tolist(), best[1][ask[first]].tolist()):
+    lists, side_rows = [], {}  # per group: (arrival id, ask?, price, raw rate) in table order
+    for b, a in (divmod(code, grid + 2) for code in np.flatnonzero(held).tolist()):
         lists.append([])
-        sides = (Side.ASK, b or None), (Side.BID, a if a <= model.grid_size else None)
-        for d, rate in (entry for side in sides for entry in side_arrivals(model, *side)[0]):
-            if d.quantity <= max_quantity:
-                arrival = (d.side is Side.ASK, d.price_level, d.quantity)
-                arrival_id = arrival_ids.setdefault(arrival, len(arrival_ids))
-                lists[-1].append((arrival_id, *arrival[:2], rate))
+        for side in (Side.ASK, b or None), (Side.BID, a if a <= grid else None):
+            if side not in side_rows:
+                side_rows[side] = side_arrivals(model, *side)[0]
+            for d, rate in side_rows[side]:
+                if d.quantity <= max_quantity:
+                    arrival = (d.side is Side.ASK, d.price_level, d.quantity)
+                    arrival_id = arrival_ids.setdefault(arrival, len(arrival_ids))
+                    lists[-1].append((arrival_id, *arrival[:2], rate))
 
-    # removed[form][j, p]: placement p without element j of its row in that form,
-    # -1 past its length (slot j cancels element j of bids + asks, in submission
-    # order); drop[form][f, p]: p without its first f, read only where p has f.
-    codes = [r[..., 0] * index.max_quantity + r[..., 1] for r in rows]  # as _ids walks them
-    removed = np.full((2, width, h), -1, dtype=np.int32)
+    # removed[form][j, p]: placement p without element j of its row in that form, -1 past its
+    # length (slot j cancels element j of bids + asks, in submission order), by one prefix walk:
+    # the codes after entry j (codes[1][j + 1 :, p]; the last column is padding) walk on from
+    # node, the id of the row's first j. drop[form][f, p]: p without its first f, where it has f.
+    codes = [np.ascontiguousarray((r[..., 0] * index.max_quantity + r[..., 1]).T) for r in rows]
+    removed, node = np.full((2, width, h), -1, dtype=np.int32), np.zeros(h, dtype=np.int32)
     for j in range(width - 1):
-        has = np.flatnonzero(length > j)
-        shift = np.minimum(column + (column >= j), width - 1)
-        removed[1, j, has] = index._ids(codes[1][has][:, shift], 1)
-    removed[0] = np.take_along_axis(removed[1], index._flip.T, axis=0)
+        removed[1, j] = np.where(length > j, index._ids(codes[1][j + 1 : -1].T, 1, node), -1)
+        node = index._ids(codes[1][j : j + 1].T, 1, node)
+    removed[0] = removed[1].ravel().take(index._flip.T * h + p)
+    # spent[form][f, p]: the size of row p's first f orders, summed column by column (cumsum
+    # over short rows is slower); below[l, p]: p's orders at or below level l. All read flat.
+    sizes = np.stack([r[..., 1].T for r in rows])
     drop, first = np.empty_like(removed), removed[:, 0].ravel()  # both forms, flat
-    drop[:, 0] = p
+    drop[:, 0], spent = p, np.zeros_like(sizes)
     for f in range(1, width):
         drop[:, f] = first[drop[:, f - 1] + [[0], [h]]]
-
-    # Per form, spent[p, f]: the size of row p's first f orders; per placement,
-    # below[p, l]: its orders at or below level l (padding sits below level 0).
-    spent = [np.cumsum(r[..., 1], axis=1) - r[..., 1] for r in rows]
-    below = (rows[1][..., :1] <= np.arange(model.grid_size + 1)).sum(axis=1)
-    below -= (width - length)[:, None]
+        spent[:, f] = spent[:, f - 1] + sizes[:, f - 1]
+    below = np.bincount((rows[1][..., 0] * h + p[:, None]).ravel(), minlength=(grid + 1) * h)
+    below = below.reshape(-1, h).cumsum(axis=0) - (width - length)  # less padding, at level 0
     # Per form and quantity, every placement after a fill of it at any price:
     # the orders it takes whole dropped, and a row looked up where it takes part of one.
     unlimited = {}
     for form, quantity in {(int(not on_ask), q) for on_ask, _, q in arrival_ids}:
-        gone = np.minimum((spent[form] + rows[form][..., 1] <= quantity).sum(axis=1), length)
-        cut = quantity - spent[form][p, gone]
+        gone = np.minimum((spent[form] + sizes[form] <= quantity).sum(axis=0), length)
+        cut = quantity - spent[form].take(gone * h + p)
         part = np.flatnonzero((gone < length) & (cut > 0))
-        shift = np.minimum(column + gone[part, None], width - 1)
-        rest = np.take_along_axis(codes[form][part], shift, axis=1)
-        rest[:, 0] -= cut[part]  # the quantity left of the first order
-        unlimited[form, quantity] = drop[form, gone, p]
-        unlimited[form, quantity][part] = index._ids(rest, form)
+        shift = np.minimum(np.arange(width)[:, None] + gone[part], width - 1)
+        rest = np.take_along_axis(codes[form][:, part], shift, axis=0)
+        rest[0] -= cut[part]  # the quantity left of the first order
+        unlimited[form, quantity] = drop[form].take(gone * h + p)
+        unlimited[form, quantity][part] = index._ids(rest.T, form)
 
-    # Per arrival and opposite placement, the placement after the fill and the
-    # remainder: as in book.submit_order, all of the crossing front (the row's
-    # first f orders, drop[f]) if the quantity covers it, else its unlimited fill.
-    fill_to, fill_left = np.empty((2, len(arrival_ids), h), dtype=np.int32)
+    # Per arrival and opposite placement, the placement after the fill, the remainder r as
+    # its offset r * h in rest_to, and the orders left plus one if r > 0: as in submit_order,
+    # all of the crossing front (its first f, drop[f]) if covered, else the unlimited fill.
+    fill_to, fill_at, grown = np.empty((3, len(arrival_ids), h), dtype=np.int32)
     for (on_ask, price, quantity), a in arrival_ids.items():
         opposite = int(not on_ask)
-        front = length - below[:, price - 1] if on_ask else below[:, price]
-        taken, whole = spent[opposite][p, front], drop[opposite, front, p]
+        front = (length - below[price - 1] if on_ask else below[price]) * h + p
+        taken = spent[opposite].take(front)
+        whole, fill_at[a] = drop[opposite].take(front), np.maximum(quantity - taken, 0) * h
         fill_to[a] = np.where(quantity >= taken, whole, unlimited[opposite, quantity])
-        fill_left[a] = np.maximum(quantity - taken, 0)
-    # rest_to[price, r, p]: p with a remainder r rested behind its orders at levels
-    # up to price, one placement from either side (so on ask rows); -1 if not indexed.
-    # Resting is the inverse of cancelling the last order of a level block: each
-    # such order, at position `at` of placement `placed`, fills one entry.
+        grown[a] = length.take(fill_to[a]) + (quantity > taken)
+    # rest_to[price, r, p]: p (an ask row) with a remainder r rested behind its orders at
+    # levels up to price, -1 if not indexed. Resting undoes cancelling the last order of a
+    # level block: each such order, at position `at` of placement `placed`, fills one entry.
     top = max((q for _, _, q in arrival_ids), default=0)
-    rest_to = np.full((model.grid_size + 1, top + 1, h), -1, dtype=np.int32)
+    rest_to = np.full((grid + 1, top + 1, h), -1, dtype=np.int32)
     rest_to[:, 0] = p
-    level, size = rows[1][:, :-1, 0], rows[1][:, :-1, 1]
-    ends = (level > 0) & (level != rows[1][:, 1:, 0]) & (size <= top)
-    placed, at = np.nonzero(ends & (removed[1, :-1].T >= 0))
-    rest_to[level[placed, at], size[placed, at], removed[1, at, placed]] = placed
-    del ends, placed, at, codes  # held through the slots, they raise a large build's peak RSS
+    level, size = rows[1][..., 0].T, rows[1][..., 1].T
+    ends = (level[:-1] > 0) & (level[:-1] != level[1:]) & (size[:-1] <= top)
+    at, placed = np.nonzero(ends & (removed[1, :-1] >= 0))
+    rest_to[level[at, placed], size[at, placed], removed[1, at, placed]] = placed
+    del ends, placed, at, codes, sizes  # held through the slots, they raise a build's peak RSS
 
-    # Per slot, its kept transitions as (states, targets, raw rate); every
-    # state of a group shares its arrival list, so each side is a Python bool.
-    slots = []
+    slots = []  # per slot, its kept transitions as (states, targets, raw rate)
 
     def keep(states: np.ndarray, bid_to: np.ndarray, ask_to: np.ndarray, rate: float) -> None:
         targets = index._find(bid_to, ask_to)
@@ -405,17 +402,25 @@ def build_generator(
             raise KeyError(f"a transition from {index.key(i)} leaves the index")
         slots.append((states.astype(np.int32), targets.astype(np.int32), rate))
 
-    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-    for states, entries in zip(members, lists):
-        sides = bid[states], ask[states]
-        oversized = over[sides[0]] | over[sides[1]]
+    # A group's slots: one arrival list, so each side is a Python bool; temporaries freed on return.
+    def arrive(states: np.ndarray, entries: list) -> None:
+        sides = bid.take(states), ask.take(states)
+        counts = length.take(sides[0]), length.take(sides[1])  # read once per group
+        oversized = over.take(sides[0]) | over.take(sides[1]) if capped else None
         for a, on_ask, price, rate in entries:
             opposite, own = sides if on_ask else sides[::-1]
-            to, left = fill_to[a, opposite], fill_left[a, opposite]
-            live = length[to] + length[own] + (left > 0) <= max_orders
-            live &= ~(oversized & (over[to] | over[own]))
-            to, rested = to[live], rest_to[price, left[live], own[live]]
-            keep(states[live], *((to, rested) if on_ask else (rested, to)), rate)
+            live = grown[a].take(opposite) + counts[on_ask] <= max_orders
+            if capped:
+                live &= ~(oversized & (over.take(fill_to[a].take(opposite)) | over.take(own)))
+            kept = np.flatnonzero(live)
+            opposite, own = opposite.take(kept), own.take(kept)
+            to = fill_to[a].take(opposite)
+            rested = rest_to[price].ravel().take(fill_at[a].take(opposite) + own)
+            keep(states.take(kept), *((to, rested) if on_ask else (rested, to)), rate)
+
+    order = np.argsort(group, kind="stable").astype(np.int32)  # int32, as slots keep states
+    for states, entries in zip(np.split(order, np.cumsum(np.bincount(group))[:-1]), lists):
+        arrive(states, entries)
 
     cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
     on_bid = length[bid]
@@ -426,7 +431,7 @@ def build_generator(
         bid_to = np.where(from_bid, removed[0][j, b], b)
         ask_to = np.where(from_bid, a, removed[1][np.maximum(j - k, 0), a])
         keep(states, bid_to, ask_to, omega)
-    del fill_to, fill_left, rest_to, removed, drop, unlimited, spent, below  # before the copies
+    del fill_to, fill_at, grown, rest_to, removed, drop, unlimited, spent, below  # before copying
 
     # Every kept transition, slot after slot, then the diagonal of each state
     # with one. Kept rates are positive, so those states' totals are too, and

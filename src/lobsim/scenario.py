@@ -470,7 +470,9 @@ def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
     """Load metadata and per-run summary rows back from a bundle directory.
 
     Raises :class:`BundleError` when metadata.json is not JSON, summary.csv's
-    header is not :data:`SUMMARY_COLUMNS` or one of its cells is not a number.
+    header is not :data:`SUMMARY_COLUMNS`, one of its cells is not a number, or
+    its row count is not metadata.json's ``runs`` (every run, aborted or not,
+    writes one row).
     """
     out = Path(out_dir)
     try:
@@ -484,6 +486,11 @@ def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
                 rows.append({key: float(value) for key, value in row.items()})
     except (ValueError, TypeError, RecursionError) as exc:
         raise BundleError(f"malformed bundle {out}: {exc}") from exc
+    runs = metadata.get("runs") if isinstance(metadata, dict) else None
+    if type(runs) is not int or len(rows) != runs:
+        raise BundleError(
+            f"malformed bundle {out}: summary.csv holds {len(rows)} runs, metadata.json {runs!r}"
+        )
     return metadata, rows
 
 

@@ -20,6 +20,7 @@ from scipy import sparse
 import lobsim
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book, submit_order
 from lobsim.engine import RecordingConfig, run_ensemble, simulate
+from lobsim import oracle
 from lobsim.observables import ensemble_covariance, ensemble_moment
 from lobsim.oracle import (
     OracleError,
@@ -44,6 +45,7 @@ from lobsim.rates import (
     TraderGroup,
     apply_event,
     event_table,
+    side_arrivals,
 )
 from lobsim.scenario import ORACLE_MODELS, generator_diagnostics, validate_against_oracle
 
@@ -506,12 +508,14 @@ class TestGeneratorMatchesBookCore:
 def drawn_models(draw):
     """A small model with its index and caps no looser than the index: grid
     2-4, one or two trader groups, either anchoring, a cancellation rate that
-    may be 0, and orders of size 1-2."""
+    may be 0, and orders of size 1-2; on grid 2 with orders of 1, rows of up
+    to 10 orders, so removals and fills walk long rows."""
     grid = draw(st.integers(2, 4))
     max_quantity = draw(st.integers(1, 2))
-    # At most 601 states (grid 4, orders of 2, three orders), so 100 examples
-    # take about 2 s.
-    max_orders = draw(st.integers(2, 3 if grid * max_quantity > 4 else 4))
+    # At most 601 states (grid 4, orders of 2, three orders; grid 2 with ten
+    # orders of 1 has 176), so 100 examples take a few seconds.
+    longest = 10 if grid * max_quantity == 2 else 3 if grid * max_quantity > 4 else 4
+    max_orders = draw(st.integers(2, longest))
     groups = []
     shares = draw(st.sampled_from([(1.0,), (0.3, 0.7)]))
     for share in shares:
@@ -552,6 +556,22 @@ def test_generator_matches_book_core_on_drawn_models(case):
     assert_identical(generator, reference_generator(model, index, caps))
     # Every column of a generator sums to zero: what leaves a state arrives somewhere.
     assert generator_diagnostics(generator)[0] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tiny-opposite", "grid4-opposite-best"])
+def test_build_reads_each_side_row_once(name, monkeypatch):
+    # One (side, opposite best) row per side and best level of the other side
+    # (or none): at most 2(K + 1) reads, however many quote groups share them.
+    calls = []
+
+    def counted(model, side, opposite_best):
+        calls.append((side, opposite_best))
+        return side_arrivals(model, side, opposite_best)
+
+    monkeypatch.setattr(oracle, "side_arrivals", counted)
+    model, index = oracle_case(name)
+    build_generator(model, index)
+    assert len(calls) == len(set(calls)) <= 2 * (model.grid_size + 1)
 
 
 @pytest.fixture(scope="module")

@@ -367,6 +367,11 @@ class TestCli:
             ("metadata.json", "{}"),
             ("summary.csv", "run,events\n0,50\n"),
             ("summary.csv", ""),
+            # Rows short of metadata.json's runs: none, and one of two.
+            pytest.param("summary.csv", lambda text: text.splitlines(True)[0], id="header-only"),
+            pytest.param(
+                "summary.csv", lambda text: "".join(text.splitlines(True)[:-1]), id="a-row-short"
+            ),
             pytest.param(
                 "metadata.json", "[" * 100_000 + "]" * 100_000, id="nested-past-recursion-limit"
             ),
@@ -376,7 +381,8 @@ class TestCli:
         for name in ("a", "b"):
             main(["run", "--preset", "scenario1", "--runs", "2", "--events", "50",
                   "--out", str(tmp_path / name)])
-        (tmp_path / "b" / file).write_text(text)
+        path = tmp_path / "b" / file
+        path.write_text(text(path.read_text()) if callable(text) else text)
         capsys.readouterr()
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == EXIT_IO
         err = capsys.readouterr().err

@@ -16,9 +16,20 @@ extremes (level 1 for asks, ``grid_size`` for bids).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
+
+
+def is_integer(v) -> bool:
+    """Every entry point's integer rule: numpy's count, bools do not. Exact ints skip the ABC."""
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """Every entry point's real-number rule, as :func:`is_integer`; NaN is left to range checks."""
+    return type(v) in (int, float) or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class Side(Enum):
@@ -143,18 +154,9 @@ class BookState:
 
 def empty_book(grid_size: int = 20) -> BookState:
     """Fresh book with no resident orders and no transaction history."""
-    if grid_size < 1:
-        raise PriceGridError(f"grid_size must be >= 1, got {grid_size}")
-    return BookState(grid_size=grid_size, bids=(), asks=(), last_transaction=None, next_seq=1)
-
-
-def _check_price_and_quantity(state: BookState, price_level: int, quantity: int) -> None:
-    if not isinstance(price_level, int) or not 1 <= price_level <= state.grid_size:
-        raise PriceGridError(
-            f"price level {price_level} outside grid 1..{state.grid_size}"
-        )
-    if not isinstance(quantity, int) or quantity < 1:
-        raise OrderSizeError(f"quantity must be a positive integer, got {quantity}")
+    if not (is_integer(grid_size) and grid_size >= 1):
+        raise PriceGridError(f"grid_size must be >= 1, got {grid_size!r}")
+    return BookState(grid_size=int(grid_size), bids=(), asks=(), last_transaction=None, next_seq=1)
 
 
 def _insert_resting(
@@ -197,9 +199,16 @@ def submit_order(
     without execution (call-auction collection), which may leave the book
     crossed until :func:`auction_match` runs.
 
-    Returns the new state and the transactions in execution order.
+    Returns the new state and the transactions in execution order. :class:`OrderBookError`
+    unless ``side`` is a :class:`Side` and the level and quantity integers on the grid and >= 1.
     """
-    _check_price_and_quantity(state, price_level, quantity)
+    if not isinstance(side, Side):
+        raise OrderBookError(f"side must be a Side, got {side!r}")
+    if not (is_integer(price_level) and 1 <= price_level <= state.grid_size):
+        raise PriceGridError(f"price level {price_level} outside grid 1..{state.grid_size}")
+    if not (is_integer(quantity) and quantity >= 1):
+        raise OrderSizeError(f"quantity must be a positive integer, got {quantity}")
+    price_level, quantity = int(price_level), int(quantity)
 
     seq = state.next_seq
     transactions: list[Transaction] = []
@@ -256,10 +265,13 @@ def cancel_order(
 ) -> BookState:
     """Remove one resident order, matched by id, side, level, and quantity.
 
-    Raises :class:`VacuumAnnihilationError` when no order carries the id
+    Raises :class:`OrderBookError` when ``side`` is not a :class:`Side`,
+    :class:`VacuumAnnihilationError` when no order carries the id
     (cancelling into an empty slot), and :class:`DeltaMismatchError` when the
     id exists but side, price level, or quantity disagree.
     """
+    if not isinstance(side, Side):
+        raise OrderBookError(f"side must be a Side, got {side!r}")
     target = state.find_order(order_id)
     if target is None:
         raise VacuumAnnihilationError(f"no resident order with id {order_id}")

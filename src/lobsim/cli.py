@@ -73,18 +73,9 @@ def _load_scenario(args: argparse.Namespace) -> scenario.ScenarioConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_scenario(args)
-    overrides = {}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.events is not None:
-        overrides["events_per_run"] = args.events
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.record is not None:
-        overrides["record"] = args.record
-    if overrides:
-        config = replace(config, **overrides)
+    overrides = {"runs": args.runs, "events_per_run": args.events, "base_seed": args.seed}
+    overrides["record"] = args.record
+    config = replace(_load_scenario(args), **{k: v for k, v in overrides.items() if v is not None})
     bundle = scenario.run_scenario(config)
     written = scenario.write_bundle(bundle, args.out)
     for path in written:
@@ -126,15 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad usage, matching our config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "print-rates":
-            return _cmd_print_rates(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        commands = {"run": _cmd_run, "compare": _cmd_compare, "validate": _cmd_validate}
+        commands["print-rates"] = _cmd_print_rates
+        return commands[args.command](args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

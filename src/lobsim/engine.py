@@ -89,7 +89,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, validate_book
+from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, is_integer, is_real
+from .book import validate_book
 from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, quote_snapshot
 from .observables import depth, quotes, xlm  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .rates import AbsorbingStateError, AnchoringMode, EventDescriptor, EventKind, RateModel
@@ -319,9 +320,9 @@ def simulate(
     """
     _check_stop(event_count, time_horizon)
     _check_integer("depth_window", recording.depth_window, 0)
-    given, reals = recording.checkpoint_times, (int, float, np.integer, np.floating)
+    given = recording.checkpoint_times
     times = tuple(given) if isinstance(given, Iterable) else (None,)  # an iterator read once
-    if not all(isinstance(t, reals) and type(t) is not bool for t in times):
+    if not all(map(is_real, times)):
         raise EngineError(f"checkpoint_times must be an iterable of real numbers, got {given!r}")
     recording = replace(recording, checkpoint_times=times)
     for name, least in (("max_orders", 0), ("max_quantity", 1)):
@@ -534,8 +535,7 @@ def _check_stop(event_count, time_horizon) -> None:
     if counted:
         _check_integer("event_count", event_count, 0)
     if time_horizon is not None and not (
-        isinstance(time_horizon, (int, float, np.integer, np.floating))
-        and time_horizon >= 0 and (counted or time_horizon < math.inf)
+        is_real(time_horizon) and time_horizon >= 0 and (counted or time_horizon < math.inf)
     ):
         limit = "a number >= 0, finite without event_count"
         raise EngineError(f"time_horizon must be {limit}, got {time_horizon!r}")
@@ -543,7 +543,7 @@ def _check_stop(event_count, time_horizon) -> None:
 
 def _check_integer(name: str, value, least: int) -> None:
     """:class:`EngineError` unless ``value`` is an integer >= ``least``, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+    if not (is_integer(value) and value >= least):
         raise EngineError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -553,8 +553,7 @@ def _check_seeds(seeds) -> None:
     if set(map(type, seeds)) == {int} and 0 <= min(seeds) and max(seeds) < 1 << 64:
         return
     for seed in seeds:
-        integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not (integer and 0 <= int(seed) < 1 << 64):
+        if not (is_integer(seed) and 0 <= int(seed) < 1 << 64):
             raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .book import CanonicalKey, Side, StateCaps
+from .book import CanonicalKey, Side, StateCaps, is_integer, is_real
 from .rates import AnchoringMode, DgxParams, RateModel, TraderGroup, side_arrivals
 from .rates import apply_event, event_table  # noqa: F401  (bench/spans.py wraps both)
 
@@ -181,7 +181,7 @@ class StateIndex:
         1..``max_quantity``, or a book outside the index.
         """
         k, q, width = self.grid_size, self.max_quantity, self.max_orders + 1
-        if books.shape[-1:] != (width,) or not 1 <= quantity <= q:
+        if books.shape[-1:] != (width,) or not (is_integer(quantity) and 1 <= quantity <= q):
             raise OracleError(
                 f"books of shape {books.shape}, size {quantity}: need (..., {width}), sizes 1..{q}"
             )
@@ -239,15 +239,13 @@ def enumerate_states(
     placements that fit beside it, in that order.
     """
     k, m, q = grid_size, max_orders, max_quantity
-    integers = all(
-        isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in (k, q, m, budget)
-    )
-    if not (integers and k >= 1 and q >= 1 and m >= 0):
+    if not (all(map(is_integer, (k, q, m, budget))) and k >= 1 and q >= 1 and m >= 0):
         raise OracleError(
             f"bounds (grid_size {k!r}, max_quantity {q!r}, max_orders {m!r}) need"
             " grid_size >= 1, max_quantity >= 1 and max_orders >= 0; they and the"
             f" budget ({budget!r}) must be integers, not bools"
         )
+    k, m, q = int(k), int(m), int(q)  # a numpy int's q**m would wrap in the count
     count = _state_count(k, q, m)
     if count > budget:
         raise StateSpaceBudgetError(f"state space of {count} exceeds budget of {budget}")
@@ -477,8 +475,9 @@ def evolve(p0: Sequence[float], generator: sparse.spmatrix, t: float) -> np.ndar
     from scipy import sparse
 
     p = np.asarray(p0, dtype=float).copy()
-    if t < 0 or not math.isfinite(t):
-        raise OracleError(f"invalid evolution time {t}")
+    if not (is_real(t) and 0 <= t < math.inf):
+        raise OracleError(f"invalid evolution time {t!r}")
+    t = float(t)  # a numpy float32 t would run the Poisson sums in float32
     if generator.shape[0] != generator.shape[1] or generator.shape[0] != p.size:
         raise OracleError("generator and vector dimensions disagree")
     p = _check_probability_vector(p, "evolve input")

@@ -11,6 +11,7 @@ individual events untouched.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .book import BookState, Order, Side, StateCaps, cancel_order, submit_order
+from .book import BookState, Order, Side, StateCaps, cancel_order, is_integer, is_real, submit_order
 
 
 class RateModelError(Exception):
@@ -34,9 +35,19 @@ def _check_ints(obj, *names: str) -> None:
     bool; a numpy int is stored as an int, as the engine indexes lists with levels."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not is_integer(value):
             raise RateModelError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(obj, name, int(value))
+
+
+def _as_floats(obj, *names: str) -> None:
+    """Store each named real field of frozen ``obj`` as a float, +-inf past the float range."""
+    for name in names:
+        value = getattr(obj, name)
+        if is_integer(value) and abs(value) > sys.float_info.max:
+            value = np.inf if value > 0 else -np.inf
+        if is_real(value):
+            object.__setattr__(obj, name, float(value))
 
 
 class AnchoringMode(Enum):
@@ -56,10 +67,11 @@ class DgxParams:
 
     def __post_init__(self) -> None:
         _check_ints(self, "support_size")
-        if not np.isfinite(self.mu):
-            raise RateModelError(f"mu must be finite, got {self.mu}")
-        if not 0 < self.sigma < np.inf:
-            raise RateModelError(f"sigma must be positive and finite, got {self.sigma}")
+        _as_floats(self, "mu", "sigma")
+        if not (is_real(self.mu) and np.isfinite(self.mu)):
+            raise RateModelError(f"mu must be finite, got {self.mu!r}")
+        if not (is_real(self.sigma) and 0 < self.sigma < np.inf):
+            raise RateModelError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.support_size < 1:
             raise RateModelError(f"support_size must be >= 1, got {self.support_size}")
         with np.errstate(all="ignore"):
@@ -102,8 +114,9 @@ class TraderGroup:
 
     def __post_init__(self) -> None:
         _check_ints(self, "ask_anchor", "bid_anchor")
-        if not 0.0 <= self.share <= 1.0:
-            raise RateModelError(f"group share must lie in [0, 1], got {self.share}")
+        _as_floats(self, "share")
+        if not (is_real(self.share) and 0.0 <= self.share <= 1.0):
+            raise RateModelError(f"group share must lie in [0, 1], got {self.share!r}")
 
 
 @dataclass(frozen=True)
@@ -124,13 +137,15 @@ class RateModel:
 
     def __post_init__(self) -> None:
         _check_ints(self, "grid_size", "unit_quantity")
+        _as_floats(self, "per_order_cancel_rate", "event_intensity")
         problems = []
-        if not 0 < self.event_intensity < np.inf:
-            problems.append(f"event intensity must be finite and > 0: {self.event_intensity}")
-        if not 0 <= self.per_order_cancel_rate < np.inf:
-            problems.append(
-                f"cancellation rate must be finite and nonnegative, got {self.per_order_cancel_rate}"
-            )
+        if not isinstance(self.anchoring_mode, AnchoringMode):
+            problems.append(f"anchoring mode must be an AnchoringMode, got {self.anchoring_mode!r}")
+        if not (is_real(self.event_intensity) and 0 < self.event_intensity < np.inf):
+            problems.append(f"event intensity must be finite and > 0: {self.event_intensity!r}")
+        if not (is_real(self.per_order_cancel_rate) and 0 <= self.per_order_cancel_rate < np.inf):
+            rate = self.per_order_cancel_rate
+            problems.append(f"cancellation rate must be finite and nonnegative, got {rate!r}")
         if self.unit_quantity < 1:
             problems.append(f"unit quantity must be >= 1, got {self.unit_quantity}")
         if not self.groups:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import engine, observables, oracle
-from .book import Side
+from .book import Side, is_integer, is_real
 from .engine import RecordingConfig, SimulationResult
 from .engine import run_ensemble  # noqa: F401  (bench/spans.py wraps it)
 from .observables import RunSummary, summarize_run
@@ -98,14 +98,11 @@ class GroupConfig:
     ask_anchor: int
 
 
-# Field annotation -> (accepts a value, what the message says it must be).
+# Field annotation -> (accepts a value, its stored type, what the message says it must be).
 _TYPE_RULES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-        "a finite number",
-    ),
-    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (is_integer, int, "an integer"),
+    "float": (lambda v: is_real(v) and math.isfinite(v), float, "a finite number"),
+    "str": (lambda v: isinstance(v, str), str, "a string"),
 }
 # The scenario-only ranges; every model rule is checked by building the model.
 _MINIMUMS = {"grid_size": 1, "runs": 1, "events_per_run": 0, "base_seed": 0, "heatmap_window": 1}
@@ -113,16 +110,16 @@ _CHOICES = {"anchoring": ("static", "opposite_best"), "record": ("summary", "eve
 
 
 def _typed(obj, where: str = "") -> tuple[dict, list[str]]:
-    """``obj``'s field values, numbers stored as float, and its type problems."""
+    """``obj``'s field values, each stored as its field's plain type, and its type problems."""
     values, problems = {}, []
     for f in fields(obj):
         value = values[f.name] = getattr(obj, f.name)
         if f.type in _TYPE_RULES:
-            accepts, kind = _TYPE_RULES[f.type]
+            accepts, stored, kind = _TYPE_RULES[f.type]
             if not accepts(value):
                 problems.append(f"{where}{f.name} must be {kind}, got {value!r}")
-            elif f.type == "float":
-                values[f.name] = float(value)
+            else:
+                values[f.name] = stored(value)
     return values, problems
 
 
@@ -487,7 +484,7 @@ def read_summaries(out_dir: str | Path) -> tuple[dict, list[dict[str, float]]]:
     except (ValueError, TypeError, RecursionError) as exc:
         raise BundleError(f"malformed bundle {out}: {exc}") from exc
     runs = metadata.get("runs") if isinstance(metadata, dict) else None
-    if type(runs) is not int or len(rows) != runs:
+    if not is_integer(runs) or len(rows) != runs:
         raise BundleError(
             f"malformed bundle {out}: summary.csv holds {len(rows)} runs, metadata.json {runs!r}"
         )
@@ -669,10 +666,9 @@ def validate_against_oracle(
     problems = []
     if not (isinstance(model_name, str) and model_name in ORACLE_MODELS):
         problems.append(f"unknown oracle model {model_name!r}; choose from {sorted(ORACLE_MODELS)}")
-    accepts, kind = _TYPE_RULES["int"]
     for name, value, least in (("runs", runs, 1), ("seed", base_seed, 0)):
-        if not accepts(value):
-            problems.append(f"{name} must be {kind}, got {value!r}")
+        if not is_integer(value):
+            problems.append(f"{name} must be an integer, got {value!r}")
         elif value < least:
             problems.append(f"{name} must be >= {least}, got {value}")
     if problems:
@@ -716,7 +712,7 @@ def validate_against_oracle(
         tv_distances=tv_distances,
         tv_tolerance=TV_TOLERANCE,
         moment_checks=moment_checks,
-        runs=runs,
+        runs=int(runs),
     )
 
 

@@ -1,4 +1,7 @@
-"""Book core: matching, cancellation, auctions, and structural invariants."""
+"""Book core: matching, cancellation, auctions, structural invariants, and the input rule."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ import numpy as np
 
 from lobsim.book import (
     DeltaMismatchError,
+    OrderBookError,
     OrderSizeError,
     PriceGridError,
     Side,
@@ -40,6 +44,14 @@ class TestEmptyBook:
         book = empty_book()
         assert book.best_bid() is None
         assert book.best_ask() is None
+
+    @pytest.mark.parametrize("grid_size", [0, True, 5.0, "5", None, np.int64(5)])
+    def test_grid_size_is_an_integer_of_at_least_one(self, grid_size):
+        if type(grid_size) is np.int64:
+            assert type(empty_book(grid_size).grid_size) is int
+        else:
+            with pytest.raises(PriceGridError, match="grid_size must be >= 1"):
+                empty_book(grid_size)
 
 
 class TestSubmit:
@@ -77,15 +89,37 @@ class TestSubmit:
         assert len(trades) == 1 and trades[0].price_level == 10
         assert state.order_count() == 0
 
-    def test_off_grid_rejected(self):
-        with pytest.raises(PriceGridError):
-            submit_order(empty_book(20), Side.BID, 21, 1)
-        with pytest.raises(PriceGridError):
-            submit_order(empty_book(20), Side.BID, 0, 1)
+    # A bool is never a level or a quantity; a numpy integer is, stored as an int.
+    @pytest.mark.parametrize("level", [21, 0, True, np.True_, 2.0, "2", np.int64(2)])
+    def test_off_grid_rejected(self, level):
+        if type(level) is np.int64:
+            state, _ = submit_order(empty_book(20), Side.BID, level, 1)
+            assert type(state.bids[0].price_level) is int and state.best_bid() == 2
+        else:
+            with pytest.raises(PriceGridError):
+                submit_order(empty_book(20), Side.BID, level, 1)
 
-    def test_bad_quantity_rejected(self):
-        with pytest.raises(OrderSizeError):
-            submit_order(empty_book(), Side.BID, 10, 0)
+    @pytest.mark.parametrize("quantity", [0, True, 1.0, "1", np.int64(2)])
+    def test_bad_quantity_rejected(self, quantity):
+        if type(quantity) is np.int64:
+            state, _ = submit_order(empty_book(), Side.BID, 10, quantity)
+            assert type(state.bids[0].quantity) is int and state.bids[0].quantity == 2
+        else:
+            with pytest.raises(OrderSizeError):
+                submit_order(empty_book(), Side.BID, 10, quantity)
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda state: submit_order(state, "ask", 2, 1),
+            lambda state: cancel_order(state, "ask", 10, 2, 1),
+        ],
+        ids=["submit", "cancel"],
+    )
+    def test_side_must_be_a_side(self, operation):
+        # A string side was filed on the bid side, or failed formatting a mismatch.
+        with pytest.raises(OrderBookError, match="side must be a Side, got 'ask'"):
+            operation(book_with((Side.ASK, 10, 2)))
 
     def test_matching_disabled_queues_crossed(self):
         state = book_with((Side.BID, 10, 1))
@@ -227,3 +261,38 @@ class TestInvariants:
         assert state.order_count() == 20
         seqs = [o.seq for o in state.orders_by_seq()]
         assert seqs == sorted(set(seqs))
+
+
+def _bool_exclusion(node: ast.AST) -> bool:
+    """Whether ``node`` tells a bool apart: ``isinstance(x, bool)`` (also in a tuple of
+    types) or a comparison of a type with ``bool`` (``type(x) is not bool``); ``np.bool_``
+    counts as ``bool``."""
+    named = lambda n: (getattr(n, "id", None) or getattr(n, "attr", None)) in ("bool", "bool_")
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        kinds = node.args[1:]
+        return any(named(n) for k in kinds for n in (k.elts if isinstance(k, ast.Tuple) else [k]))
+    if isinstance(node, ast.Compare):
+        return any(named(n) for n in (node.left, *node.comparators))
+    return False
+
+
+def test_bool_is_excluded_only_by_the_two_predicates():
+    # The input rule lives in book.is_integer and book.is_real; a bool check anywhere
+    # else is a second copy of it that can drift.
+    sources = Path(__file__).resolve().parent.parent / "src" / "lobsim"
+    predicates, found = {}, []
+    for path in sorted(sources.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for node in ast.walk(tree):
+            if path.name == "book.py" and getattr(node, "name", None) in ("is_integer", "is_real"):
+                body = list(ast.walk(node))
+                predicates[node.name] = sum(map(_bool_exclusion, body))
+                inside.update(map(id, body))
+        found += [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if _bool_exclusion(n) and id(n) not in inside
+        ]
+    assert predicates == {"is_integer": 1, "is_real": 1}
+    assert found == []

@@ -182,6 +182,7 @@ class TestSimulate:
             ({"event_count": 5, "time_horizon": -math.inf}, HORIZON),
             ({"event_count": "5"}, "event_count must be an integer"),
             ({"time_horizon": "1.0"}, HORIZON),
+            ({"time_horizon": True}, HORIZON),
         ],
     )
     def test_stop_arguments_checked_in_both_forms(self, stop, match, seed):

@@ -128,7 +128,10 @@ class TestEnumeration:
         assert len(enumerate_states(np.int64(2), np.int32(1), np.int64(4), np.int64(35))) == 35
 
     @pytest.mark.parametrize(
-        "bounds, count", [((12, 1, 10), 4_173_806), ((20, 2, 6), 73_449_769)]
+        "bounds, count",
+        # A numpy max_quantity wrapped q**2 to 0 in the count, which undercounted.
+        [((12, 1, 10), 4_173_806), ((20, 2, 6), 73_449_769)]
+        + [((1, np.int64(2**32), 2), 36_893_488_156_009_037_825)],
     )
     def test_budget_is_checked_before_placements_are_built(self, bounds, count):
         # Building every placement of these first would take seconds and
@@ -290,7 +293,8 @@ class TestPositions:
         assert np.array_equal(index.positions(books), np.arange(129))
 
     @pytest.mark.parametrize(
-        "shape, quantity", [((2, 4), 1), ((2, 6), 1), ((2, 2, 2), 1), ((5,), 0), ((5,), 2)]
+        "shape, quantity",
+        [((2, 4), 1), ((2, 6), 1), ((2, 2, 2), 1), ((5,), 0), ((5,), 2), ((5,), True)],
     )
     def test_rows_of_another_width_or_size_raise(self, shape, quantity):
         index = enumerate_states(2, 1, 4)
@@ -672,6 +676,8 @@ class TestEvolve:
     def test_mass_conserved(self, system):
         index, generator = system
         p0 = vacuum_vector(index)
+        # A float32 time ran the Poisson sums in float32, which never reach 1 - 1e-10.
+        assert np.array_equal(evolve(p0, generator, np.float32(0.5)), evolve(p0, generator, 0.5))
         for t in (0.1, 0.5, 1.0, 2.0, 10.0):
             p = evolve(p0, generator, t)
             assert abs(p.sum() - 1.0) < 1e-9
@@ -709,6 +715,9 @@ class TestEvolve:
         p0 = vacuum_vector(index)
         with pytest.raises(OracleError):
             evolve(p0, generator, -1.0)
+        for t in (True, "a"):  # t=True ran to 1, "a" failed comparing with 0
+            with pytest.raises(OracleError, match="invalid evolution time"):
+                evolve(p0, generator, t)
         with pytest.raises(OracleError):
             evolve(p0[:-1], generator, 1.0)
         bad = p0.copy()

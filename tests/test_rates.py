@@ -153,6 +153,54 @@ class TestModelValidation:
             quantity = fields["unit_quantity"]
             RateModel(fields["grid_size"], (group,), 0.1, 6.0, unit_quantity=quantity)
 
+    CANCEL_RATE = "cancellation rate must be finite and nonnegative, got"
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("sigma", True, "sigma must be positive and finite, got True"),
+            ("mu", "a", "mu must be finite, got 'a'"),
+            ("share", "1", "group share must lie in [0, 1], got '1'"),
+            ("share", 10**400, "group share must lie in [0, 1], got inf"),
+            ("per_order_cancel_rate", "0.1", f"{CANCEL_RATE} '0.1'"),
+            ("event_intensity", True, "event intensity must be finite and > 0: True"),
+        ],
+        ids=["sigma-bool", "mu-str", "share-str", "share-huge", "cancel-str", "intensity-bool"],
+    )
+    def test_real_fields(self, field, value, problem):
+        # The companion of test_integer_fields: a bool is no rate, and a string must
+        # raise the model's error, not a TypeError from the range check.
+        fields = {"mu": 0.0, "sigma": 1.0, "share": 1.0}
+        fields |= {"per_order_cancel_rate": 0.1, "event_intensity": 6.0}
+        fields[field] = value
+        with pytest.raises(RateModelError) as excinfo:
+            point = DgxParams(fields["mu"], fields["sigma"], 1)
+            group = TraderGroup(fields["share"], point, point, 2, 1)
+            RateModel(2, (group,), fields["per_order_cancel_rate"], fields["event_intensity"])
+        assert str(excinfo.value) == problem
+
+    def test_numpy_real_fields(self):
+        # Stored as floats: a float32 intensity would otherwise time the run in float32.
+        point = DgxParams(np.float32(0.5), np.float64(1.0), 1)
+        group = TraderGroup(np.float32(1.0), point, point, 2, 1)
+        model = RateModel(2, (group,), np.float32(0.25), np.float32(6.5))
+        values = point.mu, point.sigma, group.share, model.per_order_cancel_rate
+        assert all(type(v) is float for v in (*values, model.event_intensity))
+        point = DgxParams(0.5, 1.0, 1)
+        plain = RateModel(2, (TraderGroup(1.0, point, point, 2, 1),), 0.25, 6.5)
+        assert simulate(model, event_count=50, seed=3).final_time == (
+            simulate(plain, event_count=50, seed=3).final_time
+        )
+
+    @pytest.mark.parametrize("mode", ["opposite_best", "static", None])
+    def test_anchoring_mode_must_be_an_anchoring_mode(self, mode):
+        # rates.side_arrivals read a string as opposite-best, the engine and the
+        # oracle as static: one model would run two processes.
+        point = DgxParams(0.0, 1.0, 1)
+        group = TraderGroup(1.0, point, point, 2, 1)
+        with pytest.raises(RateModelError, match="anchoring mode must be an AnchoringMode"):
+            RateModel(2, (group,), 0.1, 6.0, anchoring_mode=mode)
+
     def test_numpy_integer_fields(self):
         # Stored as ints: the engine indexes lists by levels and their signs.
         point = DgxParams(0.0, 1.0, np.int64(1))

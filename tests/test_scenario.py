@@ -220,6 +220,19 @@ class TestRunScenario:
         for name in ("summary.csv", "metadata.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_numpy_numbers_write_the_plain_config_bytes(self, tmp_path):
+        # Stored as int and float, so metadata.json serializes and the runs match.
+        plain = replace(preset("scenario1"), runs=2, events_per_run=50, cancel_rate=0.1)
+        config = replace(
+            preset("scenario1"), runs=np.int64(2), events_per_run=np.int64(50),
+            cancel_rate=np.float64(0.1),
+        )
+        write_bundle(run_scenario(plain), tmp_path / "plain")
+        write_bundle(run_scenario(config), tmp_path / "numpy")
+        for name in ("summary.csv", "metadata.json"):
+            expected = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "numpy" / name).read_bytes() == expected
+
     def test_heatmap_recording(self, tmp_path):
         config = replace(small_config(runs=2, events=250), record="heatmap", heatmap_window=50)
         bundle = run_scenario(config)
@@ -491,6 +504,10 @@ class TestCli:
     def test_bad_validate_library_arguments_are_config_errors(self, arguments, match):
         with pytest.raises(ConfigError, match=match):
             scenario.validate_against_oracle(**{"model_name": "tiny", **arguments})
+
+    def test_numpy_validate_library_arguments_accepted(self):
+        report = scenario.validate_against_oracle("tiny", runs=np.int64(50), base_seed=np.int64(7))
+        assert report.runs == 50 and report.state_count > 0
 
     def test_bad_usage_is_config_error(self):
         assert main(["run"]) == EXIT_CONFIG

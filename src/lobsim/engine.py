@@ -25,16 +25,16 @@ the table for n + 1. The event that changes a run's key (a quote move under
 opposite-best anchoring, any event under caps) takes the new key's table
 from the cache; only a run's first event, a key not built yet, and the
 checkpoint and horizon bounds take the rare path that calls :func:`_table`.
-A side's arrivals depend only on the other side's best level (under static
-anchoring, on nothing), so a table joins two side rows of
-:func:`~lobsim.rates.side_arrivals`, each built once per cache under the key
-(side, opposite best or None): at most 2(K + 1) rows, and no book. One
-running sum of Python floats over the joined rates, left to right as
-``np.cumsum`` adds, gives ``event_table``'s floats; a sum per side, offset,
-would not. Under caps a key (bid, ask, n) keeps no arrival above
-``max_quantity``, else those after which the book holds at most
-``max_orders``: every order has size ``unit_quantity``, so one that rests
-leaves n + 1 orders and one that crosses (filling a resident whole) n - 1.
+A table joins the signed levels and rates of two
+:func:`~lobsim.rates.side_arrivals` rows, one per side at the other side's
+best level (under static anchoring, at none), which ``rates`` builds once
+per model: at most 2(K + 1) rows, and no book. One running sum of Python
+floats over the joined rates, left to right as ``np.cumsum`` adds, gives
+``event_table``'s floats; a sum per side, offset, would not. Under caps a
+key (bid, ask, n) keeps no arrival above ``max_quantity``, else those after
+which the book holds at most ``max_orders``: every order has size
+``unit_quantity``, so one that rests leaves n + 1 orders and one that
+crosses (filling a resident whole) n - 1.
 That is ``event_table``'s cap rule on any book with the key's quotes and count.
 
 The loop builds per-event objects only where a recording reads them: an
@@ -243,12 +243,6 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
-def _row(entries) -> tuple[list[int], list[float]]:
-    """Side arrivals' signed levels (+ asks, - bids) and raw rates: numbers only."""
-    sign = {EventKind.ARRIVAL_ASK: 1, EventKind.ARRIVAL_BID: -1}
-    return [sign[d.kind] * d.price_level for d, _ in entries], [rate for _, rate in entries]
-
-
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], slots: int
 ) -> tuple[list[float], list[int]]:
@@ -257,14 +251,10 @@ def _table(
     keeping the arrivals the count rule admits; slots are appended in place until ``slots`` fit."""
     entry = tables.get(key)
     if entry is None:
-        k, by_quotes = model.grid_size, model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
-        bid, ask = (-key[0] or None, key[1] if key[1] <= k else None) if by_quotes else (None, None)
-        rows = (Side.ASK, bid), (Side.BID, ask)
-        for row in rows:
-            if row not in tables:
-                tables[row] = _row(side_arrivals(model, *row)[0])
-        (ask_levels, ask_rates), (bid_levels, bid_rates) = (tables[r] for r in rows)
-        levels, rates = ask_levels + bid_levels, ask_rates + bid_rates
+        k = model.grid_size
+        bid, ask = (-key[0] or None, key[1] if key[1] <= k else None) if key else (None, None)
+        asks, bids = side_arrivals(model, Side.ASK, bid), side_arrivals(model, Side.BID, ask)
+        levels, rates = [*asks.levels, *bids.levels], [*asks.rates, *bids.rates]
         if caps is not None:
             # An arrival rests (n + 1 orders) unless it crosses the opposite best (n - 1).
             n, most = key[2], math.inf if caps.max_orders is None else caps.max_orders

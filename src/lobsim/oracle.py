@@ -5,7 +5,7 @@ of per-side placements, each one side's resting orders held as a padded
 numpy row of (level, quantity) entries in ask order (the bid form reverses
 the level blocks). Rows map to placement ids, and id pairs to states, by
 direct addressing. The sparse transition-rate generator comes from the same
-side arrival rows (``side_arrivals`` of the best quotes) and cap rule as the
+cached side rows (``side_arrivals`` of the best quotes) and cap rule as the
 engine's event tables, with fills, rests and cancellations worked out by array
 operations over all placements at once. Probability vectors evolve by
 uniformization. The engine is validated against it on the tiny models;
@@ -292,13 +292,12 @@ def build_generator(
     operations: cancellations per order position (the orders after it walked on from
     the id of those before: one prefix walk), fills per form and quantity, chained
     from first-order removals where a fill takes whole orders, and rests scattered
-    from the cancellations that undo them. Each (side, opposite best) arrival row is
-    read once. Slots run in event-table order (a group's arrivals, then cancellation
-    j for the states with more than j residents), each keeping its live transitions,
-    with the quantity-cap test only if an order exceeds that cap. Totals and
-    outflows add each state's rates in slot order, its diagonal follows every slot,
-    and COO to CSC keeps each column's entries in input order, so the float bytes
-    match a state-by-state assembly.
+    from the cancellations that undo them. Slots run in event-table order (a group's
+    arrivals, then cancellation j for the states with more than j residents), each
+    keeping its live transitions, with the quantity-cap test only if an order exceeds
+    that cap. Totals and outflows add each state's rates in slot order, its diagonal
+    follows every slot, and COO to CSC keeps each column's entries in input order, so
+    the float bytes match a state-by-state assembly.
     """
     from scipy import sparse
 
@@ -317,23 +316,20 @@ def build_generator(
     bid, ask, p = index.bid_placement, index.ask_placement, np.arange(h)
 
     # Arrival lists, keyed like the engine's table cache (one under static anchoring, one per
-    # pair of best quotes under opposite-best), from side rows read once, keyed as _table's.
+    # pair of best quotes under opposite-best), from the signed levels of the side rows.
     by_quotes = model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     quotes = best[0][bid] * (grid + 2) + best[1][ask] if by_quotes else np.full(n, grid + 1)
     held = np.bincount(quotes) > 0  # the quote codes present, one group each, in code order
     group = (np.cumsum(held) - 1)[quotes]
     arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
-    lists, side_rows = [], {}  # per group: (arrival id, ask?, price, raw rate) in table order
+    lists, q = [], model.unit_quantity  # per group: (arrival id, ask?, price, raw rate) in order
     for b, a in (divmod(code, grid + 2) for code in np.flatnonzero(held).tolist()):
         lists.append([])
-        for side in (Side.ASK, b or None), (Side.BID, a if a <= grid else None):
-            if side not in side_rows:
-                side_rows[side] = side_arrivals(model, *side)[0]
-            for d, rate in side_rows[side]:
-                if d.quantity <= max_quantity:
-                    arrival = (d.side is Side.ASK, d.price_level, d.quantity)
-                    arrival_id = arrival_ids.setdefault(arrival, len(arrival_ids))
-                    lists[-1].append((arrival_id, *arrival[:2], rate))
+        for side, opposite_best in (Side.ASK, b or None), (Side.BID, a if a <= grid else None):
+            row = side_arrivals(model, side, opposite_best)
+            for s, rate in zip(row.levels, row.rates) if q <= max_quantity else ():
+                arrival_id = arrival_ids.setdefault((s > 0, abs(s), q), len(arrival_ids))
+                lists[-1].append((arrival_id, s > 0, abs(s), rate))
 
     # removed[form][j, p]: placement p without element j of its row in that form, -1 past its
     # length (slot j cancels element j of bids + asks, in submission order), by one prefix walk:

@@ -6,7 +6,9 @@ price-level ranks, one mixture component per trader group. Every resident
 order carries a flat cancellation rate. The full per-state event table is
 rescaled so its total equals a fixed event intensity, which pins the number
 of events per unit of simulated time while leaving the relative odds of the
-individual events untouched.
+individual events untouched. A side's arrivals depend only on the model and
+the other side's best level, so :func:`side_arrivals` builds each side row
+once and keeps it for the reference, the engine's tables and the oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -138,6 +140,9 @@ class RateModel:
     def __post_init__(self) -> None:
         _check_ints(self, "grid_size", "unit_quantity")
         _as_floats(self, "per_order_cancel_rate", "event_intensity")
+        groups = self.groups
+        if not (isinstance(groups, tuple) and all(isinstance(g, TraderGroup) for g in groups)):
+            raise RateModelError(f"groups must be a tuple of TraderGroup, got {groups!r}")
         problems = []
         if not isinstance(self.anchoring_mode, AnchoringMode):
             problems.append(f"anchoring mode must be an AnchoringMode, got {self.anchoring_mode!r}")
@@ -148,13 +153,13 @@ class RateModel:
             problems.append(f"cancellation rate must be finite and nonnegative, got {rate!r}")
         if self.unit_quantity < 1:
             problems.append(f"unit quantity must be >= 1, got {self.unit_quantity}")
-        if not self.groups:
+        if not groups:
             problems.append("at least one trader group is required")
         else:
-            total_share = sum(g.share for g in self.groups)
+            total_share = sum(g.share for g in groups)
             if abs(total_share - 1.0) > 1e-9:
                 problems.append(f"group shares must sum to 1, got {total_share}")
-        for i, g in enumerate(self.groups):
+        for i, g in enumerate(groups):
             for side, params, anchor in (
                 (Side.ASK, g.ask_params, g.ask_anchor),
                 (Side.BID, g.bid_params, g.bid_anchor),
@@ -215,22 +220,34 @@ class ArrivalRates:
     dropped_mass: dict[Side, float]
 
 
-def side_arrivals(
-    model: RateModel, side: Side, opposite_best: Optional[int]
-) -> tuple[tuple[tuple[EventDescriptor, float], ...], float, float]:
-    """One side's arrival entries in level order, its mass and its dropped mass.
+class SideRow(NamedTuple):
+    """A side's arrivals by level, as (descriptor, rate) and as signed level (+ ask, - bid)."""
 
-    The only place arrival rates are computed. DGX rank 1 of each group sits
-    on the group's static anchor, or under opposite-best anchoring on
-    ``opposite_best``, the other side's best level, unless that side is empty
-    (``None``). Ranks map to levels ascending from the anchor on the ask side
-    and descending on the bid side, summed over groups. Rank weight that falls
-    off the grid is dropped (not renormalized) and summed into the dropped
-    mass; the mass sums every level's rate, before levels at rate 0 are left
-    out of the entries.
+    entries: tuple[tuple[EventDescriptor, float], ...]
+    levels: tuple[int, ...]
+    rates: tuple[float, ...]
+    mass: float
+    dropped: float
+
+
+def side_arrivals(model: RateModel, side: Side, opposite_best: Optional[int]) -> SideRow:
+    """``side``'s arrival row: the one place arrival rates are computed and kept.
+
+    DGX rank 1 of each group sits on its static anchor, or under opposite-best anchoring on
+    ``opposite_best``, the other side's best level (``None`` if that side is empty). Ranks map
+    to levels ascending from the anchor on the ask side and descending on the bid side, summed
+    over groups in group order. Weight off the grid is summed into the dropped mass, not
+    renormalized; levels at rate 0 are left out of the row. A bounded cache keyed by the
+    model's value holds one row per (model, side, anchor): two per model under static
+    anchoring, which ignores ``opposite_best``. Nothing may mutate a row.
     """
     if model.anchoring_mode is AnchoringMode.STATIC_SUPPORT:
         opposite_best = None
+    return _side_row(model, side, opposite_best)
+
+
+@lru_cache(maxsize=1024)
+def _side_row(model: RateModel, side: Side, opposite_best: Optional[int]) -> SideRow:
     step = 1 if side is Side.ASK else -1
     level_rates: dict[int, float] = {}
     dropped = 0.0
@@ -250,12 +267,11 @@ def side_arrivals(
             else:
                 dropped += group.share * weight
     kind, q = _ARRIVAL_KIND[side], model.unit_quantity
-    entries = tuple(
-        (EventDescriptor(kind, level, q), float(level_rates[level]))
-        for level in sorted(level_rates)
-        if level_rates[level] > 0.0
-    )
-    return entries, sum(level_rates.values()), dropped
+    levels = [level for level in sorted(level_rates) if level_rates[level] > 0.0]
+    rates = tuple(float(level_rates[level]) for level in levels)
+    entries = tuple(zip((EventDescriptor(kind, level, q) for level in levels), rates))
+    signed = tuple(step * level for level in levels)
+    return SideRow(entries, signed, rates, float(sum(level_rates.values())), float(dropped))
 
 
 def arrival_rates(model: RateModel, state: BookState) -> ArrivalRates:
@@ -267,7 +283,9 @@ def arrival_rates(model: RateModel, state: BookState) -> ArrivalRates:
     ask = side_arrivals(model, Side.ASK, state.best_bid())
     bid = side_arrivals(model, Side.BID, state.best_ask())
     return ArrivalRates(
-        ask[0] + bid[0], {Side.ASK: ask[1], Side.BID: bid[1]}, {Side.ASK: ask[2], Side.BID: bid[2]}
+        ask.entries + bid.entries,
+        {Side.ASK: ask.mass, Side.BID: bid.mass},
+        {Side.ASK: ask.dropped, Side.BID: bid.dropped},
     )
 
 
@@ -355,17 +373,8 @@ def event_table(
                 continue
         entries.append((descriptor, rate))
     for order, rate in cancellation_rates(model, state):
-        entries.append(
-            (
-                EventDescriptor(
-                    EventKind.CANCELLATION,
-                    order.price_level,
-                    order.quantity,
-                    target_order_id=order.id,
-                ),
-                rate,
-            )
-        )
+        event = EventDescriptor(EventKind.CANCELLATION, order.price_level, order.quantity, order.id)
+        entries.append((event, rate))
     raw_total = sum(rate for _, rate in entries)
     if raw_total <= 0.0:
         raise AbsorbingStateError("state has no outgoing transitions")

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -101,7 +102,7 @@ class GroupConfig:
 # Field annotation -> (accepts a value, its stored type, what the message says it must be).
 _TYPE_RULES = {
     "int": (is_integer, int, "an integer"),
-    "float": (lambda v: is_real(v) and math.isfinite(v), float, "a finite number"),
+    "float": (lambda v: is_real(v) and abs(v) <= sys.float_info.max, float, "a finite number"),
     "str": (lambda v: isinstance(v, str), str, "a string"),
 }
 # The scenario-only ranges; every model rule is checked by building the model.
@@ -723,5 +724,5 @@ def arrival_rate_rows(config: ScenarioConfig) -> list[list[str]]:
     return [
         [side.value, str(d.price_level), _format(rate)]
         for side in (Side.ASK, Side.BID)
-        for d, rate in side_arrivals(model, side, None)[0]
+        for d, rate in side_arrivals(model, side, None).entries
     ]

@@ -17,6 +17,7 @@ from conftest import ABSORBING, DRAWN_CAPS, drawn_books
 from scipy import stats
 
 import lobsim.engine
+import lobsim.rates
 from lobsim.book import Side, StateCaps, empty_book, submit_order, validate_book
 from lobsim.engine import (
     EngineError,
@@ -273,37 +274,35 @@ class TestSimulate:
 
     @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
     def test_one_table_build_per_key(self, anchoring, monkeypatch):
-        # Two runs share one cache. Each side row and each key's entry is built
-        # once, never again as the book grows, and every entry holds the signed
+        # Two runs share one cache. Each side row (a miss of the row cache in
+        # rates) and each key's entry is built once, never again as the book
+        # grows; the cache holds entries only. Every entry holds the signed
         # levels of event_table's arrivals and its cumulative floats on a book
         # with the key's quotes.
         model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
-        k = model.grid_size
-        side_arrivals, table = lobsim.engine.side_arrivals, lobsim.engine._table
-        row_builds, key_builds = [], []
-
-        def counting_side_arrivals(model, side, opposite_best):
-            row_builds.append((side, opposite_best))
-            return side_arrivals(model, side, opposite_best)
+        k, table = model.grid_size, lobsim.engine._table
+        key_builds = []
 
         def counting_table(tables, key, *args):
             if key not in tables:
                 key_builds.append(key)
             return table(tables, key, *args)
 
-        monkeypatch.setattr(lobsim.engine, "side_arrivals", counting_side_arrivals)
         monkeypatch.setattr(lobsim.engine, "_table", counting_table)
+        lobsim.rates._side_row.cache_clear()
         tables: dict = {}
         recording = RecordingConfig(events=False)
         for seed in (11, 12):
             result = simulate(
                 model, event_count=2000, seed=seed, recording=recording, _tables=tables
             )
-        assert len(row_builds) == len(set(row_builds)) <= 2 * (k + 1)
+        rows = lobsim.rates._side_row.cache_info()
+        # A row built twice would be a miss the cache no longer holds.
+        assert rows.misses == rows.currsize <= 2 * (k + 1)
         assert len(key_builds) == len(set(key_builds))
-        assert set(tables) == set(row_builds) | set(key_builds)
+        assert set(tables) == set(key_builds)
         if anchoring == "static":
-            assert key_builds == [()] and len(row_builds) == 2
+            assert key_builds == [()] and rows.misses == 2
         else:
             assert len(key_builds) > 100
         for key in key_builds:

@@ -20,7 +20,7 @@ from scipy import sparse
 import lobsim
 from lobsim.book import BookState, Order, Side, StateCaps, empty_book, submit_order
 from lobsim.engine import RecordingConfig, run_ensemble, simulate
-from lobsim import oracle
+from lobsim import rates
 from lobsim.observables import ensemble_covariance, ensemble_moment
 from lobsim.oracle import (
     OracleError,
@@ -45,7 +45,6 @@ from lobsim.rates import (
     TraderGroup,
     apply_event,
     event_table,
-    side_arrivals,
 )
 from lobsim.scenario import ORACLE_MODELS, generator_diagnostics, validate_against_oracle
 
@@ -563,19 +562,15 @@ def test_generator_matches_book_core_on_drawn_models(case):
 
 
 @pytest.mark.parametrize("name", ["tiny-opposite", "grid4-opposite-best"])
-def test_build_reads_each_side_row_once(name, monkeypatch):
+def test_build_reads_each_side_row_once(name):
     # One (side, opposite best) row per side and best level of the other side
-    # (or none): at most 2(K + 1) reads, however many quote groups share them.
-    calls = []
-
-    def counted(model, side, opposite_best):
-        calls.append((side, opposite_best))
-        return side_arrivals(model, side, opposite_best)
-
-    monkeypatch.setattr(oracle, "side_arrivals", counted)
+    # (or none), each a miss of the row cache in rates: at most 2(K + 1) builds,
+    # however many quote groups share them, and none built twice.
     model, index = oracle_case(name)
+    rates._side_row.cache_clear()
     build_generator(model, index)
-    assert len(calls) == len(set(calls)) <= 2 * (model.grid_size + 1)
+    rows = rates._side_row.cache_info()
+    assert rows.misses == rows.currsize <= 2 * (model.grid_size + 1)
 
 
 @pytest.fixture(scope="module")

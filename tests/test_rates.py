@@ -2,10 +2,12 @@
 normalization, and the worked relative-likelihood example."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lobsim.engine
 from lobsim.book import Side, StateCaps, empty_book, submit_order
 from lobsim.engine import simulate
 from lobsim.rates import (
@@ -21,6 +23,7 @@ from lobsim.rates import (
     cancellation_rates,
     dgx_pmf,
     event_table,
+    side_arrivals,
 )
 from lobsim.scenario import build_rate_model, preset
 
@@ -201,6 +204,15 @@ class TestModelValidation:
         with pytest.raises(RateModelError, match="anchoring mode must be an AnchoringMode"):
             RateModel(2, (group,), 0.1, 6.0, anchoring_mode=mode)
 
+    @pytest.mark.parametrize("groups", [("x",), None, "list"], ids=["str-entry", "none", "list"])
+    def test_groups_must_be_a_tuple_of_trader_groups(self, groups):
+        # ("x",) raised AttributeError and None TypeError; a list was accepted but
+        # made the model unhashable, so side_arrivals could not cache its rows.
+        point = DgxParams(0.0, 1.0, 1)
+        group = TraderGroup(1.0, point, point, 2, 1)
+        with pytest.raises(RateModelError, match="groups must be a tuple of TraderGroup"):
+            RateModel(2, [group] if groups == "list" else groups, 0.1, 6.0)
+
     def test_numpy_integer_fields(self):
         # Stored as ints: the engine indexes lists by levels and their signs.
         point = DgxParams(0.0, 1.0, np.int64(1))
@@ -281,6 +293,39 @@ class TestArrivalRates:
         assert rates.side_mass[Side.ASK] == pytest.approx(
             1.0 - rates.dropped_mass[Side.ASK]
         )
+
+
+class TestSideRows:
+    def test_one_shared_row_per_model_side_and_anchor(self):
+        # Rows are cached by the model's value: equal models share one row object,
+        # numpy fields included, and a static model has one row per side for any
+        # opposite best. A table built from a row (with cancellation slots
+        # appended in place) leaves the row as it was.
+        point = DgxParams(0.0, 1.0, 3)
+        model = RateModel(20, (TraderGroup(1.0, point, point, 10, 11),), 0.5, 6.0)
+        twin_point = DgxParams(np.float64(0.0), np.float32(1.0), np.int64(3))
+        twin_group = TraderGroup(np.float64(1.0), twin_point, twin_point, np.int32(10), 11)
+        twin = RateModel(np.int64(20), (twin_group,), np.float32(0.5), np.int8(6))
+        assert twin == model and twin is not model
+        for side in Side:
+            row = side_arrivals(model, side, None)
+            assert side_arrivals(twin, side, None) is row
+            assert all(side_arrivals(model, side, best) is row for best in (1, 5, 20))
+            assert all(type(part) is tuple for part in (row.entries, row.levels, row.rates))
+        ask, bid = side_arrivals(model, Side.ASK, None), side_arrivals(model, Side.BID, None)
+        before = ask, bid, tuple(ask), tuple(bid)
+        tables: dict = {}
+        cum, levels = lobsim.engine._table(tables, (), model, None, 2)
+        lobsim.engine._table(tables, (), model, None, 40)
+        assert len(cum) == len(levels) + 40 and levels == [*ask.levels, *bid.levels]
+        after = side_arrivals(model, Side.ASK, None), side_arrivals(model, Side.BID, None)
+        assert after == before[:2] and after[0] is ask and after[1] is bid
+        assert (tuple(ask), tuple(bid)) == before[2:]
+        # Under opposite-best anchoring the opposite best is the anchor.
+        opposite = replace(model, anchoring_mode=AnchoringMode.OPPOSITE_BEST)
+        assert side_arrivals(opposite, Side.ASK, 5) is not side_arrivals(opposite, Side.ASK, 6)
+        assert side_arrivals(opposite, Side.ASK, 5).levels == (5, 6, 7)
+        assert side_arrivals(opposite, Side.BID, 5).levels == (-3, -4, -5)  # by level
 
 
 class TestCancellationRates:

@@ -444,7 +444,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("event_intensity", float("nan")), ("cancel_rate", float("inf")), ("mu", float("nan"))],
+        [
+            ("event_intensity", float("nan")),
+            ("cancel_rate", float("inf")),
+            ("mu", float("nan")),
+            # Rejected uncast: math.isfinite raised OverflowError on them (exit 4).
+            pytest.param("cancel_rate", 10**400, id="cancel_rate-past-float-range"),
+            pytest.param("mu", -(10**400), id="mu-past-float-range"),
+        ],
     )
     def test_non_finite_config_is_config_error(self, tmp_path, field, value):
         group = {"share": 1.0, "mu": 1.0, "sigma": 3.0, "support": 12,

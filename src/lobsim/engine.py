@@ -13,13 +13,14 @@ its resident completely: the book is the depth-vector chain of Cont, Stoikov
 and builds a :class:`BookState` only where it returns one; :func:`step` is
 the single-event reference on a :class:`BookState`, through the book core.
 
-Tables are cached by the key their arrivals depend on. Without caps that is
-``()`` under static anchoring and the best quotes under opposite-best
-anchoring; under caps, the best quotes and the order count. Each table is
-built once per key by :func:`_table`, and holds only numbers: cumulative
-rates and the arrivals' signed levels (+ asks, - bids), so the loop applies
-an arrival, and a record builds its descriptor, by level alone. One
-flat-rate cancellation slot per resident follows the arrivals, appended in
+Tables are cached in :func:`_cache`'s dict for the (model, caps) value, by
+the key their arrivals depend on. Without caps that is ``()`` under static
+anchoring and the best quotes under opposite-best anchoring; under caps, the
+best quotes and the order count. Each table is built once per key by
+:func:`_table`, and holds only numbers: cumulative rates and the arrivals'
+signed levels (+ asks, - bids), so the loop applies an arrival, and a record
+builds its descriptor, by level alone. One flat-rate cancellation slot per
+resident follows the arrivals, appended in
 place as an uncapped book grows, so the table for n residents is a prefix of
 the table for n + 1. The event that changes a run's key (a quote move under
 opposite-best anchoring, any event under caps) takes the new key's table
@@ -59,9 +60,9 @@ loop's exact time, so every book equals the one-seed call's.
 
 The batched form walks the jump chain over interned books. A live run is
 the id of its book, its residents' signed levels in submission order, in
-a :class:`_Books` set kept in the table cache, so calls that share the
-cache share the set. The set also holds the tables its books use, each
-built once by :func:`_table`; a book keeps its row, its table's id and a
+a :class:`_Books` set kept in the table cache, so every call on one
+(model, caps) shares the set. The set also holds the tables its books use,
+each built once by :func:`_table`; a book keeps its row, its table's id and a
 next-book row that is filled the first time a run takes each table
 entry. A step selects every run's entry, reads the next books, and
 computes only the (book, entry) pairs no run took before, in one
@@ -82,6 +83,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from math import log1p
 from operator import neg, truediv
@@ -243,6 +245,14 @@ def _book_state(
     return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
 
 
+@lru_cache(maxsize=8)
+def _cache(model: RateModel, caps: Optional[StateCaps]) -> dict:
+    """The one table cache of (``model``, ``caps``), keyed by their values: :func:`_table`'s
+    entries by key and the batched form's :class:`_Books` set under its class. It holds the
+    8 pairs used last; a process's calls share it, so no two threads may run one pair batched."""
+    return {}
+
+
 def _table(
     tables: dict, key: tuple, model: RateModel, caps: Optional[StateCaps], slots: int
 ) -> tuple[list[float], list[int]]:
@@ -281,7 +291,6 @@ def simulate(
     recording: RecordingConfig = RecordingConfig(),
     caps: Optional[StateCaps] = None,
     debug_invariants: bool = False,
-    _tables: Optional[dict] = None,
 ) -> Union[SimulationResult, EnsembleResult]:
     """Run one trajectory until the stop criterion, or one per seed in lockstep.
 
@@ -291,8 +300,7 @@ def simulate(
     (>= 0, finite without ``event_count``), whichever comes first; at least one
     must be given. ``initial`` must be a uniform book on the model's grid, as
     the engine builds them (every order of size ``unit_quantity``, id equal to
-    seq). :class:`EngineError` otherwise. ``_tables`` is the table cache (see the
-    module docstring); it may be shared across runs of one model and one ``caps``.
+    seq). :class:`EngineError` otherwise. Tables come from :func:`_cache`.
 
     A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0,
     ``recording.checkpoint_times`` an iterable of real numbers (not bools), and
@@ -318,13 +326,12 @@ def simulate(
     for name, least in (("max_orders", 0), ("max_quantity", 1)):
         if getattr(caps, name, None) is not None:
             _check_integer(name, getattr(caps, name), least)
-    tables = _tables if _tables is not None else {}
     if isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, (str, bytes, bytearray)):
         return _simulate_lockstep(
-            model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants,
-            tables,
+            model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants
         )
     _check_seeds((seed,))
+    tables = _cache(model, caps)
     initial_state = initial if initial is not None else empty_book(model.grid_size)
     k, q = model.grid_size, model.unit_quantity
     residents = initial_state.orders_by_seq()
@@ -833,12 +840,11 @@ def _simulate_lockstep(
     recording: RecordingConfig,
     caps: Optional[StateCaps],
     debug_invariants: bool,
-    tables: dict,
 ) -> EnsembleResult:
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
     A slot holds a run: its book's id in the :class:`_Books` set kept in
-    ``tables``, its stream's words, the bounds it passed and its first step,
+    the table cache, its stream's words, the bounds it passed and its first step,
     from which a replay of its clock counts. Per slot, in the scalar loop's
     order: the waiting time, pending checkpoints before the next event (each
     copies the book's row), the horizon test, then the event, counted in the
@@ -860,6 +866,7 @@ def _simulate_lockstep(
     if len(seeds) == 0:
         raise EngineError("need at least one seed")
     _check_seeds(seeds)
+    tables = _cache(model, caps)
     books = tables.get(_Books)
     if books is None:
         books = tables[_Books] = _Books(model, caps, tables)
@@ -966,7 +973,6 @@ def run_ensemble(
     """
     _check_integer("runs", runs, 1)
     seeds = derive_run_seeds(base_seed, runs)
-    tables: dict = {}
     out: list = []
     for run_seed in seeds:
         result = simulate(
@@ -977,7 +983,6 @@ def run_ensemble(
             seed=run_seed,
             recording=recording,
             caps=caps,
-            _tables=tables,
         )
         out.append(reduce(result) if reduce is not None else result)
     return out

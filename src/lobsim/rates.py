@@ -97,13 +97,6 @@ def dgx_pmf(params: DgxParams) -> np.ndarray:
     return weights / weights.sum()
 
 
-@lru_cache(maxsize=256)
-def _dgx_pmf_cached(params: DgxParams) -> np.ndarray:
-    pmf = dgx_pmf(params)
-    pmf.flags.writeable = False
-    return pmf
-
-
 @dataclass(frozen=True)
 class TraderGroup:
     """One group's share of the order flow and its placement behavior."""
@@ -260,7 +253,7 @@ def _side_row(model: RateModel, side: Side, opposite_best: Optional[int]) -> Sid
             params, anchor = group.bid_params, group.bid_anchor
         if opposite_best is not None:
             anchor = opposite_best
-        for rank_index, weight in enumerate(_dgx_pmf_cached(params)):
+        for rank_index, weight in enumerate(dgx_pmf(params)):
             level = anchor + step * rank_index
             if 1 <= level <= model.grid_size:
                 level_rates[level] = level_rates.get(level, 0.0) + group.share * weight

@@ -105,9 +105,19 @@ _TYPE_RULES = {
     "float": (lambda v: is_real(v) and abs(v) <= sys.float_info.max, float, "a finite number"),
     "str": (lambda v: isinstance(v, str), str, "a string"),
 }
-# The scenario-only ranges; every model rule is checked by building the model.
-_MINIMUMS = {"grid_size": 1, "runs": 1, "events_per_run": 0, "base_seed": 0, "heatmap_window": 1}
+# The scenario-only (low, high) ranges, also validate's; every model rule is checked by
+# building the model. A high bound stops a size before numpy or the seed list is asked for it.
+_RANGES = {"grid_size": (1, 10_000), "runs": (1, 1_000_000), "events_per_run": (0, math.inf),
+           "base_seed": (0, math.inf), "heatmap_window": (1, 1_000_000)}
 _CHOICES = {"anchoring": ("static", "opposite_best"), "record": ("summary", "events", "heatmap")}
+
+
+def _out_of_range(key: str, value: int) -> list[str]:
+    """The problem with integer ``value`` for field ``key`` under :data:`_RANGES`, if any."""
+    low, high = _RANGES[key]
+    if value < low:
+        return [f"{key} must be >= {low}, got {value}"]
+    return [f"{key} must be <= {high:,}, got {value}"] if value > high else []
 
 
 def _typed(obj, where: str = "") -> tuple[dict, list[str]]:
@@ -157,11 +167,7 @@ class ScenarioConfig:
         if not problems:
             for name, value in values.items():
                 object.__setattr__(self, name, value)
-            problems = [
-                f"{key} must be >= {low}, got {values[key]}"
-                for key, low in _MINIMUMS.items()
-                if values[key] < low
-            ]
+            problems = [p for key in _RANGES for p in _out_of_range(key, values[key])]
             problems += [
                 f"{key} must be one of {'|'.join(choices)}, got {values[key]!r}"
                 for key, choices in _CHOICES.items()
@@ -351,7 +357,6 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
     event_csv: list[str] = []
 
     seeds = engine.derive_run_seeds(config.base_seed, config.runs)
-    tables: dict = {}
     for run_index, run_seed in enumerate(seeds):
         try:
             result = engine.simulate(
@@ -359,7 +364,6 @@ def run_scenario(config: ScenarioConfig) -> OutputBundle:
                 event_count=config.events_per_run,
                 seed=run_seed,
                 recording=recording,
-                _tables=tables,
             )
         except AbsorbingStateError:
             aborted.append(run_index)
@@ -661,17 +665,15 @@ def validate_against_oracle(
     positions a block of ``engine.lockstep_width`` rows at a time, and
     reports total variation distances plus first and second moment checks
     of the resident-order count. :class:`ConfigError`
-    unless the model is known and ``runs`` (>= 1) and ``base_seed`` (>= 0)
-    are integers, as scenario fields are checked.
+    unless the model is known and ``runs`` and ``base_seed`` are integers in
+    their scenario fields' ranges.
     """
     problems = []
     if not (isinstance(model_name, str) and model_name in ORACLE_MODELS):
         problems.append(f"unknown oracle model {model_name!r}; choose from {sorted(ORACLE_MODELS)}")
-    for name, value, least in (("runs", runs, 1), ("seed", base_seed, 0)):
-        if not is_integer(value):
-            problems.append(f"{name} must be an integer, got {value!r}")
-        elif value < least:
-            problems.append(f"{name} must be >= {least}, got {value}")
+    for name, value in (("runs", runs), ("base_seed", base_seed)):
+        wrong = [] if is_integer(value) else [f"{name} must be an integer, got {value!r}"]
+        problems += wrong or _out_of_range(name, value)
     if problems:
         raise ConfigError(problems)
     model, caps = ORACLE_MODELS[model_name]()

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+import lobsim.engine
 from lobsim.book import (
     BookState,
     Side,
@@ -23,6 +25,14 @@ from lobsim.book import (
     validate_book,
 )
 from lobsim.rates import AnchoringMode, DgxParams, RateModel, TraderGroup
+
+
+@pytest.fixture(autouse=True)
+def cleared_table_cache():
+    """Every test starts from an empty engine table cache: its counts of table builds
+    and book-set restarts start at zero, and a book set built under a test's patched
+    ``_BOOK_CAP`` never reaches another test."""
+    lobsim.engine._cache.cache_clear()
 
 
 @dataclass

@@ -57,8 +57,10 @@ def reference_run(model, initial, seed, event_count=None, time_horizon=None, cap
 
 
 def assert_matches_reference(
-    model, seed, initial=None, caps=None, debug_invariants=False, _tables=None, events=True, **stop
+    model, seed, initial=None, caps=None, debug_invariants=False, fresh=True, events=True, **stop
 ):
+    """``fresh`` clears the engine's table cache before each simulate call; otherwise
+    the calls reuse the tables earlier calls on the model built."""
     initial = initial if initial is not None else empty_book(model.grid_size)
     trajectory, final_time, waits = reference_run(model, initial, seed, caps=caps, **stop)
     times = [t for t, *_ in trajectory]
@@ -71,19 +73,20 @@ def assert_matches_reference(
     # built yet take it: the event that changes the key (a quote move under
     # opposite-best anchoring, any event under caps) takes its table from the
     # cache, and static uncapped runs keep one table throughout.
-    result, plain = (
-        simulate(
+    runs = []
+    for checkpoint_times in ((-1.0, *times, final_time + 1.0), ()):
+        if fresh:
+            lobsim.engine._cache.cache_clear()
+        runs.append(simulate(
             model,
             initial,
             seed=seed,
             caps=caps,
             debug_invariants=debug_invariants,
             recording=replace(recording, checkpoint_times=checkpoint_times),
-            _tables=_tables,
             **stop,
-        )
-        for checkpoint_times in ((-1.0, *times, final_time + 1.0), ())
-    )
+        ))
+    result, plain = runs
     assert_run_matches(result, trajectory, final_time, waits, events)
     assert run_outputs(plain) == run_outputs(result) and plain.checkpoints == {}
     for time, *_, state in trajectory:
@@ -174,10 +177,9 @@ OPPOSITE_BEST = {"anchoring": "opposite_best"}
     ],
 )
 def test_uncapped_event_count_runs(name, overrides, seeds):
-    tables: dict = {}
     for seed in seeds:
         assert_matches_reference(
-            scenario_model(name, **overrides), seed=seed, event_count=1500, _tables=tables
+            scenario_model(name, **overrides), seed=seed, event_count=1500, fresh=False
         )
 
 
@@ -193,18 +195,16 @@ def test_uncapped_event_count_runs(name, overrides, seeds):
 def test_zero_cancellation_rate(anchoring, seeds):
     # The rate model lists no cancellations at all: a table holds arrivals only.
     model = scenario_model("scenario2", anchoring=anchoring, cancel_rate=0.0)
-    tables: dict = {}
     for seed in seeds:
-        book = assert_matches_reference(model, seed=seed, event_count=1500, _tables=tables)
+        book = assert_matches_reference(model, seed=seed, event_count=1500, fresh=False)
         assert book.order_count() > 0
 
 
 @pytest.mark.parametrize("seeds", [(12,), (12, 13)], ids=["fresh", "shared"])
 def test_capped_tiny_overlap(seeds):
     model, caps = tiny_overlapping_model()
-    tables: dict = {}
     for seed in seeds:
-        assert_matches_reference(model, seed=seed, caps=caps, event_count=1500, _tables=tables)
+        assert_matches_reference(model, seed=seed, caps=caps, event_count=1500, fresh=False)
 
 
 @pytest.mark.parametrize("case", ["scenario2-static", "scenario2-opposite_best", "tiny-overlap"])
@@ -310,17 +310,18 @@ def test_tables_switched_at_quote_moves(anchoring, caps):
     # any event under caps) takes the new key's table from the cache, with or without
     # event records and invariant checks; only a key not built yet is looked up on
     # the next event's rare path. Per seed, every variant gives the same summary
-    # columns, frames and final book, from a fresh table cache or from one the
-    # earlier seeds warmed (its cum lists already grown).
+    # columns, frames and final book, from a table cache the earlier runs and
+    # seeds warmed (its cum lists already grown) or from a cleared one.
     model = scenario_model("scenario2", anchoring=anchoring)
-    warm: dict = {}
     for seed in (31, 32, 33):
         outputs = []
-        for events, checked, fresh in product((True, False), (False, True), (True, False)):
+        for fresh, events, checked in product((False, True), (True, False), (False, True)):
+            if fresh:
+                lobsim.engine._cache.cache_clear()
             recording = RecordingConfig(events=events, summary=True, depth_window=2000)
             result = simulate(
                 model, event_count=2000, seed=seed, recording=recording, caps=caps,
-                debug_invariants=checked, _tables={} if fresh else warm,
+                debug_invariants=checked,
             )
             columns = result.summary_columns
             outputs.append(
@@ -373,12 +374,13 @@ def book_row(state, width):
 
 
 def assert_batch_matches_scalar(
-    model_name, runs, time_horizon=2.0, base_seed=5, times=None, tables=None, case=None
+    model_name, runs, time_horizon=2.0, base_seed=5, times=None, case=None, fresh=True
 ):
     """The batched call against one scalar call per seed; returns the batch.
 
-    ``case`` is a (model, caps) pair in place of the named oracle model;
-    ``tables`` is the batched call's table cache.
+    ``case`` is a (model, caps) pair in place of the named oracle model.
+    ``fresh`` clears the engine's table cache before the batched call; otherwise
+    it reuses the tables and book set earlier calls on the model built.
     """
     model, caps = case if case is not None else ORACLE_MODELS[model_name]()
     seeds = derive_run_seeds(base_seed, runs)
@@ -386,10 +388,9 @@ def assert_batch_matches_scalar(
         # Before the first event, at and between the oracle times, past the horizon.
         times = (-1.0, 0.0, *ORACLE_TIMES, 0.75, time_horizon, time_horizon + 1.0)
     recording = RecordingConfig(events=False, checkpoint_times=times)
-    batch = simulate(
-        model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps,
-        _tables=tables,
-    )
+    if fresh:
+        lobsim.engine._cache.cache_clear()
+    batch = simulate(model, time_horizon=time_horizon, seed=seeds, recording=recording, caps=caps)
     assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
     assert batch.depth_frames == ()
     width = caps.max_orders + 1
@@ -575,7 +576,7 @@ def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, mo
     # The tiny models reach 31 to 161 books, so under a cap of 16 the set
     # restarts from the empty book and the live books; at a restart some runs
     # take known entries, whose books are renumbered. Two calls share one table
-    # cache, and so one set. After a restart the set may double before the
+    # cache, cleared before the first, and so one set. After a restart the set may double before the
     # next, so it restarts one to three times in the 42 steps.
     monkeypatch.setattr(lobsim.engine, "_BOOK_CAP", 16)
     steps, empty = [], []
@@ -591,9 +592,8 @@ def test_batched_runs_match_scalar_runs_through_book_set_restarts(model_name, mo
 
     monkeypatch.setattr(lobsim.engine._Books, "intern", counted_intern)
     monkeypatch.setattr(lobsim.engine._Books, "advance", counted_advance)
-    tables: dict = {}
-    assert_batch_matches_scalar(model_name, runs=150, tables=tables)
-    assert_batch_matches_scalar(model_name, runs=150, base_seed=6, tables=tables)
+    assert_batch_matches_scalar(model_name, runs=150)
+    assert_batch_matches_scalar(model_name, runs=150, base_seed=6, fresh=False)
     restarts = sum(empty) - 1
     assert 1 <= restarts <= len(steps) // 4, (restarts, len(steps))
 
@@ -611,10 +611,9 @@ def test_book_set_restarts_only_when_its_books_pass_the_limit(monkeypatch):
         return advance(self, book, choice)
 
     monkeypatch.setattr(lobsim.engine._Books, "advance", counted_advance)
-    tables: dict = {}
-    assert_batch_matches_scalar("tiny", runs=150, tables=tables)
-    assert_batch_matches_scalar("tiny", runs=150, base_seed=6, tables=tables)
-    books = tables[lobsim.engine._Books]
+    assert_batch_matches_scalar("tiny", runs=150)
+    assert_batch_matches_scalar("tiny", runs=150, base_seed=6, fresh=False)
+    books = lobsim.engine._cache(*ORACLE_MODELS["tiny"]())[lobsim.engine._Books]
     assert max(wanted) > 32 and len(books.ids) == 31 and books.limit == 32
 
 

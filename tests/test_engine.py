@@ -274,7 +274,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
     def test_one_table_build_per_key(self, anchoring, monkeypatch):
-        # Two runs share one cache. Each side row (a miss of the row cache in
+        # Two runs share one cleared cache. Each side row (a miss of the row cache in
         # rates) and each key's entry is built once, never again as the book
         # grows; the cache holds entries only. Every entry holds the signed
         # levels of event_table's arrivals and its cumulative floats on a book
@@ -290,12 +290,10 @@ class TestSimulate:
 
         monkeypatch.setattr(lobsim.engine, "_table", counting_table)
         lobsim.rates._side_row.cache_clear()
-        tables: dict = {}
         recording = RecordingConfig(events=False)
         for seed in (11, 12):
-            result = simulate(
-                model, event_count=2000, seed=seed, recording=recording, _tables=tables
-            )
+            result = simulate(model, event_count=2000, seed=seed, recording=recording)
+        tables = lobsim.engine._cache(model, None)
         rows = lobsim.rates._side_row.cache_info()
         # A row built twice would be a miss the cache no longer holds.
         assert rows.misses == rows.currsize <= 2 * (k + 1)
@@ -339,8 +337,8 @@ class TestSimulate:
         # the table from the cache, so the run calls _table only at its first event:
         # with or without records and invariant checks, capped or not.
         model = build_rate_model(replace(preset("scenario2"), anchoring=anchoring))
-        seeds, tables, calls = derive_run_seeds(7, 4), {}, []
-        run = partial(simulate, model, event_count=5000, caps=caps, _tables=tables)
+        seeds, calls = derive_run_seeds(7, 4), []
+        run = partial(simulate, model, event_count=5000, caps=caps)
         for seed in seeds:  # the same books, so the same keys, as the counted runs
             run(seed=seed, recording=RecordingConfig(events=False))
         table = lobsim.engine._table
@@ -354,12 +352,13 @@ class TestSimulate:
             run(seed=seed, recording=recording, debug_invariants=checked)
         assert len(calls) == len(seeds)
         if caps is not None:  # a capped key's entry keeps its n slots, as _Books reads it
+            tables = lobsim.engine._cache(model, caps)
             entries = [(key[2], tables[key]) for key in tables if len(key) == 3]
             assert entries and all(len(cum) == len(levels) + n for n, (cum, levels) in entries)
 
     @pytest.mark.parametrize("model_name", ["tiny-overlap", "tiny-opposite"])
     def test_one_table_build_per_key_in_batched_runs(self, model_name, monkeypatch):
-        # Two batched calls share one cache. Each key a book reaches is built once,
+        # Two batched calls share one cleared cache. Each key a book reaches is built once,
         # and the book set holds _table's entry as the key's table: its cumulative
         # floats padded with +inf, and per entry the signed level or K + 1 + j for
         # cancellation slot j, the last repeated past the table. The entry is
@@ -374,12 +373,11 @@ class TestSimulate:
             return table(tables, key, *args)
 
         monkeypatch.setattr(lobsim.engine, "_table", counting_table)
-        tables: dict = {}
         recording = RecordingConfig(events=False)
         for base_seed in (1, 2):
             seeds = derive_run_seeds(base_seed, 300)
-            simulate(model, time_horizon=2.0, seed=seeds, recording=recording, caps=caps,
-                     _tables=tables)
+            simulate(model, time_horizon=2.0, seed=seeds, recording=recording, caps=caps)
+        tables = lobsim.engine._cache(model, caps)
         books = tables[lobsim.engine._Books]
         assert len(key_builds) == len(set(key_builds)) == len(books.total) > 10
         table_of = {}
@@ -401,6 +399,68 @@ class TestSimulate:
             entries = event_table(model, book, caps=caps).entries
             assert cum == np.cumsum([rate for _, rate in entries]).tolist()
             assert levels == [signed_level(d) for d, _ in entries[: len(levels)]]
+
+    @pytest.mark.parametrize("form", ["scalar", "batched"])
+    def test_equal_models_share_one_cache(self, form, monkeypatch):
+        # The cache is keyed by the (model, caps) value: a call on an equal but
+        # distinct model reads the tables, and the book set, an earlier call built,
+        # builds none, and gives each seed the same result.
+        def case():
+            if form == "batched":
+                return ORACLE_MODELS["tiny-opposite"]()
+            return build_rate_model(replace(preset("scenario2"), anchoring="opposite_best")), None
+
+        (model, caps), (twin, twin_caps) = case(), case()
+        assert (twin, twin_caps) == (model, caps) and twin is not model
+        table, builds = lobsim.engine._table, []
+
+        def counting_table(tables, key, *args):
+            builds.append(key not in tables)
+            return table(tables, key, *args)
+
+        monkeypatch.setattr(lobsim.engine, "_table", counting_table)
+        if form == "batched":
+            recording = RecordingConfig(events=False, checkpoint_times=(1.0,))
+            stop = dict(time_horizon=2.0, seed=derive_run_seeds(3, 300), recording=recording)
+        else:
+            stop = dict(event_count=3000, seed=3)
+        first = simulate(model, caps=caps, **stop)
+        built, tables = sum(builds), lobsim.engine._cache(model, caps)
+        books = tables.get(lobsim.engine._Books)
+        second = simulate(twin, caps=twin_caps, **stop)
+        assert built > 10 and sum(builds) == built
+        assert lobsim.engine._cache(twin, twin_caps) is tables
+        assert tables.get(lobsim.engine._Books) is books
+        if form == "batched":
+            assert second.event_counts.tolist() == first.event_counts.tolist()
+            assert second.checkpoints[1.0].tolist() == first.checkpoints[1.0].tolist()
+            assert second.final_books.tolist() == first.final_books.tolist()
+        else:
+            assert second.records == first.records and second.final_state == first.final_state
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("scenario1", None), ("scenario2", None)),
+            (("scenario2", StateCaps(max_orders=8)), ("scenario2", StateCaps(max_orders=9))),
+        ],
+        ids=["scenario1-scenario2", "max_orders-8-9"],
+    )
+    def test_pairs_with_the_same_keys_never_share_tables(self, first, second):
+        # Scenario1 and scenario2 are both static, so each keys its one table ();
+        # two caps on one model key tables alike, (bid, ask, n), but admit
+        # different arrivals. Each (model, caps) pair has its own cache, so a run
+        # after the other pair's run is the run from a cleared cache.
+        (model, caps), (other, other_caps) = (
+            (build_rate_model(preset(name)), pair_caps) for name, pair_caps in (first, second)
+        )
+        run = partial(simulate, event_count=200, seed=3)
+        run(model, caps=caps)
+        after = run(other, caps=other_caps)
+        assert lobsim.engine._cache(model, caps) is not lobsim.engine._cache(other, other_caps)
+        lobsim.engine._cache.cache_clear()
+        fresh = run(other, caps=other_caps)
+        assert after.records == fresh.records and after.final_state == fresh.final_state
 
 
 def signed_level(descriptor):
@@ -434,10 +494,10 @@ def test_table_matches_event_table_on_drawn_books(case, drawn_caps):
     if drawn_caps is not None:
         offset, max_quantity = drawn_caps
         caps = StateCaps(None if offset is None else max(n + offset, 0), max_quantity)
-    tables: dict = {}
+    lobsim.engine._cache.cache_clear()  # the entry is built by this example's one event
     run = partial(
         simulate, model, book, event_count=1, seed=3, recording=RecordingConfig(events=False),
-        caps=caps, _tables=tables,
+        caps=caps,
     )
     try:
         entries = event_table(model, book, caps).entries
@@ -452,7 +512,7 @@ def test_table_matches_event_table_on_drawn_books(case, drawn_caps):
         key = ()
     else:
         key = (-(book.best_bid() or 0), book.best_ask() or k + 1, 0)
-    cum, levels = tables[key]
+    cum, levels = lobsim.engine._cache(model, caps)[key]
     grown = rested and caps is None and model.per_order_cancel_rate > 0
     rates = [rate for _, rate in entries] + [model.per_order_cancel_rate] * grown
     assert cum == np.cumsum(rates).tolist()

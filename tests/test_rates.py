@@ -314,7 +314,7 @@ class TestSideRows:
             assert all(type(part) is tuple for part in (row.entries, row.levels, row.rates))
         ask, bid = side_arrivals(model, Side.ASK, None), side_arrivals(model, Side.BID, None)
         before = ask, bid, tuple(ask), tuple(bid)
-        tables: dict = {}
+        tables = lobsim.engine._cache(model, None)
         cum, levels = lobsim.engine._table(tables, (), model, None, 2)
         lobsim.engine._table(tables, (), model, None, 40)
         assert len(cum) == len(levels) + 40 and levels == [*ask.levels, *bid.levels]

@@ -464,6 +464,31 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [10**400, "bound + 1"])
+    @pytest.mark.parametrize(
+        "field, bound", [("grid_size", 10_000), ("runs", 10**6), ("heatmap_window", 10**6)]
+    )
+    def test_oversized_config_is_config_error(self, tmp_path, capsys, field, bound, value):
+        # Rejected before anything is allocated: 10**400 exited 4 from numpy's
+        # "Maximum allowed dimension exceeded" or from the seed list.
+        value = bound + 1 if value == "bound + 1" else value
+        raw = {"groups": [GROUP], field: value, "record": "heatmap", "events_per_run": value}
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {field} must be <= {bound:,}, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", [10**6 + 1, 10**400])
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_oversized_runs_flag_is_config_error(self, tmp_path, capsys, verb, runs):
+        out = tmp_path / "o"
+        args = ["--preset", "scenario1", "--out", str(out)] if verb == "run" else []
+        assert main([verb, "--runs", str(runs), *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: runs must be <= 1,000,000, got {runs}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("support", 12.7), ("share", True), ("bid_anchor", "12")])
     def test_mistyped_group_field_is_config_error(self, tmp_path, field, value):
         path = tmp_path / "typed.json"

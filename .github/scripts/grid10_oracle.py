@@ -8,7 +8,8 @@ the enumerate and build times and the process's peak RSS, which the build sets,
 so run each case in a fresh process. The allocator puts that peak in one of two
 modes for the same code, so the script then builds a second time under
 tracemalloc and prints that build's traced peak, which does not move with it.
-Exits 1 when the shape, the digest, the peak RSS or the traced peak bound is off.
+Exits 1 when the shape, the digest, the enumerate plus build time, the peak RSS
+or the traced peak bound is off.
 """
 
 import resource
@@ -32,6 +33,9 @@ CASES = {
     "grid10-static": ((238_238, 2_022_878), 290, 115),
     "grid10-opposite-best": ((529_958, 4_759_898), 500, 248),
 }
+# Enumerate plus build, in seconds, for either case (ROADMAP item 7). Measured on
+# the same VM: 0.4 s static, 1.0 s opposite-best.
+MOST_SECONDS = 3.0
 
 
 def main(name: str) -> int:
@@ -53,6 +57,9 @@ def main(name: str) -> int:
         print(f"expected {shape[0]:,} states and {shape[1]:,} nonzeros", file=sys.stderr)
         return 1
     if golden.check({f"generator/{name}": golden.generator_digest(generator)}):
+        return 1
+    if built - start > MOST_SECONDS:
+        print(f"expected enumerate plus build within {MOST_SECONDS} s", file=sys.stderr)
         return 1
     if peak_mib >= most_mib:
         print(f"expected a peak RSS below {most_mib} MiB", file=sys.stderr)

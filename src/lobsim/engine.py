@@ -313,8 +313,10 @@ def simulate(
     one-seed call in ``orders_by_seq()`` order. That form supports
     only what oracle validation needs: an empty initial book, a
     ``time_horizon`` stop without ``event_count``, ``caps`` with
-    ``max_orders``, and ``RecordingConfig(events=False, checkpoint_times=...)``;
-    any other argument raises :class:`EngineError`.
+    ``max_orders`` where (grid_size + 1)**2 * (max_orders + 1) <= 2**24 (the
+    book set keeps a table id per quotes and order count), and
+    ``RecordingConfig(events=False, checkpoint_times=...)``; any other argument
+    raises :class:`EngineError`, before anything is allocated.
     """
     _check_stop(event_count, time_horizon)
     _check_integer("depth_window", recording.depth_window, 0)
@@ -673,6 +675,9 @@ class _Streams:
 
 # Books a batched cache holds before it first restarts from the books its runs hold.
 _BOOK_CAP = 1 << 15
+# The most table keys (best bid, best ask, order count) a batched book set addresses:
+# its key -> table array has (grid_size + 1)**2 * (max_orders + 1) entries.
+_KEY_CELLS = 1 << 24
 
 
 class _Books:
@@ -861,6 +866,11 @@ def _simulate_lockstep(
         raise EngineError("batched runs record checkpoints only: events=False, nothing else")
     if caps is None or caps.max_orders is None:
         raise EngineError("batched runs need caps with max_orders")
+    if (k + 1) ** 2 * (int(caps.max_orders) + 1) > _KEY_CELLS:
+        raise EngineError(
+            f"batched runs need (grid_size + 1)**2 * (max_orders + 1) <= 2**24, got grid"
+            f" {k} and max_orders {caps.max_orders}"
+        )
     if debug_invariants:
         raise EngineError("batched runs do not check invariants")
     if len(seeds) == 0:

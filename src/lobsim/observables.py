@@ -280,6 +280,11 @@ class SummaryColumns:
     prices: list[int]
 
 
+def _mean(values) -> float:
+    arr = np.asarray(values, dtype=float)
+    return float(arr.mean()) if arr.size else float("nan")
+
+
 def _mean_std(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -322,14 +327,14 @@ def summarize_run(result) -> RunSummary:
         std_spread=std_spread,
         mean_mid=mean_mid,
         std_mid=std_mid,
-        mean_best_bid=_mean_std(best_bids)[0],
-        mean_best_ask=_mean_std(best_asks)[0],
+        mean_best_bid=_mean(best_bids),
+        mean_best_ask=_mean(best_asks),
         mean_transaction_price=mean_price,
         std_transaction_price=std_price,
         mean_return=mean_return,
         return_volatility=volatility,
-        mean_xlm_ask=_mean_std(xlm_ask)[0],
-        mean_xlm_bid=_mean_std(xlm_bid)[0],
-        mean_xlm=_mean_std(xlm_total)[0],
+        mean_xlm_ask=_mean(xlm_ask),
+        mean_xlm_bid=_mean(xlm_bid),
+        mean_xlm=_mean(xlm_total),
         quote_coverage=(len(spreads) / result.event_count) if result.event_count else float("nan"),
     )

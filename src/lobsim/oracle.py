@@ -91,37 +91,38 @@ class StateIndex:
         ):
             raise OracleError(f"placement entries outside levels 1..{self.grid_size}, sizes 1..{q}")
         # A stable sort on descending level reverses the level blocks; padding stays last.
-        flip = np.argsort(np.where(asks[..., 0] > 0, -asks[..., 0], 1), axis=1, kind="stable")
-        rows = (np.take_along_axis(asks, flip[..., None], axis=1), asks)
-        h, level = len(asks), asks[..., 0]
-        length = (level > 0).sum(axis=1)
+        flip = np.argsort(np.where(level > 0, -level, 1), axis=1, kind="stable")
+        (h, width), length = asks.shape[:2], (level > 0).sum(axis=1)
+        rows = asks.reshape(-1, 2).take(flip + np.arange(h)[:, None] * width, axis=0), asks
         best = level.max(axis=1), np.where(length > 0, level[:, 0], self.grid_size + 1)
         if (np.diff(best[1]) > 0).any():
             raise OracleError("placements are not in enumeration order")
         # Each row enters its form's append table under its prefix of j entries
         # (node), so the rows must be distinct and closed under prefixes.
         child = np.full((2, h + 1, (self.grid_size + 1) * q + 1), h, dtype=np.int32)
-        child[..., 0] = np.arange(h + 1)
-        for table, form in zip(child, rows):
-            code, node = form[..., 0] * q + form[..., 1], np.zeros(h, dtype=np.int32)
+        child[..., 0], span = np.arange(h + 1), np.intp(child.shape[2])  # cell node * span + code
+        for table, form in zip(child.reshape(2, -1), rows):
+            code = np.ascontiguousarray((form[..., 0] * q + form[..., 1]).T)
+            node = np.zeros(h, dtype=np.int32)
             for j in range(m):
                 at = np.flatnonzero((length == j + 1) & (node < h))
-                table[node[at], code[at, j]] = at
-                node = table[node, code[:, j]]
+                table[node.take(at) * span + code[j].take(at)] = at
+                node = table.take(node * span + code[j])
             if (node != np.arange(h)).any():
                 raise OracleError("duplicate placements, or not prefix-closed from an empty 0")
         short = np.append(length, m + 1) <= np.arange(m + 1)[:, None]  # a last column for -1
         before = np.cumsum(short, axis=1) - short
         limit = np.count_nonzero(best[1] > np.arange(self.grid_size + 1)[:, None], axis=1)[best[0]]
-        partners = before[m - length, limit]
+        row = (m - length) * (h + 1)
+        partners = before.ravel().take(row + limit)
         fits = np.where(short, before, -1)
-        per_bid = np.cumsum(partners) - partners, (m - length) * (h + 1), limit
+        per_bid = np.cumsum(partners) - partners, row, limit
         pairs = *(np.append(a, 0) for a in per_bid), fits.astype(np.int32).ravel()
         # Bid b pairs with the first partners[b] placements of at most
         # m - length[b] orders: a stable argsort lists each L's in id order.
         bid = np.repeat(np.arange(h), partners)
-        rank = np.arange(len(bid)) - per_bid[0][bid]
-        ask = np.argsort(~short, axis=1, kind="stable")[m - length[bid], rank]
+        rank = np.arange(len(bid)) - per_bid[0].take(bid)
+        ask = np.argsort(~short, axis=1, kind="stable").ravel().take(row.take(bid) + rank)
         fields = ("_rows", rows), ("_child", child), ("_flip", flip), ("_length", length)
         fields += ("_best", best), ("_pairs", pairs), ("bid_placement", bid), ("ask_placement", ask)
         for name, value in fields:
@@ -262,14 +263,19 @@ def enumerate_states(
     rows = np.concatenate(grown)
     # Sort on the row of each level's order count followed by its quantities,
     # levels 1..K; the count of level l sits at l - 1 + (orders below l) and
-    # order j of the row (level l_j) at l_j + j.
-    h, level = len(rows), rows[..., 0]
-    counts = (level[..., None] == np.arange(1, k + 1)).sum(axis=1)
-    order_key = np.zeros((h, k + m), dtype=np.int64)
-    order_key[np.arange(h)[:, None], np.arange(k) + np.cumsum(counts, axis=1) - counts] = counts
-    p, j = np.nonzero(level)
-    order_key[p, level[p, j] + j] = rows[p, j, 1]
-    return StateIndex(grid_size, max_quantity, max_orders, rows[np.lexsort(order_key.T[::-1])])
+    # order j of the row (level l_j) at l_j + j. Counts come from one bincount
+    # of (row, level) codes (level 0 is padding), and both writes are flat.
+    h, entries, w = len(rows), rows.reshape(-1, 2), k + m
+    codes = np.arange(0, h * (k + 1), k + 1)[:, None] + rows[..., 0]
+    counts = np.bincount(codes.ravel(), minlength=h * (k + 1)).reshape(h, k + 1)[:, 1:]
+    at = np.cumsum(counts, axis=1) + np.arange(h * w).reshape(h, w)[:, :k] - counts
+    order_key = np.zeros(h * w, dtype=np.int64)
+    order_key[at.ravel()] = counts.ravel()
+    p, j = np.divmod(cells := np.flatnonzero(entries[:, 0]), m + 1)
+    order_key[p * w + j + entries[:, 0].take(cells)] = entries[:, 1].take(cells)
+    rows = rows[np.lexsort(order_key.reshape(h, w).T[::-1])]
+    del entries, codes, counts, at, order_key, cells, p, j  # before the index's arrays
+    return StateIndex(grid_size, max_quantity, max_orders, rows)
 
 
 def build_generator(
@@ -394,7 +400,7 @@ def build_generator(
         if (targets < 0).any():
             i = int(states[(targets < 0).argmax()])
             raise KeyError(f"a transition from {index.key(i)} leaves the index")
-        slots.append((states.astype(np.int32), targets.astype(np.int32), rate))
+        slots.append((states.astype(np.int32, copy=False), targets.astype(np.int32), rate))
 
     # A group's slots: one arrival list, so each side is a Python bool; temporaries freed on return.
     def arrive(states: np.ndarray, entries: list) -> None:
@@ -416,16 +422,16 @@ def build_generator(
     for states, entries in zip(np.split(order, np.cumsum(np.bincount(group))[:-1]), lists):
         arrive(states, entries)
 
-    cancels = int((length[bid] + length[ask]).max()) if omega != 0.0 else 0
-    on_bid = length[bid]
-    for j in range(cancels):
-        states = np.flatnonzero(on_bid + length[ask] > j)
-        b, a, k = bid[states], ask[states], on_bid[states]
+    residents = length.take(bid) + length.take(ask)
+    for j in range(int(residents.max()) if omega != 0.0 else 0):
+        states = np.flatnonzero(residents > j)
+        b, a = bid.take(states), ask.take(states)
+        k = length.take(b)
         from_bid = j < k
-        bid_to = np.where(from_bid, removed[0][j, b], b)
-        ask_to = np.where(from_bid, a, removed[1][np.maximum(j - k, 0), a])
+        bid_to = np.where(from_bid, removed[0, j].take(b), b)
+        ask_to = np.where(from_bid, a, removed[1].ravel().take(np.maximum(j - k, 0) * h + a))
         keep(states, bid_to, ask_to, omega)
-    del fill_to, fill_at, grown, rest_to, removed, drop, unlimited, spent, below  # before copying
+    del fill_to, fill_at, grown, rest_to, removed, drop, unlimited, spent, below, residents
 
     # Every kept transition, slot after slot, then the diagonal of each state
     # with one. Kept rates are positive, so those states' totals are too, and
@@ -488,10 +494,10 @@ def evolve(p0: Sequence[float], generator: sparse.spmatrix, t: float) -> np.ndar
     poisson_mean = rate_cap * dt
     transition = sparse.identity(p.size, format="csr") + generator.tocsr() / rate_cap
     max_terms = int(poisson_mean + 20.0 * math.sqrt(poisson_mean + 1.0) + 200)
+    scaled = np.empty_like(p)
     for _ in range(segments):
         weight = math.exp(-poisson_mean)
-        term = p.copy()
-        acc = weight * term
+        term, acc = p, weight * p
         cumulative = weight
         n = 0
         while cumulative < 1.0 - TAIL_TOLERANCE:
@@ -500,7 +506,7 @@ def evolve(p0: Sequence[float], generator: sparse.spmatrix, t: float) -> np.ndar
                 raise OracleError("uniformization failed to converge")
             term = transition @ term
             weight *= poisson_mean / n
-            acc += weight * term
+            acc += np.multiply(term, weight, out=scaled)  # one buffer for every term
             cumulative += weight
         p = acc
     return _check_probability_vector(p, "evolve output", segments * TAIL_TOLERANCE)

@@ -227,6 +227,19 @@ class TestSimulate:
                 caps=replace(tiny_caps, **caps),
             )
 
+    # The tiny grid has 3**2 quote pairs, so 1,864,135 orders is the first count past 2**24 keys.
+    @pytest.mark.parametrize("max_orders", [10**400, 1_864_135], ids=["past-int64", "first-past"])
+    def test_batched_caps_past_the_key_table_raise(self, max_orders):
+        # Before the check, 10**400 raised numpy's "Maximum allowed dimension
+        # exceeded" from the book set's key -> table array.
+        model, tiny_caps = ORACLE_MODELS["tiny-overlap"]()
+        assert 9 * 1_864_134 <= 2**24 < 9 * 1_864_136
+        with pytest.raises(EngineError, match=r"\(max_orders \+ 1\) <= 2\*\*24, got grid 2"):
+            simulate(
+                model, time_horizon=1.0, seed=[1, 2], recording=RecordingConfig(events=False),
+                caps=replace(tiny_caps, max_orders=max_orders),
+            )
+
     @pytest.mark.parametrize("seed", [5, [5]], ids=["scalar", "batched"])
     def test_nan_checkpoint_time_is_absent(self, seed):
         # A NaN time is never reached. The scalar form once took the final book at

@@ -23,6 +23,7 @@ from lobsim.engine import RecordingConfig, run_ensemble, simulate
 from lobsim import rates
 from lobsim.observables import ensemble_covariance, ensemble_moment
 from lobsim.oracle import (
+    TAIL_TOLERANCE,
     OracleError,
     StateIndex,
     StateSpaceBudgetError,
@@ -704,6 +705,33 @@ class TestEvolve:
         stationary = np.linalg.solve(dense, rhs)
         p = evolve(vacuum_vector(index), generator, 500.0)
         assert compare_distributions(p, stationary) < 1e-8
+
+    def test_matches_a_textbook_uniformization_loop(self):
+        # p(t) = sum_n w_n (I + G / rate)^n p0 per segment, each term a fresh
+        # array summed after the Poisson weights w_n reach 1 - TAIL_TOLERANCE, in
+        # evolve's float operations. Without cancellations the full books of
+        # tiny are absorbing (empty columns), and t = 40 takes 4 segments.
+        model, index = oracle_case("tiny")
+        generator = build_generator(replace(model, per_order_cancel_rate=0.0), index)
+        assert (np.diff(generator.indptr) == 0).any()
+        t, rate = 40.0, float(-generator.diagonal().min())
+        segments = math.ceil(rate * t / 64.0)
+        mean = rate * (t / segments)
+        step = sparse.identity(len(index), format="csr") + generator.tocsr() / rate
+        p = vacuum_vector(index)
+        for _ in range(segments):
+            weights, terms, mass = [math.exp(-mean)], [p], math.exp(-mean)
+            while mass < 1.0 - TAIL_TOLERANCE:
+                weights.append(weights[-1] * (mean / len(weights)))
+                terms.append(step @ terms[-1])
+                mass += weights[-1]
+            p = weights[0] * terms[0]
+            for weight, term in zip(weights[1:], terms[1:]):
+                p += weight * term
+        assert segments == 4 and len(weights) > mean
+        expected = p / p.sum()  # evolve renormalizes its output
+        found = evolve(vacuum_vector(index), generator, t)
+        assert np.array_equal(found.view(np.uint64), expected.view(np.uint64))
 
     def test_rejects_bad_inputs(self, system):
         index, generator = system

@@ -1,4 +1,4 @@
-"""Build a grid-10 oracle generator; check its shape and pinned canonical CSC digest.
+"""Build a grid-10 oracle generator; check its shape, state count and pinned canonical CSC digest.
 
 Usage: python .github/scripts/grid10_oracle.py grid10-static|grid10-opposite-best
 (lobsim installed, or PYTHONPATH=src from the repository root)
@@ -8,8 +8,8 @@ the enumerate and build times and the process's peak RSS, which the build sets,
 so run each case in a fresh process. The allocator puts that peak in one of two
 modes for the same code, so the script then builds a second time under
 tracemalloc and prints that build's traced peak, which does not move with it.
-Exits 1 when the shape, the digest, the enumerate plus build time, the peak RSS
-or the traced peak bound is off.
+Exits 1 when the shape, the budget's closed-form state count, the digest, the
+enumerate plus build time, the peak RSS or the traced peak bound is off.
 """
 
 import resource
@@ -27,14 +27,14 @@ from lobsim import oracle  # noqa: E402
 
 # name: ((states, nonzeros), peak RSS bound, traced build peak bound, in MiB).
 # Measured on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): peak RSS
-# 244-258 MiB static, 424-479 MiB opposite-best; traced build peaks 109.7 MiB
-# static, 235.8 MiB opposite-best, each bound about 5% above.
+# 223-227 MiB static, 405-408 MiB opposite-best; traced build peaks 106.0 MiB
+# static, 227.9 MiB opposite-best, each bound about 9% above.
 CASES = {
     "grid10-static": ((238_238, 2_022_878), 290, 115),
     "grid10-opposite-best": ((529_958, 4_759_898), 500, 248),
 }
 # Enumerate plus build, in seconds, for either case (ROADMAP item 7). Measured on
-# the same VM: 0.4 s static, 1.0 s opposite-best.
+# the same VM: 0.26-0.38 s static, 0.60-0.83 s opposite-best.
 MOST_SECONDS = 3.0
 
 
@@ -55,6 +55,10 @@ def main(name: str) -> int:
     )
     if found != shape:
         print(f"expected {shape[0]:,} states and {shape[1]:,} nonzeros", file=sys.stderr)
+        return 1
+    counted = oracle._state_count(index.grid_size, index.max_orders)
+    if counted != len(index):
+        print(f"the budget's count is {counted:,} states", file=sys.stderr)
         return 1
     if golden.check({f"generator/{name}": golden.generator_digest(generator)}):
         return 1

@@ -1,15 +1,17 @@
 """Exact forward-equation solver on a truncated book state space.
 
-Enumerates every price-time-normal-form book within the cutoffs as a pair
-of per-side placements, each one side's resting orders held as a padded
-numpy row of (level, quantity) entries in ask order (the bid form reverses
-the level blocks). Rows map to placement ids, and id pairs to states, by
-direct addressing. The sparse transition-rate generator comes from the same
-cached side rows (``side_arrivals`` of the best quotes) and cap rule as the
-engine's event tables, with fills, rests and cancellations worked out by array
-operations over all placements at once. Probability vectors evolve by
-uniformization. The engine is validated against it on the tiny models;
-``tests/test_oracle.py`` checks the generator against the book core's.
+Every order has the model's ``unit_quantity``, so a book is its occupation
+numbers per level, as in the paper's |n_1 ... n_K>: a match fills its
+resident whole. The index enumerates every uncrossed book within the cutoffs
+as a pair of per-side placements, each one side's resting orders held as a
+padded numpy row of levels in ask order (the bid form is the row reversed).
+Rows map to placement ids, and id pairs to states, by direct addressing. The
+sparse transition-rate generator comes from the same cached side rows
+(``side_arrivals`` of the best quotes) and cap rule as the engine's event
+tables, with fills, rests and cancellations worked out by array operations
+over all placements at once. Probability vectors evolve by uniformization.
+The engine is validated against it on the tiny models; ``tests/test_oracle.py``
+checks the generator against the book core's.
 """
 
 from __future__ import annotations
@@ -45,28 +47,29 @@ class StateSpaceBudgetError(OracleError):
 class StateIndex:
     """Bijection between truncated canonical book structures and indices.
 
-    ``placements[p]`` is placement p in ask form: ``max_orders + 1`` entries
-    (level, quantity), the resting orders by ascending level and time
-    priority, then (0, 0) padding; the bid form reverses the level blocks.
-    The placements fix the states: bid placement b, in id order, pairs with
-    the placements of at most ``max_orders`` minus its length orders whose
-    best ask lies above its best bid, in id order, and state i pairs
-    ``bid_placement[i]`` with ``ask_placement[i]``. No lookup searches: a row
-    walks to its placement id through its form's append table, one gather per
-    entry, and a pair of ids maps to its state by arithmetic (:meth:`_find`).
-    Equality compares the three bounds, which determine the enumeration.
+    Every order has size ``quantity``. ``placements[p]`` is placement p in
+    ask form: ``max_orders + 1`` levels, the resting orders ascending, then 0
+    padding; the bid form is the same levels descending. The placements fix
+    the states: bid placement b, in id order, pairs with the placements of at
+    most ``max_orders`` minus its length orders whose best ask lies above its
+    best bid, in id order, and state i pairs ``bid_placement[i]`` with
+    ``ask_placement[i]``. No lookup searches: a row walks to its placement id
+    through its form's append table, one gather per entry, and a pair of ids
+    maps to its state by arithmetic (:meth:`_find`). Equality compares the
+    three bounds, which determine the enumeration.
     """
 
     grid_size: int
-    max_quantity: int
+    quantity: int
     max_orders: int
     placements: np.ndarray = field(repr=False, compare=False)
     bid_placement: np.ndarray = field(init=False, repr=False, compare=False)
     ask_placement: np.ndarray = field(init=False, repr=False, compare=False)
     # Per form (0 bid, 1 ask): every placement's row, and its append table:
-    # child[p, level * max_quantity + quantity] is p with that entry appended,
-    # H if the index lacks it (row H is a sink); code 0, padding, keeps p, and
-    # placement 0 is empty. Order j of bid row p is order flip[p, j] of ask row p.
+    # child[p, level] is p with an order at that level appended, H if the index
+    # lacks it (row H is a sink, as is code grid_size + 1, which no placement
+    # has); code 0, padding, keeps p, and placement 0 is empty. Order j of bid
+    # row p is order flip[p, j] of ask row p.
     _rows: tuple = field(init=False, repr=False, compare=False)
     _child: np.ndarray = field(init=False, repr=False, compare=False)
     _flip: np.ndarray = field(init=False, repr=False, compare=False)
@@ -82,27 +85,23 @@ class StateIndex:
     _pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        asks, m, q = self.placements, self.max_orders, self.max_quantity
-        # An entry is padding (0, 0), else (level, quantity) within the bounds;
-        # whole-array reductions, as reducing each two-element entry is slow.
-        level, quantity = asks[..., 0], asks[..., 1]
-        if asks.min(initial=0) < 0 or level.max(initial=0) > self.grid_size or (
-            quantity.max(initial=0) > q or ((level == 0) != (quantity == 0)).any()
-        ):
-            raise OracleError(f"placement entries outside levels 1..{self.grid_size}, sizes 1..{q}")
-        # A stable sort on descending level reverses the level blocks; padding stays last.
-        flip = np.argsort(np.where(level > 0, -level, 1), axis=1, kind="stable")
-        (h, width), length = asks.shape[:2], (level > 0).sum(axis=1)
-        rows = asks.reshape(-1, 2).take(flip + np.arange(h)[:, None] * width, axis=0), asks
-        best = level.max(axis=1), np.where(length > 0, level[:, 0], self.grid_size + 1)
+        asks, m = self.placements, self.max_orders
+        if asks.min(initial=0) < 0 or asks.max(initial=0) > self.grid_size:
+            raise OracleError(f"placement entries outside levels 1..{self.grid_size}")
+        (h, width), length = asks.shape, (asks > 0).sum(axis=1)
+        # The bid form lists the orders best first: the row reversed, padding last.
+        col, last = np.arange(width), length[:, None] - 1
+        flip = np.where(col <= last, last - col, col)
+        rows = np.take_along_axis(asks, flip, axis=1), asks
+        best = asks.max(axis=1), np.where(length > 0, asks[:, 0], self.grid_size + 1)
         if (np.diff(best[1]) > 0).any():
             raise OracleError("placements are not in enumeration order")
         # Each row enters its form's append table under its prefix of j entries
         # (node), so the rows must be distinct and closed under prefixes.
-        child = np.full((2, h + 1, (self.grid_size + 1) * q + 1), h, dtype=np.int32)
+        child = np.full((2, h + 1, self.grid_size + 2), h, dtype=np.int32)
         child[..., 0], span = np.arange(h + 1), np.intp(child.shape[2])  # cell node * span + code
         for table, form in zip(child.reshape(2, -1), rows):
-            code = np.ascontiguousarray((form[..., 0] * q + form[..., 1]).T)
+            code = np.ascontiguousarray(form.T)
             node = np.zeros(h, dtype=np.int32)
             for j in range(m):
                 at = np.flatnonzero((length == j + 1) & (node < h))
@@ -132,10 +131,9 @@ class StateIndex:
         return len(self.bid_placement)
 
     def _ids(self, codes: np.ndarray, form: int, start: Optional[np.ndarray] = None) -> np.ndarray:
-        """Placement ids of rows of entry codes, level * max_quantity + quantity
-        (0 keeps the node), within the bounds written in ``form`` (0 bid, 1 ask),
-        -1 for a row the index lacks. A row walks from the empty placement, or
-        from its ``start`` id: the placement its codes then extend."""
+        """Placement ids of rows of levels (0 keeps the node) written in ``form``
+        (0 bid, 1 ask), -1 for a row the index lacks. A row walks from the empty
+        placement, or from its ``start`` id: the placement its levels then extend."""
         child, width = self._child[form].ravel(), np.intp(self._child.shape[2])
         node = np.zeros(len(codes), dtype=np.int32) if start is None else start
         for code in codes.T:
@@ -151,47 +149,43 @@ class StateIndex:
 
     def key(self, i: int) -> CanonicalKey:
         bids, asks = (
-            tuple((lv, q) for lv, q in rows[p].tolist() if lv)
+            tuple((lv, self.quantity) for lv in rows[p].tolist() if lv)
             for rows, p in zip(self._rows, (self.bid_placement[i], self.ask_placement[i]))
         )
         return bids, asks
 
     def index(self, key: CanonicalKey) -> int:
-        """The index of a canonical key; ``KeyError`` if the index lacks it."""
-        k, q, width = self.grid_size, self.max_quantity, self.placements.shape[1]
+        """The index of a canonical key; ``KeyError`` if the index lacks it,
+        an order of another size included."""
+        k, q, width = self.grid_size, self.quantity, self.placements.shape[1]
         codes = np.zeros((2, width), dtype=np.int64)
         for form, half in enumerate(key):
-            if len(half) >= width or not all(0 < lv <= k and 0 < s <= q for lv, s in half):
+            if len(half) >= width or not all(0 < lv <= k and s == q for lv, s in half):
                 raise KeyError(key)
-            codes[form, : len(half)] = [lv * q + s for lv, s in half]
+            codes[form, : len(half)] = [lv for lv, _ in half]
         i = int(self._find(self._ids(codes[:1], 0), self._ids(codes[1:], 1))[0])
         if i < 0:
             raise KeyError(key)
         return i
 
-    def positions(self, books: np.ndarray, quantity: int = 1) -> np.ndarray:
+    def positions(self, books: np.ndarray) -> np.ndarray:
         """Indices of books given as rows of signed levels, shape (..., max_orders + 1) -> (...).
 
         A row holds a book's residents as batched :func:`~lobsim.engine.simulate`
         returns them: signed levels (+ asks, - bids) in submission order, 0 for
-        padding, every order of size ``quantity``. One sort puts the bids best
+        padding, every order of the index's size. One sort puts the bids best
         first, then the padding, then the asks best first; each form walks its
         append table over the whole sorted row, where code 0 (padding and the
         other side) keeps the node, and :meth:`_find` pairs the two ids.
-        :class:`OracleError` for a row of another width, a quantity outside
-        1..``max_quantity``, or a book outside the index.
+        :class:`OracleError` for a row of another width or a book outside the index.
         """
-        k, q, width = self.grid_size, self.max_quantity, self.max_orders + 1
-        if books.shape[-1:] != (width,) or not (is_integer(quantity) and 1 <= quantity <= q):
-            raise OracleError(
-                f"books of shape {books.shape}, size {quantity}: need (..., {width}), sizes 1..{q}"
-            )
+        k, width = self.grid_size, self.max_orders + 1
+        if books.shape[-1:] != (width,):
+            raise OracleError(f"books of shape {books.shape}: need (..., {width})")
         rows = np.sort(books.reshape(-1, width), axis=1)
-        # Per form, the code of each signed level -K - 1..K + 1: its entry on the
-        # form's side, else 0; past the grid q, an entry code no placement has.
-        level = np.maximum(np.arange(-k - 1, k + 2) * np.array([[-1], [1]]), 0)
-        code = np.where(level > 0, level * q + quantity, 0)
-        code[:, [0, -1]] = q
+        # Per form, the code of each signed level -K - 1..K + 1: its level on the
+        # form's side, else 0; a level past the grid is K + 1, which no placement has.
+        code = np.maximum(np.arange(-k - 1, k + 2) * np.array([[-1], [1]]), 0)
         at = np.clip(rows, -k - 1, k + 1, dtype=np.intp) + (k + 1)
         found = self._find(self._ids(code[0].take(at), 0), self._ids(code[1].take(at), 1))
         if (found < 0).any():
@@ -200,82 +194,63 @@ class StateIndex:
         return found.reshape(books.shape[:-1])
 
     def caps(self) -> StateCaps:
-        return StateCaps(max_orders=self.max_orders, max_quantity=self.max_quantity)
+        return StateCaps(max_orders=self.max_orders, max_quantity=self.quantity)
 
 
-def _state_count(k: int, q: int, m: int) -> int:
-    """The number of states :func:`enumerate_states` indexes on k levels, orders
-    of size up to q, at most m orders, from per-(length, best level) counts."""
-    # asks[n, a]: ask placements of n orders whose best level is a (k + 1 when
-    # empty). The other n - 1 levels form a multiset on a..k.
-    asks = np.zeros((m + 1, k + 2), dtype=object)
-    asks[0, k + 1] = 1
-    for n in range(1, m + 1):
-        for a in range(1, k + 1):
-            asks[n, a] = math.comb(n - 1 + k - a, n - 1) * q**n
-    # fits[n, a]: ask placements of at most n orders whose best level is >= a.
-    fits = asks.cumsum(axis=0)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    # Mirroring the levels makes a bid placement of n orders, best level b,
-    # an ask placement with best level k + 1 - b; its asks sit above b.
-    pairs = ((n, b) for n in range(m + 1) for b in range(k + 1))
-    return int(sum(asks[n, k + 1 - b] * fits[m - n, b + 1] for n, b in pairs))
+def _state_count(k: int, m: int) -> int:
+    """The number of states :func:`enumerate_states` indexes on k levels with
+    at most m orders. Those without bids are the C(m + k, m) ask placements.
+    A bid placement of n >= 1 orders with best level b has C(n - 2 + b, n - 1)
+    forms and C(m - n + k - b, m - n) ask partners above b; by Vandermonde's
+    identity their sum over b is C(m + k - 1, m) for every n."""
+    return math.comb(m + k, m) + m * math.comb(m + k - 1, m)
 
 
 def enumerate_states(
-    grid_size: int, max_quantity: int, max_orders: int, budget: int = 200_000
+    grid_size: int, quantity: int, max_orders: int, budget: int = 200_000
 ) -> StateIndex:
     """Enumerate every uncrossed book within the cutoffs, exactly once.
 
-    Crossed configurations are excluded: continuous trading resolves them
-    inside a single transition, so they are never observable states of the
-    process. Raises :class:`OracleError` unless the bounds and ``budget`` are
-    integers, not bools, ``grid_size`` and ``max_quantity`` are at least 1 and
-    ``max_orders`` at least 0, and
+    Every order has size ``quantity``. Crossed configurations are excluded:
+    continuous trading resolves them inside a single transition, so they are
+    never observable states of the process. Raises :class:`OracleError` unless
+    the bounds and ``budget`` are integers, not bools, ``grid_size`` and
+    ``quantity`` are at least 1 and ``max_orders`` at least 0, and
     :class:`StateSpaceBudgetError` past ``budget`` states, counted before any
-    placement is built. Distinct queue orderings are distinct states because
-    matching consumes the front of the queue first. Placements are grown
-    length by length, then ordered lexicographically over levels 1..K of each
-    level's queue, queues ranked by (length, quantities); :class:`StateIndex`
-    pairs them into states, each bid placement in that order with the ask
-    placements that fit beside it, in that order.
+    placement is built. Placements are grown length by length, then ordered
+    lexicographically over their order counts at levels 1..K;
+    :class:`StateIndex` pairs them into states, each bid placement in that
+    order with the ask placements that fit beside it, in that order.
     """
-    k, m, q = grid_size, max_orders, max_quantity
+    k, m, q = grid_size, max_orders, quantity
     if not (all(map(is_integer, (k, q, m, budget))) and k >= 1 and q >= 1 and m >= 0):
         raise OracleError(
-            f"bounds (grid_size {k!r}, max_quantity {q!r}, max_orders {m!r}) need"
-            " grid_size >= 1, max_quantity >= 1 and max_orders >= 0; they and the"
+            f"bounds (grid_size {k!r}, quantity {q!r}, max_orders {m!r}) need"
+            " grid_size >= 1, quantity >= 1 and max_orders >= 0; they and the"
             f" budget ({budget!r}) must be integers, not bools"
         )
-    k, m, q = int(k), int(m), int(q)  # a numpy int's q**m would wrap in the count
-    count = _state_count(k, q, m)
+    k, m, q = int(k), int(m), int(q)
+    count = _state_count(k, m)
     if count > budget:
         raise StateSpaceBudgetError(f"state space of {count} exceeds budget of {budget}")
-    grown = [np.zeros((1, m + 1, 2), dtype=np.int64)]
+    grown = [np.zeros((1, m + 1), dtype=np.int64)]
     for n in range(1, m + 1):
         # Append one order at or above the last order's level to each row of n - 1.
-        low = np.maximum(grown[-1][:, n - 2, 0], 1)
-        choices = (k + 1 - low) * q
+        low = np.maximum(grown[-1][:, n - 2], 1)
+        choices = k + 1 - low
         rows = np.repeat(grown[-1], choices, axis=0)
         c = np.arange(len(rows)) - np.repeat(np.cumsum(choices) - choices, choices)
-        rows[:, n - 1, 0] = np.repeat(low, choices) + c // q
-        rows[:, n - 1, 1] = c % q + 1
+        rows[:, n - 1] = np.repeat(low, choices) + c
         grown.append(rows)
     rows = np.concatenate(grown)
-    # Sort on the row of each level's order count followed by its quantities,
-    # levels 1..K; the count of level l sits at l - 1 + (orders below l) and
-    # order j of the row (level l_j) at l_j + j. Counts come from one bincount
-    # of (row, level) codes (level 0 is padding), and both writes are flat.
-    h, entries, w = len(rows), rows.reshape(-1, 2), k + m
-    codes = np.arange(0, h * (k + 1), k + 1)[:, None] + rows[..., 0]
-    counts = np.bincount(codes.ravel(), minlength=h * (k + 1)).reshape(h, k + 1)[:, 1:]
-    at = np.cumsum(counts, axis=1) + np.arange(h * w).reshape(h, w)[:, :k] - counts
-    order_key = np.zeros(h * w, dtype=np.int64)
-    order_key[at.ravel()] = counts.ravel()
-    p, j = np.divmod(cells := np.flatnonzero(entries[:, 0]), m + 1)
-    order_key[p * w + j + entries[:, 0].take(cells)] = entries[:, 1].take(cells)
-    rows = rows[np.lexsort(order_key.reshape(h, w).T[::-1])]
-    del entries, codes, counts, at, order_key, cells, p, j  # before the index's arrays
-    return StateIndex(grid_size, max_quantity, max_orders, rows)
+    # Sort on each level's order count, levels 1..K: one bincount of (row, level)
+    # codes (level 0 is padding), the last lexsort key first.
+    h = len(rows)
+    codes = np.arange(0, h * (k + 1), k + 1)[:, None] + rows
+    counts = np.bincount(codes.ravel(), minlength=h * (k + 1)).reshape(h, k + 1)
+    rows = rows[np.lexsort(counts.T[:0:-1])]
+    del codes, counts  # before the index's arrays
+    return StateIndex(k, q, m, rows)
 
 
 def build_generator(
@@ -291,34 +266,36 @@ def build_generator(
     the matrix describes the same finite process the capped engine runs. The
     diagonal balances each column to zero; a state with no transition keeps
     an empty column. A transition leaving the index raises ``KeyError``; a
-    model on another grid than the index raises :class:`OracleError`.
+    model on another grid than the index, or with orders of another size,
+    raises :class:`OracleError`.
 
-    Every event changes one side's placement and reaches the other side only through
-    the remainder of a fill, so transitions are tabulated per placement with array
-    operations: cancellations per order position (the orders after it walked on from
-    the id of those before: one prefix walk), fills per form and quantity, chained
-    from first-order removals where a fill takes whole orders, and rests scattered
-    from the cancellations that undo them. Slots run in event-table order (a group's
-    arrivals, then cancellation j for the states with more than j residents), each
-    keeping its live transitions, with the quantity-cap test only if an order exceeds
-    that cap. Totals and outflows add each state's rates in slot order, its diagonal
-    follows every slot, and COO to CSC keeps each column's entries in input order, so
-    the float bytes match a state-by-state assembly.
+    Every event changes one side's placement: an arrival at or beyond the
+    opposite best fills its first order whole, any other rests, and a
+    cancellation removes one order. So transitions are tabulated per placement
+    with array operations: cancellations per order position (the orders after
+    it walked on from the id of those before: one prefix walk), and rests
+    scattered from the cancellations that undo them. Slots run in event-table
+    order (a group's arrivals, then cancellation j for the states with more
+    than j residents), each keeping its live transitions. Totals and outflows
+    add each state's rates in slot order, its diagonal follows every slot, and
+    COO to CSC keeps each column's entries in input order, so the float bytes
+    match a state-by-state assembly.
     """
     from scipy import sparse
 
     grid, omega = model.grid_size, model.per_order_cancel_rate
     if grid != index.grid_size:
         raise OracleError(f"model on a grid of {grid} levels, index on {index.grid_size}")
+    if model.unit_quantity != index.quantity:
+        raise OracleError(
+            f"model orders of size {model.unit_quantity}, index orders of size {index.quantity}"
+        )
     caps = index.caps() if caps is None else caps
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
-    max_quantity = math.inf if caps.max_quantity is None else caps.max_quantity
+    # Arrivals above the quantity cap are dropped, as in the engine's tables.
+    fits = caps.max_quantity is None or index.quantity <= caps.max_quantity
     rows, length, best = index._rows, index._length, index._best
-    n, (h, width, _) = len(index), rows[1].shape
-    # Whether a placement holds an order above the quantity cap, if any does. Arrivals
-    # above it are dropped, so a result holds one only where its state did.
-    capped = index.placements[..., 1].max(initial=0) > max_quantity
-    over = (index.placements[..., 1] > max_quantity).any(axis=1) if capped else None
+    n, (h, width) = len(index), rows[1].shape
     bid, ask, p = index.bid_placement, index.ask_placement, np.arange(h)
 
     # Arrival lists, keyed like the engine's table cache (one under static anchoring, one per
@@ -327,71 +304,33 @@ def build_generator(
     quotes = best[0][bid] * (grid + 2) + best[1][ask] if by_quotes else np.full(n, grid + 1)
     held = np.bincount(quotes) > 0  # the quote codes present, one group each, in code order
     group = (np.cumsum(held) - 1)[quotes]
-    arrival_ids: dict = {}  # (ask?, price, quantity) -> arrival id
-    lists, q = [], model.unit_quantity  # per group: (arrival id, ask?, price, raw rate) in order
+    lists = []  # per group: (ask?, price, raw rate) in order
     for b, a in (divmod(code, grid + 2) for code in np.flatnonzero(held).tolist()):
         lists.append([])
         for side, opposite_best in (Side.ASK, b or None), (Side.BID, a if a <= grid else None):
             row = side_arrivals(model, side, opposite_best)
-            for s, rate in zip(row.levels, row.rates) if q <= max_quantity else ():
-                arrival_id = arrival_ids.setdefault((s > 0, abs(s), q), len(arrival_ids))
-                lists[-1].append((arrival_id, s > 0, abs(s), rate))
+            for s, rate in zip(row.levels, row.rates) if fits else ():
+                lists[-1].append((s > 0, abs(s), rate))
 
     # removed[form][j, p]: placement p without element j of its row in that form, -1 past its
-    # length (slot j cancels element j of bids + asks, in submission order), by one prefix walk:
-    # the codes after entry j (codes[1][j + 1 :, p]; the last column is padding) walk on from
-    # node, the id of the row's first j. drop[form][f, p]: p without its first f, where it has f.
-    codes = [np.ascontiguousarray((r[..., 0] * index.max_quantity + r[..., 1]).T) for r in rows]
+    # length (slot j cancels element j of bids + asks, in submission order; an arrival that
+    # crosses fills element 0), by one prefix walk: the levels after entry j (levels[j + 1 :, p];
+    # the last column is padding) walk on from node, the id of the row's first j.
+    levels = np.ascontiguousarray(rows[1].T)
     removed, node = np.full((2, width, h), -1, dtype=np.int32), np.zeros(h, dtype=np.int32)
     for j in range(width - 1):
-        removed[1, j] = np.where(length > j, index._ids(codes[1][j + 1 : -1].T, 1, node), -1)
-        node = index._ids(codes[1][j : j + 1].T, 1, node)
+        removed[1, j] = np.where(length > j, index._ids(levels[j + 1 : -1].T, 1, node), -1)
+        node = index._ids(levels[j : j + 1].T, 1, node)
     removed[0] = removed[1].ravel().take(index._flip.T * h + p)
-    # spent[form][f, p]: the size of row p's first f orders, summed column by column (cumsum
-    # over short rows is slower); below[l, p]: p's orders at or below level l. All read flat.
-    sizes = np.stack([r[..., 1].T for r in rows])
-    drop, first = np.empty_like(removed), removed[:, 0].ravel()  # both forms, flat
-    drop[:, 0], spent = p, np.zeros_like(sizes)
-    for f in range(1, width):
-        drop[:, f] = first[drop[:, f - 1] + [[0], [h]]]
-        spent[:, f] = spent[:, f - 1] + sizes[:, f - 1]
-    below = np.bincount((rows[1][..., 0] * h + p[:, None]).ravel(), minlength=(grid + 1) * h)
-    below = below.reshape(-1, h).cumsum(axis=0) - (width - length)  # less padding, at level 0
-    # Per form and quantity, every placement after a fill of it at any price:
-    # the orders it takes whole dropped, and a row looked up where it takes part of one.
-    unlimited = {}
-    for form, quantity in {(int(not on_ask), q) for on_ask, _, q in arrival_ids}:
-        gone = np.minimum((spent[form] + sizes[form] <= quantity).sum(axis=0), length)
-        cut = quantity - spent[form].take(gone * h + p)
-        part = np.flatnonzero((gone < length) & (cut > 0))
-        shift = np.minimum(np.arange(width)[:, None] + gone[part], width - 1)
-        rest = np.take_along_axis(codes[form][:, part], shift, axis=0)
-        rest[0] -= cut[part]  # the quantity left of the first order
-        unlimited[form, quantity] = drop[form].take(gone * h + p)
-        unlimited[form, quantity][part] = index._ids(rest.T, form)
-
-    # Per arrival and opposite placement, the placement after the fill, the remainder r as
-    # its offset r * h in rest_to, and the orders left plus one if r > 0: as in submit_order,
-    # all of the crossing front (its first f, drop[f]) if covered, else the unlimited fill.
-    fill_to, fill_at, grown = np.empty((3, len(arrival_ids), h), dtype=np.int32)
-    for (on_ask, price, quantity), a in arrival_ids.items():
-        opposite = int(not on_ask)
-        front = (length - below[price - 1] if on_ask else below[price]) * h + p
-        taken = spent[opposite].take(front)
-        whole, fill_at[a] = drop[opposite].take(front), np.maximum(quantity - taken, 0) * h
-        fill_to[a] = np.where(quantity >= taken, whole, unlimited[opposite, quantity])
-        grown[a] = length.take(fill_to[a]) + (quantity > taken)
-    # rest_to[price, r, p]: p (an ask row) with a remainder r rested behind its orders at
-    # levels up to price, -1 if not indexed. Resting undoes cancelling the last order of a
-    # level block: each such order, at position `at` of placement `placed`, fills one entry.
-    top = max((q for _, _, q in arrival_ids), default=0)
-    rest_to = np.full((grid + 1, top + 1, h), -1, dtype=np.int32)
-    rest_to[:, 0] = p
-    level, size = rows[1][..., 0].T, rows[1][..., 1].T
-    ends = (level[:-1] > 0) & (level[:-1] != level[1:]) & (size[:-1] <= top)
+    # rest_to[price, p]: placement p (read in ask form) with an order rested at price, -1 if
+    # not indexed.
+    # Resting undoes cancelling the last order of a level block: each such order, at
+    # position `at` of placement `placed`, fills one entry.
+    rest_to = np.full((grid + 1, h), -1, dtype=np.int32)
+    ends = (levels[:-1] > 0) & (levels[:-1] != levels[1:])
     at, placed = np.nonzero(ends & (removed[1, :-1] >= 0))
-    rest_to[level[at, placed], size[at, placed], removed[1, at, placed]] = placed
-    del ends, placed, at, codes, sizes  # held through the slots, they raise a build's peak RSS
+    rest_to[levels[at, placed], removed[1, at, placed]] = placed
+    del ends, placed, at, levels  # held through the slots, they raise a build's peak RSS
 
     slots = []  # per slot, its kept transitions as (states, targets, raw rate)
 
@@ -402,20 +341,20 @@ def build_generator(
             raise KeyError(f"a transition from {index.key(i)} leaves the index")
         slots.append((states.astype(np.int32, copy=False), targets.astype(np.int32), rate))
 
-    # A group's slots: one arrival list, so each side is a Python bool; temporaries freed on return.
+    # A group's slots: one arrival list, so each side is a Python bool; temporaries freed on
+    # return. An ask at price s crosses when the best bid is at s or above, a bid when the
+    # best ask is at s or below: it takes the opposite front (one order fewer), else rests.
     def arrive(states: np.ndarray, entries: list) -> None:
         sides = bid.take(states), ask.take(states)
-        counts = length.take(sides[0]), length.take(sides[1])  # read once per group
-        oversized = over.take(sides[0]) | over.take(sides[1]) if capped else None
-        for a, on_ask, price, rate in entries:
+        quotes = best[0].take(sides[0]), best[1].take(sides[1])  # read once per group
+        total = length.take(sides[0]) + length.take(sides[1])
+        for on_ask, price, rate in entries:
             opposite, own = sides if on_ask else sides[::-1]
-            live = grown[a].take(opposite) + counts[on_ask] <= max_orders
-            if capped:
-                live &= ~(oversized & (over.take(fill_to[a].take(opposite)) | over.take(own)))
-            kept = np.flatnonzero(live)
-            opposite, own = opposite.take(kept), own.take(kept)
-            to = fill_to[a].take(opposite)
-            rested = rest_to[price].ravel().take(fill_at[a].take(opposite) + own)
+            crosses = quotes[0] >= price if on_ask else quotes[1] <= price
+            kept = np.flatnonzero(total + np.where(crosses, -1, 1) <= max_orders)
+            opposite, own, crosses = opposite.take(kept), own.take(kept), crosses.take(kept)
+            to = np.where(crosses, removed[int(not on_ask), 0].take(opposite), opposite)
+            rested = np.where(crosses, own, rest_to[price].take(own))
             keep(states.take(kept), *((to, rested) if on_ask else (rested, to)), rate)
 
     order = np.argsort(group, kind="stable").astype(np.int32)  # int32, as slots keep states
@@ -431,7 +370,7 @@ def build_generator(
         bid_to = np.where(from_bid, removed[0, j].take(b), b)
         ask_to = np.where(from_bid, a, removed[1].ravel().take(np.maximum(j - k, 0) * h + a))
         keep(states, bid_to, ask_to, omega)
-    del fill_to, fill_at, grown, rest_to, removed, drop, unlimited, spent, below, residents
+    del rest_to, removed, residents
 
     # Every kept transition, slot after slot, then the diagonal of each state
     # with one. Kept rates are positive, so those states' totals are too, and

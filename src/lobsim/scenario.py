@@ -687,9 +687,9 @@ def validate_against_oracle(
         model, time_horizon=ORACLE_TIMES[-1], seed=seeds, recording=recording, caps=caps
     )
     # Rows to states a block at a time, so memory stays flat.
-    block, q = engine.lockstep_width(model, caps), model.unit_quantity
+    block = engine.lockstep_width(model, caps)
     positions = [
-        np.concatenate([index.positions(rows[i : i + block], q) for i in range(0, runs, block)])
+        np.concatenate([index.positions(rows[i : i + block]) for i in range(0, runs, block)])
         for rows in map(result.checkpoints.get, ORACLE_TIMES)
     ]
 

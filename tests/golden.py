@@ -67,15 +67,14 @@ CI_BUNDLES = [config for config in BUNDLES if config.endswith("-200x5000")]
 # name -> (DGX support, ask anchor, bid anchor, anchoring, unit quantity,
 # enumerate_states arguments); every case has mu 1, sigma 3 and cancel 0.1.
 ORACLE_CASES = {
-    # Orders of size 2 on a grid of 4: arrivals of 2 against residents of 1
-    # fill partially, and the supports overlap so arrivals cross.
+    # 210 states of orders of size 2 on a grid of 4; the supports overlap, so
+    # arrivals cross.
     "grid4-static": (3, 2, 3, AnchoringMode.STATIC_SUPPORT, 2, (4, 2, 4)),
     "grid4-opposite-best": (3, 2, 3, AnchoringMode.OPPOSITE_BEST, 2, (4, 2, 4)),
     # The 30,459-state static model of ROADMAP item 3.
     "grid8-static": (4, 4, 5, AnchoringMode.STATIC_SUPPORT, 1, (8, 1, 7)),
-    # 20,213 states of orders of size 1 and 2; arrivals of 1 fill residents
-    # of 2 partially.
-    "grid5-opposite-best": (3, 2, 4, AnchoringMode.OPPOSITE_BEST, 1, (5, 2, 5)),
+    # 19,383 states of up to 11 orders of size 1: long rows and many quote groups.
+    "grid5-opposite-best": (3, 2, 4, AnchoringMode.OPPOSITE_BEST, 1, (5, 1, 11)),
 }
 
 # CI's grid-10 models, with their state budgets: 238,238 states of at most 8

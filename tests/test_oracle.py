@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from itertools import product, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from lobsim.oracle import (
     tiny_opposite_model,
     tiny_overlapping_model,
     vacuum_vector,
+    _state_count,
 )
 from lobsim.rates import (
     AbsorbingStateError,
@@ -82,13 +83,13 @@ class TestEnumeration:
         index = enumerate_states(2, 1, 4)
         assert len(index) == 35
 
-    def test_quantity_orderings_are_distinct_states(self):
-        # same multiset, different queue order at one level
-        index = enumerate_states(1, 2, 2)
-        k12 = key_for((Side.BID, 1, 1), (Side.BID, 1, 2), grid_size=1)
-        k21 = key_for((Side.BID, 1, 2), (Side.BID, 1, 1), grid_size=1)
-        assert k12 != k21
-        assert index.key(index.index(k12)) == k12 and index.key(index.index(k21)) == k21
+    @pytest.mark.parametrize("grid_size", range(1, 7))
+    def test_state_count_matches_the_enumeration(self, grid_size):
+        for max_orders in range(7):
+            count = _state_count(grid_size, max_orders)
+            assert count == len(enumerate_states(grid_size, 1, max_orders)) == len(
+                enumerate_states(grid_size, 2, max_orders)
+            )
 
     @pytest.mark.parametrize("name", [*ORACLE_MODELS, *ORACLE_CASES])
     def test_keys_round_trip(self, name):
@@ -97,17 +98,17 @@ class TestEnumeration:
 
     def test_duplicate_placements_raise(self):
         # Two empty placements: rows of max_orders + 1 = 2 padding entries.
-        empty = np.zeros((2, 2, 2), dtype=np.int64)
+        empty = np.zeros((2, 2), dtype=np.int64)
         with pytest.raises(OracleError, match="duplicate"):
             StateIndex(2, 1, 1, empty)
 
-    @pytest.mark.parametrize("entry", [(1, 2), (1, 0), (3, 1), (0, 1), (-1, 1), (2, -1)])
+    @pytest.mark.parametrize("entry", [3, 4, -1])
     def test_entries_outside_bounds_raise(self, entry):
-        # Grid 2, quantities up to 1, one order: (1, 2) would alias (2, 1) and
-        # (3, 1) would index past the append table.
-        rows = np.zeros((3, 2, 2), dtype=np.int64)
-        rows[1, 0], rows[2, 0] = (2, 1), entry
-        with pytest.raises(OracleError, match="placement entries outside levels 1..2, sizes 1..1"):
+        # Grid 2, one order: 3 would reach the append table's sink code, 4 and
+        # -1 would index past a row of it.
+        rows = np.zeros((3, 2), dtype=np.int64)
+        rows[1, 0], rows[2, 0] = 2, entry
+        with pytest.raises(OracleError, match="placement entries outside levels 1..2"):
             StateIndex(2, 1, 1, rows)
 
     @pytest.mark.parametrize(
@@ -129,13 +130,13 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "bounds, count",
-        # A numpy max_quantity wrapped q**2 to 0 in the count, which undercounted.
-        [((12, 1, 10), 4_173_806), ((20, 2, 6), 73_449_769)]
-        + [((1, np.int64(2**32), 2), 36_893_488_156_009_037_825)],
+        # The count stays a Python int: C(2**32 + 3, 3) is far past int64.
+        [((12, 1, 10), 4_173_806), ((20, 2, 6), 1_292_830)]
+        + [((np.int64(2**32), np.int32(1), np.int64(3)), 52_818_775_055_626_418_592_138_919_937)],
     )
     def test_budget_is_checked_before_placements_are_built(self, bounds, count):
         # Building every placement of these first would take seconds and
-        # hundreds of MiB; the count comes from per-(length, best level) tallies.
+        # hundreds of MiB; the count is a closed form.
         tracemalloc.start()
         try:
             with pytest.raises(StateSpaceBudgetError, match=f"state space of {count} exceeds"):
@@ -146,7 +147,7 @@ class TestEnumeration:
         assert peak < 16 * 2**20
 
     def test_forty_orders_on_two_levels(self):
-        # 861 placements of up to 40 orders: a row code in base K * Q + 1 = 3
+        # 861 placements of up to 40 orders: a row code in base K + 1 = 3
         # would need 3**40 > 2**63, so the row lookup must not pack rows into int64.
         index = enumerate_states(2, 1, 40)
         assert len(index) == 2501
@@ -175,11 +176,11 @@ class TestEnumeration:
                 index.index(state.canonical_key())  # KeyError outside the index
 
 
-def reference_keys(grid_size, max_quantity, max_orders):
+def reference_keys(grid_size, quantity, max_orders):
     """Every state's key in enumeration order, from the recursive placement
-    enumeration: level 1's queue outermost, each level's queues ranked by
-    (length, quantities); bid placements in that order, each paired with the
-    ask placements that fit beside it, in that order."""
+    enumeration of orders of size ``quantity``: level 1's order count
+    outermost, then level 2's, and so on; bid placements in that order, each
+    paired with the ask placements that fit beside it, in that order."""
     halves = []  # per placement: (bid half, ask half)
     queues = []  # one per occupied level, ascending
 
@@ -193,12 +194,9 @@ def reference_keys(grid_size, max_quantity, max_orders):
             )
             return
         for length in range(max_orders - used + 1):
-            for quantities in product(range(1, max_quantity + 1), repeat=length):
-                if quantities:
-                    queues.append(tuple((level, q) for q in quantities))
-                recurse(level + 1, used + length)
-                if quantities:
-                    queues.pop()
+            queues.append(((level, quantity),) * length)
+            recurse(level + 1, used + length)
+            queues.pop()
 
     recurse(1, 0)
     partners, keys = {}, []
@@ -215,48 +213,37 @@ def reference_keys(grid_size, max_quantity, max_orders):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 4))
-def test_enumeration_order_matches_recursive_reference(grid_size, max_quantity, max_orders):
-    index = enumerate_states(grid_size, max_quantity, max_orders)
-    expected = reference_keys(grid_size, max_quantity, max_orders)
+def test_enumeration_order_matches_recursive_reference(grid_size, quantity, max_orders):
+    index = enumerate_states(grid_size, quantity, max_orders)
+    expected = reference_keys(grid_size, quantity, max_orders)
     assert [index.key(i) for i in range(len(index))] == expected
 
 
-def uniform_books(index, quantity, rng=None):
-    """Indices of the keys whose orders all have size ``quantity``, and their books
-    as batched runs return them: rows of signed levels (+ asks, - bids) padded
-    with 0. ``rng`` shuffles each row into a random submission order."""
-    keys = [index.key(i) for i in range(len(index))]
-    uniform = [
-        i for i, (bids, asks) in enumerate(keys) if all(q == quantity for _, q in bids + asks)
-    ]
-    books = np.zeros((len(uniform), index.max_orders + 1), dtype=np.int8)
-    for row, i in enumerate(uniform):
-        bids, asks = keys[i]
+def uniform_books(index, rng=None):
+    """Every indexed state's book, in index order, as batched runs return it: a
+    row of signed levels (+ asks, - bids) padded with 0. ``rng`` shuffles each
+    row into a random submission order."""
+    books = np.zeros((len(index), index.max_orders + 1), dtype=np.int8)
+    for row, (bids, asks) in enumerate(map(index.key, range(len(index)))):
         levels = [-level for level, _ in bids] + [level for level, _ in asks]
         if rng is not None:
             rng.shuffle(levels)
         books[row, : len(levels)] = levels
-    return uniform, books
+    return books
 
 
 class TestPositions:
     @pytest.mark.parametrize("quantity", [1, 2])
     def test_rows_find_every_uniform_key(self, quantity):
         # Residents in shuffled submission orders, bids and asks interleaved.
-        index = enumerate_states(3, 2, 4)
-        uniform, books = uniform_books(index, quantity, np.random.default_rng(quantity))
-        assert np.array_equal(index.positions(books, quantity), uniform)
+        index = enumerate_states(3, quantity, 4)
+        books = uniform_books(index, np.random.default_rng(quantity))
+        uniform = np.arange(len(index))
+        assert np.array_equal(index.positions(books), uniform)
         # Any leading shape: (runs, times, max_orders + 1) -> (runs, times).
         stacked = np.stack([books, books[::-1]], axis=1)
         expected = np.stack([uniform, uniform[::-1]], axis=1)
-        assert np.array_equal(index.positions(stacked, quantity), expected)
-
-    def test_one_index_looks_up_each_quantity(self):
-        # Books of size-1 and size-2 orders share their rows, not their indices.
-        index = enumerate_states(3, 2, 4)
-        for quantity in (1, 2, 1):
-            uniform, books = uniform_books(index, quantity)
-            assert np.array_equal(index.positions(books, quantity), uniform)
+        assert np.array_equal(index.positions(stacked), expected)
 
     @pytest.mark.parametrize(
         "bids, asks",
@@ -280,40 +267,35 @@ class TestPositions:
 
     def test_sixteen_levels_of_three_orders(self):
         index = enumerate_states(16, 1, 3)
-        uniform, books = uniform_books(index, 1, np.random.default_rng(16))
-        assert len(uniform) == len(index) == 3417
-        assert np.array_equal(index.positions(books), uniform)
+        books = uniform_books(index, np.random.default_rng(16))
+        assert len(index) == 3417
+        assert np.array_equal(index.positions(books), np.arange(3417))
 
     def test_sixty_four_levels_map_every_state(self):
         # 129 states on 64 levels: one side's counts as a code in base 2 need
         # 2**64, so a count-code lookup could not map them.
         index = enumerate_states(64, 1, 1)
-        uniform, books = uniform_books(index, 1)
-        assert len(uniform) == len(index) == 129
-        assert np.array_equal(index.positions(books), np.arange(129))
+        assert len(index) == 129
+        assert np.array_equal(index.positions(uniform_books(index)), np.arange(129))
 
-    @pytest.mark.parametrize(
-        "shape, quantity",
-        [((2, 4), 1), ((2, 6), 1), ((2, 2, 2), 1), ((5,), 0), ((5,), 2), ((5,), True)],
-    )
-    def test_rows_of_another_width_or_size_raise(self, shape, quantity):
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (2, 2, 2), (4,)])
+    def test_rows_of_another_width_raise(self, shape):
         index = enumerate_states(2, 1, 4)
-        with pytest.raises(OracleError, match=r"need \(\.\.\., 5\), sizes 1\.\.1"):
-            index.positions(np.zeros(shape, dtype=np.int8), quantity)
+        with pytest.raises(OracleError, match=r"need \(\.\.\., 5\)"):
+            index.positions(np.zeros(shape, dtype=np.int8))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_any_submission_order_maps_to_the_key(data):
-    # One uniform key's levels in any order are the same book.
-    index = enumerate_states(3, 2, 4)
-    quantity = data.draw(st.integers(1, 2))
-    uniform, books = uniform_books(index, quantity)
-    row = data.draw(st.sampled_from(range(len(uniform))))
+    # One key's levels in any order are the same book.
+    index = enumerate_states(3, data.draw(st.integers(1, 2)), 4)
+    books = uniform_books(index)
+    row = data.draw(st.sampled_from(range(len(index))))
     levels = books[row][books[row] != 0].tolist()
     shuffled = np.zeros_like(books[row])
     shuffled[: len(levels)] = data.draw(st.permutations(levels))
-    assert index.positions(shuffled, quantity) == uniform[row]
+    assert index.positions(shuffled) == row
 
 
 def lookup_index(name):
@@ -333,8 +315,7 @@ class TestLookups:
         index = lookup_index(name)
         ids = np.arange(len(index.placements))
         for rows, form in zip(index._rows, (0, 1)):
-            codes = rows[..., 0] * index.max_quantity + rows[..., 1]
-            assert np.array_equal(index._ids(codes, form), ids)
+            assert np.array_equal(index._ids(rows, form), ids)
 
     @pytest.mark.parametrize("name", LOOKUP_INDEXES)
     def test_every_state_is_found_from_its_ids(self, name):
@@ -366,7 +347,8 @@ class TestLookups:
             (((0, 1),), ()),  # level 0
             ((), ((3, 1),)),  # above the grid
             (((1, 0),), ()),  # quantity 0
-            ((), ((2, 2),)),  # above max_quantity
+            ((), ((2, 2),)),  # another order size
+            (((1, 1),), ((2, 1), (2, 2))),  # one order of another size
             (((1, 1),) * 5, ()),  # more than max_orders
             (((1, 1),) * 3, ((2, 1),) * 2),  # more than max_orders in all
             (((2, 1),), ((1, 1),)),  # crossed
@@ -385,7 +367,7 @@ class TestLookups:
         placements = index.placements
         order = [0, *np.random.default_rng(3).permutation(np.arange(1, len(placements)))]
         with pytest.raises(OracleError, match="not in enumeration order"):
-            StateIndex(index.grid_size, index.max_quantity, index.max_orders, placements[order])
+            StateIndex(index.grid_size, index.quantity, index.max_orders, placements[order])
 
 
 def book_states(index):
@@ -452,21 +434,16 @@ class TestGeneratorMatchesBookCore:
         assert_identical(build_generator(model, index), reference_generator(model, index))
 
     @pytest.mark.parametrize(
-        "name, unit_quantity, caps",
+        "name, caps",
         [
             # fewer orders than the index holds
-            ("grid4-static", 2, StateCaps(max_orders=3, max_quantity=2)),
-            # residents of 2 above the cap of 1: an arrival of 1 that fills
-            # one partially brings the book back within the caps
-            ("grid4-static", 1, StateCaps(max_orders=4, max_quantity=1)),
-            ("grid4-opposite-best", 1, StateCaps(max_orders=3, max_quantity=1)),
+            ("grid4-static", StateCaps(max_orders=3, max_quantity=2)),
             # arrivals of 2 above the cap of 1: only cancellations remain
-            ("grid4-opposite-best", 2, StateCaps(max_orders=4, max_quantity=1)),
+            ("grid4-opposite-best", StateCaps(max_orders=4, max_quantity=1)),
         ],
     )
-    def test_tighter_caps(self, name, unit_quantity, caps):
+    def test_tighter_caps(self, name, caps):
         model, index = oracle_case(name)
-        model = replace(model, unit_quantity=unit_quantity)
         assert_identical(
             build_generator(model, index, caps), reference_generator(model, index, caps)
         )
@@ -500,6 +477,17 @@ class TestGeneratorMatchesBookCore:
         with pytest.raises(KeyError):
             build_generator(model, index, StateCaps(max_orders=5, max_quantity=1))
 
+    @pytest.mark.parametrize("name, unit_quantity", [("tiny", 2), ("grid4-static", 1)])
+    def test_orders_of_another_size_raise_before_any_table(self, name, unit_quantity, monkeypatch):
+        model, index = oracle_case(name)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("an arrival row was built")
+
+        monkeypatch.setattr(lobsim.oracle, "side_arrivals", no_rows)
+        with pytest.raises(OracleError, match="orders of size"):
+            build_generator(replace(model, unit_quantity=unit_quantity), index)
+
     @pytest.mark.parametrize("grid_size", [1, 3])
     def test_index_on_another_grid_raises(self, grid_size):
         # The tiny-overlap model lives on a grid of 2.
@@ -512,13 +500,14 @@ class TestGeneratorMatchesBookCore:
 def drawn_models(draw):
     """A small model with its index and caps no looser than the index: grid
     2-4, one or two trader groups, either anchoring, a cancellation rate that
-    may be 0, and orders of size 1-2; on grid 2 with orders of 1, rows of up
-    to 10 orders, so removals and fills walk long rows."""
+    may be 0, and orders of size 1-2 in both; a quantity cap that may lie
+    below that size, leaving only cancellations; on grid 2, rows of up to 10
+    orders, so removals and fills walk long rows."""
     grid = draw(st.integers(2, 4))
-    max_quantity = draw(st.integers(1, 2))
-    # At most 601 states (grid 4, orders of 2, three orders; grid 2 with ten
-    # orders of 1 has 176), so 100 examples take a few seconds.
-    longest = 10 if grid * max_quantity == 2 else 3 if grid * max_quantity > 4 else 4
+    quantity = draw(st.integers(1, 2))
+    # At most 210 states (grid 4, four orders; grid 2 with ten orders has
+    # 176), so 100 examples take a few seconds.
+    longest = 10 if grid == 2 else 4
     max_orders = draw(st.integers(2, longest))
     groups = []
     shares = draw(st.sampled_from([(1.0,), (0.3, 0.7)]))
@@ -543,13 +532,13 @@ def drawn_models(draw):
         per_order_cancel_rate=draw(st.sampled_from([0.0, 0.1, 0.35])),
         event_intensity=draw(st.sampled_from([1.0, 6.0])),
         anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
-        unit_quantity=draw(st.integers(1, 2)),
+        unit_quantity=quantity,
     )
     caps = StateCaps(
         max_orders=max_orders - draw(st.integers(0, 1)),
-        max_quantity=max_quantity - draw(st.integers(0, max_quantity - 1)),
+        max_quantity=quantity - draw(st.integers(0, quantity - 1)),
     )
-    return model, enumerate_states(grid, max_quantity, max_orders), caps
+    return model, enumerate_states(grid, quantity, max_orders), caps
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -50,9 +50,10 @@ Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays and returns their books as
 an :class:`EnsembleResult`. The runs take turns in :func:`lockstep_width`
 slots: a slot whose run stops takes the next seed, in seed order, so memory
-is bounded by the slots, not the runs. Each run keeps its scalar stream
-(:class:`_Streams` replicates ``default_rng(seed)``'s uniforms on uint64
-arrays, checked bit for bit in ``tests/test_engine.py``), draws a pair per
+is bounded by the slots, not the runs. The seeds are checked and converted
+to one uint64 array once. Each run keeps its scalar stream (:class:`_Streams`
+replicates ``default_rng(seed)``'s uniforms on numpy arrays, checked bit for
+bit in ``tests/test_engine.py``), draws a pair per
 step and selects from the same cumulative-rate floats. Its times, from
 ``np.log1p``, feed nothing but comparisons with the checkpoint times and the
 horizon; a run within :func:`_clock_slack` of a bound takes the scalar
@@ -81,6 +82,7 @@ yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -234,15 +236,26 @@ def step(
 
 
 def _book_state(
-    k: int, q: int, seqs: list, levels: list, last_trade: Optional[Transaction], next_seq: int
-) -> BookState:
-    """The book of residents given by seq and signed level, in submission order."""
-    asks = [Order(Side.ASK, s, q, seq, seq) for seq, s in zip(seqs, levels) if s > 0]
-    bids = [Order(Side.BID, -s, q, seq, seq) for seq, s in zip(seqs, levels) if s < 0]
+    k: int,
+    q: int,
+    seqs: list,
+    levels: list,
+    last_trade: Optional[Transaction],
+    next_seq: int,
+    known: dict[int, Order],
+) -> tuple[BookState, dict[int, Order]]:
+    """The book of residents given by seq and signed level, in submission order, and its
+    orders by seq. A resident in ``known`` (the last book's orders) keeps its ``Order``."""
+    orders = {
+        seq: known.get(seq) or Order(Side.ASK if s > 0 else Side.BID, abs(s), q, seq, seq)
+        for seq, s in zip(seqs, levels)
+    }
+    asks = [o for o, s in zip(orders.values(), levels) if s > 0]
+    bids = [o for o, s in zip(orders.values(), levels) if s < 0]
     # Stable sorts keep submission order within a level.
     asks.sort(key=lambda o: o.price_level)
     bids.sort(key=lambda o: -o.price_level)
-    return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq)
+    return BookState(k, tuple(bids), tuple(asks), last_trade, next_seq), orders
 
 
 @lru_cache(maxsize=8)
@@ -328,11 +341,13 @@ def simulate(
     for name, least in (("max_orders", 0), ("max_quantity", 1)):
         if getattr(caps, name, None) is not None:
             _check_integer(name, getattr(caps, name), least)
-    if isinstance(seed, (Sequence, np.ndarray)) and not isinstance(seed, (str, bytes, bytearray)):
+    # A str or bytes is one seed, and so is a 0-d array: the scalar check rejects them.
+    batched = isinstance(seed, (Sequence, np.ndarray)) and getattr(seed, "ndim", 1) != 0
+    if batched and not isinstance(seed, (str, bytes, bytearray)):
         return _simulate_lockstep(
             model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants
         )
-    _check_seeds((seed,))
+    _check_seed(seed)
     tables = _cache(model, caps)
     initial_state = initial if initial is not None else empty_book(model.grid_size)
     k, q = model.grid_size, model.unit_quantity
@@ -366,8 +381,14 @@ def simulate(
             last_trade = Transaction(price, q, time, side)
         return last_trade
 
+    # The orders of the last book state by seq, rebuilt with each one, so it holds no
+    # order that has left; a resident's Order is built once.
+    orders: dict[int, Order] = {}
+
     def book_state() -> BookState:
-        return _book_state(k, q, seqs, levels, last_transaction(), next_seq)
+        nonlocal orders
+        state, orders = _book_state(k, q, seqs, levels, last_transaction(), next_seq, orders)
+        return state
 
     cancel_rate, capped = model.per_order_cancel_rate, caps is not None
     slot = 1 if cancel_rate > 0.0 else 0  # no cancellation slots at rate 0
@@ -546,14 +567,33 @@ def _check_integer(name: str, value, least: int) -> None:
         raise EngineError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_seeds(seeds) -> None:
-    """:class:`EngineError` unless every seed is an integer in [0, 2**64), not a bool;
-    exact ints, as :func:`derive_run_seeds` returns them, need only their extremes checked."""
-    if set(map(type, seeds)) == {int} and 0 <= min(seeds) and max(seeds) < 1 << 64:
-        return
+def _check_seed(seed) -> None:
+    """:class:`EngineError` unless ``seed`` is an integer in [0, 2**64), not a bool."""
+    if not (is_integer(seed) and 0 <= int(seed) < 1 << 64):
+        raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _check_seeds(seeds) -> np.ndarray:
+    """``seeds`` as one uint64 array, checked once: :class:`EngineError` unless every seed is
+    an integer in [0, 2**64), not a bool. A list of exact ints, as :func:`derive_run_seeds`
+    returns them, is checked by its conversion, which raises ``OverflowError`` outside that
+    range; an integer array by its dtype (unsigned, or signed with no entry below 0), a bool
+    array never. Anything else, and any that fails, is checked seed by seed."""
+    if isinstance(seeds, np.ndarray):
+        kind = seeds.dtype.kind
+        if seeds.ndim == 1 and (kind == "u" or kind == "i" and seeds.min(initial=0) >= 0):
+            return seeds.astype(np.uint64, copy=False)
+    elif set(map(type, seeds)) == {int}:
+        # numpy 1.x wraps a negative int with a DeprecationWarning, which is made an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                return np.array(seeds, dtype=np.uint64)
+            except (OverflowError, DeprecationWarning):
+                pass
     for seed in seeds:
-        if not (is_integer(seed) and 0 <= int(seed) < 1 << 64):
-            raise EngineError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        _check_seed(seed)
+    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
 
 
 # Table entries the batched kernel gathers per step, 2K + max_orders per slot: 4,096
@@ -580,15 +620,16 @@ _STEP, _PAIR, _INCREMENTS = _multiplier(_MUL), _multiplier(_MUL, _MUL**2), _mult
 
 
 def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's 32-bit hashmix of ``value``, and the next hash constant."""
+    """SeedSequence's hashmix of the uint32 array ``value``, and the next hash constant: xor
+    with the old constant, multiply by the new one. uint32 products wrap mod 2**32."""
     const, value = const * 0x931E8875 & 0xFFFFFFFF, value ^ const
-    value = value * const & 0xFFFFFFFF
+    value *= const
     return value ^ value >> 16, const
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's 32-bit mix of two pool words."""
-    value = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+    """SeedSequence's mix of two uint32 pool words, wrapping mod 2**32 as uint32 does."""
+    value = 0xCA01F9DD * x - 0x4973F715 * y
     return value ^ value >> 16
 
 
@@ -630,20 +671,22 @@ class _Streams:
     ``SeedSequence(seed).generate_state(4, uint64)``: the seed's 32-bit
     words are hashed into a pool of four and mixed, and the pool is hashed
     out into eight 32-bit words. Each step is a few integer operations, done
-    here on uint64 arrays with one element per seed, for seeds in
-    [0, 2**64). ``words`` holds a column per stream: its state's high and low
+    here on arrays with one element per seed, for seeds in [0, 2**64) as
+    :func:`_check_seeds` returns them: the hashes on uint32 arrays, whose
+    products wrap mod 2**32, and PCG64 on uint64 ones. ``words`` holds a
+    column per stream: its state's high and low
     halves, then the high halves of inc and inc * (M + 1) and their low
     halves, so one pass of :func:`_lcg_step` takes two steps.
     ``tests/test_engine.py`` checks the draws bit for bit against numpy, so
     a change to either algorithm in numpy shows there.
     """
 
-    def __init__(self, seeds: Sequence[int]):
-        words = np.array(seeds, dtype=np.uint64)
-        zeros = np.zeros_like(words)
+    def __init__(self, seeds: Union[np.ndarray, Sequence[int]]):
+        words = np.asarray(seeds, dtype=np.uint64)
+        zeros = np.zeros(words.shape, np.uint32)
         # A seed below 2**32 is one 32-bit word; its missing high word hashes as 0.
         const, pool = 0x43B0D7E5, []
-        for word in (words & 0xFFFFFFFF, words >> 32, zeros, zeros):
+        for word in (words.astype(np.uint32), (words >> 32).astype(np.uint32), zeros, zeros):
             value, const = _hashmix(word, const)
             pool.append(value)
         for src in range(4):
@@ -875,7 +918,7 @@ def _simulate_lockstep(
         raise EngineError("batched runs do not check invariants")
     if len(seeds) == 0:
         raise EngineError("need at least one seed")
-    _check_seeds(seeds)
+    seeds = _check_seeds(seeds)
     tables = _cache(model, caps)
     books = tables.get(_Books)
     if books is None:
@@ -889,6 +932,8 @@ def _simulate_lockstep(
     bounds = np.array([*times, time_horizon, math.inf])
     # The book row at each checkpoint time, then the final one.
     held = np.zeros((len(times) + 1, runs, caps.max_orders + 1), dtype=books.rows.dtype)
+    # Row passed * runs + run of ``flat`` is run's book at the bound it passes.
+    flat = held.reshape(-1, caps.max_orders + 1)
     event_counts = np.zeros(runs, dtype=np.int64)
     # Streams are seeded a block of ``width`` seeds at a time, as the queue reaches them.
     blocks = (_Streams(seeds[i : i + width]) for i in range(0, runs, width))
@@ -914,7 +959,7 @@ def _simulate_lockstep(
             # Each run passes the bounds below its clock, taking its book at each.
             over = hit[bounds[passed[hit]] < t_next[hit]]
             while over.size:
-                held[passed[over], run[over]] = books.rows[book[over]]
+                flat[passed[over] * runs + run[over]] = books.rows.take(book[over], axis=0)
                 passed[over] += 1
                 over = over[bounds[passed[over]] < t_next[over]]
             stop = hit[passed[hit] > len(times)]

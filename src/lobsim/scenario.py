@@ -653,6 +653,35 @@ def generator_diagnostics(generator) -> tuple[float, float]:
     return max_column_sum, min_off
 
 
+def _positions(index: oracle.StateIndex, rows: np.ndarray) -> np.ndarray:
+    """``index.positions(rows)``, mapping each distinct row once.
+
+    A row of signed levels s in [-K, K] is coded as one int64 in base 2K + 1:
+    digit s + K, first column first (Horner). The distinct codes are decoded
+    to rows, :meth:`~lobsim.oracle.StateIndex.positions` maps those, and every
+    row takes its code's position. Rows of another width or with a level off
+    the grid go to ``positions`` as they are, which raises
+    :class:`~lobsim.oracle.OracleError` for them.
+    """
+    k, width = index.grid_size, index.max_orders + 1
+    base = 2 * k + 1
+    if base**width >= 1 << 63:
+        raise RuntimeError(f"book codes in base {base} over {width} columns overflow int64")
+    if rows.shape[-1:] != (width,) or rows.min(initial=0) < -k or rows.max(initial=0) > k:
+        return index.positions(rows)
+    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for j in range(width):
+        codes *= base
+        codes += rows[..., j]
+        codes += k
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    digits, rest = np.empty((distinct.size, width), dtype=np.int64), distinct
+    for j in reversed(range(width)):
+        rest, digits[:, j] = np.divmod(rest, base)
+    # numpy < 2 returns a flat inverse, numpy 2 one of the codes' shape.
+    return index.positions(digits - k).take(inverse).reshape(codes.shape)
+
+
 def validate_against_oracle(
     model_name: str = "tiny",
     runs: int = 100_000,
@@ -662,9 +691,10 @@ def validate_against_oracle(
 
     Steps the runs to the last of :data:`ORACLE_TIMES` in one batched
     ``engine.simulate`` call, maps their books at those times to index
-    positions a block of ``engine.lockstep_width`` rows at a time, and
-    reports total variation distances plus first and second moment checks
-    of the resident-order count. :class:`ConfigError`
+    positions a block of ``engine.lockstep_width`` runs at a time, every
+    time at once, each distinct row once (:func:`_positions`), and reports
+    total variation distances plus first and second moment checks of the
+    resident-order count. :class:`ConfigError`
     unless the model is known and ``runs`` and ``base_seed`` are integers in
     their scenario fields' ranges.
     """
@@ -686,12 +716,12 @@ def validate_against_oracle(
     result = engine.simulate(
         model, time_horizon=ORACLE_TIMES[-1], seed=seeds, recording=recording, caps=caps
     )
-    # Rows to states a block at a time, so memory stays flat.
-    block = engine.lockstep_width(model, caps)
-    positions = [
-        np.concatenate([index.positions(rows[i : i + block]) for i in range(0, runs, block)])
-        for rows in map(result.checkpoints.get, ORACLE_TIMES)
-    ]
+    # Rows to states a block of runs at a time, every time at once, so memory stays flat.
+    block, held = engine.lockstep_width(model, caps), [result.checkpoints[t] for t in ORACLE_TIMES]
+    positions = np.empty((len(ORACLE_TIMES), runs), dtype=np.intp)
+    for i in range(0, runs, block):
+        rows = np.stack([at_t[i : i + block] for at_t in held])
+        positions[:, i : i + block] = _positions(index, rows)
 
     p0 = oracle.vacuum_vector(index)
     counts = oracle.order_count_observable(index)

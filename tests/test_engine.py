@@ -629,10 +629,10 @@ class TestSeeds:
         with pytest.raises(EngineError, match="seed must be an integer"):
             simulate(model, time_horizon=1.0, seed=[1, seed], recording=recording, caps=caps)
 
-    @pytest.mark.parametrize("seed", [True, False, np.True_, "7", b"7", ""])
+    @pytest.mark.parametrize("seed", [True, False, np.True_, "7", b"7", "", np.array(7)])
     def test_bool_seed_rejected(self, seed):
         # bool is an int subclass: True would otherwise run as seed 1. A str or
-        # bytes seed is a sequence, but one seed, not a batch.
+        # bytes seed is a sequence, but one seed, not a batch; so is a 0-d array.
         model, caps = ORACLE_MODELS["tiny"]()
         recording = RecordingConfig(events=False)
         with pytest.raises(EngineError, match="seed must be an integer"):
@@ -687,6 +687,39 @@ class TestSeeds:
         assert np.array_equal(runs[0].final_books, runs[1].final_books)
         for t in (0.5, 1.0):
             assert np.array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, object])
+    def test_batched_seeds_as_other_arrays(self, dtype):
+        # A signed array with no entry below 0 and an unsigned one pass by their dtype;
+        # an object array of ints seed by seed. Each gives the list's books.
+        model, caps = ORACLE_MODELS["tiny-overlap"]()
+        seeds = [0, 1, 2**32 - 1] + [s >> 32 for s in derive_run_seeds(7, 200)]
+        recording = RecordingConfig(events=False, checkpoint_times=(0.5, 1.0))
+        runs = [
+            simulate(model, time_horizon=2.0, seed=s, recording=recording, caps=caps)
+            for s in (seeds, np.array(seeds, dtype=dtype))
+        ]
+        assert np.array_equal(runs[0].event_counts, runs[1].event_counts)
+        assert np.array_equal(runs[0].final_books, runs[1].final_books)
+        for t in (0.5, 1.0):
+            assert np.array_equal(runs[0].checkpoints[t], runs[1].checkpoints[t])
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.array([1, -1], dtype=np.int64),
+            np.array([True, False]),
+            np.array([1.0, 2.0]),
+            np.array([1, 1.5], dtype=object),
+            np.array([[1, 2]], dtype=np.uint64),
+        ],
+    )
+    def test_seed_arrays_outside_64_bit_ints_rejected(self, seeds):
+        # A negative entry, a bool or float dtype, a float in an object array, a 2-D array.
+        model, caps = ORACLE_MODELS["tiny"]()
+        recording = RecordingConfig(events=False)
+        with pytest.raises(EngineError, match="seed must be an integer"):
+            simulate(model, time_horizon=1.0, seed=seeds, recording=recording, caps=caps)
 
 
 def test_np_log1p_within_the_clock_slack_bound():

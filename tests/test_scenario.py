@@ -4,12 +4,15 @@ validation reports, and the command line."""
 import json
 import math
 from dataclasses import replace
+from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lobsim import scenario
+from lobsim import oracle, scenario
 from lobsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
+from lobsim.engine import RecordingConfig, derive_run_seeds, simulate
 from lobsim.scenario import (
     EVENTS_COLUMNS,
     HEATMAP_COLUMNS,
@@ -298,6 +301,57 @@ class TestCompare:
         write_bundle(run_scenario(other), tmp_path / "b")
         with pytest.raises(ConfigError):
             compare_bundles(tmp_path / "a", tmp_path / "b")
+
+
+class TestDistinctRowPositions:
+    # validate maps rows to states through scenario._positions, which maps each
+    # distinct row once; it must give index.positions(rows) on any rows.
+    @pytest.mark.parametrize("name", sorted(scenario.ORACLE_MODELS))
+    def test_equals_index_positions(self, name):
+        model, caps = scenario.ORACLE_MODELS[name]()
+        k, m = model.grid_size, caps.max_orders
+        index = oracle.enumerate_states(k, caps.max_quantity, m)
+        times = scenario.ORACLE_TIMES
+        recording = RecordingConfig(events=False, checkpoint_times=times)
+        batch = simulate(
+            model, time_horizon=times[-1], seed=derive_run_seeds(5, 300), recording=recording,
+            caps=caps,
+        )
+        held = np.stack([batch.checkpoints[t] for t in times])
+        assert len(np.unique(held.reshape(-1, m + 1), axis=0)) < held.size // (m + 1)  # repeats
+        # Every submission order of one book (duplicate rows among them), the empty row
+        # and a full one.
+        orders = np.zeros((24, m + 1), dtype=held.dtype)
+        orders[:, :4] = list(permutations([-1, -1, 2, k]))
+        full = np.zeros((1, m + 1), dtype=held.dtype)
+        full[0, :m] = k
+        extra = np.concatenate([orders, np.zeros_like(full), full])
+        for rows in (held, extra, np.concatenate([extra, held[-1], extra[::-1]])):
+            found = scenario._positions(index, rows)
+            assert np.array_equal(found, index.positions(rows)) and found.shape == rows.shape[:-1]
+        assert len(set(scenario._positions(index, orders).tolist())) == 1
+
+    @pytest.mark.parametrize(
+        "row",
+        [[-2, 1, 0, 0, 0], [1, 1, 1, 1, 1], [-3, 0, 0, 0, 0], [0, 0, 0, 9, 0]],
+        ids=["crossed", "five-orders", "bid-off-grid", "ask-off-grid"],
+    )
+    def test_rows_outside_the_index_raise_as_positions_does(self, row):
+        model, caps = scenario.ORACLE_MODELS["tiny-overlap"]()
+        index = oracle.enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+        rows = np.array([[-1, 2, 0, 0, 0], row, [0, 0, 0, 0, 0]], dtype=np.int8)
+        with pytest.raises(oracle.OracleError) as expected:
+            index.positions(rows)
+        with pytest.raises(oracle.OracleError, match="outside the index") as found:
+            scenario._positions(index, rows)
+        assert str(found.value) == str(expected.value)
+
+    def test_every_oracle_model_codes_rows_in_int64(self):
+        for model, caps in (make() for make in scenario.ORACLE_MODELS.values()):
+            assert (2 * model.grid_size + 1) ** (caps.max_orders + 1) < 2**63
+        # An index whose codes could pass 2**63 is an internal error, before any row is read.
+        with pytest.raises(RuntimeError, match="overflow int64"):
+            scenario._positions(SimpleNamespace(grid_size=64, max_orders=9), None)
 
 
 class TestOracleReportLogic:

@@ -26,15 +26,16 @@ import golden  # noqa: E402
 from lobsim import oracle  # noqa: E402
 
 # name: ((states, nonzeros), peak RSS bound, traced build peak bound, in MiB).
-# Measured on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17): peak RSS
-# 223-227 MiB static, 405-408 MiB opposite-best; traced build peaks 106.0 MiB
-# static, 227.9 MiB opposite-best, each bound about 9% above.
+# Measured on a 2-CPU Xeon VM (Python 3.11, numpy 2.4, scipy 1.17), five fresh
+# processes each: peak RSS 213.6-217.2 MiB static, 382.6-386.0 MiB opposite-best
+# (none in the high mode); traced build peaks 105.7 MiB static, 227.2 MiB
+# opposite-best. Each bound is about 9% above the largest reading.
 CASES = {
-    "grid10-static": ((238_238, 2_022_878), 290, 115),
-    "grid10-opposite-best": ((529_958, 4_759_898), 500, 248),
+    "grid10-static": ((238_238, 2_022_878), 237, 115),
+    "grid10-opposite-best": ((529_958, 4_759_898), 421, 248),
 }
 # Enumerate plus build, in seconds, for either case (ROADMAP item 7). Measured on
-# the same VM: 0.26-0.38 s static, 0.60-0.83 s opposite-best.
+# the same VM: 0.35-0.39 s static, 0.82-0.95 s opposite-best.
 MOST_SECONDS = 3.0
 
 

@@ -192,8 +192,9 @@ class EnsembleResult:
 
     A book array holds the kernel's rows, shape (runs, max_orders + 1): each
     run's residents' signed levels (+ asks, - bids) in submission order, 0-padded,
-    int8 up to K = 128. ``checkpoints`` maps each checkpoint time within the
-    horizon to one; ``depth_frames`` is always empty, as no frames are kept.
+    int8 up to K = 127. ``checkpoints`` maps each checkpoint time within the
+    horizon to one (a checkpoint at the horizon shares ``final_books``);
+    ``depth_frames`` is always empty, as no frames are kept.
     """
 
     event_count: int
@@ -751,7 +752,7 @@ class _Books:
         self.table_of = np.full((k + 1) ** 2 * (m + 1), -1)
         self.cum, self.total = np.zeros((self.width - 1, 0)), np.zeros(0)
         self.move = np.zeros((0, self.width), dtype=np.int64)
-        self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k))
+        self.rows = np.zeros((0, m + 1), dtype=np.min_scalar_type(-k - 1))  # holds -K..K
         self.table = np.zeros(0, dtype=np.int32)
         self.next = np.zeros((0, self.width), dtype=np.int32)
         self.intern(np.zeros((1, m + 1)))  # book 0
@@ -927,11 +928,11 @@ def _simulate_lockstep(
     width = min(lockstep_width(model, caps), runs)
     # A checkpoint past the horizon is absent from every run, as in one-seed runs.
     times = sorted({t for t in recording.checkpoint_times if t <= time_horizon})
-    # The bounds a run passes in turn, each taking its book: the checkpoint
-    # times, then the horizon, which stops it.
-    bounds = np.array([*times, time_horizon, math.inf])
-    # The book row at each checkpoint time, then the final one.
-    held = np.zeros((len(times) + 1, runs, caps.max_orders + 1), dtype=books.rows.dtype)
+    # The bounds a run passes in turn, each taking its book row into ``held``: the
+    # checkpoint times, then the horizon, which stops it (one bound if a checkpoint is there).
+    stops = times if times[-1:] == [time_horizon] else [*times, time_horizon]
+    bounds = np.array([*stops, math.inf])
+    held = np.zeros((len(stops), runs, caps.max_orders + 1), dtype=books.rows.dtype)
     # Row passed * runs + run of ``flat`` is run's book at the bound it passes.
     flat = held.reshape(-1, caps.max_orders + 1)
     event_counts = np.zeros(runs, dtype=np.int64)
@@ -962,10 +963,10 @@ def _simulate_lockstep(
                 flat[passed[over] * runs + run[over]] = books.rows.take(book[over], axis=0)
                 passed[over] += 1
                 over = over[bounds[passed[over]] < t_next[over]]
-            stop = hit[passed[hit] > len(times)]
+            stop = hit[passed[hit] >= len(stops)]
             if stop.size:
                 event_counts[run[stop]] = step - admitted[stop]
-                go = np.flatnonzero(passed <= len(times))
+                go = np.flatnonzero(passed < len(stops))
         now = t_next
         step += 1
 
@@ -984,7 +985,7 @@ def _simulate_lockstep(
             book[fill], passed[fill] = 0, 0
             now[fill], admitted[fill] = 0.0, step
             if drop.size:
-                keep = np.flatnonzero(passed <= len(times))
+                keep = np.flatnonzero(passed < len(stops))
                 streams.words = streams.words[:, keep]
                 per_slot = run, book, passed, now, admitted
                 run, book, passed, now, admitted = (a[keep] for a in per_slot)

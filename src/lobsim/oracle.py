@@ -3,8 +3,8 @@
 Every order has the model's ``unit_quantity``, so a book is its occupation
 numbers per level, as in the paper's |n_1 ... n_K>: a match fills its
 resident whole. The index enumerates every uncrossed book within the cutoffs
-as a pair of per-side placements, each one side's resting orders held as a
-padded numpy row of levels in ask order (the bid form is the row reversed).
+as a pair of per-side placements, each one side's resting orders held once,
+as a padded numpy row of levels ascending; a bid side reads it from the end.
 Rows map to placement ids, and id pairs to states, by direct addressing. The
 sparse transition-rate generator comes from the same cached side rows
 (``side_arrivals`` of the best quotes) and cap rule as the engine's event
@@ -47,16 +47,17 @@ class StateSpaceBudgetError(OracleError):
 class StateIndex:
     """Bijection between truncated canonical book structures and indices.
 
-    Every order has size ``quantity``. ``placements[p]`` is placement p in
-    ask form: ``max_orders + 1`` levels, the resting orders ascending, then 0
-    padding; the bid form is the same levels descending. The placements fix
-    the states: bid placement b, in id order, pairs with the placements of at
-    most ``max_orders`` minus its length orders whose best ask lies above its
-    best bid, in id order, and state i pairs ``bid_placement[i]`` with
-    ``ask_placement[i]``. No lookup searches: a row walks to its placement id
-    through its form's append table, one gather per entry, and a pair of ids
-    maps to its state by arithmetic (:meth:`_find`). Equality compares the
-    three bounds, which determine the enumeration.
+    Every order has size ``quantity``. ``placements[p]`` is placement p:
+    ``max_orders + 1`` levels, the resting orders ascending, then 0 padding.
+    Either side holds it in that one form; a bid placement's best order is its
+    last entry. The placements fix the states: bid placement b, in id order,
+    pairs with the placements of at most ``max_orders`` minus its length
+    orders whose best ask lies above its best bid, in id order, and state i
+    pairs ``bid_placement[i]`` with ``ask_placement[i]``. No lookup searches:
+    a side's levels, ascending, walk to its placement id through the one
+    append table, one gather per entry, and a pair of ids maps to its state
+    by arithmetic (:meth:`_find`). Equality compares the three bounds, which
+    determine the enumeration.
     """
 
     grid_size: int
@@ -65,15 +66,11 @@ class StateIndex:
     placements: np.ndarray = field(repr=False, compare=False)
     bid_placement: np.ndarray = field(init=False, repr=False, compare=False)
     ask_placement: np.ndarray = field(init=False, repr=False, compare=False)
-    # Per form (0 bid, 1 ask): every placement's row, and its append table:
-    # child[p, level] is p with an order at that level appended, H if the index
-    # lacks it (row H is a sink, as is code grid_size + 1, which no placement
-    # has); code 0, padding, keeps p, and placement 0 is empty. Order j of bid
-    # row p is order flip[p, j] of ask row p.
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    # The append table: child[p, level] is p with an order at that level appended,
+    # H if the index lacks it (row H is a sink, as is code grid_size + 1, which no
+    # placement has); code 0, padding, keeps p, and placement 0 is empty.
     _child: np.ndarray = field(init=False, repr=False, compare=False)
-    _flip: np.ndarray = field(init=False, repr=False, compare=False)
-    # Orders per placement, and its best level per form (0 or grid_size + 1: none).
+    # Orders per placement; its best level as a bid, then as an ask (0 / K + 1: none).
     _length: np.ndarray = field(init=False, repr=False, compare=False)
     _best: tuple = field(init=False, repr=False, compare=False)
     # States run by bid placement, then by the ask placements that fit beside
@@ -88,27 +85,22 @@ class StateIndex:
         asks, m = self.placements, self.max_orders
         if asks.min(initial=0) < 0 or asks.max(initial=0) > self.grid_size:
             raise OracleError(f"placement entries outside levels 1..{self.grid_size}")
-        (h, width), length = asks.shape, (asks > 0).sum(axis=1)
-        # The bid form lists the orders best first: the row reversed, padding last.
-        col, last = np.arange(width), length[:, None] - 1
-        flip = np.where(col <= last, last - col, col)
-        rows = np.take_along_axis(asks, flip, axis=1), asks
+        h, length = len(asks), (asks > 0).sum(axis=1)
         best = asks.max(axis=1), np.where(length > 0, asks[:, 0], self.grid_size + 1)
         if (np.diff(best[1]) > 0).any():
             raise OracleError("placements are not in enumeration order")
-        # Each row enters its form's append table under its prefix of j entries
-        # (node), so the rows must be distinct and closed under prefixes.
-        child = np.full((2, h + 1, self.grid_size + 2), h, dtype=np.int32)
-        child[..., 0], span = np.arange(h + 1), np.intp(child.shape[2])  # cell node * span + code
-        for table, form in zip(child.reshape(2, -1), rows):
-            code = np.ascontiguousarray(form.T)
-            node = np.zeros(h, dtype=np.int32)
-            for j in range(m):
-                at = np.flatnonzero((length == j + 1) & (node < h))
-                table[node.take(at) * span + code[j].take(at)] = at
-                node = table.take(node * span + code[j])
-            if (node != np.arange(h)).any():
-                raise OracleError("duplicate placements, or not prefix-closed from an empty 0")
+        # Each row enters the append table under its prefix of j entries (node),
+        # so the rows must be distinct and closed under prefixes.
+        child = np.full((h + 1, self.grid_size + 2), h, dtype=np.int32)
+        child[:, 0], span = np.arange(h + 1), np.intp(child.shape[1])  # cell node * span + code
+        table, code = child.ravel(), np.ascontiguousarray(asks.T)
+        node = np.zeros(h, dtype=np.int32)
+        for j in range(m):
+            at = np.flatnonzero((length == j + 1) & (node < h))
+            table[node.take(at) * span + code[j].take(at)] = at
+            node = table.take(node * span + code[j])
+        if (node != np.arange(h)).any():
+            raise OracleError("duplicate placements, or not prefix-closed from an empty 0")
         short = np.append(length, m + 1) <= np.arange(m + 1)[:, None]  # a last column for -1
         before = np.cumsum(short, axis=1) - short
         limit = np.count_nonzero(best[1] > np.arange(self.grid_size + 1)[:, None], axis=1)[best[0]]
@@ -122,19 +114,19 @@ class StateIndex:
         bid = np.repeat(np.arange(h), partners)
         rank = np.arange(len(bid)) - per_bid[0].take(bid)
         ask = np.argsort(~short, axis=1, kind="stable").ravel().take(row.take(bid) + rank)
-        fields = ("_rows", rows), ("_child", child), ("_flip", flip), ("_length", length)
-        fields += ("_best", best), ("_pairs", pairs), ("bid_placement", bid), ("ask_placement", ask)
+        fields = ("_child", child), ("_length", length), ("_best", best), ("_pairs", pairs)
+        fields += ("bid_placement", bid), ("ask_placement", ask)
         for name, value in fields:
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.bid_placement)
 
-    def _ids(self, codes: np.ndarray, form: int, start: Optional[np.ndarray] = None) -> np.ndarray:
-        """Placement ids of rows of levels (0 keeps the node) written in ``form``
-        (0 bid, 1 ask), -1 for a row the index lacks. A row walks from the empty
-        placement, or from its ``start`` id: the placement its levels then extend."""
-        child, width = self._child[form].ravel(), np.intp(self._child.shape[2])
+    def _ids(self, codes: np.ndarray, start: Optional[np.ndarray] = None) -> np.ndarray:
+        """Placement ids of rows of levels ascending (0 keeps the node), -1 for a
+        row the index lacks. A row walks from the empty placement, or from its
+        ``start`` id: the placement its levels then extend."""
+        child, width = self._child.ravel(), np.intp(self._child.shape[1])
         node = np.zeros(len(codes), dtype=np.int32) if start is None else start
         for code in codes.T:
             node = child.take(node * width + code)  # flat gathers: faster than child[node, code]
@@ -148,10 +140,9 @@ class StateIndex:
         return np.where((before >= 0) & (ask < limit.take(bid)), start.take(bid) + before, -1)
 
     def key(self, i: int) -> CanonicalKey:
-        bids, asks = (
-            tuple((lv, self.quantity) for lv in rows[p].tolist() if lv)
-            for rows, p in zip(self._rows, (self.bid_placement[i], self.ask_placement[i]))
-        )
+        """State i's canonical key: bids best first (a row read from the end), then asks."""
+        rows = self.placements[self.bid_placement[i], ::-1], self.placements[self.ask_placement[i]]
+        bids, asks = (tuple((lv, self.quantity) for lv in row.tolist() if lv) for row in rows)
         return bids, asks
 
     def index(self, key: CanonicalKey) -> int:
@@ -159,11 +150,11 @@ class StateIndex:
         an order of another size included."""
         k, q, width = self.grid_size, self.quantity, self.placements.shape[1]
         codes = np.zeros((2, width), dtype=np.int64)
-        for form, half in enumerate(key):
+        for side, half in enumerate((key[0][::-1], key[1])):  # levels ascending
             if len(half) >= width or not all(0 < lv <= k and s == q for lv, s in half):
                 raise KeyError(key)
-            codes[form, : len(half)] = [lv for lv, _ in half]
-        i = int(self._find(self._ids(codes[:1], 0), self._ids(codes[1:], 1))[0])
+            codes[side, : len(half)] = [lv for lv, _ in half]
+        i = int(self._find(*self._ids(codes)))
         if i < 0:
             raise KeyError(key)
         return i
@@ -173,21 +164,22 @@ class StateIndex:
 
         A row holds a book's residents as batched :func:`~lobsim.engine.simulate`
         returns them: signed levels (+ asks, - bids) in submission order, 0 for
-        padding, every order of the index's size. One sort puts the bids best
-        first, then the padding, then the asks best first; each form walks its
-        append table over the whole sorted row, where code 0 (padding and the
-        other side) keeps the node, and :meth:`_find` pairs the two ids.
+        padding, every order of the index's size. One sort puts the bids, the
+        padding and the asks in signed order; each side walks the append table
+        over the whole row, its levels ascending (the bids as the negated row
+        read from the end), where code 0 (padding and the other side) keeps
+        the node, and :meth:`_find` pairs the two ids.
         :class:`OracleError` for a row of another width or a book outside the index.
         """
         k, width = self.grid_size, self.max_orders + 1
         if books.shape[-1:] != (width,):
             raise OracleError(f"books of shape {books.shape}: need (..., {width})")
-        rows = np.sort(books.reshape(-1, width), axis=1)
-        # Per form, the code of each signed level -K - 1..K + 1: its level on the
-        # form's side, else 0; a level past the grid is K + 1, which no placement has.
-        code = np.maximum(np.arange(-k - 1, k + 2) * np.array([[-1], [1]]), 0)
-        at = np.clip(rows, -k - 1, k + 1, dtype=np.intp) + (k + 1)
-        found = self._find(self._ids(code[0].take(at), 0), self._ids(code[1].take(at), 1))
+        # In intp before the negation: an int8 -128 would negate to itself.
+        rows = np.sort(books.reshape(-1, width), axis=1).astype(np.intp)
+        # Each side's code per entry: its level on that side, else 0; a level past
+        # the grid is K + 1, which no placement has.
+        bids, asks = np.clip(-rows[:, ::-1], 0, k + 1), np.clip(rows, 0, k + 1)
+        found = self._find(self._ids(bids), self._ids(asks))
         if (found < 0).any():
             bad = rows[found.argmin()].tolist()
             raise OracleError(f"observed state outside the index: book {bad}")
@@ -272,11 +264,13 @@ def build_generator(
     Every event changes one side's placement: an arrival at or beyond the
     opposite best fills its first order whole, any other rests, and a
     cancellation removes one order. So transitions are tabulated per placement
-    with array operations: cancellations per order position (the orders after
-    it walked on from the id of those before: one prefix walk), and rests
-    scattered from the cancellations that undo them. Slots run in event-table
-    order (a group's arrivals, then cancellation j for the states with more
-    than j residents), each keeping its live transitions. Totals and outflows
+    with array operations: cancellations per entry of the one ascending row
+    both sides share (the entries after it walked on from the id of those
+    before: one prefix walk; a bid placement's order j from the best is entry
+    length - 1 - j), and rests scattered from the cancellations that undo
+    them. Slots run in event-table order (a group's arrivals, then
+    cancellation j for the states with more than j residents: bids best
+    first, then asks), each keeping its live transitions. Totals and outflows
     add each state's rates in slot order, its diagonal follows every slot, and
     COO to CSC keeps each column's entries in input order, so the float bytes
     match a state-by-state assembly.
@@ -294,9 +288,9 @@ def build_generator(
     max_orders = math.inf if caps.max_orders is None else caps.max_orders
     # Arrivals above the quantity cap are dropped, as in the engine's tables.
     fits = caps.max_quantity is None or index.quantity <= caps.max_quantity
-    rows, length, best = index._rows, index._length, index._best
-    n, (h, width) = len(index), rows[1].shape
-    bid, ask, p = index.bid_placement, index.ask_placement, np.arange(h)
+    length, best = index._length, index._best
+    n, (h, width) = len(index), index.placements.shape
+    bid, ask = index.bid_placement, index.ask_placement
 
     # Arrival lists, keyed like the engine's table cache (one under static anchoring, one per
     # pair of best quotes under opposite-best), from the signed levels of the side rows.
@@ -312,24 +306,24 @@ def build_generator(
             for s, rate in zip(row.levels, row.rates) if fits else ():
                 lists[-1].append((s > 0, abs(s), rate))
 
-    # removed[form][j, p]: placement p without element j of its row in that form, -1 past its
-    # length (slot j cancels element j of bids + asks, in submission order; an arrival that
-    # crosses fills element 0), by one prefix walk: the levels after entry j (levels[j + 1 :, p];
-    # the last column is padding) walk on from node, the id of the row's first j.
-    levels = np.ascontiguousarray(rows[1].T)
-    removed, node = np.full((2, width, h), -1, dtype=np.int32), np.zeros(h, dtype=np.int32)
+    # removed[j, p]: placement p without entry j of its row, -1 past its length, by one prefix
+    # walk: the levels after entry j (levels[j + 1 :, p]; the last column is padding) walk on
+    # from node, the id of the row's first j. A side's orders run from its best, so a bid
+    # placement's order j is its entry length - 1 - j, and an arrival that crosses fills the
+    # opposite front: a bid placement's last entry, an ask placement's entry 0.
+    levels = np.ascontiguousarray(index.placements.T)
+    removed, node = np.full((width, h), -1, dtype=np.int32), np.zeros(h, dtype=np.int32)
     for j in range(width - 1):
-        removed[1, j] = np.where(length > j, index._ids(levels[j + 1 : -1].T, 1, node), -1)
-        node = index._ids(levels[j : j + 1].T, 1, node)
-    removed[0] = removed[1].ravel().take(index._flip.T * h + p)
-    # rest_to[price, p]: placement p (read in ask form) with an order rested at price, -1 if
-    # not indexed.
+        removed[j] = np.where(length > j, index._ids(levels[j + 1 : -1].T, node), -1)
+        node = index._ids(levels[j : j + 1].T, node)
+    fronts = removed.ravel().take(np.maximum(length - 1, 0) * h + np.arange(h)), removed[0]
+    # rest_to[price, p]: placement p with an order rested at price, -1 if not indexed.
     # Resting undoes cancelling the last order of a level block: each such order, at
     # position `at` of placement `placed`, fills one entry.
     rest_to = np.full((grid + 1, h), -1, dtype=np.int32)
     ends = (levels[:-1] > 0) & (levels[:-1] != levels[1:])
-    at, placed = np.nonzero(ends & (removed[1, :-1] >= 0))
-    rest_to[levels[at, placed], removed[1, at, placed]] = placed
+    at, placed = np.nonzero(ends & (removed[:-1] >= 0))
+    rest_to[levels[at, placed], removed[at, placed]] = placed
     del ends, placed, at, levels  # held through the slots, they raise a build's peak RSS
 
     slots = []  # per slot, its kept transitions as (states, targets, raw rate)
@@ -353,7 +347,7 @@ def build_generator(
             crosses = quotes[0] >= price if on_ask else quotes[1] <= price
             kept = np.flatnonzero(total + np.where(crosses, -1, 1) <= max_orders)
             opposite, own, crosses = opposite.take(kept), own.take(kept), crosses.take(kept)
-            to = np.where(crosses, removed[int(not on_ask), 0].take(opposite), opposite)
+            to = np.where(crosses, fronts[int(not on_ask)].take(opposite), opposite)
             rested = np.where(crosses, own, rest_to[price].take(own))
             keep(states.take(kept), *((to, rested) if on_ask else (rested, to)), rate)
 
@@ -367,10 +361,11 @@ def build_generator(
         b, a = bid.take(states), ask.take(states)
         k = length.take(b)
         from_bid = j < k
-        bid_to = np.where(from_bid, removed[0, j].take(b), b)
-        ask_to = np.where(from_bid, a, removed[1].ravel().take(np.maximum(j - k, 0) * h + a))
+        # Slot j cancels the bids best first (entry k - 1 - j), then the asks (entry j - k).
+        bid_to = np.where(from_bid, removed.ravel().take(np.maximum(k - 1 - j, 0) * h + b), b)
+        ask_to = np.where(from_bid, a, removed.ravel().take(np.maximum(j - k, 0) * h + a))
         keep(states, bid_to, ask_to, omega)
-    del rest_to, removed, residents
+    del rest_to, removed, fronts, residents
 
     # Every kept transition, slot after slot, then the diagonal of each state
     # with one. Kept rates are positive, so those states' totals are too, and

@@ -35,7 +35,7 @@ from lobsim.engine import (
 )
 from lobsim.observables import quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
-from lobsim.rates import AbsorbingStateError, EventKind
+from lobsim.rates import AbsorbingStateError, DgxParams, EventKind, RateModel, TraderGroup
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
@@ -374,13 +374,15 @@ def book_row(state, width):
 
 
 def assert_batch_matches_scalar(
-    model_name, runs, time_horizon=2.0, base_seed=5, times=None, case=None, fresh=True
+    model_name, runs, time_horizon=2.0, base_seed=5, times=None, case=None, fresh=True,
+    dtype=np.int8,
 ):
     """The batched call against one scalar call per seed; returns the batch.
 
     ``case`` is a (model, caps) pair in place of the named oracle model.
     ``fresh`` clears the engine's table cache before the batched call; otherwise
     it reuses the tables and book set earlier calls on the model built.
+    ``dtype`` is the batch's row type.
     """
     model, caps = case if case is not None else ORACLE_MODELS[model_name]()
     seeds = derive_run_seeds(base_seed, runs)
@@ -394,7 +396,7 @@ def assert_batch_matches_scalar(
     assert set(batch.checkpoints) == {t for t in times if t <= time_horizon}
     assert batch.depth_frames == ()
     width = caps.max_orders + 1
-    assert batch.final_books.shape == (runs, width) and batch.final_books.dtype == np.int8
+    assert batch.final_books.shape == (runs, width) and batch.final_books.dtype == dtype
     total = 0
     for i, seed in enumerate(seeds):
         run = simulate(model, time_horizon=time_horizon, seed=seed, recording=recording, caps=caps)
@@ -412,6 +414,26 @@ def assert_batch_matches_scalar(
 @pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
 def test_batched_runs_match_scalar_runs(model_name):
     assert_batch_matches_scalar(model_name, runs=300)
+
+
+@pytest.mark.parametrize("grid, dtype", [(127, np.int8), (128, np.int16)])
+def test_batched_rows_hold_an_ask_at_the_top_level(grid, dtype):
+    # Asks at level K: an int8 row holds +127, and at K = 128 one would wrap to a bid.
+    point = DgxParams(mu=0.0, sigma=1.0, support_size=1)
+    group = TraderGroup(1.0, point, point, ask_anchor=grid, bid_anchor=1)
+    case = RateModel(grid, (group,), 0.1, 6.0), StateCaps(max_orders=2, max_quantity=1)
+    batch = assert_batch_matches_scalar(None, 5, 1.0, base_seed=3, case=case, dtype=dtype)
+    assert (batch.final_books == grid).any()
+
+
+def test_checkpoint_at_the_horizon_shares_the_final_rows():
+    # The last bound is the horizon's: its checkpoint and final_books are one array.
+    batch = assert_batch_matches_scalar("tiny-overlap", runs=50)
+    assert np.shares_memory(batch.checkpoints[2.0], batch.final_books)
+    earlier = [rows for t, rows in batch.checkpoints.items() if t < 2.0]
+    assert earlier and not any(np.shares_memory(rows, batch.final_books) for rows in earlier)
+    batch = assert_batch_matches_scalar("tiny-overlap", runs=50, times=(1.0,))
+    assert not np.shares_memory(batch.checkpoints[1.0], batch.final_books)
 
 
 def test_batched_single_run():

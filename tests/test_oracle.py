@@ -278,6 +278,15 @@ class TestPositions:
         assert len(index) == 129
         assert np.array_equal(index.positions(uniform_books(index)), np.arange(129))
 
+    def test_int8_bids_at_level_128(self):
+        # An int8 -128 is a bid at level 128: negated in int8 it would stay -128.
+        index = enumerate_states(129, 1, 2)
+        books = np.array([[-128, 0, 0], [0, -1, -128], [-128, -128, 0]], dtype=np.int8)
+        keys = [(((128, 1),), ()), (((128, 1), (1, 1)), ()), (((128, 1),) * 2, ())]
+        assert index.positions(books).tolist() == [index.index(key) for key in keys]
+        with pytest.raises(OracleError, match="outside the index"):
+            index.positions(np.array([-128, 0, 1], dtype=np.int8))  # crossed
+
     @pytest.mark.parametrize("shape", [(2, 4), (2, 6), (2, 2, 2), (4,)])
     def test_rows_of_another_width_raise(self, shape):
         index = enumerate_states(2, 1, 4)
@@ -308,14 +317,12 @@ LOOKUP_INDEXES = [*ORACLE_MODELS, *ORACLE_CASES, "forty-orders"]
 
 class TestLookups:
     """The direct-addressed lookups: rows to placement ids through the append
-    tables, id pairs to states by arithmetic."""
+    table, id pairs to states by arithmetic."""
 
     @pytest.mark.parametrize("name", LOOKUP_INDEXES)
     def test_every_row_maps_to_its_own_id(self, name):
         index = lookup_index(name)
-        ids = np.arange(len(index.placements))
-        for rows, form in zip(index._rows, (0, 1)):
-            assert np.array_equal(index._ids(rows, form), ids)
+        assert np.array_equal(index._ids(index.placements), np.arange(len(index.placements)))
 
     @pytest.mark.parametrize("name", LOOKUP_INDEXES)
     def test_every_state_is_found_from_its_ids(self, name):

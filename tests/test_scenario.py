@@ -3,14 +3,18 @@ validation reports, and the command line."""
 
 import json
 import math
+import tempfile
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lobsim import oracle, scenario
+from lobsim import engine, oracle, rates, scenario
 from lobsim.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from lobsim.engine import RecordingConfig, derive_run_seeds, simulate
 from lobsim.scenario import (
@@ -18,6 +22,7 @@ from lobsim.scenario import (
     HEATMAP_COLUMNS,
     SUMMARY_COLUMNS,
     ConfigError,
+    GroupConfig,
     arrival_rate_rows,
     build_rate_model,
     compare_bundles,
@@ -272,6 +277,55 @@ class TestRunScenario:
         assert [p.name for p in written] == ["summary.csv", "metadata.json"]
         for name in ("summary.csv", "metadata.json"):
             assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@st.composite
+def drawn_configs(draw):
+    """A valid config: grid 2-20, 1-3 groups, either anchoring, any record mode,
+    a cancellation rate that may be 0, up to 3 runs of up to 300 events, any seed."""
+    grid = draw(st.integers(2, 20))
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    groups = []
+    for weight in weights:
+        support = draw(st.integers(1, grid))
+        groups.append(
+            GroupConfig(
+                weight / sum(weights),
+                draw(st.floats(0.0, math.log(support))),
+                draw(st.floats(0.5, 4.0)),
+                support,
+                bid_anchor=draw(st.integers(support, grid)),
+                ask_anchor=draw(st.integers(1, grid - support + 1)),
+            )
+        )
+    record = draw(st.sampled_from(["summary", "events", "heatmap"]))
+    events = draw(st.integers(1 if record == "heatmap" else 0, 300))
+    return scenario.ScenarioConfig(
+        name="drawn",
+        groups=tuple(groups),
+        grid_size=grid,
+        cancel_rate=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        anchoring=draw(st.sampled_from(["static", "opposite_best"])),
+        runs=draw(st.integers(1, 3)),
+        events_per_run=events,
+        base_seed=draw(st.integers(0, 2**63)),
+        record=record,
+        heatmap_window=draw(st.integers(1, max(events, 1))),
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn_configs())
+def test_byte_identical_reruns_of_drawn_configs(config):
+    # The first run builds every table and side row anew, the second reuses them.
+    engine._cache.cache_clear()
+    rates._side_row.cache_clear()
+    with tempfile.TemporaryDirectory() as out:
+        written = write_bundle(run_scenario(config), Path(out, "first"))
+        again = write_bundle(run_scenario(config), Path(out, "second"))
+        assert [p.name for p in written] == [p.name for p in again]
+        for path, other in zip(written, again):
+            assert path.read_bytes() == other.read_bytes(), path.name
 
 
 class TestCompare:

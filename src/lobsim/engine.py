@@ -40,11 +40,11 @@ That is ``event_table``'s cap rule on any book with the key's quotes and count.
 
 The loop builds per-event objects only where a recording reads them: an
 event's :class:`EventDescriptor` only under ``events``, and a trade's
-:class:`Transaction` only for a record or a book state (checkpoint,
-``debug_invariants``, the final state); until then the last trade is a
-plain (price, time, aggressor). Each block of draws gets its clock at once, in
-C. Per event the loop logs one int, the move's signed level and kind, and per
-quote move (event, best): numpy rebuilds summary columns and depth counts from them.
+:class:`Transaction` only for a record or a book state (a checkpoint or the
+final state); until then the last trade is a plain (price, time, aggressor).
+Each block of draws gets its clock at once, in C. Per event the loop logs one
+int, the move's signed level and kind, and per quote move (event, best): numpy
+rebuilds summary columns and depth counts from them.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays and returns their books as
@@ -94,7 +94,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, is_integer, is_real
-from .book import validate_book
 from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, quote_snapshot
 from .observables import depth, quotes, xlm  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .rates import AbsorbingStateError, AnchoringMode, EventDescriptor, EventKind, RateModel
@@ -110,9 +109,7 @@ class RecordingConfig:
     """What a simulation keeps as it runs.
 
     ``events`` retains one record per step, each with the best quotes after
-    it. ``summary`` streams the columns
-    :func:`~lobsim.observables.summarize_run` reduces, the only source of
-    run summaries. ``depth_window`` keeps per-level counts after each of the
+    it. ``depth_window`` keeps per-level counts after each of the
     final N steps (heatmap-style output), as :class:`DepthFrames`. Book states
     are snapshotted at each time in ``checkpoint_times``, any iterable of real
     numbers; a checkpoint past the simulated horizon, or at NaN, is absent
@@ -120,7 +117,6 @@ class RecordingConfig:
     """
 
     events: bool = True
-    summary: bool = False
     depth_window: int = 0
     checkpoint_times: tuple[float, ...] = ()
     collect_inter_event_times: bool = False
@@ -174,7 +170,8 @@ class DepthFrames:
 
 @dataclass
 class SimulationResult:
-    """A finished run: records per recording config, plus final state/time."""
+    """A finished run: records per recording config, plus final state/time, and the
+    columns :func:`~lobsim.observables.summarize_run` reduces, which every run streams."""
 
     records: list[TrajectoryRecord]
     final_state: BookState
@@ -183,12 +180,13 @@ class SimulationResult:
     checkpoints: dict[float, BookState]
     depth_frames: Union[DepthFrames, tuple]  # () without a depth window
     inter_event_times: Optional[np.ndarray]
-    summary_columns: Optional[SummaryColumns] = None
+    summary_columns: SummaryColumns
 
 
 @dataclass
 class EnsembleResult:
-    """Runs stepped in lockstep by :func:`simulate`, in seed order.
+    """Runs stepped in lockstep by :func:`simulate`, in seed order; every run ends at
+    the horizon, so no final time is kept.
 
     A book array holds the kernel's rows, shape (runs, max_orders + 1): each
     run's residents' signed levels (+ asks, - bids) in submission order, 0-padded,
@@ -199,7 +197,6 @@ class EnsembleResult:
 
     event_count: int
     event_counts: np.ndarray
-    final_times: np.ndarray
     final_books: np.ndarray
     checkpoints: dict[float, np.ndarray]
     depth_frames: tuple = ()
@@ -304,7 +301,6 @@ def simulate(
     seed: Union[int, Sequence[int]],
     recording: RecordingConfig = RecordingConfig(),
     caps: Optional[StateCaps] = None,
-    debug_invariants: bool = False,
 ) -> Union[SimulationResult, EnsembleResult]:
     """Run one trajectory until the stop criterion, or one per seed in lockstep.
 
@@ -314,7 +310,10 @@ def simulate(
     (>= 0, finite without ``event_count``), whichever comes first; at least one
     must be given. ``initial`` must be a uniform book on the model's grid, as
     the engine builds them (every order of size ``unit_quantity``, id equal to
-    seq). :class:`EngineError` otherwise. Tables come from :func:`_cache`.
+    seq). :class:`EngineError` otherwise. Tables come from :func:`_cache`. A
+    one-seed run always streams its ``summary_columns``; to check a book's
+    invariants, take it at a checkpoint and pass it to
+    :func:`~lobsim.book.validate_book`.
 
     A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0,
     ``recording.checkpoint_times`` an iterable of real numbers (not bools), and
@@ -345,9 +344,7 @@ def simulate(
     # A str or bytes is one seed, and so is a 0-d array: the scalar check rejects them.
     batched = isinstance(seed, (Sequence, np.ndarray)) and getattr(seed, "ndim", 1) != 0
     if batched and not isinstance(seed, (str, bytes, bytearray)):
-        return _simulate_lockstep(
-            model, initial, event_count, time_horizon, seed, recording, caps, debug_invariants
-        )
+        return _simulate_lockstep(model, initial, event_count, time_horizon, seed, recording, caps)
     _check_seed(seed)
     tables = _cache(model, caps)
     initial_state = initial if initial is not None else empty_book(model.grid_size)
@@ -400,7 +397,7 @@ def simulate(
     limit = math.inf if event_count is None else event_count
     stale = bound = -math.inf
 
-    slow, rekey = recording.events or debug_invariants, capped
+    recorded, rekey = recording.events, capped
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
     pending, cp_index = [*sorted(t for t in times if t <= math.inf), math.inf], 0  # drops NaN
@@ -482,16 +479,13 @@ def simulate(
                 else:
                     bound = stale
 
-            if slow:
-                if debug_invariants:
-                    validate_book(book_state())
-                if recording.events:
-                    event = arrivals[a] if i < 0 else EventDescriptor(
-                        EventKind.CANCELLATION, abs(s), q, target_order_id=seq
-                    )
-                    trade = (last_transaction(),) if moves[-1] & 3 == 1 else ()
-                    quote = quote_snapshot(-best[0] or None, best[1] if best[1] <= k else None)
-                    records.append(TrajectoryRecord(t_next, event, trade, quote))
+            if recorded:
+                event = arrivals[a] if i < 0 else EventDescriptor(
+                    EventKind.CANCELLATION, abs(s), q, target_order_id=seq
+                )
+                trade = (last_transaction(),) if moves[-1] & 3 == 1 else ()
+                quote = quote_snapshot(-best[0] or None, best[1] if best[1] <= k else None)
+                records.append(TrajectoryRecord(t_next, event, trade, quote))
         else:
             now = t_next
             continue
@@ -510,7 +504,7 @@ def simulate(
         checkpoints=checkpoints,
         depth_frames=_depth_frames(k, q, codes, at_level, window) if window else (),
         inter_event_times=np.asarray(dts[:events]) if recording.collect_inter_event_times else None,
-        summary_columns=_summary_columns(k, codes, quote_log, sides) if recording.summary else None,
+        summary_columns=_summary_columns(k, codes, quote_log, sides),
     )
 
 
@@ -888,7 +882,6 @@ def _simulate_lockstep(
     seeds: Sequence[int],
     recording: RecordingConfig,
     caps: Optional[StateCaps],
-    debug_invariants: bool,
 ) -> EnsembleResult:
     """The batched form of :func:`simulate`: every run stepped to the horizon.
 
@@ -915,8 +908,6 @@ def _simulate_lockstep(
             f"batched runs need (grid_size + 1)**2 * (max_orders + 1) <= 2**24, got grid"
             f" {k} and max_orders {caps.max_orders}"
         )
-    if debug_invariants:
-        raise EngineError("batched runs do not check invariants")
     if len(seeds) == 0:
         raise EngineError("need at least one seed")
     seeds = _check_seeds(seeds)
@@ -992,7 +983,6 @@ def _simulate_lockstep(
     return EnsembleResult(
         event_count=int(event_counts.sum()),
         event_counts=event_counts,
-        final_times=np.full(runs, float(time_horizon)),
         final_books=held[-1],
         checkpoints=dict(zip(times, held)),
     )

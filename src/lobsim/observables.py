@@ -296,14 +296,10 @@ def _mean_std(values) -> tuple[float, float]:
 def summarize_run(result) -> RunSummary:
     """Reduce one simulation result to a :class:`RunSummary`.
 
-    Reduces the ``summary_columns`` the engine streams under
-    ``RecordingConfig(summary=True)``; a run recorded without them raises
-    :class:`ObservableError`. XLM per quoted event is
-    ``xlm_legs(*result.summary_columns.quoted.T)``.
+    Reduces the ``summary_columns`` the engine streams for every one-seed run.
+    XLM per quoted event is ``xlm_legs(*result.summary_columns.quoted.T)``.
     """
     columns = result.summary_columns
-    if columns is None:
-        raise ObservableError("summarize_run needs a run recorded with summary=True")
     quoted = columns.quoted
     best_bids, best_asks = quoted[:, 0], quoted[:, 1]
     spreads = best_asks - best_bids

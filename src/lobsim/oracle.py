@@ -57,7 +57,8 @@ class StateIndex:
     a side's levels, ascending, walk to its placement id through the one
     append table, one gather per entry, and a pair of ids maps to its state
     by arithmetic (:meth:`_find`). Equality compares the three bounds, which
-    determine the enumeration.
+    determine the enumeration; ``max_orders`` and ``quantity`` are also the
+    cutoffs :func:`build_generator` applies.
     """
 
     grid_size: int
@@ -185,9 +186,6 @@ class StateIndex:
             raise OracleError(f"observed state outside the index: book {bad}")
         return found.reshape(books.shape[:-1])
 
-    def caps(self) -> StateCaps:
-        return StateCaps(max_orders=self.max_orders, max_quantity=self.quantity)
-
 
 def _state_count(k: int, m: int) -> int:
     """The number of states :func:`enumerate_states` indexes on k levels with
@@ -245,21 +243,19 @@ def enumerate_states(
     return StateIndex(k, q, m, rows)
 
 
-def build_generator(
-    model: RateModel, index: StateIndex, caps: Optional[StateCaps] = None
-) -> sparse.csc_matrix:
+def build_generator(model: RateModel, index: StateIndex) -> sparse.csc_matrix:
     """Assemble the transition-rate generator over the indexed states.
 
     Entry (j, i) is the normalized rate of the transition i -> j, with the
     rates and the cap rule of :func:`~lobsim.rates.event_table`: arrivals
     from :func:`~lobsim.rates.side_arrivals` of the state's best quotes, one
-    cancellation per resident, and arrivals whose result would exceed the
-    caps (defaulting to the index cutoffs) removed before normalization, so
-    the matrix describes the same finite process the capped engine runs. The
-    diagonal balances each column to zero; a state with no transition keeps
-    an empty column. A transition leaving the index raises ``KeyError``; a
-    model on another grid than the index, or with orders of another size,
-    raises :class:`OracleError`.
+    cancellation per resident, and arrivals after which the book would hold
+    more than the index's ``max_orders`` removed before normalization, so the
+    matrix describes the same finite process the engine runs under
+    ``StateCaps(index.max_orders, index.quantity)``. The diagonal balances
+    each column to zero; a state with no transition keeps an empty column. A
+    transition leaving the index raises ``KeyError``; a model on another grid
+    than the index, or with orders of another size, raises :class:`OracleError`.
 
     Every event changes one side's placement: an arrival at or beyond the
     opposite best fills its first order whole, any other rests, and a
@@ -284,10 +280,6 @@ def build_generator(
         raise OracleError(
             f"model orders of size {model.unit_quantity}, index orders of size {index.quantity}"
         )
-    caps = index.caps() if caps is None else caps
-    max_orders = math.inf if caps.max_orders is None else caps.max_orders
-    # Arrivals above the quantity cap are dropped, as in the engine's tables.
-    fits = caps.max_quantity is None or index.quantity <= caps.max_quantity
     length, best = index._length, index._best
     n, (h, width) = len(index), index.placements.shape
     bid, ask = index.bid_placement, index.ask_placement
@@ -303,7 +295,7 @@ def build_generator(
         lists.append([])
         for side, opposite_best in (Side.ASK, b or None), (Side.BID, a if a <= grid else None):
             row = side_arrivals(model, side, opposite_best)
-            for s, rate in zip(row.levels, row.rates) if fits else ():
+            for s, rate in zip(row.levels, row.rates):
                 lists[-1].append((s > 0, abs(s), rate))
 
     # removed[j, p]: placement p without entry j of its row, -1 past its length, by one prefix
@@ -345,7 +337,7 @@ def build_generator(
         for on_ask, price, rate in entries:
             opposite, own = sides if on_ask else sides[::-1]
             crosses = quotes[0] >= price if on_ask else quotes[1] <= price
-            kept = np.flatnonzero(total + np.where(crosses, -1, 1) <= max_orders)
+            kept = np.flatnonzero(total + np.where(crosses, -1, 1) <= index.max_orders)
             opposite, own, crosses = opposite.take(kept), own.take(kept), crosses.take(kept)
             to = np.where(crosses, fronts[int(not on_ask)].take(opposite), opposite)
             rested = np.where(crosses, own, rest_to[price].take(own))

@@ -93,7 +93,11 @@ def dgx_pmf(params: DgxParams) -> np.ndarray:
     """
     ranks = np.arange(1, params.support_size + 1, dtype=float)
     log_ranks = np.log(ranks)
-    weights = np.exp(-((log_ranks - params.mu) ** 2) / (2.0 * params.sigma**2)) / ranks
+    try:
+        scale = 2.0 * params.sigma**2
+    except OverflowError:  # a float sigma past 1e154: every exp term is 1
+        scale = np.inf
+    weights = np.exp(-((log_ranks - params.mu) ** 2) / scale) / ranks
     return weights / weights.sum()
 
 

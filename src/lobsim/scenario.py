@@ -180,7 +180,9 @@ class ScenarioConfig:
                     " when record is heatmap"
                 )
             try:
-                build_rate_model(self)
+                # A grid past its range could fit a support numpy cannot allocate.
+                if values["grid_size"] <= _RANGES["grid_size"][1]:
+                    build_rate_model(self)
             except ConfigError as exc:
                 problems += exc.problems
         if problems:
@@ -189,7 +191,8 @@ class ScenarioConfig:
 
 def build_rate_model(config: ScenarioConfig) -> RateModel:
     """The config's rate model; ``ConfigError`` names each bad group, then
-    the model's problem."""
+    the model's problem. A group whose support exceeds ``grid_size`` leaves the
+    grid on either side, and its DGX weights are not built."""
     mode = (
         AnchoringMode.STATIC_SUPPORT
         if config.anchoring == "static"
@@ -197,6 +200,12 @@ def build_rate_model(config: ScenarioConfig) -> RateModel:
     )
     groups, problems = [], []
     for i, g in enumerate(config.groups):
+        if g.support > config.grid_size:
+            problems.append(
+                f"groups[{i}] support leaves the grid: {g.support} levels exceed grid_size"
+                f" {config.grid_size}"
+            )
+            continue
         try:
             params = DgxParams(g.mu, g.sigma, g.support)
             groups.append(TraderGroup(g.share, params, params, g.ask_anchor, g.bid_anchor))
@@ -297,10 +306,9 @@ class OutputBundle:
 
 
 def _recording_for(config: ScenarioConfig) -> RecordingConfig:
-    # Summaries come from streamed columns; only events.csv needs records.
+    # Summaries come from the streamed columns; only events.csv needs records.
     return RecordingConfig(
         events=config.record == "events",
-        summary=True,
         depth_window=config.heatmap_window if config.record == "heatmap" else 0,
     )
 
@@ -707,7 +715,7 @@ def validate_against_oracle(
     if problems:
         raise ConfigError(problems)
     model, caps = ORACLE_MODELS[model_name]()
-    index = oracle.enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    index = oracle.enumerate_states(model.grid_size, model.unit_quantity, caps.max_orders)
     generator = oracle.build_generator(model, index)
     max_column_sum, min_off = generator_diagnostics(generator)
 

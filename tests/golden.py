@@ -112,7 +112,7 @@ def case_model(name: str):
     an entry of ``ORACLE_CASES`` or ``GRID10_CASES``."""
     if name in ORACLE_MODELS:
         model, caps = ORACLE_MODELS[name]()
-        return model, (model.grid_size, caps.max_quantity, caps.max_orders)
+        return model, (model.grid_size, model.unit_quantity, caps.max_orders)
     cases = ORACLE_CASES | GRID10_CASES
     support, ask_anchor, bid_anchor, anchoring, unit_quantity, cutoffs = cases[name]
     params = DgxParams(mu=1.0, sigma=3.0, support_size=support)

@@ -5,9 +5,10 @@ book states: one step() per event, through the matching core. Driven from
 the same seed, both must produce the same times, events, trades, quotes,
 streamed summary columns, XLM values, heatmap depth frames, waiting times
 and book states, ids and sequence numbers included, on fixed cases and on
-drawn models, books, caps and stops. The batched form of simulate, which
-steps many seeds at once, is compared with one simulate call per seed on
-event counts, final times and book rows: each resident's signed level in
+drawn models, books, caps and stops; every book the engine holds after an
+event passes ``validate_book``. The batched form of simulate, which steps
+many seeds at once, is compared with one simulate call per seed on event
+counts and book rows: each resident's signed level in
 submission order, so queue order is checked as well as depth.
 """
 
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lobsim.engine
-from lobsim.book import BookState, Order, Side, StateCaps, empty_book
+from lobsim.book import BookState, Order, Side, StateCaps, empty_book, validate_book
 from lobsim.engine import (
     EngineError,
     RecordingConfig,
@@ -56,16 +57,15 @@ def reference_run(model, initial, seed, event_count=None, time_horizon=None, cap
     return trajectory, now, waits
 
 
-def assert_matches_reference(
-    model, seed, initial=None, caps=None, debug_invariants=False, fresh=True, events=True, **stop
-):
+def assert_matches_reference(model, seed, initial=None, caps=None, fresh=True, events=True, **stop):
     """``fresh`` clears the engine's table cache before each simulate call; otherwise
-    the calls reuse the tables earlier calls on the model built."""
+    the calls reuse the tables earlier calls on the model built. The book after each
+    event, taken at a checkpoint, must equal the reference's and pass ``validate_book``."""
     initial = initial if initial is not None else empty_book(model.grid_size)
     trajectory, final_time, waits = reference_run(model, initial, seed, caps=caps, **stop)
     times = [t for t, *_ in trajectory]
     recording = RecordingConfig(
-        events=events, summary=True, depth_window=len(trajectory), collect_inter_event_times=True
+        events=events, depth_window=len(trajectory), collect_inter_event_times=True
     )
     # A checkpoint at an event's time holds the book right after that event.
     # Checkpoints at every event send each one down the loop's rare path, which
@@ -82,7 +82,6 @@ def assert_matches_reference(
             initial,
             seed=seed,
             caps=caps,
-            debug_invariants=debug_invariants,
             recording=replace(recording, checkpoint_times=checkpoint_times),
             **stop,
         ))
@@ -91,6 +90,7 @@ def assert_matches_reference(
     assert run_outputs(plain) == run_outputs(result) and plain.checkpoints == {}
     for time, *_, state in trajectory:
         engine_state = result.checkpoints[time]
+        validate_book(engine_state)
         assert engine_state.canonical_key() == state.canonical_key()
         assert engine_state == state  # ids, seqs, next_seq and last_transaction too
     assert result.checkpoints[-1.0] == initial
@@ -221,14 +221,12 @@ def test_runs_without_event_records(case):
 
 def test_capped_scenario1_with_invariants():
     caps = StateCaps(max_orders=3, max_quantity=1)
-    assert_matches_reference(
-        scenario_model("scenario1"), seed=13, caps=caps, event_count=1500, debug_invariants=True
-    )
+    assert_matches_reference(scenario_model("scenario1"), seed=13, caps=caps, event_count=1500)
 
 
 def test_horizon_stop_with_checkpoints():
     model = scenario_model("scenario2", anchoring="opposite_best")
-    assert_matches_reference(model, seed=14, time_horizon=150.0, debug_invariants=True)
+    assert_matches_reference(model, seed=14, time_horizon=150.0)
 
 
 def test_uniform_initial_book_continues_exactly():
@@ -246,11 +244,8 @@ def test_uniform_initial_book_continues_exactly():
     st.integers(1, 60),
     st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
     st.booleans(),
-    st.booleans(),
 )
-def test_simulate_matches_step_on_drawn_models(
-    case, drawn_caps, seed, events, past_event, records, debug_invariants
-):
+def test_simulate_matches_step_on_drawn_models(case, drawn_caps, seed, events, past_event, records):
     # A drawn model and uniform book (possibly empty), caps or none, and a stop
     # after ``events`` events or, when ``past_event`` is drawn, a horizon that
     # far into the waiting time after the last of them.
@@ -270,9 +265,7 @@ def test_simulate_matches_step_on_drawn_models(
         with pytest.raises(AbsorbingStateError):
             simulate(model, book, seed=seed, caps=caps, **stop)
         return
-    assert_matches_reference(
-        model, seed, book, caps, debug_invariants=debug_invariants, events=records, **stop
-    )
+    assert_matches_reference(model, seed, book, caps, events=records, **stop)
 
 
 # The loop draws pairs in blocks of 16, 32, 64, ...: the first two blocks end
@@ -308,21 +301,18 @@ def test_horizons_at_event_times_at_draw_block_edges(event):
 def test_tables_switched_at_quote_moves(anchoring, caps):
     # The event that changes a run's key (a quote move under opposite-best anchoring,
     # any event under caps) takes the new key's table from the cache, with or without
-    # event records and invariant checks; only a key not built yet is looked up on
+    # event records; only a key not built yet is looked up on
     # the next event's rare path. Per seed, every variant gives the same summary
     # columns, frames and final book, from a table cache the earlier runs and
     # seeds warmed (its cum lists already grown) or from a cleared one.
     model = scenario_model("scenario2", anchoring=anchoring)
     for seed in (31, 32, 33):
         outputs = []
-        for fresh, events, checked in product((False, True), (True, False), (False, True)):
+        for fresh, events in product((False, True), (True, False)):
             if fresh:
                 lobsim.engine._cache.cache_clear()
-            recording = RecordingConfig(events=events, summary=True, depth_window=2000)
-            result = simulate(
-                model, event_count=2000, seed=seed, recording=recording, caps=caps,
-                debug_invariants=checked,
-            )
+            recording = RecordingConfig(events=events, depth_window=2000)
+            result = simulate(model, event_count=2000, seed=seed, recording=recording, caps=caps)
             columns = result.summary_columns
             outputs.append(
                 (columns.quoted.tolist(), columns.prices, result.depth_frames, result.final_state)
@@ -401,7 +391,7 @@ def assert_batch_matches_scalar(
     for i, seed in enumerate(seeds):
         run = simulate(model, time_horizon=time_horizon, seed=seed, recording=recording, caps=caps)
         assert batch.event_counts[i] == run.event_count
-        assert batch.final_times[i] == run.final_time
+        assert run.final_time == time_horizon
         assert np.array_equal(batch.final_books[i], book_row(run.final_state, width))
         assert set(run.checkpoints) == set(batch.checkpoints)
         for t, state in run.checkpoints.items():
@@ -461,11 +451,17 @@ def test_batched_runs_match_scalar_runs_on_drawn_models(
 ):
     # A drawn capped model, horizon and checkpoints, and 1 to 3 * width + 1 runs on
     # ``width`` slots: slots are refilled from the queue, then drained and dropped.
+    # The checkpoint tuple comes in any order, with repeats, and may hold negative
+    # times, NaN, the horizon itself and times past it.
     model, _ = case
     caps = StateCaps(max_orders, max_quantity)
     runs = data.draw(st.sampled_from(range(1, 3 * width + 2)))
     horizon = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, 8.0]))
-    times = tuple(data.draw(st.lists(st.floats(-0.5, horizon + 0.5), min_size=1, max_size=3)))
+    edges = st.sampled_from([-1.0, math.nan, horizon, horizon + 1.0, math.inf])
+    point = st.one_of(st.floats(-0.5, horizon + 0.5), edges)
+    drawn = data.draw(st.lists(point, min_size=1, max_size=3))
+    repeats = drawn[: data.draw(st.integers(0, len(drawn)))]
+    times = tuple(data.draw(st.permutations(drawn + repeats)))
     stop = {"time_horizon": horizon, "base_seed": data.draw(st.integers(0, 2**32)), "times": times}
     cells = width * (2 * model.grid_size + max_orders)
     recording = RecordingConfig(events=False, checkpoint_times=times)
@@ -552,7 +548,7 @@ def test_batched_horizon_at_scalar_event_times():
 
 def assert_ensembles_equal(a, b):
     assert a.event_count == b.event_count
-    for name in ("event_counts", "final_times", "final_books"):
+    for name in ("event_counts", "final_books"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.checkpoints.keys() == b.checkpoints.keys()
     for t in a.checkpoints:
@@ -683,12 +679,11 @@ def test_absorbing_state_raises_in_both_forms():
     [
         "non-empty initial",
         "events=True",
-        "summary=True",
+        "depth_window",
         "no caps",
         "caps without max_orders",
         "no horizon",
         "event_count",
-        "debug_invariants",
         "no seeds",
     ],
 )
@@ -705,8 +700,8 @@ def test_batched_form_rejects_unsupported_arguments(change):
         initial = BookState(2, (Order(Side.BID, 1, 1, 1, 1),), (), None, 2)
     elif change == "events=True":
         kwargs["recording"] = RecordingConfig(checkpoint_times=ORACLE_TIMES)
-    elif change == "summary=True":
-        kwargs["recording"] = RecordingConfig(events=False, summary=True)
+    elif change == "depth_window":
+        kwargs["recording"] = RecordingConfig(events=False, depth_window=5)
     elif change == "no caps":
         del kwargs["caps"]
     elif change == "caps without max_orders":
@@ -715,8 +710,6 @@ def test_batched_form_rejects_unsupported_arguments(change):
         kwargs["time_horizon"] = None
     elif change == "event_count":
         kwargs["event_count"] = 10
-    elif change == "debug_invariants":
-        kwargs["debug_invariants"] = True
     elif change == "no seeds":
         kwargs["seed"] = []
     with pytest.raises(EngineError):

@@ -2,6 +2,7 @@
 returns, and ensemble estimators."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestReturns:
 
     def test_mid_returns_from_engine_records(self):
         model = build_rate_model(preset("scenario1"))
-        result = simulate(model, event_count=500, seed=5, recording=RecordingConfig(summary=True))
+        result = simulate(model, event_count=500, seed=5)
         quoted = result.summary_columns.quoted
         mids = (quoted[:, 0] + quoted[:, 1]) / 2.0
         assert len(mids) > 100
@@ -241,7 +242,7 @@ class TestRunSummary:
             model,
             event_count=3000,
             seed=41,
-            recording=RecordingConfig(events=False, summary=True),
+            recording=RecordingConfig(events=False),
         )
         summary = summarize_run(result)
         assert summary.events == 3000
@@ -257,8 +258,9 @@ class TestRunSummary:
         )
         assert summary.return_volatility >= 0.0
 
-    def test_summary_needs_streamed_columns(self):
+    def test_every_recording_streams_the_same_columns(self):
         model = build_rate_model(preset("scenario1"))
-        result = simulate(model, event_count=100, seed=41)
-        with pytest.raises(ObservableError, match="summary=True"):
-            summarize_run(result)
+        run = partial(simulate, model, event_count=100, seed=41)
+        expected = summarize_run(run(recording=RecordingConfig(events=False)))
+        for recording in (RecordingConfig(), RecordingConfig(events=False, depth_window=10)):
+            assert summarize_run(run(recording=recording)) == expected

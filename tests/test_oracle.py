@@ -397,10 +397,10 @@ def book_states(index):
     return books
 
 
-def reference_generator(model, index, caps=None):
+def reference_generator(model, index):
     """The generator assembled through the book core: one event table per
-    ``BookState``, each event applied with ``apply_event``."""
-    caps = index.caps() if caps is None else caps
+    ``BookState`` under the index's cutoffs, each event applied with ``apply_event``."""
+    caps = StateCaps(index.max_orders, index.quantity)
     # One dict per index: index(key) costs a few numpy calls per key.
     position = {index.key(i): i for i in range(len(index))}
     rows, cols, data = [], [], []
@@ -440,21 +440,6 @@ class TestGeneratorMatchesBookCore:
         model, index = oracle_case(name)
         assert_identical(build_generator(model, index), reference_generator(model, index))
 
-    @pytest.mark.parametrize(
-        "name, caps",
-        [
-            # fewer orders than the index holds
-            ("grid4-static", StateCaps(max_orders=3, max_quantity=2)),
-            # arrivals of 2 above the cap of 1: only cancellations remain
-            ("grid4-opposite-best", StateCaps(max_orders=4, max_quantity=1)),
-        ],
-    )
-    def test_tighter_caps(self, name, caps):
-        model, index = oracle_case(name)
-        assert_identical(
-            build_generator(model, index, caps), reference_generator(model, index, caps)
-        )
-
     def test_arrivals_come_from_quotes_not_books(self, monkeypatch):
         model, index = oracle_case("tiny-opposite")
         expected = reference_generator(model, index)
@@ -479,11 +464,6 @@ class TestGeneratorMatchesBookCore:
             and {level for level, _ in key[0]} <= {1} and {level for level, _ in key[1]} <= {2}
         ]
 
-    def test_caps_looser_than_index_raise_key_error(self):
-        model, index = oracle_case("tiny")
-        with pytest.raises(KeyError):
-            build_generator(model, index, StateCaps(max_orders=5, max_quantity=1))
-
     @pytest.mark.parametrize("name, unit_quantity", [("tiny", 2), ("grid4-static", 1)])
     def test_orders_of_another_size_raise_before_any_table(self, name, unit_quantity, monkeypatch):
         model, index = oracle_case(name)
@@ -505,11 +485,10 @@ class TestGeneratorMatchesBookCore:
 
 @st.composite
 def drawn_models(draw):
-    """A small model with its index and caps no looser than the index: grid
-    2-4, one or two trader groups, either anchoring, a cancellation rate that
-    may be 0, and orders of size 1-2 in both; a quantity cap that may lie
-    below that size, leaving only cancellations; on grid 2, rows of up to 10
-    orders, so removals and fills walk long rows."""
+    """A small model with its index: grid 2-4, one or two trader groups, either
+    anchoring, a cancellation rate that may be 0, and orders of size 1-2 in
+    both; on grid 2, rows of up to 10 orders, so removals and fills walk long
+    rows."""
     grid = draw(st.integers(2, 4))
     quantity = draw(st.integers(1, 2))
     # At most 210 states (grid 4, four orders; grid 2 with ten orders has
@@ -541,19 +520,15 @@ def drawn_models(draw):
         anchoring_mode=draw(st.sampled_from(list(AnchoringMode))),
         unit_quantity=quantity,
     )
-    caps = StateCaps(
-        max_orders=max_orders - draw(st.integers(0, 1)),
-        max_quantity=quantity - draw(st.integers(0, quantity - 1)),
-    )
-    return model, enumerate_states(grid, quantity, max_orders), caps
+    return model, enumerate_states(grid, quantity, max_orders)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(drawn_models())
 def test_generator_matches_book_core_on_drawn_models(case):
-    model, index, caps = case
-    generator = build_generator(model, index, caps)
-    assert_identical(generator, reference_generator(model, index, caps))
+    model, index = case
+    generator = build_generator(model, index)
+    assert_identical(generator, reference_generator(model, index))
     # Every column of a generator sums to zero: what leaves a state arrives somewhere.
     assert generator_diagnostics(generator)[0] <= 1e-12
 
@@ -806,7 +781,7 @@ def test_opposite_best_engine_matches_oracle():
     runs, alarm = 20_000, 1e-6
     report = validate_against_oracle("tiny-opposite", runs=runs, base_seed=2024)
     model, caps = tiny_opposite_model()
-    index = enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+    index = enumerate_states(model.grid_size, model.unit_quantity, caps.max_orders)
     generator = build_generator(model, index)
     assert report.state_count == len(index) == 95
     eps = math.sqrt(math.log(1.0 / alarm) / (2.0 * runs))

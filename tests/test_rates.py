@@ -107,6 +107,15 @@ class TestDgx:
         with np.errstate(all="raise"), pytest.raises(RateModelError, match="underflow"):
             DgxParams(50.0, 0.01, 12)
 
+    @pytest.mark.parametrize("sigma", [1e155, 1e308])
+    def test_sigma_whose_square_overflows_gives_weights_one_over_rank(self, sigma):
+        # 2 sigma**2 raised OverflowError on a float (exit 4 from the CLI); the
+        # Gaussian factor is 1 at every rank, so the weights are 1 / r, normalized.
+        with np.errstate(all="raise"):
+            pmf = dgx_pmf(DgxParams(1.0, sigma, 4))
+        weights = 1.0 / np.arange(1, 5)
+        assert pmf.tolist() == (weights / weights.sum()).tolist()
+
 
 class TestModelValidation:
     def test_shares_must_sum_to_one(self):

@@ -1,17 +1,19 @@
 """Scenario runner: presets, config validation, CSV outputs, comparisons,
 validation reports, and the command line."""
 
+import io
 import json
 import math
 import tempfile
-from dataclasses import replace
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobsim import engine, oracle, rates, scenario
@@ -101,6 +103,21 @@ class TestConfigValidation:
             config_from_dict(raw)
         message = str(excinfo.value)
         assert "cancellation rate" in message and "unit quantity" in message
+
+    @pytest.mark.parametrize("support", [10**400, 21], ids=["past-int64", "grid-plus-one"])
+    @pytest.mark.parametrize("verb", ["run", "print-rates"])
+    def test_support_past_the_grid_is_config_error(self, tmp_path, capsys, verb, support):
+        # Checked before any DGX weights are built: 10**400 exited 4 from numpy's
+        # "Maximum allowed size exceeded".
+        path = tmp_path / "support.json"
+        path.write_text(json.dumps({"groups": [{**GROUP, "support": support}], "runs": 1}))
+        out = tmp_path / "o"
+        args = ["--out", str(out)] if verb == "run" else []
+        assert main([verb, "--config", str(path), *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        expected = f"groups[0] support leaves the grid: {support} levels exceed grid_size 20"
+        assert captured.err == f"config error: {expected}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_support_must_fit_grid(self):
         raw = {
@@ -328,6 +345,88 @@ def test_byte_identical_reruns_of_drawn_configs(config):
             assert path.read_bytes() == other.read_bytes(), path.name
 
 
+# Values from the edges of each JSON type, for any field: bools, 0 and -1, integers past
+# int64 and past Python's digit limit, floats at and past the float range, the smallest
+# subnormal, -0.0, NaN and the infinities, and strings, null, lists and objects.
+HUGE = object()  # written as the digits of 10**5000, which json.dumps refuses
+EDGES = [True, False, 0, -1, 10**400, HUGE, 1e308, -1e308, 5e-324, -0.0, math.nan, math.inf,
+         -math.inf, "", "static", None, [], [None], {}, {"groups": None}]
+MISSING = object()  # the key is left out
+# Valid values besides the default, so that edits that keep a config valid run too.
+VALID = {
+    "grid_size": [1, 12, 30], "unit_quantity": [3], "cancel_rate": [0.0, 1e308],
+    "event_intensity": [5e-324, 1e308], "anchoring": ["opposite_best"],
+    "record": ["events", "heatmap"], "heatmap_window": [30], "base_seed": [10**400],
+    "share": [0.0], "mu": [-0.0], "sigma": [5e-324, 1e308], "support": [1, 20],
+    "bid_anchor": [1, 20], "ask_anchor": [1, 20],
+}
+# Cells a completed run defines: always, once it was quoted, after one trade, after two.
+DEFINED = [
+    (lambda row: True, ["events", "elapsed_time", "transaction_count", "quote_coverage"]),
+    (lambda row: row["quote_coverage"] > 0, [
+        "mean_spread", "std_spread", "mean_mid", "std_mid", "mean_best_bid", "mean_best_ask",
+        "mean_xlm_ask", "mean_xlm_bid", "mean_xlm"]),
+    (lambda row: row["transaction_count"] >= 1,
+     ["mean_transaction_price", "std_transaction_price"]),
+    (lambda row: row["transaction_count"] >= 2, ["mean_return"]),
+    (lambda row: row["transaction_count"] >= 3, ["return_volatility"]),
+]
+
+
+@st.composite
+def drawn_json_configs(draw):
+    """A config file's text: a valid scenario1-like config with up to three top-level or
+    group fields set to edge or other valid values, left out, or joined by an unknown key."""
+    raw = {"grid_size": 20, "runs": 1, "events_per_run": 30, "heatmap_window": 10,
+           "groups": [dict(GROUP)]}
+    if draw(st.booleans()):
+        raw["groups"] = [{**GROUP, "share": 0.5}, {**GROUP, "share": 0.5, "support": 8}]
+    names = [f.name for f in fields(scenario.ScenarioConfig)] + list(GROUP) + ["unknown"]
+    chosen = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    for name in sorted(chosen, key=lambda name: name not in GROUP):  # groups' fields first
+        value = draw(st.sampled_from([MISSING, *VALID.get(name, []), *EDGES]))
+        where = raw
+        if name in GROUP:
+            where = raw["groups"][draw(st.integers(0, len(raw["groups"]) - 1))]
+        if value is MISSING:
+            where.pop(name, None)
+        else:
+            where[name] = value
+    return json_text(raw)
+
+
+def json_text(raw) -> str:
+    """``raw`` as JSON, NaN and the infinities as Python's json writes them."""
+    return json.dumps(raw, default=lambda value: "<huge>").replace('"<huge>"', "1" + "0" * 5000)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(drawn_json_configs())
+# Each exited 4: DGX weights over 10**400 ranks (also on a grid as wide), and a float
+# sigma squared past the range.
+@example(json_text({"groups": [{**GROUP, "support": 10**400}]}))
+@example(json_text({"grid_size": 10**400, "groups": [{**GROUP, "support": 10**400}]}))
+@example(json_text({"groups": [{**GROUP, "sigma": 1e308}]}))
+def test_any_json_config_exits_0_or_2(text):
+    # Whatever a JSON file holds, run and print-rates exit 0 or 2; an exit 0 leaves
+    # no NaN in a cell a completed run defines.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "drawn.json"), Path(tmp, "out")
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            codes = [
+                main(["run", "--config", str(path), "--runs", "2", "--events", "30", "--out",
+                      str(out)]),
+                main(["print-rates", "--config", str(path)]),
+            ]
+        assert codes in ([EXIT_OK] * 2, [EXIT_CONFIG] * 2), (codes, err.getvalue())
+        if codes[0] == EXIT_OK:
+            for row in read_summaries(out)[1]:
+                for defines, columns in DEFINED if row["completed"] else ():
+                    if defines(row):
+                        assert not any(math.isnan(row[c]) for c in columns), row
+
+
 class TestCompare:
     def test_self_comparison_indistinguishable(self, tmp_path):
         config = small_config(runs=6, events=300)
@@ -364,7 +463,7 @@ class TestDistinctRowPositions:
     def test_equals_index_positions(self, name):
         model, caps = scenario.ORACLE_MODELS[name]()
         k, m = model.grid_size, caps.max_orders
-        index = oracle.enumerate_states(k, caps.max_quantity, m)
+        index = oracle.enumerate_states(k, model.unit_quantity, m)
         times = scenario.ORACLE_TIMES
         recording = RecordingConfig(events=False, checkpoint_times=times)
         batch = simulate(
@@ -392,7 +491,7 @@ class TestDistinctRowPositions:
     )
     def test_rows_outside_the_index_raise_as_positions_does(self, row):
         model, caps = scenario.ORACLE_MODELS["tiny-overlap"]()
-        index = oracle.enumerate_states(model.grid_size, caps.max_quantity, caps.max_orders)
+        index = oracle.enumerate_states(model.grid_size, model.unit_quantity, caps.max_orders)
         rows = np.array([[-1, 2, 0, 0, 0], row, [0, 0, 0, 0, 0]], dtype=np.int8)
         with pytest.raises(oracle.OracleError) as expected:
             index.positions(rows)
@@ -406,6 +505,18 @@ class TestDistinctRowPositions:
         # An index whose codes could pass 2**63 is an internal error, before any row is read.
         with pytest.raises(RuntimeError, match="overflow int64"):
             scenario._positions(SimpleNamespace(grid_size=64, max_orders=9), None)
+
+    def test_index_sized_by_order_size_not_quantity_cap(self, monkeypatch):
+        # A quantity cap above the order size binds nothing: the index holds the
+        # model's orders, so the report equals the uncapped-quantity model's.
+        model, caps = scenario.ORACLE_MODELS["tiny-overlap"]()
+        loose = replace(caps, max_quantity=model.unit_quantity + 1)
+        monkeypatch.setitem(scenario.ORACLE_MODELS, "tiny-overlap-loose", lambda: (model, loose))
+        expected = scenario.validate_against_oracle("tiny-overlap", runs=2000, base_seed=3)
+        found = scenario.validate_against_oracle("tiny-overlap-loose", runs=2000, base_seed=3)
+        assert found.state_count == expected.state_count
+        assert found.tv_distances == expected.tv_distances
+        assert found.moment_checks == expected.moment_checks
 
 
 class TestOracleReportLogic:

@@ -42,9 +42,10 @@ The loop builds per-event objects only where a recording reads them: an
 event's :class:`EventDescriptor` only under ``events``, and a trade's
 :class:`Transaction` only for a record or a book state (a checkpoint or the
 final state); until then the last trade is a plain (price, time, aggressor).
-Each block of draws gets its clock at once, in C. Per event the loop logs one
-int, the move's signed level and kind, and per quote move (event, best): numpy
-rebuilds summary columns and depth counts from them.
+Each block of draws gets its clock at once, in C, and keeps no waiting time:
+a run's clock is its records' times and its ``final_time``. Per event the
+loop logs one int, the move's signed level and kind, and per quote move
+(event, best): numpy rebuilds summary columns and depth counts from them.
 
 Given a sequence of seeds, :func:`simulate` steps exactly those capped,
 horizon-stopped runs in lockstep on numpy arrays and returns their books as
@@ -75,14 +76,14 @@ the empty book and the books the live runs hold; it may then double before
 the next restart. README.md gives what a book and a slot cost, and where the
 set gains (runs that revisit a few hundred books) and loses (most pairs new).
 
-A seed is an integer in [0, 2**64), the range :func:`derive_run_seeds`
-yields; both forms of :func:`simulate` raise :class:`EngineError` otherwise.
+A seed is an integer in [0, 2**64), the range of the uint64 array
+:func:`derive_run_seeds` returns; both forms of :func:`simulate` raise
+:class:`EngineError` otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -94,7 +95,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .book import BookState, Order, Side, StateCaps, Transaction, empty_book, is_integer, is_real
-from .observables import DepthProfile, QuoteSnapshot, SummaryColumns, quote_snapshot
+from .observables import QuoteSnapshot, SummaryColumns, quote_snapshot
 from .observables import depth, quotes, xlm  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .rates import AbsorbingStateError, AnchoringMode, EventDescriptor, EventKind, RateModel
 from .rates import apply_event, event_table, side_arrivals  # bench/spans.py wraps event_table here
@@ -113,13 +114,12 @@ class RecordingConfig:
     final N steps (heatmap-style output), as :class:`DepthFrames`. Book states
     are snapshotted at each time in ``checkpoint_times``, any iterable of real
     numbers; a checkpoint past the simulated horizon, or at NaN, is absent
-    from the result. ``collect_inter_event_times`` keeps the waiting times.
+    from the result.
     """
 
     events: bool = True
     depth_window: int = 0
     checkpoint_times: tuple[float, ...] = ()
-    collect_inter_event_times: bool = False
 
 
 @dataclass
@@ -133,24 +133,15 @@ class TrajectoryRecord:
 
 
 @dataclass
-class DepthFrame:
-    """Depth snapshot for one step in the trailing heatmap window."""
-
-    event_index: int
-    profile: DepthProfile
-    transacted: bool
-
-
-@dataclass
 class DepthFrames:
     """A run's last ``depth_window`` events: row i of ``counts`` holds the orders per signed
     level -K..K (bids at -1..-K, asks at 1..K) after event ``first + i``, ``fills[i]`` whether
-    it traded. Iterating builds each :class:`DepthFrame`, ``len`` none."""
+    it traded. Every order has the model's ``unit_quantity``, so a count times it is a level's
+    quantity."""
 
     first: int
     counts: np.ndarray
     fills: np.ndarray
-    unit_quantity: int
 
     def __len__(self) -> int:
         return len(self.fills)
@@ -160,18 +151,12 @@ class DepthFrames:
             return NotImplemented
         return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
 
-    def __iter__(self) -> Iterator[DepthFrame]:
-        k = self.counts.shape[1] // 2
-        bids, asks = slice(k - 1, None, -1), slice(k + 1, None)
-        for event, c, fill in zip(count(self.first), self.counts, self.fills.tolist()):
-            n = c * self.unit_quantity
-            yield DepthFrame(event, DepthProfile(k, c[bids], n[bids], c[asks], n[asks]), fill)
-
 
 @dataclass
 class SimulationResult:
     """A finished run: records per recording config, plus final state/time, and the
-    columns :func:`~lobsim.observables.summarize_run` reduces, which every run streams."""
+    columns :func:`~lobsim.observables.summarize_run` reduces, which every run streams.
+    ``final_time`` is a float: the horizon for a run it stopped, else its last event's time."""
 
     records: list[TrajectoryRecord]
     final_state: BookState
@@ -179,7 +164,6 @@ class SimulationResult:
     event_count: int
     checkpoints: dict[float, BookState]
     depth_frames: Union[DepthFrames, tuple]  # () without a depth window
-    inter_event_times: Optional[np.ndarray]
     summary_columns: SummaryColumns
 
 
@@ -318,7 +302,8 @@ def simulate(
     A seed is an integer in [0, 2**64), ``recording.depth_window`` one >= 0,
     ``recording.checkpoint_times`` an iterable of real numbers (not bools), and
     ``caps``' ``max_orders`` and ``max_quantity`` None or ones >= 0 and >= 1, else
-    :class:`EngineError`.
+    :class:`EngineError`. Numpy scalars are taken as the Python numbers they equal, so
+    the result's counts and times are Python ints and floats.
 
     Given a sequence of seeds, steps them in lockstep on numpy arrays, a
     :func:`lockstep_width` of them at a time, and returns an
@@ -332,6 +317,7 @@ def simulate(
     raises :class:`EngineError`, before anything is allocated.
     """
     _check_stop(event_count, time_horizon)
+    horizon = math.inf if time_horizon is None else float(time_horizon)  # a numpy float too
     _check_integer("depth_window", recording.depth_window, 0)
     given = recording.checkpoint_times
     times = tuple(given) if isinstance(given, Iterable) else (None,)  # an iterator read once
@@ -341,10 +327,11 @@ def simulate(
     for name, least in (("max_orders", 0), ("max_quantity", 1)):
         if getattr(caps, name, None) is not None:
             _check_integer(name, getattr(caps, name), least)
+            caps = replace(caps, **{name: int(getattr(caps, name))})  # a numpy int as an int
     # A str or bytes is one seed, and so is a 0-d array: the scalar check rejects them.
     batched = isinstance(seed, (Sequence, np.ndarray)) and getattr(seed, "ndim", 1) != 0
     if batched and not isinstance(seed, (str, bytes, bytearray)):
-        return _simulate_lockstep(model, initial, event_count, time_horizon, seed, recording, caps)
+        return _simulate_lockstep(model, initial, event_count, horizon, seed, recording, caps)
     _check_seed(seed)
     tables = _cache(model, caps)
     initial_state = initial if initial is not None else empty_book(model.grid_size)
@@ -393,7 +380,6 @@ def simulate(
     by_quotes = capped or model.anchoring_mode is AnchoringMode.OPPOSITE_BEST
     rng = np.random.default_rng(seed)
     intensity = model.event_intensity
-    horizon = math.inf if time_horizon is None else time_horizon
     limit = math.inf if event_count is None else event_count
     stale = bound = -math.inf
 
@@ -401,7 +387,6 @@ def simulate(
     records: list[TrajectoryRecord] = []
     checkpoints: dict[float, BookState] = {}
     pending, cp_index = [*sorted(t for t in times if t <= math.inf), math.inf], 0  # drops NaN
-    dts: list[float] = []
     # One code per event, 4 (s + k) + kind for the signed level s an order enters
     # (kind 2) or leaves by a cancellation (0) or a fill (1); per side, from event
     # 1 on, event and best for the quote and each move of it.
@@ -416,9 +401,6 @@ def simulate(
         pairs = min(block, limit - events)
         draws, block = rng.random(2 * pairs).tolist(), min(2 * block, 4096)
         waits = _waiting_times(islice(draws, 0, None, 2), intensity)
-        if recording.collect_inter_event_times:
-            waits = list(waits)
-            dts += waits
         times = islice(accumulate(waits, initial=now), 1, None)
         for events, t_next, u_event in zip(count(events + 1), times, islice(draws, 1, None, 2)):
             if t_next > bound:
@@ -489,7 +471,7 @@ def simulate(
         else:
             now = t_next
             continue
-        now, events = time_horizon, events - 1
+        now, events = horizon, events - 1
         break
 
     final_state = book_state()
@@ -502,8 +484,7 @@ def simulate(
         final_time=now,
         event_count=events,
         checkpoints=checkpoints,
-        depth_frames=_depth_frames(k, q, codes, at_level, window) if window else (),
-        inter_event_times=np.asarray(dts[:events]) if recording.collect_inter_event_times else None,
+        depth_frames=_depth_frames(k, codes, at_level, window) if window else (),
         summary_columns=_summary_columns(k, codes, quote_log, sides),
     )
 
@@ -530,14 +511,14 @@ def _summary_columns(k: int, codes: np.ndarray, quote_log: tuple, sides) -> Summ
     return SummaryColumns(quoted, np.abs(s[codes & 3 == 1]).tolist())
 
 
-def _depth_frames(k: int, q: int, codes: np.ndarray, at_level: list, window: int) -> DepthFrames:
+def _depth_frames(k: int, codes: np.ndarray, at_level: list, window: int) -> DepthFrames:
     """The :class:`DepthFrames` of a run's last ``window`` events, from its move codes
     and its final per-level counts: the final counts less the later moves."""
     first, codes = max(len(codes) - window, 0), codes[-window:]  # window >= 1
     change = np.zeros((len(codes), 2 * k + 1), dtype=np.int64)
     change[np.arange(len(codes)), codes >> 2] = np.where(codes & 2, 1, -1)
     counts = np.array(at_level[-k:] + at_level[: k + 1]) - change.sum(axis=0)
-    return DepthFrames(first + 1, counts + change.cumsum(axis=0), codes & 3 == 1, q)
+    return DepthFrames(first + 1, counts + change.cumsum(axis=0), codes & 3 == 1)
 
 
 def _check_stop(event_count, time_horizon) -> None:
@@ -570,22 +551,13 @@ def _check_seed(seed) -> None:
 
 def _check_seeds(seeds) -> np.ndarray:
     """``seeds`` as one uint64 array, checked once: :class:`EngineError` unless every seed is
-    an integer in [0, 2**64), not a bool. A list of exact ints, as :func:`derive_run_seeds`
-    returns them, is checked by its conversion, which raises ``OverflowError`` outside that
-    range; an integer array by its dtype (unsigned, or signed with no entry below 0), a bool
-    array never. Anything else, and any that fails, is checked seed by seed."""
+    an integer in [0, 2**64), not a bool. A 1-D integer array, as :func:`derive_run_seeds`
+    returns them, is checked by its dtype (unsigned, or signed with no entry below 0), a bool
+    array never; anything else, and any array that fails, seed by seed."""
     if isinstance(seeds, np.ndarray):
         kind = seeds.dtype.kind
         if seeds.ndim == 1 and (kind == "u" or kind == "i" and seeds.min(initial=0) >= 0):
             return seeds.astype(np.uint64, copy=False)
-    elif set(map(type, seeds)) == {int}:
-        # numpy 1.x wraps a negative int with a DeprecationWarning, which is made an error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                return np.array(seeds, dtype=np.uint64)
-            except (OverflowError, DeprecationWarning):
-                pass
     for seed in seeds:
         _check_seed(seed)
     return np.array([int(seed) for seed in seeds], dtype=np.uint64)
@@ -878,7 +850,7 @@ def _simulate_lockstep(
     model: RateModel,
     initial: Optional[BookState],
     event_count: Optional[int],
-    time_horizon: Optional[float],
+    time_horizon: float,
     seeds: Sequence[int],
     recording: RecordingConfig,
     caps: Optional[StateCaps],
@@ -897,13 +869,13 @@ def _simulate_lockstep(
     k = model.grid_size
     if initial is not None and (initial.grid_size != k or initial.bids or initial.asks):
         raise EngineError(f"batched runs start from an empty book on grid {k}")
-    if event_count is not None or time_horizon is None:
+    if event_count is not None:  # without it, _check_stop has required a finite horizon
         raise EngineError("batched runs need a time_horizon and no event_count")
     if recording != RecordingConfig(events=False, checkpoint_times=recording.checkpoint_times):
         raise EngineError("batched runs record checkpoints only: events=False, nothing else")
     if caps is None or caps.max_orders is None:
         raise EngineError("batched runs need caps with max_orders")
-    if (k + 1) ** 2 * (int(caps.max_orders) + 1) > _KEY_CELLS:
+    if (k + 1) ** 2 * (caps.max_orders + 1) > _KEY_CELLS:
         raise EngineError(
             f"batched runs need (grid_size + 1)**2 * (max_orders + 1) <= 2**24, got grid"
             f" {k} and max_orders {caps.max_orders}"
@@ -988,13 +960,14 @@ def _simulate_lockstep(
     )
 
 
-def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
-    """Deterministic, independent per-run seeds from one base seed: the words of
-    ``SeedSequence(base_seed).generate_state(runs, np.uint64)``, as ints.
-    :class:`EngineError` unless both are integers >= 0, not bools."""
+def derive_run_seeds(base_seed: int, runs: int) -> np.ndarray:
+    """Deterministic, independent per-run seeds from one base seed: the 1-D uint64 array
+    ``SeedSequence(base_seed).generate_state(runs, np.uint64)``, which both forms of
+    :func:`simulate` take as it is. :class:`EngineError` unless both are integers >= 0,
+    not bools."""
     _check_integer("base_seed", base_seed, 0)
     _check_integer("runs", runs, 0)
-    return _generate_state(np.random.SeedSequence(base_seed).pool, 2 * runs).tolist()
+    return _generate_state(np.random.SeedSequence(base_seed).pool, 2 * runs)
 
 
 def run_ensemble(

@@ -106,8 +106,9 @@ _TYPE_RULES = {
     "str": (lambda v: isinstance(v, str), str, "a string"),
 }
 # The scenario-only (low, high) ranges, also validate's; every model rule is checked by
-# building the model. A high bound stops a size before numpy or the seed list is asked for it.
-_RANGES = {"grid_size": (1, 10_000), "runs": (1, 1_000_000), "events_per_run": (0, math.inf),
+# building the model. A high bound stops a size before numpy or the seed array is asked for
+# it, and a run before it outgrows memory: about 110 B per event, 1.1 GiB at the bound.
+_RANGES = {"grid_size": (1, 10_000), "runs": (1, 1_000_000), "events_per_run": (0, 10_000_000),
            "base_seed": (0, math.inf), "heatmap_window": (1, 1_000_000)}
 _CHOICES = {"anchoring": ("static", "opposite_best"), "record": ("summary", "events", "heatmap")}
 

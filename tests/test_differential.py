@@ -3,8 +3,8 @@
 The reference below is the engine's loop written directly over immutable
 book states: one step() per event, through the matching core. Driven from
 the same seed, both must produce the same times, events, trades, quotes,
-streamed summary columns, XLM values, heatmap depth frames, waiting times
-and book states, ids and sequence numbers included, on fixed cases and on
+streamed summary columns, XLM values, heatmap depth frames and book states,
+ids and sequence numbers included, on fixed cases and on
 drawn models, books, caps and stops; every book the engine holds after an
 event passes ``validate_book``. The batched form of simulate, which steps
 many seeds at once, is compared with one simulate call per seed on event
@@ -34,39 +34,38 @@ from lobsim.engine import (
     simulate,
     step,
 )
-from lobsim.observables import quotes, xlm, xlm_legs
+from lobsim.observables import depth, quotes, xlm, xlm_legs
 from lobsim.oracle import tiny_overlapping_model
 from lobsim.rates import AbsorbingStateError, DgxParams, EventKind, RateModel, TraderGroup
 from lobsim.scenario import ORACLE_MODELS, ORACLE_TIMES, build_rate_model, preset
 
 
 def reference_run(model, initial, seed, event_count=None, time_horizon=None, caps=None):
-    """(per-event (time, event, trades, state), final time, waiting times): the step() loop."""
+    """(per-event (time, event, trades, state), final time): the step() loop."""
     state = initial
     rng = np.random.default_rng(seed)
-    trajectory, waits = [], []
+    trajectory = []
     now = 0.0
     while event_count is None or len(trajectory) < event_count:
         result = step(state, model, rng, now, caps=caps)
         if time_horizon is not None and now + result.delta_t > time_horizon:
-            return trajectory, time_horizon, waits
+            return trajectory, time_horizon
         now += result.delta_t
         state = result.state
         trajectory.append((now, result.event, result.transactions, state))
-        waits.append(result.delta_t)
-    return trajectory, now, waits
+    return trajectory, now
 
 
 def assert_matches_reference(model, seed, initial=None, caps=None, fresh=True, events=True, **stop):
     """``fresh`` clears the engine's table cache before each simulate call; otherwise
     the calls reuse the tables earlier calls on the model built. The book after each
-    event, taken at a checkpoint, must equal the reference's and pass ``validate_book``."""
+    event, taken at a checkpoint, must equal the reference's and pass ``validate_book``.
+    Every event's time is checked through its record under ``events`` and through the
+    checkpoint at it either way, and the final time exactly."""
     initial = initial if initial is not None else empty_book(model.grid_size)
-    trajectory, final_time, waits = reference_run(model, initial, seed, caps=caps, **stop)
+    trajectory, final_time = reference_run(model, initial, seed, caps=caps, **stop)
     times = [t for t, *_ in trajectory]
-    recording = RecordingConfig(
-        events=events, depth_window=len(trajectory), collect_inter_event_times=True
-    )
+    recording = RecordingConfig(events=events, depth_window=len(trajectory))
     # A checkpoint at an event's time holds the book right after that event.
     # Checkpoints at every event send each one down the loop's rare path, which
     # looks its table up again. Without them only the first event and a key not
@@ -86,7 +85,7 @@ def assert_matches_reference(model, seed, initial=None, caps=None, fresh=True, e
             **stop,
         ))
     result, plain = runs
-    assert_run_matches(result, trajectory, final_time, waits, events)
+    assert_run_matches(result, trajectory, final_time, events)
     assert run_outputs(plain) == run_outputs(result) and plain.checkpoints == {}
     for time, *_, state in trajectory:
         engine_state = result.checkpoints[time]
@@ -101,31 +100,26 @@ def assert_matches_reference(model, seed, initial=None, caps=None, fresh=True, e
 def run_outputs(result):
     """A run's outputs other than its checkpoints, as comparable values."""
     columns = result.summary_columns
-    frames = [
-        (f.event_index, f.transacted, [getattr(f.profile, name).tolist() for name in DEPTH_ARRAYS])
-        for f in result.depth_frames
-    ]
     return (
         result.records,
         result.final_state,
         result.final_time,
         result.event_count,
-        result.inter_event_times.tolist(),
         columns.quoted.tolist(),
         columns.prices,
-        frames,
+        result.depth_frames,
     )
 
 
-def assert_run_matches(result, trajectory, final_time, waits, events):
-    """``result`` against the reference's trajectory, final time and waiting times."""
+def assert_run_matches(result, trajectory, final_time, events):
+    """``result`` against the reference's trajectory and final time."""
     assert result.event_count == len(trajectory) > 0
-    assert result.final_time == final_time
-    assert result.inter_event_times.tolist() == waits
+    assert type(result.final_time) is float and result.final_time == final_time
     # A depth frame per event, each the depth of the book after it.
-    assert [f.event_index for f in result.depth_frames] == list(range(1, len(trajectory) + 1))
-    for frame, (_, _, trades, state) in zip(result.depth_frames, trajectory):
-        assert_frame_is_depth(frame, trades, state)
+    frames = result.depth_frames
+    assert frames.first == 1 and len(frames) == len(trajectory)
+    for row, filled, (_, _, trades, state) in zip(frames.counts, frames.fills, trajectory):
+        assert_frame_is_depth(row, filled, trades, state)
     # One streamed row per event after which both sides quote, with its XLM legs.
     quoted = [state for *_, state in trajectory if state.bids and state.asks]
     rows = result.summary_columns.quoted
@@ -142,19 +136,13 @@ def assert_run_matches(result, trajectory, final_time, waits, events):
     assert result.final_state == trajectory[-1][3]
 
 
-DEPTH_ARRAYS = ("bid_counts", "bid_quantities", "ask_counts", "ask_quantities")
-
-
-def assert_frame_is_depth(frame, trades, state):
-    """``frame`` holds the counts and quantities of ``state``'s orders per level."""
-    profile, k = frame.profile, state.grid_size
-    for x, orders in enumerate((state.bids, state.asks)):
-        levels = [o.price_level - 1 for o in orders]
-        counts, quantities = (getattr(profile, name) for name in DEPTH_ARRAYS[2 * x : 2 * x + 2])
-        assert counts.tolist() == np.bincount(levels, minlength=k).tolist()
-        sizes = np.bincount(levels, [o.quantity for o in orders], minlength=k)
-        assert quantities.tolist() == sizes.tolist()
-    assert frame.transacted is bool(trades)
+def assert_frame_is_depth(row, filled, trades, state):
+    """A frame's ``row`` of counts per signed level -K..K is ``depth(state)``'s bid counts
+    reversed, an empty level 0, then its ask counts; ``filled`` whether ``trades`` happened."""
+    profile, k = depth(state), state.grid_size
+    assert row[k - 1 :: -1].tolist() == profile.bid_counts.tolist()
+    assert row[k] == 0 and row[k + 1 :].tolist() == profile.ask_counts.tolist()
+    assert filled == bool(trades)
 
 
 def scenario_model(name, **overrides):
@@ -258,7 +246,7 @@ def test_simulate_matches_step_on_drawn_models(case, drawn_caps, seed, events, p
     stop = {"event_count": events}
     try:
         if past_event is not None:
-            trajectory, _, _ = reference_run(model, book, seed, caps=caps, **stop)
+            trajectory, _ = reference_run(model, book, seed, caps=caps, **stop)
             stop = {"time_horizon": trajectory[-1][0] + past_event / model.event_intensity}
         reference_run(model, book, seed, caps=caps, **stop)
     except AbsorbingStateError:
@@ -274,12 +262,12 @@ def test_simulate_matches_step_on_drawn_models(case, drawn_caps, seed, events, p
 def test_event_counts_at_draw_block_edges(events):
     model = scenario_model("scenario2")
     assert_matches_reference(model, seed=23, event_count=events)
-    recording = RecordingConfig(events=False, collect_inter_event_times=True)
-    result = simulate(model, event_count=events, seed=23, recording=recording)
+    result = simulate(model, event_count=events, seed=23)
     rng = np.random.default_rng(23)
     pairs = [(rng.random(), rng.random()) for _ in range(events)]
-    waits = [-math.log1p(-u_time) / model.event_intensity for u_time, _ in pairs]
-    assert result.inter_event_times.tolist() == waits
+    times = list(accumulate(-math.log1p(-u_time) / model.event_intensity for u_time, _ in pairs))
+    assert [record.time for record in result.records] == times
+    assert result.final_time == times[-1]
 
 
 @pytest.mark.parametrize("event", [16, 17, 48, 49])
@@ -325,15 +313,13 @@ def test_tables_switched_at_quote_moves(anchoring, caps):
 @pytest.mark.parametrize("stop", [dict(event_count=600), dict(time_horizon=100.0)])
 def test_depth_window_frames(anchoring, stop):
     model = scenario_model("scenario2", anchoring=anchoring)
-    trajectory, _, _ = reference_run(model, empty_book(model.grid_size), 19, **stop)
+    trajectory, _ = reference_run(model, empty_book(model.grid_size), 19, **stop)
     recording = RecordingConfig(events=False, depth_window=250)
     frames = simulate(model, seed=19, recording=recording, **stop).depth_frames
     assert len(trajectory) > 250
-    last = len(trajectory)
-    assert [f.event_index for f in frames] == list(range(last - 249, last + 1))
-    for frame in frames:
-        _, _, trades, state = trajectory[frame.event_index - 1]
-        assert_frame_is_depth(frame, trades, state)
+    assert frames.first == len(trajectory) - 249 and len(frames) == 250
+    for row, filled, (_, _, trades, state) in zip(frames.counts, frames.fills, trajectory[-250:]):
+        assert_frame_is_depth(row, filled, trades, state)
 
 
 @pytest.mark.parametrize(
@@ -575,7 +561,7 @@ def test_batched_runs_replayed_at_every_bound(monkeypatch):
     monkeypatch.setattr(lobsim.engine, "LOCKSTEP_CELLS", cells)
     assert lockstep_width(model, caps) == 7
     replayed = assert_batch_matches_scalar("tiny-opposite", runs=30, time_horizon=4.0)
-    steps = {seed: [] for seed in derive_run_seeds(5, 30)}
+    steps = {seed: [] for seed in derive_run_seeds(5, 30).tolist()}
     for seed, step, _ in replays:
         steps[seed].append(step)
     counts = replayed.event_counts.tolist()

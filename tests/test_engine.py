@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import ABSORBING, DRAWN_CAPS, drawn_books
 from scipy import stats
 
@@ -34,6 +35,7 @@ from lobsim.rates import (
     EventKind,
     event_table,
 )
+from lobsim.observables import summarize_run
 from lobsim.scenario import ORACLE_MODELS, build_rate_model, preset
 
 
@@ -274,17 +276,6 @@ class TestSimulate:
         for book in result.checkpoints.values():
             validate_book(book)
             assert book.order_count() <= 3
-
-    def test_inter_event_times_collection(self, scenario1_model):
-        result = simulate(
-            scenario1_model,
-            event_count=1000,
-            seed=15,
-            recording=RecordingConfig(events=False, collect_inter_event_times=True),
-        )
-        assert result.inter_event_times.shape == (1000,)
-        assert result.records == []
-        assert result.final_time == pytest.approx(result.inter_event_times.sum())
 
     @pytest.mark.parametrize("anchoring", ["static", "opposite_best"])
     def test_one_table_build_per_key(self, anchoring, monkeypatch):
@@ -578,11 +569,7 @@ class TestEnsemble:
                 seed=seed,
                 recording=RecordingConfig(events=False, depth_window=4000),
             )
-            counts = [
-                frame.profile.counts(Side.BID).sum() + frame.profile.counts(Side.ASK).sum()
-                for frame in result.depth_frames
-            ]
-            means.append(float(np.mean(counts)))
+            means.append(float(result.depth_frames.counts.sum(axis=1).mean()))
         center = float(np.mean(means))
         assert center < 60.0
         for m in means:
@@ -647,7 +634,8 @@ class TestSeeds:
 
     def test_replicated_streams_match_default_rng(self):
         # Bit for bit, so a change to numpy's SeedSequence or PCG64 shows here.
-        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345] + derive_run_seeds(2024, 10_000)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 12345]
+        seeds += derive_run_seeds(2024, 10_000).tolist()
         expected = np.array([np.random.default_rng(seed).random(128) for seed in seeds])
         # Slot i draws seed rows[i]'s stream from step first[i] on, a pair per step, as the
         # batched loop's slots do: every 16 steps some slots stop, and take the next queued
@@ -678,11 +666,12 @@ class TestSeeds:
     def test_derived_seeds_match_seed_sequence(self, base_seed, runs):
         words = np.random.SeedSequence(base_seed).generate_state(runs, np.uint64)
         seeds = derive_run_seeds(base_seed, runs)
-        assert seeds == words.tolist() and all(type(seed) is int for seed in seeds)
+        assert type(seeds) is np.ndarray and seeds.dtype == np.uint64 and seeds.shape == (runs,)
+        assert np.array_equal(seeds, words)
 
     def test_batched_seeds_as_uint64_array(self):
         model, caps = ORACLE_MODELS["tiny-overlap"]()
-        seeds = [0, 2**64 - 1] + derive_run_seeds(7, 200)
+        seeds = [0, 2**64 - 1, *derive_run_seeds(7, 200).tolist()]
         recording = RecordingConfig(events=False, checkpoint_times=(0.5, 1.0))
         runs = [
             simulate(model, time_horizon=2.0, seed=s, recording=recording, caps=caps)
@@ -698,7 +687,7 @@ class TestSeeds:
         # A signed array with no entry below 0 and an unsigned one pass by their dtype;
         # an object array of ints seed by seed. Each gives the list's books.
         model, caps = ORACLE_MODELS["tiny-overlap"]()
-        seeds = [0, 1, 2**32 - 1] + [s >> 32 for s in derive_run_seeds(7, 200)]
+        seeds = [0, 1, 2**32 - 1, *(derive_run_seeds(7, 200) >> 32).tolist()]
         recording = RecordingConfig(events=False, checkpoint_times=(0.5, 1.0))
         runs = [
             simulate(model, time_horizon=2.0, seed=s, recording=recording, caps=caps)
@@ -725,6 +714,58 @@ class TestSeeds:
         recording = RecordingConfig(events=False)
         with pytest.raises(EngineError, match="seed must be an integer"):
             simulate(model, time_horizon=1.0, seed=seeds, recording=recording, caps=caps)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    batched=st.booleans(),
+    seed=st.integers(0, 2**63 - 1),
+    event_count=st.one_of(st.none(), st.integers(0, 40)),
+    max_orders=st.one_of(st.none(), st.integers(1, 6)),
+    horizon=st.integers(0, 24).map(lambda eighths: eighths / 8),  # exact in float32
+    int_type=st.sampled_from([np.int64, np.uint64]),
+    real_type=st.sampled_from([np.float64, np.float32]),
+)
+# A run stopped by a float32 horizon returned it as its final time, and summarize_run
+# then computed the transaction rate in float32.
+@example(False, 3, None, None, 2.5, np.int64, np.float32)
+def test_numpy_scalars_run_as_python_numbers(
+    batched, seed, event_count, max_orders, horizon, int_type, real_type
+):
+    # A seed, event count, cap or horizon given as a numpy scalar runs as the Python number
+    # it equals, and the result holds Python ints and floats. The typed call runs first, on
+    # a fresh cache, so its tables and book set are built from the numpy values.
+    model, _ = ORACLE_MODELS["tiny-overlap"]()
+    lobsim.engine._cache.cache_clear()
+    recording = RecordingConfig(events=False)
+    if batched:
+        seeds = [seed, seed // 2, seed // 3]
+        caps = StateCaps(max_orders or 4, 1)
+        typed_caps = StateCaps(int_type(caps.max_orders), int_type(1))
+        typed = simulate(
+            model, time_horizon=real_type(horizon), seed=[int_type(s) for s in seeds],
+            recording=recording, caps=typed_caps,
+        )
+        python = simulate(model, time_horizon=horizon, seed=seeds, recording=recording, caps=caps)
+        assert type(typed.event_count) is int and typed.event_count == python.event_count
+        assert np.array_equal(typed.event_counts, python.event_counts)
+        assert np.array_equal(typed.final_books, python.final_books)
+        return
+    caps = None if max_orders is None else StateCaps(max_orders, 1)
+    typed_caps = None if caps is None else StateCaps(int_type(max_orders), int_type(1))
+    typed = simulate(
+        model, event_count=None if event_count is None else int_type(event_count),
+        time_horizon=real_type(horizon), seed=int_type(seed), caps=typed_caps, recording=recording,
+    )
+    python = simulate(
+        model, event_count=event_count, time_horizon=horizon, seed=seed, caps=caps,
+        recording=recording,
+    )
+    assert type(typed.event_count) is int and type(typed.final_time) is float
+    assert (typed.event_count, typed.final_time) == (python.event_count, python.final_time)
+    assert typed.final_state == python.final_state
+    # repr shows a numpy scalar in any field, and NaN equals NaN there.
+    assert repr(summarize_run(typed)) == repr(summarize_run(python))
 
 
 def test_np_log1p_within_the_clock_slack_bound():

@@ -407,6 +407,8 @@ def json_text(raw) -> str:
 @example(json_text({"groups": [{**GROUP, "support": 10**400}]}))
 @example(json_text({"grid_size": 10**400, "groups": [{**GROUP, "support": 10**400}]}))
 @example(json_text({"groups": [{**GROUP, "sigma": 1e308}]}))
+# An events_per_run with no bound ran until it was killed; both verbs now exit 2 on it.
+@example(json_text({"events_per_run": 10**400, "groups": [GROUP]}))
 def test_any_json_config_exits_0_or_2(text):
     # Whatever a JSON file holds, run and print-rates exit 0 or 2; an exit 0 leaves
     # no NaN in a cell a completed run defines.
@@ -685,18 +687,43 @@ class TestCli:
 
     @pytest.mark.parametrize("value", [10**400, "bound + 1"])
     @pytest.mark.parametrize(
-        "field, bound", [("grid_size", 10_000), ("runs", 10**6), ("heatmap_window", 10**6)]
+        "field, bound",
+        [
+            ("grid_size", 10_000),
+            ("runs", 10**6),
+            ("events_per_run", 10**7),
+            ("heatmap_window", 10**6),
+        ],
     )
     def test_oversized_config_is_config_error(self, tmp_path, capsys, field, bound, value):
         # Rejected before anything is allocated: 10**400 exited 4 from numpy's
-        # "Maximum allowed dimension exceeded" or from the seed list.
+        # "Maximum allowed dimension exceeded" or from the seed list, and an
+        # events_per_run of 10**400 ran until it was killed.
         value = bound + 1 if value == "bound + 1" else value
         raw = {"groups": [GROUP], field: value, "record": "heatmap", "events_per_run": value}
         path = tmp_path / "oversized.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {field} must be <= {bound:,}, got {value}\n"
+        # events_per_run takes the value too, so that the window fits it; past its own bound
+        # that is a second problem, listed in field order.
+        problems = {field: f"{field} must be <= {bound:,}, got {value}"}
+        if value > 10**7:
+            problems["events_per_run"] = f"events_per_run must be <= 10,000,000, got {value}"
+        listed = [problems[name] for name in scenario._RANGES if name in problems]
+        assert capsys.readouterr().err == "".join(f"config error: {p}\n" for p in listed)
+        assert not out.exists()
+
+    def test_oversized_events_flag_is_config_error(self, tmp_path, capsys):
+        # An events_per_run of 10**400 ran until it was killed; one run peaks at
+        # about 110 B per event, so the bound keeps a run near 1.1 GiB.
+        with pytest.raises(ConfigError, match="events_per_run must be <= 10,000,000, got 10000001"):
+            replace(preset("scenario1"), events_per_run=10_000_001)
+        out, events = tmp_path / "o", 10**400
+        args = ["run", "--preset", "scenario1", "--runs", "1", "--events", str(events)]
+        assert main([*args, "--out", str(out)]) == EXIT_CONFIG
+        error = f"config error: events_per_run must be <= 10,000,000, got {events}\n"
+        assert capsys.readouterr().err == error
         assert not out.exists()
 
     @pytest.mark.parametrize("runs", [10**6 + 1, 10**400])
